@@ -8,7 +8,7 @@ for the catalogue with rationale and suppression syntax):
   because RNGs are constructed from explicit seeds.
 * ``wallclock-timing`` — wall-clock reads are quarantined in the
   modules whose *job* is measurement (``utils/timing.py``, the service
-  layer, the tuner's race, the bench harness); everywhere else a stray
+  layer, the tuner's race, the obs subsystem); everywhere else a stray
   ``perf_counter()`` is an unseeded measurement that poisons
   simulated/deterministic paths.
 * ``atomic-write`` — a bare truncating ``open(path, "w")`` tears files
@@ -140,9 +140,9 @@ class WallclockTimingRule(Rule):
     description = (
         "wall-clock reads (time.time/perf_counter/monotonic/"
         "process_time) are confined to utils/timing.py, service/, "
-        "obs/, tuner/race.py and experiments/bench.py — everywhere "
-        "else timing flows through utils.timing.Timer (or the obs "
-        "facade) so deterministic paths stay deterministic"
+        "obs/ and tuner/race.py — everywhere else timing flows "
+        "through utils.timing.Timer (or the obs facade) so "
+        "deterministic paths stay deterministic"
     )
 
     _CLOCKS = frozenset((
@@ -156,7 +156,6 @@ class WallclockTimingRule(Rule):
     _WHITELIST_SUFFIXES = (
         "utils/timing.py",
         "tuner/race.py",
-        "experiments/bench.py",
     )
 
     def _whitelisted(self, module: ModuleSource) -> bool:

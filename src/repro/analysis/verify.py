@@ -34,12 +34,12 @@ before it may serve.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.errors import PlanVerificationError
+from repro.obs_gate import VALIDATE_ENV_VAR, validation_enabled
 
 __all__ = [
     "INVARIANTS",
@@ -51,11 +51,6 @@ __all__ = [
     "validation_enabled",
     "verify_plan",
 ]
-
-#: Environment variable switching plan validation on everywhere a plan
-#: is compiled or inserted into a :class:`~repro.exec.PlanCache`.
-#: Strictly opt-in: unset (the default) keeps the hot path untouched.
-VALIDATE_ENV_VAR = "REPRO_VALIDATE_PLANS"
 
 #: The verifier's invariant catalogue: ``id -> what it proves``.  Each
 #: :class:`PlanInvariantViolation` names exactly one of these.
@@ -112,13 +107,6 @@ INVARIANTS = {
         "the plan claims to have been compiled from"
     ),
 }
-
-
-def validation_enabled() -> bool:
-    """Whether ``REPRO_VALIDATE_PLANS`` switches validation on."""
-    return os.environ.get(VALIDATE_ENV_VAR, "").strip().lower() in (
-        "1", "true", "yes", "on"
-    )
 
 
 @dataclass(frozen=True)

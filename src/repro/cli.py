@@ -410,30 +410,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("machines", help="list machine presets")
 
     p = sub.add_parser(
-        "bench",
-        help="run the micro-benchmark suites (per-backend perf floors)",
-    )
-    p.add_argument("--suite", default="exec",
-                   choices=["exec", "service", "serving", "tuner",
-                            "plan_store", "all"],
-                   help="which micro-benchmark suite to run")
-    p.add_argument("--smoke", action="store_true",
-                   help="shrunk instances (CI-sized; floors stay on)")
-    p.add_argument("--report", action="store_true",
-                   help="also run the warm-start checks (persistent "
-                        "JIT, and the plan store when its suite is "
-                        "selected): the second process must perform "
-                        "zero compiles")
-    p.add_argument("--output", default=None,
-                   help="write BENCH_<suite>.json files into this "
-                        "directory")
-    p.add_argument("--obs-dir", default=None,
-                   help="enable observability for this run and drop "
-                        "the metrics snapshot + trace JSONL here")
-    p.add_argument("--json", action="store_true",
-                   help="print results as JSON instead of tables")
-
-    p = sub.add_parser(
         "serve",
         help="bring up a sharded serving gateway over a demo corpus "
              "and drain an interleaved backlog through it",
@@ -1231,105 +1207,6 @@ def _cmd_machines(_args) -> int:
     return 0
 
 
-def _cmd_bench(args) -> int:
-    from pathlib import Path
-
-    from repro.experiments import bench as bench_lib
-    from repro.experiments.tables import format_table
-
-    runners = {
-        "exec": bench_lib.bench_exec,
-        "service": bench_lib.bench_service,
-        "serving": bench_lib.bench_serving,
-        "tuner": bench_lib.bench_tuner,
-        "plan_store": bench_lib.bench_plan_store,
-    }
-    suites = tuple(runners) if args.suite == "all" else (args.suite,)
-    with _obs_dir_scope(args.obs_dir):
-        results = {
-            name: runners[name](smoke=args.smoke) for name in suites
-        }
-
-        warm = None
-        plan_warm = None
-        if args.report:
-            warm = bench_lib.warm_start_check()
-            results["warm_start"] = warm
-            if "plan_store" in suites:
-                plan_warm = bench_lib.plan_store_warm_start_check()
-                results["plan_store_warm_start"] = plan_warm
-
-    # run provenance: one meta block per payload, so a BENCH_*.json is
-    # attributable to a machine/toolchain/commit across the trajectory
-    meta = bench_lib.run_meta()
-    for payload in results.values():
-        payload["meta"] = meta
-
-    if args.output:
-        outdir = Path(args.output)
-        outdir.mkdir(parents=True, exist_ok=True)
-        for name, payload in results.items():
-            path = outdir / f"BENCH_{name}.json"
-            path.write_text(
-                json.dumps(_json_sanitize(payload), indent=2) + "\n"
-            )
-            print(f"wrote {path}")
-
-    if args.json:
-        print(json.dumps(_json_sanitize(results), indent=2))
-    else:
-        for name in suites:
-            payload = results[name]
-            if name == "exec":
-                tiers = ["serial-loop", "numpy", "numba",
-                         "numba-parallel", "fused"]
-                rows = [
-                    [shape, meta["n"], meta["n_batches"]]
-                    + [
-                        "-" if meta["seconds"][t] is None
-                        else f"{meta['seconds'][t]:.5f}"
-                        for t in tiers
-                    ]
-                    for shape, meta in payload["shapes"].items()
-                ]
-                print(format_table(
-                    ["shape", "n", "batches"] + [f"{t} s" for t in tiers],
-                    rows,
-                    title=f"exec micro-benchmark (auto backend: "
-                          f"{payload['auto_backend']})",
-                ))
-            else:
-                for key, value in payload.items():
-                    print(f"{name}.{key}: {value}")
-        if warm is not None:
-            for key, value in warm.items():
-                print(f"warm_start.{key}: {value}")
-        if plan_warm is not None:
-            for key, value in plan_warm.items():
-                print(f"plan_store_warm_start.{key}: {value}")
-
-    if warm is not None and not warm.get("skipped"):
-        if not warm.get("warm_zero_compiles"):
-            print(
-                "error: persistent-JIT warm-start check failed: the "
-                "second process recompiled "
-                f"{warm['second_process']['compiles']} signature(s)",
-                file=sys.stderr,
-            )
-            return 3
-    if plan_warm is not None and not plan_warm.get("skipped"):
-        if not plan_warm.get("warm_zero_compiles"):
-            print(
-                "error: plan-store warm-start check failed: the second "
-                "process compiled "
-                f"{plan_warm['second_process']['compiles']} plan(s) "
-                "instead of loading them",
-                file=sys.stderr,
-            )
-            return 3
-    return 0
-
-
 def _serving_target(args):
     """Build the gateway + demo corpus behind ``serve``/``loadgen``.
 
@@ -1640,7 +1517,6 @@ _COMMANDS = {
     "generate": _cmd_generate,
     "datasets": _cmd_datasets,
     "machines": _cmd_machines,
-    "bench": _cmd_bench,
     "serve": _cmd_serve,
     "loadgen": _cmd_loadgen,
     "obs": _cmd_obs,

@@ -16,10 +16,10 @@ accelerators) plugs in behind the same boundary:
   ``fused_ptr``), so deep narrow layer structure does not pay per-layer
   dispatch.
 
-Measured tiering (see ``BENCH_exec.json`` / ``tools/bench_report.py``
-for the tracked floors): ``numba-parallel`` > ``numba`` > ``numpy`` —
-the parallel tier wins on wide batches by using every core and ties the
-sequential sweep elsewhere via fusion; the sequential JIT sweep beats
+Tiering: ``numba-parallel`` > ``numba`` > ``numpy`` — the parallel
+tier wins on wide batches by using every core and ties the sequential
+sweep elsewhere via fusion (floored on numba installs by
+``benchmarks/test_exec_plan_bench.py``); the sequential JIT sweep beats
 ``numpy`` by removing the interpreter from the inner loop.  When numba
 is missing the registry falls back along that order silently during
 auto-selection (unavailability is probed once per process and cached),

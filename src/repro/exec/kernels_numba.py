@@ -37,7 +37,8 @@ this module's source plus the numba/NumPy/Python versions
 directory instead of serving stale machine code.  A warm process
 therefore never recompiles: :func:`warm_kernels` touches every kernel
 signature once and :func:`jit_compile_stats` reports the compile count
-(``repro bench --report`` asserts it is zero in a second process).
+(``tests/test_kernels_parallel.py`` asserts it is zero in a second
+process).
 ``REPRO_JIT_CACHE_DIR`` overrides the cache base; a user-set
 ``NUMBA_CACHE_DIR`` is always respected.
 """

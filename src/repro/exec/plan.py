@@ -54,7 +54,7 @@ import numpy as np
 from repro.errors import ConfigurationError, MatrixFormatError, \
     SingularMatrixError
 from repro.matrix.csr import CSRMatrix
-from repro.obs_gate import get_obs
+from repro.obs_gate import get_obs, validation_enabled
 from repro.scheduler.schedule import Schedule
 from repro.utils.arrays import segmented_gather
 
@@ -554,9 +554,7 @@ def _compile_plan_impl(
     if validate is None:
         # cheap env sniff only; the verifier module stays unimported on
         # the hot path unless the gate is actually on
-        validate = os.environ.get(
-            "REPRO_VALIDATE_PLANS", ""
-        ).strip().lower() in ("1", "true", "yes", "on")
+        validate = validation_enabled()
     if validate:
         from repro.analysis.verify import check_plan
 

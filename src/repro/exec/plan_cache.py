@@ -44,12 +44,11 @@ never *whether* it is sound.
 
 from __future__ import annotations
 
-import os
 import threading
 from collections import OrderedDict
 from typing import Callable, Hashable, TypeVar
 
-from repro.obs_gate import get_obs
+from repro.obs_gate import get_obs, validation_enabled
 
 __all__ = ["PlanCache"]
 
@@ -63,9 +62,7 @@ def _maybe_validate(value: object) -> None:
     only imported once the gate is actually on (lazy import keeps the
     hot cache path free of the analysis layer).
     """
-    if os.environ.get("REPRO_VALIDATE_PLANS", "").strip().lower() not in (
-        "1", "true", "yes", "on"
-    ):
+    if not validation_enabled():
         return
     from repro.analysis.verify import maybe_check_cached
 

@@ -1,124 +1,26 @@
-"""Reusable micro-benchmark library: the repo's tracked perf trajectory.
+"""Seeded corpus builders for the plan shapes the benchmarks time.
 
-One measurement library behind two entry points — ``repro bench`` (CLI)
-and ``tools/bench_report.py`` (the ``BENCH_*.json`` emitter) — so the
-numbers in the committed trajectory, the CI smoke floors and ad-hoc
-local runs all come from the same corpus builders and timing discipline.
+* **wide-shallow** (:func:`make_wide_shallow`) — few dependency layers,
+  thousands of mutually independent rows each: the ``prange`` regime;
+* **deep-narrow** (:func:`make_deep_narrow`) — a dependency chain (one
+  or two rows per layer): the per-layer dispatch cliff the fused
+  small-batch sweep exists for;
+* the serving corpus (``_serving_corpus``) — many layers of modest
+  width, the shape behind ``repro serve`` / ``repro loadgen``.
 
-The exec suite measures every kernel tier on three canonical plan
-shapes, chosen to separate the tiers:
-
-* **wide-shallow** — few dependency layers, thousands of mutually
-  independent rows each: the ``prange`` regime, where
-  ``numba-parallel`` must beat the sequential ``numba`` sweep;
-* **deep-narrow** — a dependency chain (one or two rows per layer):
-  the per-layer dispatch cliff, where the fused small-batch sweep must
-  beat unfused per-batch dispatch;
-* **block-k** — a wide-shallow SpTRSM with a 16-column RHS block, the
-  micro-batched serving shape.
-
-Tier names in the emitted tables: ``serial-loop`` (seed per-row Python
-kernel), ``numpy``, ``numba`` (sequential JIT sweep), ``numba-parallel``
-(per-batch ``prange``, fusion disabled) and ``fused``
-(``numba-parallel`` with the default fusion threshold).  Tiers that
-cannot run here (no numba) report ``None`` rather than being silently
-dropped.
-
-All corpora are seeded; timings are medians over repeats.
+``bench/`` (the pipeline benchmark) and ``benchmarks/`` build their
+inputs here, so a change to any builder changes their seeded inputs.
 """
 
 from __future__ import annotations
 
-import json
-import os
-import platform
-import subprocess
-import sys
-from datetime import datetime, timezone
-from pathlib import Path
-
 import numpy as np
 
-from repro.exec import PlanCache, compile_plan, get_backend
-from repro.exec.kernels_numba import have_numba
 from repro.matrix.csr import CSRMatrix
-from repro.matrix.generators import narrow_band_lower
-from repro.solver.sptrsv import solve_rows
-from repro.utils.timing import Timer
 
-__all__ = [
-    "bench_exec",
-    "bench_plan_store",
-    "bench_service",
-    "bench_serving",
-    "bench_tuner",
-    "make_deep_narrow",
-    "make_wide_shallow",
-    "plan_store_warm_start_check",
-    "run_meta",
-    "warm_start_check",
-]
+__all__ = ["make_deep_narrow", "make_wide_shallow"]
 
 
-def run_meta() -> dict[str, object]:
-    """Provenance block stamped into every ``BENCH_*.json`` payload.
-
-    Benchmark numbers are only comparable within one machine/toolchain;
-    the meta block (UTC timestamp, interpreter and array-stack versions,
-    CPU count, git commit when available) makes each point of the
-    committed perf trajectory attributable.  Purely additive — existing
-    payload keys are untouched.
-
-    Examples
-    --------
-    >>> from repro.experiments.bench import run_meta
-    >>> meta = run_meta()
-    >>> sorted(meta)[:3]
-    ['cpu_count', 'git_sha', 'numba_version']
-    >>> meta["python_version"] == platform.python_version()
-    True
-    """
-    if have_numba():
-        import numba
-
-        numba_version = numba.__version__
-    else:
-        numba_version = None
-    try:
-        sha = subprocess.run(
-            ["git", "rev-parse", "HEAD"],
-            capture_output=True, text=True, timeout=10,
-            cwd=os.path.dirname(os.path.abspath(__file__)),
-        )
-        git_sha = sha.stdout.strip() if sha.returncode == 0 else None
-    except Exception:  # git absent, not a checkout, sandboxed, ...
-        git_sha = None
-    return {
-        "timestamp_utc": datetime.now(timezone.utc).isoformat(),
-        "python_version": platform.python_version(),
-        "platform": platform.platform(),
-        "numpy_version": np.__version__,
-        "numba_version": numba_version,
-        "cpu_count": os.cpu_count(),
-        "git_sha": git_sha,
-    }
-
-#: RHS block width of the block-k shape (the service's micro-batch scale).
-BLOCK_K = 16
-
-
-def _median(fn, repeats: int = 3) -> float:
-    times = []
-    for _ in range(repeats):
-        with Timer() as t:
-            fn()
-        times.append(t.elapsed)
-    return float(np.median(times))
-
-
-# ---------------------------------------------------------------------------
-# corpus builders
-# ---------------------------------------------------------------------------
 def _assemble(
     n: int, rows: np.ndarray, cols: np.ndarray, seed: int
 ) -> CSRMatrix:
@@ -200,158 +102,6 @@ def make_deep_narrow(*, n: int = 20_000, seed: int = 0) -> CSRMatrix:
     return _assemble(n, rows, cols, seed)
 
 
-# ---------------------------------------------------------------------------
-# exec suite
-# ---------------------------------------------------------------------------
-def _time_tiers(
-    matrix: CSRMatrix, k: int | None, repeats: int
-) -> dict[str, object]:
-    """Per-tier median solve seconds for one corpus matrix.
-
-    ``k=None`` measures single-RHS ``solve``; an integer measures
-    ``solve_block`` with a ``(n, k)`` RHS.  The ``numba-parallel`` tier
-    runs an unfused plan (``fuse_threshold=0``) and ``fused`` the default
-    threshold, so their delta isolates what fusion buys.
-    """
-    n = matrix.n
-    plan = compile_plan(matrix)
-    unfused = compile_plan(matrix, fuse_threshold=0)
-    rng = np.random.default_rng(3)
-    b = rng.standard_normal(n) if k is None else rng.standard_normal((n, k))
-
-    def runner(backend, p):
-        if k is None:
-            return lambda: backend.solve(p, b)
-        return lambda: backend.solve_block(p, b)
-
-    seconds: dict[str, float | None] = {}
-
-    order = np.arange(n, dtype=np.int64)
-    x = np.zeros(n)
-
-    def serial_loop():
-        if k is None:
-            x.fill(0.0)
-            solve_rows(matrix, b, x, order)
-        else:
-            for c in range(k):
-                x.fill(0.0)
-                solve_rows(matrix, b[:, c], x, order)
-
-    seconds["serial-loop"] = _median(serial_loop, repeats=1)
-    seconds["numpy"] = _median(runner(get_backend("numpy"), plan), repeats)
-
-    if have_numba():  # pragma: no cover - requires numba
-        for tier, backend_name, p in (
-            ("numba", "numba", plan),
-            ("numba-parallel", "numba-parallel", unfused),
-            ("fused", "numba-parallel", plan),
-        ):
-            fn = runner(get_backend(backend_name), p)
-            fn()  # warm-up: JIT compile / cache load outside the timing
-            seconds[tier] = _median(fn, repeats)
-    else:
-        seconds["numba"] = None
-        seconds["numba-parallel"] = None
-        seconds["fused"] = None
-
-    return {
-        "n": n,
-        "nnz": int(matrix.nnz),
-        "n_batches": plan.n_batches,
-        "n_fused_groups": plan.n_fused_groups,
-        "k": k,
-        "seconds": seconds,
-    }
-
-
-def bench_exec(*, smoke: bool = False) -> dict[str, object]:
-    """Per-backend solve seconds across the three canonical plan shapes.
-
-    Returns the ``BENCH_exec.json`` payload: a ``shapes`` table mapping
-    shape name to size metadata plus per-tier median seconds (``None``
-    for tiers unavailable here).
-    """
-    scale = 1 if smoke else 5
-    repeats = 3 if smoke else 5
-    shapes = {
-        "wide-shallow": (
-            make_wide_shallow(levels=8, width=4_000 * scale, seed=0),
-            None,
-        ),
-        "deep-narrow": (
-            make_deep_narrow(n=8_000 * scale, seed=1),
-            None,
-        ),
-        "block-k": (
-            make_wide_shallow(levels=6, width=1_000 * scale, seed=2),
-            BLOCK_K,
-        ),
-    }
-    return {
-        "suite": "exec",
-        "smoke": smoke,
-        "have_numba": have_numba(),
-        "auto_backend": get_backend().name,
-        "shapes": {
-            name: _time_tiers(matrix, k, repeats)
-            for name, (matrix, k) in shapes.items()
-        },
-    }
-
-
-# ---------------------------------------------------------------------------
-# service suite
-# ---------------------------------------------------------------------------
-def bench_service(*, smoke: bool = False) -> dict[str, object]:
-    """Micro-batched serving throughput vs sequential solves.
-
-    The ``BENCH_service.json`` payload: seconds for ``k`` requests
-    served sequentially and through the coalescing queue, and the
-    resolved backend tier the numbers are attributable to.
-    """
-    from repro.service import SolveService
-
-    n = 3_000 if smoke else 10_000
-    k = 16 if smoke else 48
-    lower = narrow_band_lower(n, 0.05, 20.0, seed=0)
-    plan = compile_plan(lower)
-    backend = get_backend()
-    rng = np.random.default_rng(7)
-    bs = [rng.standard_normal(n) for b in range(k)]
-
-    [backend.solve(plan, b) for b in bs]  # warm-up
-    t_sequential = _median(lambda: [backend.solve(plan, b) for b in bs])
-
-    with SolveService(backend=backend, max_batch=k) as service:
-        service.register("bench", lower, plan=plan)
-
-        def serve():
-            futures = [service.submit("bench", b) for b in bs]
-            return [f.result() for f in futures]
-
-        serve()  # warm-up
-        t_service = _median(serve)
-        stats = service.stats("bench")
-
-    return {
-        "suite": "service",
-        "smoke": smoke,
-        "n": n,
-        "k": k,
-        "backend": stats.backend,
-        "seconds": {
-            "sequential": t_sequential,
-            "service": t_service,
-        },
-        "speedup": t_sequential / t_service if t_service > 0 else None,
-        "avg_batch": stats.avg_batch_size,
-    }
-
-
-# ---------------------------------------------------------------------------
-# serving suite
-# ---------------------------------------------------------------------------
 def _serving_corpus(*, smoke: bool) -> CSRMatrix:
     """The serving-bench system: a deep stack of small dependency layers.
 
@@ -366,382 +116,3 @@ def _serving_corpus(*, smoke: bool) -> CSRMatrix:
         deps=3,
         seed=0,
     )
-
-
-def bench_serving(*, smoke: bool = False) -> dict[str, object]:
-    """Single service vs sharded gateway under measured traffic.
-
-    The ``BENCH_serving.json`` payload, in two parts:
-
-    * ``saturation`` — backlog-drain throughput of a single
-      :class:`~repro.service.SolveService` vs 2- and 4-shard
-      :class:`~repro.service.ServingGateway` topologies on an
-      interleaved **2-hot-key** corpus: consecutive queue entries
-      alternate systems, so the single service's head-run coalescing
-      collapses to batch-1 while each shard's queue stays single-key
-      contiguous and batches fully.  ``speedup_shard2`` is the number
-      the CI smoke floor (≥ 1.5x) guards.
-    * ``loadgen`` — one identical open-loop schedule (Poisson
-      arrivals, Zipf-skewed over 4 keys, a burst phase at ~1.6x the
-      single service's measured saturation) replayed against each
-      topology: client-observed p50/p90/p99 latency, queue-wait vs
-      execute breakdown, achieved rate and per-shard balance.
-
-    All topologies share one plan cache, so each system compiles once;
-    the schedule is seeded, so every topology sees identical traffic.
-    """
-    from repro.service import (
-        ServingGateway,
-        SolveService,
-        pick_balanced_keys,
-    )
-    from repro.service.loadgen import (
-        BurstPhase,
-        LoadgenConfig,
-        run_loadgen,
-        saturation_throughput,
-    )
-
-    matrix = _serving_corpus(smoke=smoke)
-    n_sat = 300 if smoke else 1_200
-    sat_repeats = 1 if smoke else 3
-    backend = get_backend()
-    cache = PlanCache()
-    rng = np.random.default_rng(11)
-
-    hot_keys = pick_balanced_keys(2, (2, 4), prefix="hot")
-    skew_keys = pick_balanced_keys(4, (2, 4), prefix="skew")
-    rhs = {
-        key: rng.standard_normal(matrix.n)
-        for key in hot_keys + skew_keys
-    }
-
-    def topologies():
-        single = SolveService(backend=backend, plan_cache=cache)
-        shard2 = ServingGateway(
-            2, backend=backend, plan_cache=cache
-        )
-        shard4 = ServingGateway(
-            4, backend=backend, plan_cache=cache
-        )
-        return {"single": single, "shard2": shard2, "shard4": shard4}
-
-    # -- saturation: interleaved 2-hot-key backlog drain ---------------
-    saturation: dict[str, object] = {
-        "n_requests": n_sat,
-        "n_hot_keys": len(hot_keys),
-        "throughput_rps": {},
-        "avg_batch": {},
-    }
-    targets = topologies()
-    try:
-        for name, target in targets.items():
-            for key in hot_keys:
-                target.register(key, matrix)
-            saturation_throughput(target, hot_keys, rhs, n_sat)  # warm
-            runs = [
-                saturation_throughput(target, hot_keys, rhs, n_sat)
-                for _ in range(sat_repeats)
-            ]
-            saturation["throughput_rps"][name] = float(
-                np.median([r["throughput_rps"] for r in runs])
-            )
-            stats = target.stats(hot_keys[0])
-            saturation["avg_batch"][name] = stats.avg_batch_size
-    finally:
-        for target in targets.values():
-            target.close()
-    rates = saturation["throughput_rps"]
-    saturation["speedup_shard2"] = rates["shard2"] / rates["single"]
-    saturation["speedup_shard4"] = rates["shard4"] / rates["single"]
-
-    # -- open-loop skewed traffic, identical schedule per topology -----
-    base_rate = 0.5 * rates["single"]
-    burst_rate = 1.6 * rates["single"]
-    config = LoadgenConfig(
-        phases=(
-            BurstPhase(base_rate, 0.2 if smoke else 1.0),
-            BurstPhase(burst_rate, 0.1 if smoke else 0.5),
-            BurstPhase(base_rate, 0.1 if smoke else 0.5),
-        ),
-        zipf_s=1.1,
-        seed=13,
-    )
-    reports: dict[str, dict[str, object]] = {}
-    targets = topologies()
-    try:
-        for name, target in targets.items():
-            for key in skew_keys:
-                target.register(key, matrix)
-            reports[name] = run_loadgen(
-                target, skew_keys, rhs, config
-            ).as_dict()
-    finally:
-        for target in targets.values():
-            target.close()
-
-    return {
-        "suite": "serving",
-        "smoke": smoke,
-        "backend": backend.name,
-        "corpus": {
-            "n": matrix.n,
-            "nnz": int(matrix.nnz),
-            "n_skew_keys": len(skew_keys),
-        },
-        "saturation": saturation,
-        "loadgen": {
-            "zipf_s": config.zipf_s,
-            "seed": config.seed,
-            "phases": [
-                {"rate_rps": p.rate_rps, "duration_s": p.duration_s}
-                for p in config.phases
-            ],
-            "reports": reports,
-        },
-    }
-
-
-# ---------------------------------------------------------------------------
-# tuner suite
-# ---------------------------------------------------------------------------
-def bench_tuner(*, smoke: bool = False) -> dict[str, object]:
-    """Cold-tune vs profile warm-start seconds.
-
-    The ``BENCH_tuner.json`` payload: a cold :meth:`Autotuner.tune` on a
-    seeded narrow-band instance vs the warm-started re-tune against the
-    recorded profile (feature match, no racing).
-    """
-    from repro.experiments.datasets import DatasetInstance
-    from repro.machine.model import get_machine
-    from repro.tuner import Autotuner, TuningProfile
-
-    n = 2_000 if smoke else 10_000
-    inst = DatasetInstance("bench", narrow_band_lower(n, 0.05, 20.0, seed=0))
-    machine = get_machine("intel_xeon_6238t")
-    cache = PlanCache()
-    profile = TuningProfile()
-    tuner = Autotuner(
-        candidates=("growlocal", "wavefront"), mode="simulated", seed=0
-    )
-
-    with Timer() as t_cold:
-        decision = tuner.tune(
-            inst, machine, plan_cache=cache, profile=profile
-        )
-    with Timer() as t_warm:
-        warm = tuner.tune(inst, machine, plan_cache=cache, profile=profile)
-
-    return {
-        "suite": "tuner",
-        "smoke": smoke,
-        "n": n,
-        "backend": get_backend().name,
-        "scheduler": decision.scheduler,
-        "warm_scheduler": warm.scheduler,
-        "seconds": {
-            "cold_tune": t_cold.elapsed,
-            "warm_start": t_warm.elapsed,
-        },
-    }
-
-
-# ---------------------------------------------------------------------------
-# persistent-JIT warm-start check
-# ---------------------------------------------------------------------------
-def warm_start_check(*, timeout: float = 600.0) -> dict[str, object]:
-    """Prove a second process starts warm: zero JIT compiles.
-
-    Warms every kernel signature in this process (populating the
-    persistent artifact cache of :mod:`~repro.exec.kernels_numba`), then
-    spawns a fresh interpreter that warms the same kernels and reports
-    its compile counters.  ``warm_zero_compiles`` is the contract
-    ``repro bench --report`` (and the CI numba leg) asserts: the second
-    process served every signature from the artifact cache.
-    """
-    if not have_numba():
-        return {"have_numba": False, "skipped": True}
-
-    from repro.exec import kernels_numba  # pragma: no cover
-
-    first = kernels_numba.warm_kernels()
-    src_root = Path(kernels_numba.__file__).resolve().parents[2]
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(src_root), env.get("PYTHONPATH")) if p
-    )
-    probe = (
-        "import json\n"
-        "from repro.exec.kernels_numba import warm_kernels\n"
-        "print(json.dumps(warm_kernels()))\n"
-    )
-    out = subprocess.run(
-        [sys.executable, "-c", probe],
-        env=env,
-        capture_output=True,
-        text=True,
-        timeout=timeout,
-        check=True,
-    )
-    second = json.loads(out.stdout.strip().splitlines()[-1])
-    return {
-        "have_numba": True,
-        "skipped": False,
-        "cache_dir": str(kernels_numba.jit_cache_dir()),
-        "first_process": first,
-        "second_process": second,
-        "warm_zero_compiles": second["compiles"] == 0,
-    }
-
-
-# ---------------------------------------------------------------------------
-# plan-store suite
-# ---------------------------------------------------------------------------
-def bench_plan_store(*, smoke: bool = False) -> dict[str, object]:
-    """Cold plan compile vs warm verified load from a :class:`PlanStore`.
-
-    The ``BENCH_plan_store.json`` payload: per-shape and total seconds
-    for a cold :func:`~repro.exec.compile_plan` vs a warm
-    :meth:`~repro.store.PlanStore.load` of the same plan from disk —
-    where the load pays for sidecar parsing, the content hash *and* the
-    mandatory :func:`~repro.analysis.verify.check_plan` gate, so the
-    speedup is load-and-verify vs recompute, not a raw I/O number.
-    ``warm_compiles`` counts :func:`~repro.exec.compile_count` growth
-    during the warm loads and must stay 0: a store hit never compiles.
-
-    The corpus leads with **deep-narrow** (a dependency chain), the
-    compile-dominated shape where plan artifacts pay off most; the
-    wide-shallow and narrow-band shapes keep the total honest about
-    small plans where verification overhead rivals the compile.
-    """
-    import tempfile
-
-    from repro.exec.plan import compile_count
-    from repro.store.plan_store import PlanStore, plan_store_key
-
-    corpus = {
-        "deep-narrow": make_deep_narrow(
-            n=4_000 if smoke else 20_000, seed=1
-        ),
-        "wide-shallow": make_wide_shallow(
-            levels=6, width=800 if smoke else 4_000, seed=0
-        ),
-        "narrow-band": narrow_band_lower(
-            2_000 if smoke else 10_000, 0.05, 20.0, seed=2
-        ),
-    }
-    with tempfile.TemporaryDirectory(prefix="bench-plan-store-") as tmp:
-        store = PlanStore(tmp)
-        keys = {name: plan_store_key(m, None) for name, m in corpus.items()}
-
-        cold = {
-            name: _median(lambda m=m: compile_plan(m))
-            for name, m in corpus.items()
-        }
-        for name, m in corpus.items():
-            store.save(compile_plan(m), keys[name])
-
-        for name, m in corpus.items():  # warm-up (page cache, imports)
-            store.load(keys[name], matrix=m)
-        compiles_before = compile_count()
-        warm = {
-            name: _median(
-                lambda name=name, m=m: store.load(keys[name], matrix=m)
-            )
-            for name, m in corpus.items()
-        }
-        warm_compiles = compile_count() - compiles_before
-        stats = store.stats()
-
-    t_cold = sum(cold.values())
-    t_warm = sum(warm.values())
-    return {
-        "suite": "plan_store",
-        "smoke": smoke,
-        "shapes": {
-            name: {"n": corpus[name].n, "cold": cold[name],
-                   "warm": warm[name]}
-            for name in corpus
-        },
-        "seconds": {
-            "cold_compile": t_cold,
-            "warm_load": t_warm,
-        },
-        "speedup": t_cold / t_warm if t_warm > 0 else None,
-        "warm_compiles": warm_compiles,
-        "n_artifacts": stats["n_artifacts"],
-        "total_bytes": stats["total_bytes"],
-    }
-
-
-def plan_store_warm_start_check(*, timeout: float = 600.0) -> dict[str, object]:
-    """Prove a second process starts warm from plan artifacts alone.
-
-    Runs the same probe in two fresh interpreters sharing one
-    throwaway ``REPRO_PLAN_STORE_DIR``: each compiles-or-loads a seeded
-    corpus through :meth:`~repro.exec.PlanCache.get_or_build` and
-    reports its :func:`~repro.exec.compile_count` plus each plan's
-    provenance.  ``warm_zero_compiles`` is the contract ``repro bench
-    --report --suite plan_store`` (and the CI plan-store smoke step)
-    asserts: the second process served every plan from disk, compiling
-    nothing.
-    """
-    import tempfile
-
-    from repro.exec import plan as plan_mod
-    from repro.store.plan_store import PLAN_STORE_ENV_VAR
-
-    src_root = Path(plan_mod.__file__).resolve().parents[2]
-    probe = (
-        "import json\n"
-        "from repro.exec import PlanCache, compile_plan\n"
-        "from repro.exec.plan import compile_count\n"
-        "from repro.experiments.bench import (\n"
-        "    make_deep_narrow, make_wide_shallow)\n"
-        "from repro.matrix.generators import narrow_band_lower\n"
-        "from repro.store.plan_store import plan_store_key\n"
-        "matrices = [\n"
-        "    make_deep_narrow(n=1_200, seed=1),\n"
-        "    make_wide_shallow(levels=4, width=200, seed=0),\n"
-        "    narrow_band_lower(800, 0.05, 20.0, seed=2),\n"
-        "]\n"
-        "cache = PlanCache()\n"
-        "sources = []\n"
-        "for i, m in enumerate(matrices):\n"
-        "    plan = cache.get_or_build(\n"
-        "        ('bench', i), lambda m=m: compile_plan(m),\n"
-        "        store_key=plan_store_key(m, None), source_matrix=m)\n"
-        "    sources.append(plan.provenance)\n"
-        "print(json.dumps({'compiles': compile_count(),"
-        " 'sources': sources}))\n"
-    )
-
-    def run_probe(env: dict[str, str]) -> dict:
-        out = subprocess.run(
-            [sys.executable, "-c", probe],
-            env=env,
-            capture_output=True,
-            text=True,
-            timeout=timeout,
-            check=True,
-        )
-        return json.loads(out.stdout.strip().splitlines()[-1])
-
-    with tempfile.TemporaryDirectory(prefix="plan-store-warm-") as tmp:
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (str(src_root), env.get("PYTHONPATH")) if p
-        )
-        env[PLAN_STORE_ENV_VAR] = tmp
-        first = run_probe(env)
-        second = run_probe(env)
-
-    return {
-        "skipped": False,
-        "first_process": first,
-        "second_process": second,
-        "warm_zero_compiles": second["compiles"] == 0,
-        "warm_all_from_store": all(
-            source == "store" for source in second["sources"]
-        ),
-    }

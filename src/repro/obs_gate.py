@@ -1,4 +1,4 @@
-"""Zero-overhead gate in front of the observability subsystem.
+"""Zero-overhead environment gates: observability and plan validation.
 
 Observability (:mod:`repro.obs`) is strictly opt-in, mirroring the
 ``REPRO_VALIDATE_PLANS`` discipline of the plan verifier: with the
@@ -22,20 +22,30 @@ the linter can enforce, not a convention.
 
 ``REPRO_OBS_DIR`` names the directory snapshots and traces are flushed
 to (default ``.repro-obs``); see :func:`repro.obs.flush`.
+
+:func:`validation_enabled` is the verifier's gate, read by
+:func:`~repro.exec.compile_plan` and :class:`~repro.exec.PlanCache`.
+It lives here rather than in :mod:`repro.analysis.verify` so the
+gate-off compile path never imports the verifier.
 """
 
 from __future__ import annotations
 
 import os
 
-__all__ = ["OBS_DIR_ENV_VAR", "OBS_ENV_VAR", "get_obs", "obs_enabled",
-           "set_enabled"]
+__all__ = ["OBS_DIR_ENV_VAR", "OBS_ENV_VAR", "VALIDATE_ENV_VAR", "get_obs",
+           "obs_enabled", "set_enabled", "validation_enabled"]
 
 #: Environment gate: truthy values enable the subsystem.
 OBS_ENV_VAR = "REPRO_OBS"
 
 #: Directory metrics snapshots and trace JSONL files are flushed to.
 OBS_DIR_ENV_VAR = "REPRO_OBS_DIR"
+
+#: Environment variable switching plan validation on everywhere a plan
+#: is compiled or inserted into a :class:`~repro.exec.PlanCache`.
+#: Strictly opt-in: unset (the default) keeps the hot path untouched.
+VALIDATE_ENV_VAR = "REPRO_VALIDATE_PLANS"
 
 _TRUTHY = frozenset(("1", "true", "yes", "on"))
 
@@ -80,3 +90,8 @@ def set_enabled(value: bool | None) -> None:
     tests; library code should prefer the environment gate."""
     global _FORCED
     _FORCED = value if value is None else bool(value)
+
+
+def validation_enabled() -> bool:
+    """Whether ``REPRO_VALIDATE_PLANS`` switches validation on."""
+    return os.environ.get(VALIDATE_ENV_VAR, "").strip().lower() in _TRUTHY

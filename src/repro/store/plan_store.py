@@ -14,9 +14,8 @@ One artifact is two sibling files under the store directory:
 
 * ``<stem>.npz`` — the plan's twelve flat arrays (batch layout, gather
   structure, diagonal, permutations, core program order, fusion
-  groups), written uncompressed so members are plain aligned ``.npy``
-  payloads (mmap-friendly; nothing is pickled and loads pass
-  ``allow_pickle=False``);
+  groups), written uncompressed so members are plain ``.npy``
+  payloads (nothing is pickled and loads pass ``allow_pickle=False``);
 * ``<stem>.json`` — the sidecar: format version, the exact lookup key,
   sweep direction, the matrix fingerprint, the schedule identity
   (content hash of the superstep/core assignment), the toolchain
