@@ -106,6 +106,43 @@ def test_plan_vs_per_row_loop_speedup(benchmark):
     benchmark(lambda: backend.solve(plan, b))
 
 
+def test_numpy_deep_narrow_beats_per_row_loop():
+    """The numpy tier must not fall off the deep-narrow dispatch cliff.
+
+    Deep-narrow corpus: a dependency chain, one row per batch.  A
+    vectorized gather / segment-sum / scatter per batch made the numpy
+    backend slower than the seed's per-row ``solve_rows`` loop; runs of
+    low-work batches are one scalar sweep instead, which must beat that
+    loop by at least 2x.
+    """
+    lower = make_deep_narrow(n=4_000 if SMOKE else 20_000, seed=1)
+    plan = compile_plan(lower)
+    b = np.linspace(1.0, 2.0, lower.n)
+    backend = get_backend("numpy")
+
+    x_plan = backend.solve(plan, b)  # warm-up (and correctness probe)
+    plan_exec = _median_time(lambda: backend.solve(plan, b))
+
+    x_loop = np.zeros(lower.n)
+    order = np.arange(lower.n, dtype=np.int64)
+
+    def legacy():
+        x_loop.fill(0.0)
+        solve_rows(lower, b, x_loop, order)
+
+    loop_exec = _median_time(legacy, repeats=3)
+    np.testing.assert_allclose(x_plan, x_loop, rtol=1e-10)
+
+    speedup = loop_exec / plan_exec
+    print(f"\ndeep-narrow (n={lower.n}, {plan.n_batches} batches): "
+          f"per-row loop {loop_exec:.5f}s, numpy {plan_exec:.5f}s -> "
+          f"{speedup:.2f}x")
+    assert speedup >= 2.0, (
+        f"numpy solve only {speedup:.2f}x faster than the per-row loop "
+        f"on the deep-narrow corpus"
+    )
+
+
 def _require_threads(minimum: int = 2) -> int:
     """Skip parallel-vs-sequential floors on single-threaded runners —
     a prange over one thread is the sequential sweep plus overhead."""

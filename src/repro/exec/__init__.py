@@ -10,10 +10,11 @@ pools, sharding, native kernels) plugs into:
   indices, precompiled diagonals (validated once, at compile time) and
   per-core program order;
 * :mod:`~repro.exec.backends` — the pluggable kernel registry
-  (``numpy`` vectorized batches always available; the JIT tiers
-  ``numba`` and ``numba-parallel`` auto-detected with graceful
-  fallback, preferred in measured speed order) consuming plans instead
-  of walking CSR rows in Python;
+  (``numpy`` always available: vectorized batches, with runs of
+  low-work batches swept as scalars; the JIT tiers ``numba`` and
+  ``numba-parallel`` auto-detected with graceful fallback, preferred in
+  measured speed order) consuming plans instead of walking CSR rows in
+  Python;
 * :mod:`~repro.exec.kernels_numba` — the shared JIT kernel tier
   (``prange`` batch sweeps, fused small-layer sweeps, persistent
   artifact cache so warm processes never recompile);

@@ -6,7 +6,9 @@ small registry so later scaling work (process pools, native kernels,
 accelerators) plugs in behind the same boundary:
 
 * ``numpy`` — always available; one vectorized gather / segment-sum /
-  scatter per dependency batch;
+  scatter per dependency batch, except that runs of low-work batches
+  (see :data:`SCALAR_BATCH_WORK`) run as one interpreted scalar sweep,
+  which costs less than a vectorized call per batch;
 * ``numba`` — auto-detected; a JIT-compiled *sequential* sweep over the
   plan's flat arrays (no interpreter in the inner loop, but one thread);
 * ``numba-parallel`` — auto-detected; the parallel kernel tier of
@@ -44,7 +46,7 @@ from repro.errors import (
     ConfigurationError,
     MatrixFormatError,
 )
-from repro.exec.plan import ExecutionPlan
+from repro.exec.plan import ExecutionPlan, _group_runs
 
 __all__ = [
     "ExecutionBackend",
@@ -55,12 +57,20 @@ __all__ = [
     "fused_dispatch",
     "get_backend",
     "list_backends",
+    "numpy_dispatch",
     "register_backend",
     "solve_rows_ref",
 ]
 
 #: Environment variable overriding backend auto-selection.
 BACKEND_ENV_VAR = "REPRO_EXEC_BACKEND"
+
+#: A dependency batch whose rows plus off-diagonal entries number at most
+#: this is *low-work*: :class:`NumpyBackend` solves runs of such batches
+#: as one scalar sweep, because one vectorized gather / segment-sum /
+#: scatter costs several microseconds of interpreter and numpy dispatch
+#: however small the batch (see :func:`numpy_dispatch`).
+SCALAR_BATCH_WORK = 16
 
 
 class ExecutionBackend:
@@ -176,15 +186,77 @@ def _segment_sums(
     return out
 
 
-class NumpyBackend(ExecutionBackend):
-    """Vectorized batch kernel: one gather/segment-sum/scatter per batch.
+def numpy_dispatch(plan: ExecutionPlan) -> tuple[tuple[int, int, bool], ...]:
+    """The numpy backend's position spans for ``plan``.
 
-    Rows inside a batch are mutually independent by construction, so the
-    whole batch is computed with flat-array NumPy operations; the Python
-    interpreter is entered once per dependency layer instead of once per
-    row.  The single-RHS and block kernels share one segment-sum
-    (:func:`_segment_sums`), so ``solve_block`` columns are bit-equal to
-    the corresponding ``solve`` results — the invariant the coalescing
+    Returns ``(lo, hi, scalar)`` spans that tile ``[0, n)`` and cut only
+    at batch boundaries.  A ``scalar`` span is a maximal run of
+    consecutive batches whose rows plus off-diagonal entries number at
+    most :data:`SCALAR_BATCH_WORK` each, solved as one scalar sweep;
+    every other span is exactly one batch, solved by one vectorized
+    gather / segment-sum / scatter.  Unlike the ``fused_ptr`` grouping
+    of the parallel tier, the split counts off-diagonal entries, so a
+    run of few-row batches with many entries each stays vectorized.
+    Pure plan arithmetic, computed on the plan's first numpy solve and
+    kept on the plan (never persisted: a plan built by the constructor,
+    from any fields, starts without it).
+
+    Examples
+    --------
+    >>> from repro.exec import compile_plan
+    >>> from repro.exec.backends import numpy_dispatch
+    >>> from repro.experiments.bench import make_deep_narrow
+    >>> numpy_dispatch(compile_plan(make_deep_narrow(n=100, seed=0)))
+    ((0, 100, True),)
+    """
+    spans = plan._numpy_spans
+    if spans is None:
+        batch_ptr = plan.batch_ptr
+        work = np.diff(batch_ptr) + np.diff(plan.off_ptr[batch_ptr])
+        scalar = work <= SCALAR_BATCH_WORK
+        groups = _group_runs(scalar)
+        bounds = batch_ptr[groups].tolist()
+        spans = plan._numpy_spans = tuple(
+            zip(bounds[:-1], bounds[1:], scalar[groups[:-1]].tolist())
+        )
+    return spans
+
+
+def _sweep_block_rows(rows, off_ptr, off_cols, off_vals, diag, b, x, lo, hi):
+    """Scalar span of a block solve: positions ``[lo, hi)`` one row at a
+    time, all ``k`` columns of the row at once.
+
+    ``rows`` to ``diag`` are memoryviews of the plan arrays, ``b`` and
+    ``x`` the ``(n, k)`` arrays.  Each column runs the recurrence of
+    :func:`~repro.exec.kernels_numba._sweep` — products added in entry
+    order to a zero, then one subtraction and one division — so block
+    columns are bitwise equal to single-RHS solves."""
+    width = b.shape[1]
+    for k in range(lo, hi):
+        i = rows[k]
+        s = np.zeros(width)
+        for t in range(off_ptr[k], off_ptr[k + 1]):
+            s += off_vals[t] * x[off_cols[t]]
+        x[i] = (b[i] - s) / diag[k]
+
+
+class NumpyBackend(ExecutionBackend):
+    """Vectorized batch kernel with scalar sweeps over low-work batches.
+
+    Rows inside a batch are mutually independent by construction, so a
+    batch can be computed with flat-array NumPy operations, one gather /
+    segment-sum / scatter for the whole batch.  That call costs several
+    microseconds of dispatch however few rows it covers, so the backend
+    walks the spans of :func:`numpy_dispatch`: each batch with more than
+    :data:`SCALAR_BATCH_WORK` rows plus off-diagonal entries is one
+    vectorized call, and each run of lower-work batches is one
+    interpreted scalar sweep over the plan's position order (for a
+    single RHS, the plain-Python ``_sweep`` of
+    :mod:`~repro.exec.kernels_numba` over memoryviews).  The single-RHS
+    and block kernels make the same split, share one segment-sum
+    (:func:`_segment_sums`) and run the same scalar recurrence per
+    column, so ``solve_block`` columns are bit-equal to the
+    corresponding ``solve`` results — the invariant the coalescing
     :class:`~repro.service.SolveService` relies on.
 
     Examples
@@ -202,6 +274,13 @@ class NumpyBackend(ExecutionBackend):
 
     name = "numpy"
 
+    def __init__(self) -> None:
+        # the interpreted kernel source; importing the kernel module
+        # compiles nothing (numba, when installed, wraps lazily)
+        from repro.exec.kernels_numba import _sweep
+
+        self._sweep = _sweep
+
     def solve(
         self,
         plan: ExecutionPlan,
@@ -214,11 +293,21 @@ class NumpyBackend(ExecutionBackend):
             x = np.zeros(plan.n)
         else:
             x = self._check_out(x, (plan.n,))
-        rows, batch_ptr = plan.rows, plan.batch_ptr
-        off_ptr, off_cols = plan.off_ptr, plan.off_cols
+        rows, off_ptr, off_cols = plan.rows, plan.off_ptr, plan.off_cols
         off_vals, diag = plan.off_vals, plan.diag
-        for t in range(plan.n_batches):
-            lo, hi = batch_ptr[t], batch_ptr[t + 1]
+        views = None
+        for lo, hi, scalar in numpy_dispatch(plan):
+            if scalar:
+                if views is None:
+                    # indexing a memoryview yields Python scalars, about
+                    # twice as fast as indexing the arrays themselves
+                    views = [
+                        memoryview(a)
+                        for a in (rows, off_ptr, off_cols, off_vals, diag,
+                                  b, x)
+                    ]
+                self._sweep(*views, lo, hi)
+                continue
             r = rows[lo:hi]
             s0, s1 = off_ptr[lo], off_ptr[hi]
             if s1 > s0:
@@ -248,11 +337,18 @@ class NumpyBackend(ExecutionBackend):
             x_block = np.zeros(b_block.shape)
         else:
             x_block = self._check_out(x_block, b_block.shape)
-        rows, batch_ptr = plan.rows, plan.batch_ptr
-        off_ptr, off_cols = plan.off_ptr, plan.off_cols
+        rows, off_ptr, off_cols = plan.rows, plan.off_ptr, plan.off_cols
         off_vals, diag = plan.off_vals, plan.diag
-        for t in range(plan.n_batches):
-            lo, hi = batch_ptr[t], batch_ptr[t + 1]
+        views = None
+        for lo, hi, scalar in numpy_dispatch(plan):
+            if scalar:
+                if views is None:
+                    views = [
+                        memoryview(a)
+                        for a in (rows, off_ptr, off_cols, off_vals, diag)
+                    ]
+                _sweep_block_rows(*views, b_block, x_block, lo, hi)
+                continue
             r = rows[lo:hi]
             s0, s1 = off_ptr[lo], off_ptr[hi]
             if s1 > s0:

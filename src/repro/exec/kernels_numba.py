@@ -18,14 +18,17 @@ products, then subtract once), so every kernel in the tier — sequential,
 parallel, fused, single-RHS and block — produces bitwise identical
 results (no ``fastmath``, no reassociation).  Relative to
 :class:`~repro.exec.backends.NumpyBackend` the results agree to rounding
-(NumPy 2.x pairwise/SIMD summation follows an architecture-dependent
-reduction order that scalar code cannot portably replicate); the
-cross-backend property tests pin that contract.
+(in its vectorized batches, NumPy 2.x pairwise/SIMD summation follows an
+architecture-dependent reduction order that scalar code cannot portably
+replicate); the cross-backend property tests pin that contract.
 
 The kernels are plain Python functions, JIT-wrapped lazily by
 :func:`jit_kernels` — so this module imports (and the kernels run,
-slowly) without numba installed, which keeps the kernel logic testable
-everywhere.
+interpreted) without numba installed, which keeps the kernel logic
+testable everywhere.  :class:`~repro.exec.backends.NumpyBackend` runs
+the interpreted :func:`_sweep` itself, over memoryviews, for runs of
+low-work dependency batches, where it is faster than one vectorized
+numpy call per batch.
 
 Persistent JIT cache
 --------------------

@@ -14,9 +14,11 @@ Lowered representation
 layered by their intra-superstep dependencies (``level(v) = 0`` if every
 dependency of ``v`` sits in an earlier superstep, else ``1 + max`` over
 same-superstep dependencies).  All rows of a batch are mutually independent,
-so one batch is solved by a single vectorized gather / segment-sum / scatter
-— this is what turns the interpreter-bound per-row loop of the seed kernels
-into a handful of NumPy calls per dependency layer.  For valid schedules
+so a batch can be solved by a single vectorized gather / segment-sum /
+scatter, and the numpy backend does so for every batch with more than a
+few rows plus off-diagonal entries; runs of lower-work batches it solves as
+one scalar sweep instead, since a vectorized call costs more than their
+work (see :func:`~repro.exec.backends.numpy_dispatch`).  For valid schedules
 (Definition 2.1) intra-superstep dependencies never cross cores, so batching
 across the cores of a superstep is exactly the barrier semantics.
 
@@ -175,6 +177,9 @@ class ExecutionPlan:
         "singular_row",
         "_singular_reason",
         "provenance",
+        # derived, per process: the numpy backend's span split
+        # (repro.exec.backends.numpy_dispatch), computed on first use
+        "_numpy_spans",
     )
 
     def __init__(self, **fields: object) -> None:
@@ -187,6 +192,10 @@ class ExecutionPlan:
         # where the arrays came from: "compiled" (this process lowered
         # them) or "store" (deserialized from a PlanStore artifact)
         fields.setdefault("provenance", "compiled")
+        # never persisted and never taken from ``fields``: a plan rebuilt
+        # from another plan's fields (a copy with replaced arrays, a
+        # store load) must not inherit a split of different arrays
+        fields["_numpy_spans"] = None
         for name in self.__slots__:
             setattr(self, name, fields[name])
 
@@ -200,7 +209,7 @@ class ExecutionPlan:
 
     @property
     def n_batches(self) -> int:
-        """Number of vectorized batches (dependency layers)."""
+        """Number of batches (dependency layers)."""
         return int(self.batch_ptr.size) - 1
 
     @property
@@ -304,23 +313,31 @@ def _levelize(
     return level
 
 
-def _fuse_batches(batch_ptr: np.ndarray, threshold: int) -> np.ndarray:
-    """Group runs of consecutive small batches into ``fused_ptr``.
+def _group_runs(small: np.ndarray) -> np.ndarray:
+    """Group pointer over batches: each maximal run of consecutive
+    ``small`` batches is one group, every other batch its own group.
 
-    A batch boundary survives unless *both* adjacent batches have fewer
-    than ``threshold`` rows — so large batches are always their own group
-    (they go to the parallel kernel) and maximal runs of small batches
-    collapse into one group (one sequential sweep).  ``threshold <= 0``
-    keeps every boundary (unfused).
+    A batch boundary survives unless *both* adjacent batches are small.
     """
-    n_batches = batch_ptr.size - 1
-    if n_batches <= 0:
+    n_batches = small.size
+    if n_batches == 0:
         return np.zeros(1, dtype=np.int64)
-    small = np.diff(batch_ptr) < threshold
     keep = ~(small[1:] & small[:-1])
     return np.concatenate(
         ([0], np.flatnonzero(keep) + 1, [n_batches])
     ).astype(np.int64)
+
+
+def _fuse_batches(batch_ptr: np.ndarray, threshold: int) -> np.ndarray:
+    """Group runs of consecutive small batches into ``fused_ptr``.
+
+    Batches with fewer than ``threshold`` rows are small, so large
+    batches are always their own group (they go to the parallel kernel)
+    and maximal runs of small batches collapse into one group (one
+    sequential sweep).  ``threshold <= 0`` keeps every boundary
+    (unfused).
+    """
+    return _group_runs(np.diff(batch_ptr) < threshold)
 
 
 def _resolve_fuse_threshold(fuse_threshold: int | None) -> int:

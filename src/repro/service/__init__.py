@@ -9,8 +9,8 @@ through a shared thread-safe :class:`~repro.exec.PlanCache` — and
 serves keyed solve requests against them.  Concurrent single-RHS
 requests for the same system are coalesced into SpTRSM micro-batches
 executed through :meth:`~repro.exec.backends.ExecutionBackend
-.solve_block`, so ``k`` queued requests cost one vectorized sweep over
-the plan's dependency layers instead of ``k``.
+.solve_block`, so ``k`` queued requests cost one sweep over the plan's
+dependency layers instead of ``k``.
 
 Per-system latency / throughput / batch-size statistics are exposed via
 :meth:`SolveService.stats`.

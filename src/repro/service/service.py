@@ -9,8 +9,8 @@ worker thread drains the request queue: the head request plus every
 *consecutive* queued request for the same system (up to ``max_batch``)
 becomes one micro-batch, column-stacked into an ``(n, k)`` block and
 executed with a single :meth:`~repro.exec.backends.ExecutionBackend
-.solve_block` call — one vectorized sweep over the plan's dependency
-layers for all ``k`` clients.  Head-run coalescing keeps completion
+.solve_block` call — one sweep over the plan's dependency layers for
+all ``k`` clients.  Head-run coalescing keeps completion
 order identical to submission order, so serving is deterministic.
 
 Numerically the batched path is *bit-equal* to solving each request

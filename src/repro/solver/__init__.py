@@ -3,9 +3,10 @@
 All solve paths lower their ``(matrix, schedule)`` pair through the
 :mod:`repro.exec` subsystem — :func:`repro.exec.compile_plan` builds an
 :class:`~repro.exec.plan.ExecutionPlan` once, and a pluggable backend
-kernel (:func:`repro.exec.get_backend`) executes it with one vectorized
-batch per dependency layer.  Precompiled plans can be passed in to
-amortize lowering across repeated solves.
+kernel (:func:`repro.exec.get_backend`) executes it: on the ``numpy``
+backend, one vectorized batch per dependency layer, with runs of
+low-work layers swept as one scalar loop.  Precompiled plans can be
+passed in to amortize lowering across repeated solves.
 
 * :mod:`~repro.solver.sptrsv` — forward/backward substitution (the
   paper's kernel, Section 6.1) plus the per-row reference kernel;

@@ -7,10 +7,12 @@ The paper's kernel (Section 6.1) computes Eq. 2.1:
 Both sweeps are executed through the :mod:`repro.exec` subsystem: the
 matrix is lowered once into an :class:`~repro.exec.plan.ExecutionPlan`
 (dependency-layer batches, contiguous gather arrays, compile-time diagonal
-validation) and a pluggable backend kernel runs it — one vectorized batch
-per dependency layer instead of one interpreted iteration per row.  Pass a
-precompiled ``plan`` to amortize the lowering across repeated solves with
-the same matrix (CG, Gauss-Seidel, SpTRSM).
+validation) and a pluggable backend kernel runs it — on the ``numpy``
+backend, one vectorized batch per dependency layer, except that runs of
+layers with only a few rows and entries are swept row by row in one
+scalar loop over the plan's flat arrays.  Pass a precompiled ``plan`` to
+amortize the lowering across repeated solves with the same matrix (CG,
+Gauss-Seidel, SpTRSM).
 
 :func:`solve_rows` remains as the seed's reference per-row kernel; the
 schedule-verification path and the thread-based executor's cell kernels

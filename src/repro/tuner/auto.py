@@ -187,10 +187,13 @@ class TuningDecision:
 def choose_max_batch(features: MatrixFeatures) -> int:
     """Micro-batch bound for the solve service, from matrix structure.
 
-    Deep, narrow wavefront profiles pay the per-dependency-layer sweep
-    overhead on every solve, so coalescing many right-hand sides into
-    one SpTRSM amortizes the most there; wide shallow profiles already
-    saturate each sweep, and oversized batches only add latency.
+    Deep, narrow wavefront profiles spend each solve on fixed
+    interpreter costs — a vectorized call per dependency layer, or a
+    scalar-sweep step per row of low-work layers — which a block solve
+    pays per layer or row once for all its columns, so coalescing many
+    right-hand sides into one SpTRSM amortizes the most there; wide
+    shallow profiles already saturate each sweep, and oversized batches
+    only add latency.
 
     Examples
     --------

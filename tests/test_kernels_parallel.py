@@ -14,6 +14,10 @@ The tier's contracts, in the order the module tests them:
 * fusion grouping (``fused_ptr``) and the parallel backend's dispatch
   policy are pure plan arithmetic, tested exhaustively on crafted batch
   layouts;
+* the numpy backend's split into scalar and vectorized spans is pure
+  plan arithmetic too; its solves match the scipy oracle, its block
+  columns are bitwise equal to single-RHS solves, and the split is
+  never carried over into a plan rebuilt from another plan's fields;
 * the backend registry probes availability once per process, and env
   misconfiguration fails loudly naming ``REPRO_EXEC_BACKEND``;
 * the resolved backend name is reported by the service and experiment
@@ -31,11 +35,13 @@ import json
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given
+from scipy.sparse.linalg import spsolve_triangular
 
 from repro.errors import BackendUnavailableError, ConfigurationError
 from repro.exec import (
@@ -45,7 +51,13 @@ from repro.exec import (
     register_backend,
 )
 from repro.exec import backends as backends_mod
-from repro.exec.backends import BACKEND_ENV_VAR, NumpyBackend, fused_dispatch
+from repro.exec.backends import (
+    BACKEND_ENV_VAR,
+    SCALAR_BATCH_WORK,
+    NumpyBackend,
+    fused_dispatch,
+    numpy_dispatch,
+)
 from repro.exec.kernels_numba import (
     JIT_CACHE_ENV_VAR,
     _psweep,
@@ -56,8 +68,13 @@ from repro.exec.kernels_numba import (
     jit_cache_key,
     warm_kernels,
 )
-from repro.exec.plan import FUSE_ENV_VAR, _fuse_batches
+from repro.exec.plan import FUSE_ENV_VAR, ExecutionPlan, _fuse_batches
+from repro.experiments.bench import make_deep_narrow, make_wide_shallow
+from repro.graph.dag import DAG
 from repro.matrix.csr import CSRMatrix
+from repro.matrix.generators import narrow_band_lower
+from repro.scheduler import GrowLocalScheduler
+from repro.store.plan_store import ARRAY_FIELDS, PlanStore, plan_store_key
 from tests.conftest import lower_triangular_matrices
 
 HAS_NUMBA = importlib.util.find_spec("numba") is not None
@@ -278,11 +295,260 @@ class TestFusion:
             for name in plan.__slots__
             if name not in ("fused_ptr", "fuse_threshold")
         }
-        from repro.exec.plan import ExecutionPlan
-
         rebuilt = ExecutionPlan(**fields)
         assert rebuilt.n_fused_groups == rebuilt.n_batches
         assert rebuilt.fuse_threshold == 0
+
+
+# ---------------------------------------------------------------------------
+# the numpy tier: scalar / vectorized span split and its solves
+# ---------------------------------------------------------------------------
+def _batch_work(plan):
+    """Rows plus off-diagonal entries of every batch."""
+    return np.diff(plan.batch_ptr) + np.diff(plan.off_ptr[plan.batch_ptr])
+
+
+def _kinds(plan):
+    return {scalar for _, _, scalar in numpy_dispatch(plan)}
+
+
+def _span_plans():
+    """(name, matrix, plan) triples whose numpy split has both span
+    kinds: a crafted wide-then-chain plan, a growlocal-scheduled plan
+    and a backward (upper-triangular) plan."""
+    lower = narrow_band_lower(300, 0.25, 6.0, seed=0)
+    schedule = GrowLocalScheduler().schedule(
+        DAG.from_lower_triangular(lower), 4
+    )
+    upper = lower.transpose()
+    mixed_lower = _lower(50, *mixed(50), seed=4)
+    return [
+        ("mixed", mixed_lower, compile_plan(mixed_lower)),
+        ("growlocal", lower, compile_plan(lower, schedule)),
+        ("backward", upper, compile_plan(upper, direction="backward")),
+    ]
+
+
+def _assert_matches_scipy(matrix, plan, b, name=""):
+    """Within 1e-10 of ``spsolve_triangular``, relative to max |x|."""
+    expected = spsolve_triangular(
+        matrix.to_scipy().tocsr(), b, lower=plan.direction == "forward"
+    )
+    x = get_backend("numpy").solve(plan, b)
+    scale = max(1.0, float(np.max(np.abs(expected), initial=0.0)))
+    error = float(np.max(np.abs(x - expected), initial=0.0))
+    assert error <= 1e-10 * scale, (name, error, scale)
+
+
+class TestNumpySpans:
+    @pytest.mark.parametrize(
+        "name,matrix", irregular_matrices(), ids=lambda v: v
+        if isinstance(v, str) else ""
+    )
+    def test_spans_tile_plan_and_respect_the_bound(self, name, matrix):
+        plan = compile_plan(matrix)
+        spans = numpy_dispatch(plan)
+        assert spans[0][0] == 0 and spans[-1][1] == plan.n
+        starts = plan.batch_ptr.tolist()
+        work = _batch_work(plan)
+        for (_, hi, left), (lo, _, right) in zip(spans, spans[1:]):
+            assert hi == lo
+            assert not (left and right), "scalar runs must be maximal"
+        for lo, hi, scalar in spans:
+            t0, t1 = starts.index(lo), starts.index(hi)
+            assert t1 > t0
+            if scalar:
+                assert (work[t0:t1] <= SCALAR_BATCH_WORK).all()
+            else:
+                assert t1 == t0 + 1
+                assert work[t0] > SCALAR_BATCH_WORK
+
+    def test_deep_narrow_is_one_scalar_span(self):
+        plan = compile_plan(make_deep_narrow(n=500, seed=0))
+        assert numpy_dispatch(plan) == ((0, plan.n, True),)
+
+    def test_serving_shape_has_no_scalar_span(self):
+        plan = compile_plan(
+            make_wide_shallow(levels=64, width=100, deps=3, seed=0)
+        )
+        assert len(numpy_dispatch(plan)) == plan.n_batches
+        assert _kinds(plan) == {False}
+
+    def test_mixed_has_both_kinds(self):
+        assert _kinds(compile_plan(_lower(50, *mixed(50)))) == {True, False}
+
+    def test_split_does_not_depend_on_fusion(self):
+        matrix = _lower(50, *mixed(50))
+        assert numpy_dispatch(
+            compile_plan(matrix, fuse_threshold=0)
+        ) == numpy_dispatch(compile_plan(matrix, fuse_threshold=64))
+
+    def test_empty_plan_has_no_spans(self):
+        empty = np.zeros(0, dtype=np.int64)
+        plan = compile_plan(CSRMatrix.from_coo(0, empty, empty, np.zeros(0)))
+        assert numpy_dispatch(plan) == ()
+
+    def test_split_is_computed_once_per_plan(self):
+        plan = compile_plan(_lower(50, *mixed(50)))
+        assert numpy_dispatch(plan) is numpy_dispatch(plan)
+
+
+class TestNumpySpanSolves:
+    @pytest.mark.parametrize(
+        "name,matrix", irregular_matrices(), ids=lambda v: v
+        if isinstance(v, str) else ""
+    )
+    def test_irregular_corpus_matches_scipy(self, name, matrix):
+        b = np.random.default_rng(12).standard_normal(matrix.n)
+        _assert_matches_scipy(matrix, compile_plan(matrix), b, name)
+
+    def test_scheduled_and_backward_plans_match_scipy(self):
+        for name, matrix, plan in _span_plans():
+            assert _kinds(plan) == {True, False}, name
+            b = np.random.default_rng(13).standard_normal(matrix.n)
+            _assert_matches_scipy(matrix, plan, b, name)
+
+    @given(lower_triangular_matrices(max_n=40))
+    def test_matches_scipy_property(self, matrix):
+        b = np.linspace(-1.0, 1.0, matrix.n)
+        _assert_matches_scipy(matrix, compile_plan(matrix), b)
+
+    @pytest.mark.parametrize("k", [1, 3, 16])
+    def test_block_columns_bitwise_equal_solve(self, k):
+        backend = get_backend("numpy")
+        for name, matrix, plan in _span_plans():
+            rng = np.random.default_rng(14)
+            b_c = rng.standard_normal((matrix.n, k))
+            singles = [backend.solve(plan, b_c[:, c]) for c in range(k)]
+            b_f = np.asfortranarray(b_c)
+            # column views with stride 2k: every other column of a wider
+            # block, so neither RHS nor output is contiguous
+            wide = np.zeros((matrix.n, 2 * k))
+            wide[:, ::2] = b_c
+            results = {
+                "C-order": backend.solve_block(plan, b_c),
+                "F-order": backend.solve_block(plan, b_f),
+                "strided": backend.solve_block(plan, wide[:, ::2]),
+                "x given": backend.solve_block(
+                    plan, b_c, np.full((matrix.n, k), np.nan, order="F")
+                ),
+            }
+            for order in "CF":
+                in_place = b_c.copy(order=order)
+                assert backend.solve_block(
+                    plan, in_place, in_place
+                ) is in_place
+                results[f"x is b ({order}-order)"] = in_place
+            for label, x_block in results.items():
+                for c in range(k):
+                    np.testing.assert_array_equal(
+                        x_block[:, c], singles[c],
+                        err_msg=f"{name} {label}: column {c} != solve()",
+                    )
+
+    def test_single_rhs_buffers(self):
+        backend = get_backend("numpy")
+        for name, matrix, plan in _span_plans():
+            b = np.random.default_rng(15).standard_normal(matrix.n)
+            expected = backend.solve(plan, b)
+            strided = np.zeros((matrix.n, 3))
+            strided[:, 1] = b
+            out = np.full(2 * matrix.n, np.nan)[::2]
+            assert backend.solve(plan, strided[:, 1], out) is out
+            in_place = b.copy()
+            assert backend.solve(plan, in_place, in_place) is in_place
+            for label, x in (("strided", out), ("x is b", in_place)):
+                np.testing.assert_array_equal(x, expected,
+                                              err_msg=f"{name} {label}")
+
+    def test_zero_width_blocks_and_empty_plans(self):
+        backend = get_backend("numpy")
+        for name, matrix, plan in _span_plans():
+            assert backend.solve_block(
+                plan, np.zeros((matrix.n, 0))
+            ).shape == (matrix.n, 0), name
+        empty = np.zeros(0, dtype=np.int64)
+        plan = compile_plan(CSRMatrix.from_coo(0, empty, empty, np.zeros(0)))
+        assert backend.solve(plan, np.zeros(0)).shape == (0,)
+        assert backend.solve_block(plan, np.zeros((0, 3))).shape == (0, 3)
+
+    def test_rebuilt_plan_does_not_inherit_the_split(self):
+        """A plan rebuilt from a solved plan's fields — every slot, the
+        split included — with another plan's arrays must solve like that
+        other plan: the constructor discards the split."""
+        backend = get_backend("numpy")
+        solved = compile_plan(_lower(50, *mixed(50), seed=4))
+        chain = _lower(50, *chain_n(50), seed=5)
+        fresh = compile_plan(chain)
+        b = np.random.default_rng(16).standard_normal(50)
+        backend.solve(solved, b)
+        fields = {name: getattr(solved, name) for name in solved.__slots__}
+        assert fields["_numpy_spans"] is not None
+        same = ExecutionPlan(**fields)
+        np.testing.assert_array_equal(
+            backend.solve(same, b), backend.solve(solved, b)
+        )
+        fields.update(
+            (name, getattr(fresh, name))
+            for name in (*ARRAY_FIELDS, "matrix", "fuse_threshold")
+        )
+        rebuilt = ExecutionPlan(**fields)
+        np.testing.assert_array_equal(
+            backend.solve(rebuilt, b), backend.solve(fresh, b)
+        )
+        np.testing.assert_array_equal(
+            backend.solve_block(rebuilt, b[:, None])[:, 0],
+            backend.solve(fresh, b),
+        )
+
+    def test_concurrent_first_solves_agree(self):
+        """Threads racing to compute a fresh plan's split (the service's
+        shard workers share plans) all solve bit-equal."""
+        backend = get_backend("numpy")
+        _, matrix, reference_plan = _span_plans()[1]
+        b = np.random.default_rng(18).standard_normal(matrix.n)
+        expected = backend.solve(reference_plan, b)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                plan = compile_plan(matrix, reference_plan.schedule)
+                results = [None] * 8
+
+                def solve(j, plan=plan, results=results):
+                    results[j] = backend.solve(plan, b)
+
+                workers = [
+                    threading.Thread(target=solve, args=(j,))
+                    for j in range(len(results))
+                ]
+                for worker in workers:
+                    worker.start()
+                for worker in workers:
+                    worker.join(timeout=60)
+                    assert not worker.is_alive()
+                for x in results:
+                    np.testing.assert_array_equal(x, expected)
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_store_loaded_plan_solves_bit_equal(self, tmp_path):
+        backend = get_backend("numpy")
+        store = PlanStore(tmp_path)
+        for name, matrix, plan in _span_plans():
+            b = np.random.default_rng(17).standard_normal(matrix.n)
+            expected = backend.solve(plan, b)  # the split is now cached
+            key = plan_store_key(matrix, plan.schedule,
+                                 direction=plan.direction)
+            assert store.save(plan, key) is not None
+            loaded = store.load(key, matrix=matrix, schedule=plan.schedule)
+            np.testing.assert_array_equal(
+                backend.solve(loaded, b), expected, err_msg=name
+            )
+            np.testing.assert_array_equal(
+                backend.solve_block(loaded, np.tile(b[:, None], 3)),
+                np.tile(expected[:, None], 3), err_msg=name,
+            )
 
 
 # ---------------------------------------------------------------------------
