@@ -160,19 +160,21 @@ def test_parallel_tier_beats_sequential_numba_on_wide_shallow():
     """The prange tier must win where the plan exposes parallelism.
 
     Wide-shallow corpus: a handful of dependency layers, thousands of
-    mutually independent rows each.  ``numba-parallel`` (fusion disabled
-    — every batch goes to the prange kernel) must beat the sequential
-    ``numba`` sweep.  Conservative floor: any real multi-core win clears
-    it; a regression to sequential dispatch does not.
+    mutually independent rows each, so every batch has at least
+    ``PARALLEL_BATCH_ROWS`` rows and ``numba-parallel`` runs each as one
+    prange span.  It must beat the sequential ``numba`` sweep.
+    Conservative floor: any real multi-core win clears it; a regression
+    to sequential dispatch does not.
     """
     threads = _require_threads()
     lower = make_wide_shallow(
         levels=8, width=2_000 if SMOKE else 10_000, seed=0
     )
-    plan = compile_plan(lower, fuse_threshold=0)
+    plan = compile_plan(lower)
     b = np.linspace(1.0, 2.0, lower.n)
     seq = get_backend("numba")
     par = get_backend("numba-parallel")
+    assert all(parallel for _, _, parallel in par.dispatch(plan))
 
     np.testing.assert_array_equal(  # also warms both kernels
         seq.solve(plan, b), par.solve(plan, b)
@@ -194,31 +196,40 @@ def test_parallel_tier_beats_sequential_numba_on_wide_shallow():
 def test_fused_beats_unfused_parallel_on_deep_narrow():
     """Fusion must kill per-layer dispatch where layers are tiny.
 
-    Deep-narrow corpus: a dependency chain, one row per batch.  The
-    default-threshold plan fuses the whole chain into a handful of
-    sequential sweeps; the unfused plan pays one kernel dispatch (plus a
-    parallel-region fork/join) per row.  The fused path must win by a
-    wide margin — the floor is far below the measured gap but far above
-    noise.
+    Deep-narrow corpus: a dependency chain, one row per batch.
+    ``numba-parallel`` runs the whole chain as a handful of sequential
+    sweeps (``fused_dispatch``); the reference loop below pays one
+    prange kernel dispatch (plus a parallel-region fork/join) per
+    batch.  The fused path must win by a wide margin — the floor is far
+    below the measured gap but far above noise.
     """
-    import numba  # noqa: F401 - guard above
+    from repro.exec.kernels_numba import jit_kernels
 
     lower = make_deep_narrow(n=4_000 if SMOKE else 20_000, seed=1)
-    fused_plan = compile_plan(lower)
-    unfused_plan = compile_plan(lower, fuse_threshold=0)
-    assert fused_plan.n_fused_groups < fused_plan.n_batches
+    plan = compile_plan(lower)
+    assert plan.n_fused_groups < plan.n_batches
     b = np.linspace(1.0, 2.0, lower.n)
     par = get_backend("numba-parallel")
+    psweep = jit_kernels().psweep
+    args = (plan.rows, plan.off_ptr, plan.off_cols, plan.off_vals,
+            plan.diag, b)
+    bounds = plan.batch_ptr.tolist()
+
+    def per_batch():
+        x = np.zeros(plan.n)
+        for lo, hi in zip(bounds[:-1], bounds[1:], strict=True):
+            psweep(*args, x, lo, hi)
+        return x
 
     np.testing.assert_array_equal(  # also warms both dispatch paths
-        par.solve(fused_plan, b), par.solve(unfused_plan, b)
+        par.solve(plan, b), per_batch()
     )
-    t_fused = _median_time(lambda: par.solve(fused_plan, b))
-    t_unfused = _median_time(lambda: par.solve(unfused_plan, b))
+    t_fused = _median_time(lambda: par.solve(plan, b))
+    t_unfused = _median_time(per_batch)
 
     speedup = t_unfused / t_fused
-    print(f"\ndeep-narrow (n={lower.n}, {unfused_plan.n_batches} batches "
-          f"-> {fused_plan.n_fused_groups} fused groups): unfused "
+    print(f"\ndeep-narrow (n={lower.n}, {plan.n_batches} batches "
+          f"-> {plan.n_fused_groups} fused spans): per-batch prange "
           f"{t_unfused:.5f}s, fused {t_fused:.5f}s -> {speedup:.2f}x")
     assert speedup >= 3.0, (
         f"fused dispatch only {speedup:.2f}x over per-batch dispatch on "

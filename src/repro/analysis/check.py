@@ -52,8 +52,8 @@ def _corpus():
     """The synthetic verification corpus: irregular shapes x schedulers.
 
     Small on purpose — the point is exercising every invariant checker
-    against genuinely compiled plans (serial and scheduled, fused and
-    unfused, forward and backward), not benchmarking.
+    against genuinely compiled plans (serial and scheduled, forward and
+    backward), not benchmarking.
     """
     from repro.graph.dag import DAG
     from repro.matrix.generators import (
@@ -67,16 +67,14 @@ def _corpus():
         ("erdos-renyi", erdos_renyi_lower(150, 0.05, seed=1)),
     ]
     for name, lower in matrices:
-        yield f"{name}/serial", lower, None, "forward", None
-        yield f"{name}/serial-unfused", lower, None, "forward", 0
+        yield f"{name}/serial", lower, None, "forward"
         for sched_name in ("growlocal", "hdagg"):
             schedule = make_scheduler(sched_name).schedule(
                 DAG.from_lower_triangular(lower), 4
             )
-            yield (f"{name}/{sched_name}", lower, schedule, "forward",
-                   None)
+            yield f"{name}/{sched_name}", lower, schedule, "forward"
     upper = narrow_band_lower(100, 0.3, 5.0, seed=2).transpose()
-    yield "narrow-band/backward", upper, None, "backward", None
+    yield "narrow-band/backward", upper, None, "backward"
 
 
 def check_plans(
@@ -88,9 +86,9 @@ def check_plans(
     With ``matrix_path`` the file's lower triangle is compiled (against
     ``schedule_path`` when given) and verified with full
     source-consistency cross-checks.  Without it, the built-in
-    synthetic corpus compiles and verifies plans across schedulers,
-    fusion settings and sweep directions — the CI self-check that the
-    compiler only ever emits plans the verifier accepts.
+    synthetic corpus compiles and verifies plans across schedulers and
+    sweep directions — the CI self-check that the compiler only ever
+    emits plans the verifier accepts.
     """
     from repro.exec.plan import compile_plan
 
@@ -104,12 +102,12 @@ def check_plans(
             from repro.scheduler.serialize import load_schedule_json
 
             schedule = load_schedule_json(schedule_path)
-        cases = [(matrix_path, lower, schedule, "forward", None)]
+        cases = [(matrix_path, lower, schedule, "forward")]
     else:
         cases = list(_corpus())
-    for name, matrix, schedule, direction, fuse in cases:
+    for name, matrix, schedule, direction in cases:
         plan = compile_plan(
-            matrix, schedule, direction=direction, fuse_threshold=fuse,
+            matrix, schedule, direction=direction,
             validate=False,  # the point is the explicit report below
         )
         report = verify_plan(plan, matrix=matrix, schedule=schedule)

@@ -92,11 +92,6 @@ INVARIANTS = {
         "non-zero for solvable plans, and agrees with the recorded "
         "singular_row"
     ),
-    "fusion-grouping": (
-        "fused_ptr starts at 0, ends at n_batches and is strictly "
-        "increasing: fusion groups are non-empty, non-overlapping runs "
-        "of consecutive batches"
-    ),
     "core-coverage": (
         "core_ptr is well-formed and the concatenated per-core "
         "sequences execute every row exactly once, within bounds"
@@ -209,8 +204,7 @@ class _Verifier:
 
     # -- dtype contract -------------------------------------------------
     _INT_FIELDS = ("rows", "batch_ptr", "batch_step", "off_ptr",
-                   "off_cols", "pos", "core_rows", "core_ptr",
-                   "fused_ptr", "row_step")
+                   "off_cols", "pos", "core_rows", "core_ptr", "row_step")
     _FLOAT_FIELDS = ("diag", "off_vals")
 
     def check_dtypes(self) -> None:
@@ -270,7 +264,7 @@ class _Verifier:
                 invariant,
                 f"{name} is not monotone at segment {b} "
                 f"({int(ptr[b])} -> {int(ptr[b + 1])}): {kind}",
-                batch=b if name in ("batch_ptr", "fused_ptr") else None,
+                batch=b if name == "batch_ptr" else None,
             )
             return False
         return True
@@ -448,13 +442,6 @@ class _Verifier:
                 row=int(plan.singular_row),
             )
 
-    def check_fusion(self) -> None:
-        n_batches = self.plan.batch_ptr.size - 1
-        self._check_pointer(
-            "fusion-grouping", "fused_ptr", self.plan.fused_ptr,
-            n_batches, strict=True,
-        )
-
     def check_cores(self) -> None:
         plan, n = self.plan, self.plan.rows.size
         if not self._check_pointer(
@@ -620,7 +607,6 @@ def verify_plan(
     gather_ok = v.check_gather_ptr()
     if batches_ok:
         v.check_batch_order()
-        v.check_fusion()
     bounds_ok = gather_ok and v.check_gather_bounds()
     if batches_ok and rows_ok and bounds_ok:
         v.check_dependency_safety()

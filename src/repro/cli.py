@@ -332,10 +332,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "instead of loading --schedule")
         pp.add_argument("--cores", type=int, default=8,
                         help="cores for --scheduler (default 8)")
-        pp.add_argument("--fuse-threshold", type=int, default=None,
-                        help="fusion threshold for the plan key/compile "
-                             "(default: REPRO_FUSE_THRESHOLD or the "
-                             "library default)")
 
     pp = plans_sub.add_parser(
         "save",
@@ -1048,14 +1044,8 @@ def _cmd_plans(args) -> int:
 
         lower, schedule, label = _plans_system(args)
         store = PlanStore(args.store)
-        key = plan_store_key(
-            lower, schedule, scheduler=label,
-            fuse_threshold=args.fuse_threshold,
-        )
-        plan = compile_plan(
-            lower, schedule, fuse_threshold=args.fuse_threshold,
-            check_diagonal=False,
-        )
+        key = plan_store_key(lower, schedule, scheduler=label)
+        plan = compile_plan(lower, schedule, check_diagonal=False)
         path = store.save(plan, key)
         payload = {
             "store": store.path,
@@ -1076,10 +1066,7 @@ def _cmd_plans(args) -> int:
     if args.plans_command == "load":
         lower, schedule, label = _plans_system(args)
         store = PlanStore(args.store, create=False)
-        key = plan_store_key(
-            lower, schedule, scheduler=label,
-            fuse_threshold=args.fuse_threshold,
-        )
+        key = plan_store_key(lower, schedule, scheduler=label)
         plan = store.get(key, matrix=lower, schedule=schedule)
         payload = {
             "store": store.path,
@@ -1113,12 +1100,11 @@ def _cmd_plans(args) -> int:
         from repro.experiments.tables import format_table
 
         print(format_table(
-            ["stem", "n", "cores", "fuse", "dtype", "bytes"],
+            ["stem", "n", "cores", "dtype", "bytes"],
             [
                 [
                     row["stem"], row["n"],
                     (row["key"] or {}).get("cores", "-"),
-                    (row["key"] or {}).get("fuse_threshold", "-"),
                     (row["key"] or {}).get("dtype", "-"),
                     row["bytes"],
                 ]

@@ -12,11 +12,12 @@ pools, sharding, native kernels) plugs into:
 * :mod:`~repro.exec.backends` — the pluggable kernel registry
   (``numpy`` always available: vectorized batches, with runs of
   low-work batches swept as scalars; the JIT tiers ``numba`` and
-  ``numba-parallel`` auto-detected with graceful fallback, preferred in
-  measured speed order) consuming plans instead of walking CSR rows in
-  Python;
+  ``numba-parallel`` auto-detected with graceful fallback, one backend
+  with two dispatch policies) consuming plans instead of walking CSR
+  rows in Python; every backend derives its dispatch spans from the
+  plan's batches;
 * :mod:`~repro.exec.kernels_numba` — the shared JIT kernel tier
-  (``prange`` batch sweeps, fused small-layer sweeps, persistent
+  (``prange`` batch sweeps, sequential span sweeps, persistent
   artifact cache so warm processes never recompile);
 * :mod:`~repro.exec.cost` — the single plan-based cost kernel shared by
   the BSP, asynchronous and serial machine simulators;
@@ -36,16 +37,10 @@ from repro.exec.backends import (
     list_backends,
     register_backend,
 )
-from repro.exec.plan import (
-    DEFAULT_FUSE_THRESHOLD,
-    ExecutionPlan,
-    compile_count,
-    compile_plan,
-)
+from repro.exec.plan import ExecutionPlan, compile_count, compile_plan
 from repro.exec.plan_cache import PlanCache
 
 __all__ = [
-    "DEFAULT_FUSE_THRESHOLD",
     "ExecutionBackend",
     "ExecutionPlan",
     "NumbaBackend",

@@ -11,18 +11,22 @@ accelerators) plugs in behind the same boundary:
   which costs less than a vectorized call per batch;
 * ``numba`` — auto-detected; a JIT-compiled *sequential* sweep over the
   plan's flat arrays (no interpreter in the inner loop, but one thread);
-* ``numba-parallel`` — auto-detected; the parallel kernel tier of
-  :mod:`~repro.exec.kernels_numba`: ``prange`` over the rows of each
-  large dependency batch, and runs of consecutive small batches fused
-  into single sequential JIT sweeps (grouping precomputed in the plan's
-  ``fused_ptr``), so deep narrow layer structure does not pay per-layer
-  dispatch.
+* ``numba-parallel`` — auto-detected; the same backend with another
+  dispatch policy (:func:`fused_dispatch`): ``prange`` over the rows of
+  each batch of at least :data:`PARALLEL_BATCH_ROWS` rows, and each run
+  of consecutive smaller batches as one sequential JIT sweep, so deep
+  narrow layer structure does not pay per-layer dispatch.
 
-Tiering: ``numba-parallel`` > ``numba`` > ``numpy`` — the parallel
-tier wins on wide batches by using every core and ties the sequential
-sweep elsewhere via fusion (floored on numba installs by
-``benchmarks/test_exec_plan_bench.py``); the sequential JIT sweep beats
-``numpy`` by removing the interpreter from the inner loop.  When numba
+The plan carries only the schedule's dependency batches; the position
+spans a backend walks are derived from ``batch_ptr`` once per plan
+(:func:`numpy_dispatch`, :func:`fused_dispatch`), never stored in it.
+
+Tiering: ``numba-parallel`` > ``numba`` > ``numpy``.  Only the first
+step is floored (on numba installs, by
+``benchmarks/test_exec_plan_bench.py``): the parallel tier beats the
+sequential sweep on wide batches by using every core.  That the
+sequential JIT sweep beats ``numpy`` is expected, since it removes the
+interpreter from the inner loop, but no floor measures it.  When numba
 is missing the registry falls back along that order silently during
 auto-selection (unavailability is probed once per process and cached),
 and raises :class:`~repro.errors.BackendUnavailableError` only when an
@@ -30,7 +34,7 @@ unavailable backend is requested by name.
 
 Selection order for :func:`get_backend` with no argument: the
 ``REPRO_EXEC_BACKEND`` environment variable if set (unknown names raise
-:class:`~repro.errors.ConfigurationError`), else the fastest available
+:class:`~repro.errors.ConfigurationError`), else the first available
 tier: ``numba-parallel``, then ``numba``, then ``numpy``.
 """
 
@@ -46,7 +50,7 @@ from repro.errors import (
     ConfigurationError,
     MatrixFormatError,
 )
-from repro.exec.plan import ExecutionPlan, _group_runs
+from repro.exec.plan import ExecutionPlan
 
 __all__ = [
     "ExecutionBackend",
@@ -59,7 +63,6 @@ __all__ = [
     "list_backends",
     "numpy_dispatch",
     "register_backend",
-    "solve_rows_ref",
 ]
 
 #: Environment variable overriding backend auto-selection.
@@ -71,6 +74,12 @@ BACKEND_ENV_VAR = "REPRO_EXEC_BACKEND"
 #: scatter costs several microseconds of interpreter and numpy dispatch
 #: however small the batch (see :func:`numpy_dispatch`).
 SCALAR_BATCH_WORK = 16
+
+#: A dependency batch with at least this many rows is a ``prange`` span
+#: of the ``numba-parallel`` backend; runs of smaller batches are fused
+#: into one sequential sweep, because below it the fork/join of a
+#: parallel region costs more than the rows (see :func:`fused_dispatch`).
+PARALLEL_BATCH_ROWS = 64
 
 
 class ExecutionBackend:
@@ -186,6 +195,25 @@ def _segment_sums(
     return out
 
 
+def _group_runs(
+    batch_ptr: np.ndarray, small: np.ndarray
+) -> tuple[tuple[int, int, bool], ...]:
+    """``(lo, hi, small)`` position spans over the batches of
+    ``batch_ptr``: each maximal run of consecutive ``small`` batches is
+    one span, every other batch its own span.
+
+    A batch boundary survives unless *both* adjacent batches are small.
+    """
+    if small.size == 0:
+        return ()
+    keep = ~(small[1:] & small[:-1])
+    groups = np.concatenate(([0], np.flatnonzero(keep) + 1, [small.size]))
+    bounds = batch_ptr[groups].tolist()
+    return tuple(zip(
+        bounds[:-1], bounds[1:], small[groups[:-1]].tolist(), strict=True
+    ))
+
+
 def numpy_dispatch(plan: ExecutionPlan) -> tuple[tuple[int, int, bool], ...]:
     """The numpy backend's position spans for ``plan``.
 
@@ -194,12 +222,12 @@ def numpy_dispatch(plan: ExecutionPlan) -> tuple[tuple[int, int, bool], ...]:
     consecutive batches whose rows plus off-diagonal entries number at
     most :data:`SCALAR_BATCH_WORK` each, solved as one scalar sweep;
     every other span is exactly one batch, solved by one vectorized
-    gather / segment-sum / scatter.  Unlike the ``fused_ptr`` grouping
-    of the parallel tier, the split counts off-diagonal entries, so a
-    run of few-row batches with many entries each stays vectorized.
-    Pure plan arithmetic, computed on the plan's first numpy solve and
-    kept on the plan (never persisted: a plan built by the constructor,
-    from any fields, starts without it).
+    gather / segment-sum / scatter.  Unlike :func:`fused_dispatch`, the
+    split counts off-diagonal entries, so a run of few-row batches with
+    many entries each stays vectorized.  Pure plan arithmetic, computed
+    on the plan's first numpy solve and kept on the plan (never
+    persisted: a plan built by the constructor, from any fields, starts
+    without it).
 
     Examples
     --------
@@ -213,11 +241,39 @@ def numpy_dispatch(plan: ExecutionPlan) -> tuple[tuple[int, int, bool], ...]:
     if spans is None:
         batch_ptr = plan.batch_ptr
         work = np.diff(batch_ptr) + np.diff(plan.off_ptr[batch_ptr])
-        scalar = work <= SCALAR_BATCH_WORK
-        groups = _group_runs(scalar)
-        bounds = batch_ptr[groups].tolist()
-        spans = plan._numpy_spans = tuple(
-            zip(bounds[:-1], bounds[1:], scalar[groups[:-1]].tolist())
+        spans = plan._numpy_spans = _group_runs(
+            batch_ptr, work <= SCALAR_BATCH_WORK
+        )
+    return spans
+
+
+def fused_dispatch(plan: ExecutionPlan) -> tuple[tuple[int, int, bool], ...]:
+    """The ``numba-parallel`` backend's position spans for ``plan``.
+
+    Returns ``(lo, hi, parallel)`` spans that tile ``[0, n)`` and cut
+    only at batch boundaries.  A ``parallel`` span is exactly one batch
+    of at least :data:`PARALLEL_BATCH_ROWS` rows, worth a ``prange``
+    fork/join; every other span is a maximal run of consecutive smaller
+    batches, run as one sequential sweep (a run of consecutive batches
+    in plan order is a topologically sorted position span).  Pure plan
+    arithmetic over ``batch_ptr``, so the policy is testable without
+    numba; computed on the plan's first use and kept on the plan like
+    :func:`numpy_dispatch` (never persisted).
+
+    Examples
+    --------
+    >>> from repro.exec import compile_plan
+    >>> from repro.exec.backends import fused_dispatch
+    >>> from repro.experiments.bench import make_deep_narrow
+    >>> fused_dispatch(compile_plan(make_deep_narrow(n=100, seed=0)))
+    ((0, 100, False),)
+    """
+    spans = plan._fused_spans
+    if spans is None:
+        batch_ptr = plan.batch_ptr
+        runs = _group_runs(batch_ptr, np.diff(batch_ptr) < PARALLEL_BATCH_ROWS)
+        spans = plan._fused_spans = tuple(
+            (lo, hi, not small) for lo, hi, small in runs
         )
     return spans
 
@@ -372,16 +428,20 @@ class NumpyBackend(ExecutionBackend):
 
 
 class NumbaBackend(ExecutionBackend):
-    """JIT-compiled sequential sweep over the plan's flat arrays.
+    """JIT-compiled sweeps over the plan's flat arrays.
 
-    The plan's batch order is a topological execution order, so a single
+    The plan's batch order is a topological execution order, so a
     machine-code loop over positions is correct; numba removes the
-    interpreter from the inner loop entirely.  The measured middle tier:
-    faster than ``numpy`` (no per-layer Python dispatch), slower than
-    ``numba-parallel`` on wide batches (one thread).  Runs the shared
-    kernels of :mod:`~repro.exec.kernels_numba`, so its results are
-    bitwise identical to the parallel/fused tier.  Constructing this
-    backend without numba installed raises
+    interpreter from the inner loop entirely.  ``solve`` and
+    ``solve_block`` walk the position spans of :meth:`dispatch`: a
+    ``parallel`` span runs the ``prange`` kernel over one batch's
+    mutually independent rows, any other span the sequential sweep.
+    This backend's policy is one sequential span over the whole plan
+    (one thread); :class:`ParallelNumbaBackend` differs only in its
+    policy.  Every kernel of :mod:`~repro.exec.kernels_numba` runs one
+    scalar accumulation order, so both policies give bitwise identical
+    results, column for column across ``solve``/``solve_block``.
+    Constructing this backend without numba installed raises
     :class:`BackendUnavailableError`.
 
     Examples
@@ -407,106 +467,12 @@ class NumbaBackend(ExecutionBackend):
             )
         self._kernels = kernels_numba.jit_kernels()  # pragma: no cover
 
-    def solve(
-        self,
-        plan: ExecutionPlan,
-        b: np.ndarray,
-        x: np.ndarray | None = None,
-    ) -> np.ndarray:  # pragma: no cover - requires numba
-        plan.require_solvable()
-        b = np.ascontiguousarray(self._check_rhs(plan, b))
-        if x is None:
-            x = np.zeros(plan.n)
-        else:
-            x = self._check_out(x, (plan.n,))
-        self._kernels.sweep(
-            plan.rows, plan.off_ptr, plan.off_cols, plan.off_vals,
-            plan.diag, b, x, 0, plan.n,
-        )
-        return x
-
-    def solve_block(
-        self,
-        plan: ExecutionPlan,
-        b_block: np.ndarray,
-        x_block: np.ndarray | None = None,
-    ) -> np.ndarray:  # pragma: no cover - requires numba
-        plan.require_solvable()
-        b_block = np.ascontiguousarray(self._check_rhs_block(plan, b_block))
-        if x_block is None:
-            x_block = np.zeros(b_block.shape)
-        else:
-            x_block = self._check_out(x_block, b_block.shape)
-        self._kernels.sweep_block(
-            plan.rows, plan.off_ptr, plan.off_cols, plan.off_vals,
-            plan.diag, b_block, x_block, 0, plan.n,
-        )
-        return x_block
-
-
-def fused_dispatch(plan: ExecutionPlan) -> list[tuple[int, int, bool]]:
-    """The parallel backend's per-group dispatch decisions for ``plan``.
-
-    Returns ``(lo, hi, parallel)`` position spans, one per fusion group:
-    ``parallel`` groups are single batches with at least
-    ``fuse_threshold`` rows (worth a ``prange`` fork/join); everything
-    else — fused runs of small batches, or isolated small batches — runs
-    as one sequential sweep.  Pure plan arithmetic, so the dispatch
-    policy is testable without numba.
-
-    Examples
-    --------
-    >>> from repro.exec import compile_plan
-    >>> from repro.exec.backends import fused_dispatch
-    >>> from repro.matrix.generators import narrow_band_lower
-    >>> plan = compile_plan(narrow_band_lower(60, 0.2, 4.0, seed=0))
-    >>> spans = fused_dispatch(plan)
-    >>> (spans[0][0], spans[-1][1])     # spans tile all positions
-    (0, 60)
-    """
-    batch_ptr, fused_ptr = plan.batch_ptr, plan.fused_ptr
-    threshold = max(int(plan.fuse_threshold), 1)
-    out = []
-    for g in range(plan.n_fused_groups):
-        b0, b1 = int(fused_ptr[g]), int(fused_ptr[g + 1])
-        lo, hi = int(batch_ptr[b0]), int(batch_ptr[b1])
-        out.append((lo, hi, b1 - b0 == 1 and hi - lo >= threshold))
-    return out
-
-
-class ParallelNumbaBackend(ExecutionBackend):
-    """The parallel kernel tier: ``prange`` batches plus fused sweeps.
-
-    Executes the plan one fusion group at a time (see
-    :func:`fused_dispatch`): large dependency batches go to a
-    ``parallel=True`` kernel whose ``prange`` spans the batch's mutually
-    independent rows; runs of consecutive small batches — precomputed
-    into the plan's ``fused_ptr`` — execute as a single sequential JIT
-    sweep, so a deep narrow DAG costs a handful of kernel calls instead
-    of one dispatch plus one fork/join per tiny layer.  All kernels share
-    one scalar accumulation order (:mod:`~repro.exec.kernels_numba`), so
-    results are bitwise identical to the sequential ``numba`` backend and
-    column-for-column across ``solve``/``solve_block``.  The measured top
-    tier; auto-selection prefers it.  Constructing without numba raises
-    :class:`BackendUnavailableError`.
-
-    Examples
-    --------
-    >>> from repro.exec.backends import ParallelNumbaBackend
-    >>> ParallelNumbaBackend().name             # doctest: +SKIP
-    'numba-parallel'
-    """
-
-    name = "numba-parallel"
-
-    def __init__(self) -> None:
-        from repro.exec import kernels_numba
-
-        if not kernels_numba.have_numba():
-            raise BackendUnavailableError(
-                f"the {self.name!r} backend requires the numba package"
-            )
-        self._kernels = kernels_numba.jit_kernels()  # pragma: no cover
+    def dispatch(
+        self, plan: ExecutionPlan
+    ) -> tuple[tuple[int, int, bool], ...]:
+        """``(lo, hi, parallel)`` spans to walk: the whole plan as one
+        sequential sweep."""
+        return ((0, plan.n, False),)
 
     def solve(
         self,
@@ -525,7 +491,7 @@ class ParallelNumbaBackend(ExecutionBackend):
             plan.rows, plan.off_ptr, plan.off_cols, plan.off_vals,
             plan.diag, b, x,
         )
-        for lo, hi, parallel in fused_dispatch(plan):
+        for lo, hi, parallel in self.dispatch(plan):
             (k.psweep if parallel else k.sweep)(*args, lo, hi)
         return x
 
@@ -546,34 +512,30 @@ class ParallelNumbaBackend(ExecutionBackend):
             plan.rows, plan.off_ptr, plan.off_cols, plan.off_vals,
             plan.diag, b_block, x_block,
         )
-        for lo, hi, parallel in fused_dispatch(plan):
+        for lo, hi, parallel in self.dispatch(plan):
             (k.psweep_block if parallel else k.sweep_block)(*args, lo, hi)
         return x_block
 
 
-def solve_rows_ref(
-    plan: ExecutionPlan,
-    row_ids: np.ndarray,
-    b: np.ndarray,
-    x: np.ndarray,
-) -> None:
-    """Reference per-row kernel over plan arrays, for arbitrary row subsets.
+class ParallelNumbaBackend(NumbaBackend):
+    """:class:`NumbaBackend` walking the spans of :func:`fused_dispatch`.
 
-    Used where execution granularity is a (superstep, core) cell rather
-    than a dependency batch — e.g. the thread-based executor, whose
-    workers each own one cell per superstep.  Rows must be given in an
-    order that respects their mutual dependencies (ascending ids forward,
-    descending backward); all other dependencies must already be in ``x``.
+    Each batch of at least :data:`PARALLEL_BATCH_ROWS` rows is one
+    ``prange`` kernel call; each run of consecutive smaller batches is
+    one sequential JIT sweep, so a deep narrow DAG costs a handful of
+    kernel calls instead of one dispatch plus one fork/join per tiny
+    layer.  Results are bitwise identical to ``numba``.  Auto-selection
+    prefers it.
+
+    Examples
+    --------
+    >>> from repro.exec.backends import ParallelNumbaBackend
+    >>> ParallelNumbaBackend().name             # doctest: +SKIP
+    'numba-parallel'
     """
-    plan.require_solvable()
-    rows, pos = plan.rows, plan.pos
-    off_ptr, off_cols = plan.off_ptr, plan.off_cols
-    off_vals, diag = plan.off_vals, plan.diag
-    for i in row_ids:
-        k = pos[i]
-        i = int(i)
-        s0, s1 = off_ptr[k], off_ptr[k + 1]
-        x[i] = (b[i] - np.dot(off_vals[s0:s1], x[off_cols[s0:s1]])) / diag[k]
+
+    name = "numba-parallel"
+    dispatch = staticmethod(fused_dispatch)
 
 
 # ---------------------------------------------------------------------------
@@ -672,8 +634,10 @@ def _instantiate(name: str) -> ExecutionBackend:
     return _INSTANCES[name]
 
 
-#: Auto-selection preference, fastest first (the measured tiering the
-#: bench floors in ``benchmarks/test_exec_plan_bench.py`` enforce).
+#: Auto-selection preference, expected fastest first.  Only
+#: ``numba-parallel`` over ``numba`` is floored (on numba installs, by
+#: ``benchmarks/test_exec_plan_bench.py``); ``numba`` over ``numpy`` is
+#: unmeasured, since no floor compares them.
 _AUTO_ORDER = ("numba-parallel", "numba", "numpy")
 
 
@@ -683,9 +647,9 @@ def get_backend(name: str | None = None) -> ExecutionBackend:
     ``name=None`` auto-selects: the ``REPRO_EXEC_BACKEND`` environment
     variable when set — an unknown name there raises
     :class:`~repro.errors.ConfigurationError` naming the variable — else
-    the fastest available tier, in measured order ``numba-parallel`` >
-    ``numba`` > ``numpy``.  Passing an explicit ``name`` raises
-    :class:`BackendUnavailableError` if that backend cannot run.
+    the first available tier of ``numba-parallel``, ``numba``,
+    ``numpy`` (see :data:`_AUTO_ORDER`).  Passing an explicit ``name``
+    raises :class:`BackendUnavailableError` if that backend cannot run.
 
     Examples
     --------

@@ -5,13 +5,16 @@ of an :class:`~repro.exec.plan.ExecutionPlan`:
 
 * :func:`_sweep` / :func:`_sweep_block` — sequential scalar sweep over a
   *position span* ``[lo, hi)``.  With ``lo=0, hi=n`` this is the whole
-  sequential solve (the ``numba`` backend); with a span covering a fused
-  run of consecutive small batches it is the fused multi-layer kernel of
-  the ``numba-parallel`` backend — a fused run of dependency batches is,
-  by construction, nothing but a sequential sweep over their positions.
+  sequential solve (the ``numba`` backend); with a span covering a run
+  of consecutive small batches (a sequential span of
+  :func:`~repro.exec.backends.fused_dispatch`) it is the fused
+  multi-layer kernel of the ``numba-parallel`` backend — a run of
+  dependency batches is, by construction, nothing but a sequential sweep
+  over their positions.
 * :func:`_psweep` / :func:`_psweep_block` — ``prange`` over the rows of
-  one dependency batch; rows within a batch are mutually independent, so
-  the parallel loop carries no dependencies.
+  one dependency batch (a parallel span of ``fused_dispatch``); rows
+  within a batch are mutually independent, so the parallel loop carries
+  no dependencies.
 
 All four share one scalar accumulation order (sum the off-diagonal
 products, then subtract once), so every kernel in the tier — sequential,

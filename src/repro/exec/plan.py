@@ -33,14 +33,12 @@ simulated machine) are concatenated into ``core_rows`` / ``core_ptr`` so the
 BSP, asynchronous and serial simulators can share one plan-based cost
 kernel.
 
-*Fusion groups.*  Runs of consecutive *small* batches (fewer rows than
-``fuse_threshold``) are grouped once at compile time into ``fused_ptr``:
-the parallel backend executes each such run as a single sequential JIT
-sweep instead of paying one kernel dispatch (and one parallel-region
-fork/join) per tiny dependency layer — the known cliff for deep, narrow
-DAGs.  Fusion is a pure grouping of the existing batch order, so it never
-changes results; a threshold of ``0`` disables it (every batch its own
-group).
+*Dispatch spans.*  The plan carries the schedule's dependency batches
+and nothing about how a backend groups them: each backend derives its
+position spans from ``batch_ptr`` once per plan and keeps them on the
+plan object, never persisted (see
+:func:`~repro.exec.backends.numpy_dispatch` and
+:func:`~repro.exec.backends.fused_dispatch`).
 
 Compiling is a one-time cost per ``(matrix, schedule)`` pair; every
 consumer — repeated triangular solves inside CG/Gauss-Seidel, the machine
@@ -49,19 +47,15 @@ simulators, the experiment runner — reuses the plan.
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-from repro.errors import ConfigurationError, MatrixFormatError, \
-    SingularMatrixError
+from repro.errors import MatrixFormatError, SingularMatrixError
 from repro.matrix.csr import CSRMatrix
 from repro.obs_gate import get_obs, validation_enabled
 from repro.scheduler.schedule import Schedule
 from repro.utils.arrays import segmented_gather
 
-__all__ = ["DEFAULT_FUSE_THRESHOLD", "ExecutionPlan", "compile_count",
-           "compile_plan"]
+__all__ = ["ExecutionPlan", "compile_count", "compile_plan"]
 
 #: Process-wide count of plan lowerings (:func:`compile_plan` bodies
 #: actually executed).  The plan-store warm-start contract is asserted
@@ -85,16 +79,6 @@ def compile_count() -> int:
     1
     """
     return _N_COMPILES
-
-#: Batches with fewer rows than this are fusion candidates: runs of
-#: consecutive small batches execute as one sequential JIT sweep instead
-#: of one parallel kernel dispatch per layer.  Also the parallel
-#: backend's cutoff for going wide on an unfused batch — below it, the
-#: fork/join overhead of a parallel region exceeds the row work.
-DEFAULT_FUSE_THRESHOLD = 64
-
-#: Environment variable overriding the compile-time fusion threshold.
-FUSE_ENV_VAR = "REPRO_FUSE_THRESHOLD"
 
 
 class ExecutionPlan:
@@ -131,14 +115,6 @@ class ExecutionPlan:
     core_rows / core_ptr:
         Per-core program order: core ``p`` executes
         ``core_rows[core_ptr[p]:core_ptr[p+1]]``.
-    fused_ptr:
-        ``int64[n_fused_groups + 1]`` — fusion group ``g`` spans batches
-        ``fused_ptr[g]:fused_ptr[g+1]``; groups longer than one batch are
-        runs of consecutive batches all smaller than ``fuse_threshold``,
-        executed as a single sequential sweep by the parallel backend.
-    fuse_threshold:
-        The row-count threshold ``fused_ptr`` was computed with (``0``
-        when fusion is disabled).
     row_step:
         ``int64[n]`` — superstep per *row id* (all zeros for serial plans).
     singular_row:
@@ -172,30 +148,24 @@ class ExecutionPlan:
         "core_rows",
         "core_ptr",
         "row_step",
-        "fused_ptr",
-        "fuse_threshold",
         "singular_row",
         "_singular_reason",
         "provenance",
-        # derived, per process: the numpy backend's span split
-        # (repro.exec.backends.numpy_dispatch), computed on first use
+        # derived, per process: the backends' span splits
+        # (repro.exec.backends.numpy_dispatch / fused_dispatch),
+        # computed on first use
         "_numpy_spans",
+        "_fused_spans",
     )
 
     def __init__(self, **fields: object) -> None:
-        # direct constructions predating the fusion fields stay valid:
-        # an absent grouping degrades to one group per batch (unfused)
-        if "fused_ptr" not in fields:
-            n_batches = fields["batch_ptr"].size - 1
-            fields["fused_ptr"] = np.arange(n_batches + 1, dtype=np.int64)
-            fields.setdefault("fuse_threshold", 0)
         # where the arrays came from: "compiled" (this process lowered
         # them) or "store" (deserialized from a PlanStore artifact)
         fields.setdefault("provenance", "compiled")
         # never persisted and never taken from ``fields``: a plan rebuilt
         # from another plan's fields (a copy with replaced arrays, a
         # store load) must not inherit a split of different arrays
-        fields["_numpy_spans"] = None
+        fields["_numpy_spans"] = fields["_fused_spans"] = None
         for name in self.__slots__:
             setattr(self, name, fields[name])
 
@@ -226,8 +196,13 @@ class ExecutionPlan:
 
     @property
     def n_fused_groups(self) -> int:
-        """Number of fusion groups (== ``n_batches`` when unfused)."""
-        return int(self.fused_ptr.size) - 1
+        """Number of ``numba-parallel`` spans: one per batch of at least
+        :data:`~repro.exec.backends.PARALLEL_BATCH_ROWS` rows, one per
+        run of smaller batches (see
+        :func:`~repro.exec.backends.fused_dispatch`)."""
+        from repro.exec.backends import fused_dispatch
+
+        return len(fused_dispatch(self))
 
     @property
     def nnz_off(self) -> int:
@@ -313,55 +288,12 @@ def _levelize(
     return level
 
 
-def _group_runs(small: np.ndarray) -> np.ndarray:
-    """Group pointer over batches: each maximal run of consecutive
-    ``small`` batches is one group, every other batch its own group.
-
-    A batch boundary survives unless *both* adjacent batches are small.
-    """
-    n_batches = small.size
-    if n_batches == 0:
-        return np.zeros(1, dtype=np.int64)
-    keep = ~(small[1:] & small[:-1])
-    return np.concatenate(
-        ([0], np.flatnonzero(keep) + 1, [n_batches])
-    ).astype(np.int64)
-
-
-def _fuse_batches(batch_ptr: np.ndarray, threshold: int) -> np.ndarray:
-    """Group runs of consecutive small batches into ``fused_ptr``.
-
-    Batches with fewer than ``threshold`` rows are small, so large
-    batches are always their own group (they go to the parallel kernel)
-    and maximal runs of small batches collapse into one group (one
-    sequential sweep).  ``threshold <= 0`` keeps every boundary
-    (unfused).
-    """
-    return _group_runs(np.diff(batch_ptr) < threshold)
-
-
-def _resolve_fuse_threshold(fuse_threshold: int | None) -> int:
-    """The effective fusion threshold: argument, env var, or default."""
-    if fuse_threshold is not None:
-        return max(int(fuse_threshold), 0)
-    env = os.environ.get(FUSE_ENV_VAR)
-    if env:
-        try:
-            return max(int(env), 0)
-        except ValueError:
-            raise ConfigurationError(
-                f"{FUSE_ENV_VAR}={env!r} is not an integer"
-            ) from None
-    return DEFAULT_FUSE_THRESHOLD
-
-
 def compile_plan(
     matrix: CSRMatrix,
     schedule: Schedule | None = None,
     *,
     direction: str = "forward",
     check_diagonal: bool = True,
-    fuse_threshold: int | None = None,
     validate: bool | None = None,
 ) -> ExecutionPlan:
     """Lower ``(matrix, schedule)`` into an :class:`ExecutionPlan`.
@@ -384,12 +316,6 @@ def compile_plan(
         :class:`~repro.errors.SingularMatrixError` here, at compile time.
         The machine simulators pass ``False`` — cost models only need the
         structure.
-    fuse_threshold:
-        Row-count threshold below which consecutive batches are fused
-        into one sequential sweep group (see ``fused_ptr``).  ``None``
-        (the default) reads ``REPRO_FUSE_THRESHOLD`` from the
-        environment, falling back to :data:`DEFAULT_FUSE_THRESHOLD`;
-        ``0`` disables fusion.
     validate:
         Run the static verifier (:func:`repro.analysis.verify_plan`)
         on the compiled plan, raising
@@ -419,7 +345,7 @@ def compile_plan(
         return _compile_plan_impl(
             matrix, schedule,
             direction=direction, check_diagonal=check_diagonal,
-            fuse_threshold=fuse_threshold, validate=validate,
+            validate=validate,
         )
     # gate on: wrap lowering in a span and record compile seconds (the
     # clock runs behind the facade, so the disabled path reads no clock
@@ -429,7 +355,7 @@ def compile_plan(
         plan = _compile_plan_impl(
             matrix, schedule,
             direction=direction, check_diagonal=check_diagonal,
-            fuse_threshold=fuse_threshold, validate=validate,
+            validate=validate,
         )
         obs.get_registry().histogram(
             "exec.compile_seconds"
@@ -444,7 +370,6 @@ def _compile_plan_impl(
     *,
     direction: str = "forward",
     check_diagonal: bool = True,
-    fuse_threshold: int | None = None,
     validate: bool | None = None,
 ) -> ExecutionPlan:
     """Instrumentation-free body of :func:`compile_plan`."""
@@ -546,16 +471,12 @@ def _compile_plan_impl(
             else np.arange(n - 1, -1, -1, dtype=np.int64)
         )
 
-    threshold = _resolve_fuse_threshold(fuse_threshold)
-
     plan = ExecutionPlan(
         matrix=matrix,
         schedule=schedule,
         direction=direction,
         rows=rows,
         batch_ptr=batch_ptr,
-        fused_ptr=_fuse_batches(batch_ptr, threshold),
-        fuse_threshold=threshold,
         batch_step=batch_step,
         off_ptr=off_ptr,
         off_cols=off_cols,

@@ -15,8 +15,8 @@ amortize the lowering across repeated solves with the same matrix (CG,
 Gauss-Seidel, SpTRSM).
 
 :func:`solve_rows` remains as the seed's reference per-row kernel; the
-schedule-verification path and the thread-based executor's cell kernels
-are specified against it.
+schedule-verification path is specified against it, and the thread-based
+executor runs it for each (superstep, core) cell.
 """
 
 from __future__ import annotations

@@ -7,14 +7,13 @@ synchronization structure of the schedule — including the property that
 cross-core dependencies are only read after a barrier — so it serves as a
 functional/structural test of schedules on a real concurrency substrate.
 
-The per-cell work unit consumes a precompiled
-:class:`~repro.exec.plan.ExecutionPlan` (contiguous gather arrays,
-compile-time-validated diagonals) via
-:func:`repro.exec.backends.solve_rows_ref` instead of re-walking CSR rows;
-the thread/barrier scaffolding is the only part that lives here.
+Each (superstep, core) cell runs the reference per-row kernel
+:func:`repro.solver.sptrsv.solve_rows` over the CSR matrix; the
+thread/barrier scaffolding is the only part that lives here.
 
-Worker exceptions are captured and re-raised in the caller; the barrier is
-broken on error so no thread deadlocks.
+Worker exceptions (e.g. a :class:`~repro.errors.SingularMatrixError` from
+a missing or zero diagonal) are captured and re-raised in the caller; the
+barrier is broken on error so no thread deadlocks.
 """
 
 from __future__ import annotations
@@ -24,10 +23,9 @@ import threading
 import numpy as np
 
 from repro.errors import MatrixFormatError
-from repro.exec import ExecutionPlan, compile_plan
-from repro.exec.backends import solve_rows_ref
 from repro.matrix.csr import CSRMatrix
 from repro.scheduler.schedule import Schedule
+from repro.solver.sptrsv import solve_rows
 
 __all__ = ["threaded_sptrsv"]
 
@@ -36,8 +34,6 @@ def threaded_sptrsv(
     lower: CSRMatrix,
     b: np.ndarray,
     schedule: Schedule,
-    *,
-    plan: ExecutionPlan | None = None,
 ) -> np.ndarray:
     """Solve ``L x = b`` with one thread per core of the schedule.
 
@@ -59,11 +55,6 @@ def threaded_sptrsv(
         raise MatrixFormatError("right-hand side has wrong length")
     if schedule.n != lower.n:
         raise MatrixFormatError("schedule size does not match the matrix")
-    if plan is None:
-        plan = compile_plan(lower, schedule)
-    else:
-        plan.require_compatible(lower.n, "forward")
-    plan.require_solvable()
 
     n_cores = schedule.n_cores
     lists = schedule.execution_lists()  # [superstep][core] -> rows
@@ -77,7 +68,7 @@ def threaded_sptrsv(
             for step_cells in lists:
                 rows = step_cells[core]
                 if rows.size:
-                    solve_rows_ref(plan, rows, b, x)
+                    solve_rows(lower, b, x, rows)
                 barrier.wait()
         except BaseException as exc:  # noqa: BLE001 - propagate to caller
             with errors_lock:

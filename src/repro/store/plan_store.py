@@ -12,10 +12,10 @@ Format (version :data:`PLAN_STORE_VERSION`)
 -------------------------------------------
 One artifact is two sibling files under the store directory:
 
-* ``<stem>.npz`` — the plan's twelve flat arrays (batch layout, gather
-  structure, diagonal, permutations, core program order, fusion
-  groups), written uncompressed so members are plain ``.npy``
-  payloads (nothing is pickled and loads pass ``allow_pickle=False``);
+* ``<stem>.npz`` — the plan's eleven flat arrays (batch layout, gather
+  structure, diagonal, permutations, core program order), written
+  uncompressed so members are plain ``.npy`` payloads (nothing is
+  pickled and loads pass ``allow_pickle=False``);
 * ``<stem>.json`` — the sidecar: format version, the exact lookup key,
   sweep direction, the matrix fingerprint, the schedule identity
   (content hash of the superstep/core assignment), the toolchain
@@ -24,8 +24,9 @@ One artifact is two sibling files under the store directory:
   *and* the sidecar scalars.
 
 The store is keyed **exactly** — ``(matrix_fingerprint, scheduler,
-cores, fuse_threshold, dtype)``, see :class:`PlanKey` — and the stem
-embeds a hash of the full key, so lookup is a single ``stat``.
+cores, dtype)``, see :class:`PlanKey` — and the stem embeds a hash of
+the full key, so lookup is a single ``stat``.  Backend dispatch spans
+are derived from the loaded batches, never stored.
 
 Integrity gate
 --------------
@@ -93,7 +94,7 @@ __all__ = [
 
 #: Format version of plan-store artifacts; bump on incompatible layout
 #: changes.  A mismatch is a named rejection, never a reinterpretation.
-PLAN_STORE_VERSION = 1
+PLAN_STORE_VERSION = 2
 
 #: Environment variable pointing the disk tier of every
 #: :class:`~repro.exec.PlanCache` at a store directory.
@@ -107,8 +108,8 @@ PLAN_STORE_MAX_BYTES_ENV_VAR = "REPRO_PLAN_STORE_MAX_BYTES"
 META_FILE = "plan-store.json"
 
 #: The ndarray fields of an :class:`ExecutionPlan`, in canonical hash
-#: and serialization order.  Scalars (direction, fuse threshold,
-#: singularity) travel in the sidecar.
+#: and serialization order.  Scalars (direction, singularity) travel in
+#: the sidecar.
 ARRAY_FIELDS = (
     "rows",
     "batch_ptr",
@@ -121,7 +122,6 @@ ARRAY_FIELDS = (
     "core_rows",
     "core_ptr",
     "row_step",
-    "fused_ptr",
 )
 
 _STEM_UNSAFE = re.compile(r"[^A-Za-z0-9._-]")
@@ -192,7 +192,6 @@ class PlanKey:
     matrix_fingerprint: str
     scheduler: str
     cores: int
-    fuse_threshold: int
     dtype: str = "float64"
 
     def as_dict(self) -> dict:
@@ -200,7 +199,6 @@ class PlanKey:
             "matrix_fingerprint": self.matrix_fingerprint,
             "scheduler": self.scheduler,
             "cores": int(self.cores),
-            "fuse_threshold": int(self.fuse_threshold),
             "dtype": self.dtype,
         }
 
@@ -214,7 +212,7 @@ class PlanKey:
         return (
             f"plan-{_sanitize(self.matrix_fingerprint)}"
             f"-{_sanitize(self.scheduler)}-c{int(self.cores)}"
-            f"-f{int(self.fuse_threshold)}-{_sanitize(self.dtype)}"
+            f"-{_sanitize(self.dtype)}"
             f"-{digest}"
         )
 
@@ -224,7 +222,6 @@ def plan_store_key(
     schedule=None,
     *,
     scheduler: str | None = None,
-    fuse_threshold: int | None = None,
     dtype: str = "float64",
     direction: str = "forward",
 ) -> PlanKey:
@@ -232,17 +229,12 @@ def plan_store_key(
     call's plan is stored under.
 
     ``scheduler`` defaults to the schedule's content identity
-    (``"__serial__"`` for serial plans); ``fuse_threshold=None``
-    resolves exactly like :func:`~repro.exec.plan.compile_plan` does
-    (``REPRO_FUSE_THRESHOLD``, then the default), so the key always
-    names the plan that call would produce.  A non-forward sweep is
-    folded into the scheduler label — direction changes the lowering,
-    so it must change the key.
+    (``"__serial__"`` for serial plans).  A non-forward sweep is folded
+    into the scheduler label — direction changes the lowering, so it
+    must change the key.
     """
-    # deferred imports: the tuner layer (fingerprints) sits above this
-    # store module in some import chains, and the threshold resolver is
-    # the compiler's own
-    from repro.exec.plan import _resolve_fuse_threshold
+    # deferred import: the tuner layer (fingerprints) sits above this
+    # store module in some import chains
     from repro.tuner.auto import matrix_fingerprint
 
     label = scheduler if scheduler is not None else schedule_identity(schedule)
@@ -252,7 +244,6 @@ def plan_store_key(
         matrix_fingerprint=matrix_fingerprint(matrix),
         scheduler=str(label),
         cores=int(schedule.n_cores) if schedule is not None else 1,
-        fuse_threshold=_resolve_fuse_threshold(fuse_threshold),
         dtype=str(dtype),
     )
 
@@ -412,7 +403,6 @@ class PlanStore:
             "key": key.as_dict(),
             "direction": plan.direction,
             "n": plan.n,
-            "fuse_threshold": int(plan.fuse_threshold),
             "singular_row": int(plan.singular_row),
             "singular_reason": plan._singular_reason,
             "schedule_identity": schedule_identity(plan.schedule),
@@ -432,14 +422,12 @@ class PlanStore:
         commit record, so readers never observe a half-written
         artifact as present.
         """
-        if key.cores != plan.n_cores or key.fuse_threshold != int(
-            plan.fuse_threshold
-        ) or key.dtype != str(plan.off_vals.dtype):
+        if key.cores != plan.n_cores or key.dtype != str(
+            plan.off_vals.dtype
+        ):
             raise ConfigurationError(
                 f"plan key {key} does not describe this plan "
-                f"(cores={plan.n_cores}, "
-                f"fuse_threshold={plan.fuse_threshold}, "
-                f"dtype={plan.off_vals.dtype})"
+                f"(cores={plan.n_cores}, dtype={plan.off_vals.dtype})"
             )
         npz_path, sidecar_path, lock_path = self._paths(key)
         if os.path.exists(sidecar_path):
@@ -517,6 +505,16 @@ class PlanStore:
             )
         return sidecar
 
+    @staticmethod
+    def _check_version(sidecar: dict, sidecar_path: str) -> None:
+        version = sidecar.get("format_version")
+        if version != PLAN_STORE_VERSION:
+            raise PlanArtifactVersionError(
+                f"plan artifact {sidecar_path!s} has format version "
+                f"{version!r}; this build reads version "
+                f"{PLAN_STORE_VERSION}"
+            )
+
     def load(
         self,
         key: PlanKey,
@@ -528,7 +526,7 @@ class PlanStore:
         ``key``.
 
         Every gate is mandatory and ordered: format version, exact key
-        match (fingerprint/scheduler/cores/threshold/dtype), schedule
+        match (fingerprint/scheduler/cores/dtype), schedule
         identity against a caller-supplied ``schedule``, toolchain
         digest, content hash over arrays *and* sidecar scalars — and
         finally the static verifier
@@ -548,13 +546,7 @@ class PlanStore:
             )
         with _obs_span("plan_store.load", key=key.stem()):
             sidecar = self._read_sidecar(sidecar_path)
-            version = sidecar.get("format_version")
-            if version != PLAN_STORE_VERSION:
-                raise PlanArtifactVersionError(
-                    f"plan artifact {sidecar_path!s} has format version "
-                    f"{version!r}; this build reads version "
-                    f"{PLAN_STORE_VERSION}"
-                )
+            self._check_version(sidecar, sidecar_path)
             stored_key = sidecar.get("key")
             if stored_key != key.as_dict():
                 raise PlanArtifactStaleError(
@@ -606,7 +598,7 @@ class PlanStore:
                 name: sidecar.get(name)
                 for name in (
                     "format_version", "key", "direction", "n",
-                    "fuse_threshold", "singular_row", "singular_reason",
+                    "singular_row", "singular_reason",
                     "schedule_identity", "toolchain",
                 )
             }
@@ -622,7 +614,6 @@ class PlanStore:
                 matrix=matrix,
                 schedule=schedule,
                 direction=str(sidecar["direction"]),
-                fuse_threshold=int(sidecar["fuse_threshold"]),
                 singular_row=int(sidecar["singular_row"]),
                 _singular_reason=str(sidecar["singular_reason"]),
                 provenance="store",
@@ -733,6 +724,8 @@ class PlanStore:
             stem = entry["stem"]
             try:
                 sidecar = self._read_sidecar(entry["sidecar"])
+                # before the key: an older format's key has other fields
+                self._check_version(sidecar, entry["sidecar"])
                 stored = sidecar.get("key")
                 if not isinstance(stored, dict):
                     raise PlanArtifactCorruptError(

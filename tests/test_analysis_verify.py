@@ -75,11 +75,6 @@ class TestCleanPlans:
         plan = compile_plan(upper, direction="backward")
         assert verify_plan(plan, matrix=upper).ok
 
-    def test_unfused_plan_verifies(self):
-        lower = narrow_band_lower(90, 0.3, 5.0, seed=6)
-        plan = compile_plan(lower, fuse_threshold=0)
-        assert verify_plan(plan, matrix=lower).ok
-
     def test_cost_model_plan_needs_require_solvable_false(self):
         # check_diagonal=False plans may legally carry zero diagonals
         lower = narrow_band_lower(40, 0.3, 4.0, seed=7)
@@ -157,13 +152,6 @@ class TestCorruptedPlanCorpus:
         cols[0] = -1
         self.assert_exactly(clone_plan(plan, off_cols=cols),
                             "gather-bounds")
-
-    def test_overlapping_fused_ptr(self, compiled):
-        _, _, plan = compiled
-        assert plan.n_batches >= 2
-        fused = np.array([0, 1, 1, plan.n_batches], dtype=np.int64)
-        self.assert_exactly(clone_plan(plan, fused_ptr=fused),
-                            "fusion-grouping")
 
     def test_dropped_diagonal(self, compiled):
         _, _, plan = compiled
@@ -364,9 +352,10 @@ class TestReportShapes:
 
     def test_invariant_catalogue_complete(self):
         # every id the verifier can emit is documented
+        assert len(INVARIANTS) == 10
         assert set(INVARIANTS) == {
             "dtype-contract", "batch-pointer", "row-coverage",
             "batch-order", "gather-pointer", "gather-bounds",
-            "dependency-safety", "diagonal-coverage", "fusion-grouping",
-            "core-coverage", "source-consistency",
+            "dependency-safety", "diagonal-coverage", "core-coverage",
+            "source-consistency",
         }

@@ -493,7 +493,8 @@ def test_check_plan_builtin_corpus(capsys):
     assert main(["check", "plan", "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["ok"] is True
-    assert payload["n_plans"] >= 8
+    assert payload["n_plans"] == 7
+    assert len(payload["invariants"]) == 10
     names = {p["plan"] for p in payload["plans"]}
     assert any("backward" in n for n in names)
     assert set(payload["invariants"]) >= {

@@ -25,7 +25,7 @@ from repro.exec import (
     list_backends,
     register_backend,
 )
-from repro.exec.backends import NumpyBackend, solve_rows_ref
+from repro.exec.backends import NumpyBackend
 from repro.graph.dag import DAG
 from repro.matrix.csr import CSRMatrix
 from repro.solver.sptrsv import (
@@ -206,7 +206,6 @@ class TestEdgeCases:
             scheduled_sptrsm,
         )
         from repro.solver.scheduled import scheduled_sptrsv
-        from repro.solver.threaded import threaded_sptrsv
 
         m = CSRMatrix.identity(4)
         wrong = compile_plan(CSRMatrix.identity(5))
@@ -218,8 +217,6 @@ class TestEdgeCases:
             forward_substitution(m, b, plan=wrong)
         with pytest.raises(MatrixFormatError):
             scheduled_sptrsv(m, b, schedule, plan=wrong)
-        with pytest.raises(MatrixFormatError):
-            threaded_sptrsv(m, b, schedule, plan=wrong)
         with pytest.raises(MatrixFormatError):
             forward_sptrsm(m, np.ones((4, 2)), plan=wrong)
         with pytest.raises(MatrixFormatError):
@@ -385,16 +382,6 @@ class TestBlockAndCellKernels:
                 X[:, c], forward_substitution(small_er_lower, B[:, c]),
                 rtol=1e-10,
             )
-
-    def test_solve_rows_ref_matches_solve_rows(self, small_er_lower):
-        b = np.ones(small_er_lower.n)
-        plan = compile_plan(small_er_lower)
-        x_ref = _legacy_forward(small_er_lower, b)
-        x = np.zeros(small_er_lower.n)
-        solve_rows_ref(
-            plan, np.arange(small_er_lower.n, dtype=np.int64), b, x
-        )
-        np.testing.assert_allclose(x, x_ref, rtol=1e-12)
 
 
 class TestDiagPositions:

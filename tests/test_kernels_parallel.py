@@ -7,13 +7,16 @@ The tier's contracts, in the order the module tests them:
   run interpreted here, so the kernel *logic* is verified even where
   numba is absent;
 * within the tier, parallel/fused/block variants are **bitwise**
-  identical to the sequential sweep (shared scalar accumulation order);
-  vs NumpyBackend the contract is tight ``allclose`` — NumPy 2.x
-  pairwise/SIMD summation follows an architecture-dependent reduction
-  order scalar code cannot portably replicate;
-* fusion grouping (``fused_ptr``) and the parallel backend's dispatch
-  policy are pure plan arithmetic, tested exhaustively on crafted batch
-  layouts;
+  identical to the sequential sweep (shared scalar accumulation order):
+  the ``prange`` kernels run over explicit spans, every batch its own
+  span, against one whole-plan sequential span; vs NumpyBackend the
+  contract is tight ``allclose`` — NumPy 2.x pairwise/SIMD summation
+  follows an architecture-dependent reduction order scalar code cannot
+  portably replicate;
+* the parallel backend's dispatch policy (``fused_dispatch``) is pure
+  plan arithmetic, derived once per plan and never carried over into a
+  rebuilt or store-loaded plan; it is tested on crafted batch layouts
+  and against an independent loop over the batches;
 * the numpy backend's split into scalar and vectorized spans is pure
   plan arithmetic too; its solves match the scipy oracle, its block
   columns are bitwise equal to single-RHS solves, and the split is
@@ -24,8 +27,9 @@ The tier's contracts, in the order the module tests them:
   layers (stats attribution);
 * with numba installed, the JIT tier itself is exercised over irregular
   plans — trailing zero-nnz rows, single-batch plans, all-small-batch
-  chains that fuse end-to-end, and k=1 blocks — plus the persistent
-  artifact cache's two-process zero-recompile warm start.
+  chains that fuse end-to-end, wide layers that take ``prange`` spans,
+  and k=1 blocks — plus the persistent artifact cache's two-process
+  zero-recompile warm start.
 """
 
 from __future__ import annotations
@@ -37,24 +41,23 @@ import subprocess
 import sys
 import threading
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given
 from scipy.sparse.linalg import spsolve_triangular
 
 from repro.errors import BackendUnavailableError, ConfigurationError
-from repro.exec import (
-    DEFAULT_FUSE_THRESHOLD,
-    compile_plan,
-    get_backend,
-    register_backend,
-)
+from repro.exec import compile_plan, get_backend, register_backend
 from repro.exec import backends as backends_mod
 from repro.exec.backends import (
     BACKEND_ENV_VAR,
+    PARALLEL_BATCH_ROWS,
     SCALAR_BATCH_WORK,
     NumpyBackend,
+    _group_runs,
     fused_dispatch,
     numpy_dispatch,
 )
@@ -66,9 +69,10 @@ from repro.exec.kernels_numba import (
     _sweep_block,
     jit_cache_dir,
     jit_cache_key,
+    jit_kernels,
     warm_kernels,
 )
-from repro.exec.plan import FUSE_ENV_VAR, ExecutionPlan, _fuse_batches
+from repro.exec.plan import ExecutionPlan
 from repro.experiments.bench import make_deep_narrow, make_wide_shallow
 from repro.graph.dag import DAG
 from repro.matrix.csr import CSRMatrix
@@ -115,6 +119,8 @@ def irregular_matrices() -> list[tuple[str, CSRMatrix]]:
         ("all-small-chain", _lower(40, *chain_n(40), seed=2)),
         ("two-wide-layers", _lower(60, *wide_two(60), seed=3)),
         ("mixed-wide-then-chain", _lower(50, *mixed(50), seed=4)),
+        ("wide-layers-then-chain",
+         wide_then_chain(levels=2, width=80, chain=30, seed=5)),
     ]
 
 
@@ -144,26 +150,60 @@ def mixed(n):
     )
 
 
-def _pure_solve(plan, b, threshold_dispatch=True):
-    """Run the pure-Python kernel sources over the plan's dispatch spans."""
+def wide_then_chain(*, levels=4, width=100, chain=40, seed=0):
+    """``make_wide_shallow`` layers feeding a chain of one-row batches:
+    batches of at least and under ``PARALLEL_BATCH_ROWS`` rows, so
+    ``fused_dispatch`` has spans of both kinds."""
+    wide = make_wide_shallow(levels=levels, width=width, seed=seed)
+    tail = _lower(chain, *chain_n(chain), seed=seed).to_scipy()
+    link = sp.coo_matrix(
+        ([0.5], ([0], [wide.n - 1])), shape=(chain, wide.n)
+    )
+    return CSRMatrix.from_scipy(
+        sp.bmat([[wide.to_scipy(), None], [link, tail]]).tocsr()
+    )
+
+
+def batch_spans(plan):
+    """Every batch its own ``prange`` span."""
+    bounds = plan.batch_ptr.tolist()
+    return [(lo, hi, True)
+            for lo, hi in zip(bounds[:-1], bounds[1:], strict=True)]
+
+
+def whole_plan_span(plan):
+    """One sequential span over the whole plan (the ``numba`` policy)."""
+    return [(0, plan.n, False)]
+
+
+#: The kernel sources, run interpreted (``jit_kernels()`` wraps them).
+PURE_KERNELS = SimpleNamespace(
+    sweep=_sweep, sweep_block=_sweep_block,
+    psweep=_psweep, psweep_block=_psweep_block,
+)
+
+
+def _pure_solve(plan, b, spans, kernels=PURE_KERNELS):
+    """Run ``kernels`` (by default the interpreted sources) over explicit
+    ``(lo, hi, parallel)`` spans."""
     b = np.asarray(b, dtype=np.float64)
-    block = b.ndim == 2
     x = np.zeros(b.shape)
     args = (
         plan.rows, plan.off_ptr, plan.off_cols, plan.off_vals, plan.diag,
         b, x,
     )
-    spans = (
-        fused_dispatch(plan)
-        if threshold_dispatch
-        else [(0, plan.n, False)]
-    )
+    if b.ndim == 2:
+        seq, par = kernels.sweep_block, kernels.psweep_block
+    else:
+        seq, par = kernels.sweep, kernels.psweep
     for lo, hi, parallel in spans:
-        if block:
-            (_psweep_block if parallel else _sweep_block)(*args, lo, hi)
-        else:
-            (_psweep if parallel else _sweep)(*args, lo, hi)
+        (par if parallel else seq)(*args, lo, hi)
     return x
+
+
+#: The span policies the pure-kernel tests drive: every batch a prange
+#: span, one whole-plan sequential span, and the parallel backend's own.
+SPAN_POLICIES = (batch_spans, whole_plan_span, fused_dispatch)
 
 
 # ---------------------------------------------------------------------------
@@ -177,11 +217,12 @@ class TestPureKernels:
     def test_matches_numpy_backend_on_irregular_plans(self, name, matrix):
         rng = np.random.default_rng(5)
         b = rng.standard_normal(matrix.n)
-        for threshold in (0, 4, DEFAULT_FUSE_THRESHOLD):
-            plan = compile_plan(matrix, fuse_threshold=threshold)
-            x = _pure_solve(plan, b)
+        plan = compile_plan(matrix)
+        expected = NumpyBackend().solve(plan, b)
+        for spans in SPAN_POLICIES:
             np.testing.assert_allclose(
-                x, NumpyBackend().solve(plan, b), rtol=1e-12, atol=1e-13
+                _pure_solve(plan, b, spans(plan)), expected,
+                rtol=1e-12, atol=1e-13, err_msg=spans.__name__,
             )
 
     @pytest.mark.parametrize("k", [1, 3])
@@ -189,115 +230,180 @@ class TestPureKernels:
         for name, matrix in irregular_matrices():
             rng = np.random.default_rng(6)
             b_block = rng.standard_normal((matrix.n, k))
-            plan = compile_plan(matrix, fuse_threshold=4)
-            x_block = _pure_solve(plan, b_block)
-            for c in range(k):
-                np.testing.assert_array_equal(
-                    x_block[:, c],
-                    _pure_solve(plan, b_block[:, c]),
-                    err_msg=f"{name}: block column {c} != single RHS",
-                )
+            plan = compile_plan(matrix)
+            for spans in SPAN_POLICIES:
+                x_block = _pure_solve(plan, b_block, spans(plan))
+                for c in range(k):
+                    np.testing.assert_array_equal(
+                        x_block[:, c],
+                        _pure_solve(plan, b_block[:, c], spans(plan)),
+                        err_msg=f"{name} {spans.__name__}: block column "
+                                f"{c} != single RHS",
+                    )
 
     def test_parallel_sweep_bitwise_equals_sequential(self):
         for name, matrix in irregular_matrices():
             rng = np.random.default_rng(7)
             b = rng.standard_normal(matrix.n)
-            plan = compile_plan(matrix, fuse_threshold=0)
+            plan = compile_plan(matrix)
             np.testing.assert_array_equal(
-                _pure_solve(plan, b),
-                _pure_solve(plan, b, threshold_dispatch=False),
+                _pure_solve(plan, b, batch_spans(plan)),
+                _pure_solve(plan, b, whole_plan_span(plan)),
                 err_msg=f"{name}: prange sweep diverged from sequential",
             )
 
     @given(lower_triangular_matrices(max_n=40))
     def test_matches_numpy_backend_property(self, matrix):
         b = np.linspace(-1.0, 1.0, matrix.n)
-        plan = compile_plan(matrix, fuse_threshold=4)
-        np.testing.assert_allclose(
-            _pure_solve(plan, b),
-            NumpyBackend().solve(plan, b),
-            rtol=1e-9,
-            atol=1e-12,
-        )
+        plan = compile_plan(matrix)
+        for spans in (batch_spans, whole_plan_span):
+            np.testing.assert_allclose(
+                _pure_solve(plan, b, spans(plan)),
+                NumpyBackend().solve(plan, b),
+                rtol=1e-9,
+                atol=1e-12,
+            )
 
 
 # ---------------------------------------------------------------------------
-# fusion grouping + dispatch policy (pure plan arithmetic)
+# the parallel backend's dispatch policy (pure plan arithmetic)
 # ---------------------------------------------------------------------------
+def _grouping_by_loop(plan, threshold=64):
+    """The compile-time grouping plans used to persist, at its default
+    threshold of 64 rows, by a plain loop over the batches: a batch
+    joins the previous group when both have fewer than ``threshold``
+    rows; a group is parallel when it is one batch of at least
+    ``threshold`` rows."""
+    sizes = np.diff(plan.batch_ptr).tolist()
+    groups = []
+    for t, size in enumerate(sizes):
+        if t and size < threshold and sizes[t - 1] < threshold:
+            groups[-1][1] = t + 1
+        else:
+            groups.append([t, t + 1])
+    ptr = plan.batch_ptr.tolist()
+    return tuple(
+        (ptr[b0], ptr[b1], b1 - b0 == 1 and ptr[b1] - ptr[b0] >= threshold)
+        for b0, b1 in groups
+    )
+
+
+def _dispatch_plans():
+    """Plans with batches both at least and under 64 rows, plus the
+    irregular corpus, a scheduled plan and a backward plan."""
+    lower = narrow_band_lower(600, 0.25, 6.0, seed=1)
+    schedule = GrowLocalScheduler().schedule(
+        DAG.from_lower_triangular(lower), 4
+    )
+    cases = [
+        ("wide-then-chain", wide_then_chain()),
+        ("wide-shallow", make_wide_shallow(levels=4, width=100, seed=2)),
+        ("deep-narrow", make_deep_narrow(n=300, seed=3)),
+        *irregular_matrices(),
+    ]
+    return [
+        *((name, compile_plan(matrix)) for name, matrix in cases),
+        ("growlocal", compile_plan(lower, schedule)),
+        ("backward", compile_plan(lower.transpose(), direction="backward")),
+    ]
+
+
 class TestFusion:
-    def test_fuse_batches_keeps_boundaries_next_to_large_batches(self):
+    def test_runs_keep_boundaries_next_to_large_batches(self):
         batch_ptr = np.array([0, 100, 101, 102, 200], dtype=np.int64)
-        # sizes 100,1,1,98 with threshold 64: only the boundary between
-        # the two singleton batches dissolves
-        np.testing.assert_array_equal(
-            _fuse_batches(batch_ptr, 64), [0, 1, 3, 4]
-        )
-
-    def test_threshold_zero_is_unfused(self):
-        batch_ptr = np.array([0, 1, 2, 3], dtype=np.int64)
-        np.testing.assert_array_equal(
-            _fuse_batches(batch_ptr, 0), [0, 1, 2, 3]
-        )
+        # sizes 100,1,1,98 under 64 rows: only the boundary between the
+        # two singleton batches dissolves
+        assert _group_runs(
+            batch_ptr, np.diff(batch_ptr) < PARALLEL_BATCH_ROWS
+        ) == ((0, 100, False), (100, 102, True), (102, 200, False))
 
     def test_empty_plan(self):
-        np.testing.assert_array_equal(
-            _fuse_batches(np.zeros(1, dtype=np.int64), 64), [0]
-        )
+        assert _group_runs(
+            np.zeros(1, dtype=np.int64), np.zeros(0, dtype=bool)
+        ) == ()
+        empty = np.zeros(0, dtype=np.int64)
+        plan = compile_plan(CSRMatrix.from_coo(0, empty, empty, np.zeros(0)))
+        assert fused_dispatch(plan) == ()
+        assert plan.n_fused_groups == 0
 
     def test_chain_fuses_end_to_end(self):
         plan = compile_plan(_lower(40, *chain_n(40)))
         assert plan.n_batches == 40
         assert plan.n_fused_groups == 1
-        assert plan.fuse_threshold == DEFAULT_FUSE_THRESHOLD
-
-    def test_env_var_overrides_threshold(self, monkeypatch):
-        matrix = _lower(40, *chain_n(40))
-        monkeypatch.setenv(FUSE_ENV_VAR, "0")
-        assert compile_plan(matrix).n_fused_groups == 40
-        monkeypatch.setenv(FUSE_ENV_VAR, "not-a-number")
-        with pytest.raises(ConfigurationError):
-            compile_plan(matrix)
-
-    def test_explicit_threshold_beats_env(self, monkeypatch):
-        matrix = _lower(40, *chain_n(40))
-        monkeypatch.setenv(FUSE_ENV_VAR, "0")
-        assert compile_plan(matrix, fuse_threshold=64).n_fused_groups == 1
+        assert fused_dispatch(plan) == ((0, 40, False),)
 
     def test_dispatch_spans_tile_all_positions(self):
-        for name, matrix in irregular_matrices():
-            plan = compile_plan(matrix, fuse_threshold=4)
+        for name, plan in _dispatch_plans():
             spans = fused_dispatch(plan)
             assert spans[0][0] == 0 and spans[-1][1] == plan.n, name
-            for (_, hi, _p), (lo, _, _q) in zip(spans, spans[1:], strict=False):
+            for (_, hi, _p), (lo, _, _q) in zip(spans, spans[1:],
+                                                 strict=False):
                 assert hi == lo, name
+            starts = set(plan.batch_ptr.tolist())
+            assert all(lo in starts and hi in starts
+                       for lo, hi, _ in spans), name
 
     def test_dispatch_parallel_only_for_large_single_batches(self):
-        plan = compile_plan(_lower(50, *mixed(50)), fuse_threshold=8)
-        batch_sizes = np.diff(plan.batch_ptr)
-        assert batch_sizes.max() >= 8 > batch_sizes.min()
+        plan = compile_plan(wide_then_chain())
+        sizes = np.diff(plan.batch_ptr)
+        assert sizes.max() >= PARALLEL_BATCH_ROWS > sizes.min()
         spans = fused_dispatch(plan)
-        assert any(parallel for _, _, parallel in spans)
+        assert {parallel for _, _, parallel in spans} == {True, False}
+        starts = plan.batch_ptr.tolist()
+        for (_, _, left), (_, _, right) in zip(spans, spans[1:],
+                                               strict=False):
+            assert left or right, "sequential runs must be maximal"
         for lo, hi, parallel in spans:
-            if parallel:
-                assert hi - lo >= plan.fuse_threshold
-        # every parallel span is exactly one batch
-        starts = set(plan.batch_ptr.tolist())
-        for lo, hi, parallel in spans:
-            if parallel:
-                assert lo in starts and hi in starts
+            t0, t1 = starts.index(lo), starts.index(hi)
+            if parallel:  # exactly one batch, worth a fork/join
+                assert t1 == t0 + 1 and hi - lo >= PARALLEL_BATCH_ROWS
+            else:
+                assert (sizes[t0:t1] < PARALLEL_BATCH_ROWS).all()
 
-    def test_direct_plan_construction_defaults_unfused(self):
-        # plans built field-by-field (older callers, tests) degrade to
-        # one group per batch instead of failing
-        plan = compile_plan(_lower(10, *chain_n(10)))
-        fields = {
-            name: getattr(plan, name)
-            for name in plan.__slots__
-            if name not in ("fused_ptr", "fuse_threshold")
-        }
+    def test_spans_equal_the_former_compile_time_grouping(self):
+        assert PARALLEL_BATCH_ROWS == 64  # that grouping's default
+        for name, plan in _dispatch_plans():
+            assert fused_dispatch(plan) == _grouping_by_loop(plan), name
+            assert plan.n_fused_groups == len(fused_dispatch(plan)), name
+
+    def test_spans_are_computed_once_per_plan(self):
+        plan = compile_plan(wide_then_chain())
+        assert fused_dispatch(plan) is fused_dispatch(plan)
+
+    def test_rebuilt_plan_computes_fresh_spans(self):
+        """A plan rebuilt from a dispatched plan's fields — every slot,
+        the cached spans included — with another plan's arrays gets the
+        other plan's spans: the constructor discards the cache."""
+        dispatched = compile_plan(wide_then_chain())
+        fresh = compile_plan(_lower(50, *chain_n(50), seed=5))
+        fused_dispatch(dispatched)
+        fields = {name: getattr(dispatched, name)
+                  for name in dispatched.__slots__}
+        assert fields["_fused_spans"] is not None
+        assert fused_dispatch(ExecutionPlan(**fields)) == fused_dispatch(
+            dispatched
+        )
+        fields.update(
+            (name, getattr(fresh, name)) for name in (*ARRAY_FIELDS, "matrix")
+        )
         rebuilt = ExecutionPlan(**fields)
-        assert rebuilt.n_fused_groups == rebuilt.n_batches
-        assert rebuilt.fuse_threshold == 0
+        assert rebuilt._fused_spans is None
+        assert fused_dispatch(rebuilt) == fused_dispatch(fresh) == (
+            (0, 50, False),
+        )
+        assert rebuilt.n_fused_groups == 1
+
+    def test_store_loaded_plan_computes_fresh_spans(self, tmp_path):
+        matrix = wide_then_chain()
+        plan = compile_plan(matrix)
+        spans = fused_dispatch(plan)
+        store = PlanStore(tmp_path)
+        key = plan_store_key(matrix, None)
+        assert store.save(plan, key) is not None
+        loaded = store.load(key, matrix=matrix)
+        assert loaded._fused_spans is None
+        assert fused_dispatch(loaded) == spans
+        assert fused_dispatch(loaded) is not spans
 
 
 # ---------------------------------------------------------------------------
@@ -351,7 +457,8 @@ class TestNumpySpans:
         assert spans[0][0] == 0 and spans[-1][1] == plan.n
         starts = plan.batch_ptr.tolist()
         work = _batch_work(plan)
-        for (_, hi, left), (lo, _, right) in zip(spans, spans[1:]):
+        for (_, hi, left), (lo, _, right) in zip(spans, spans[1:],
+                                                 strict=False):
             assert hi == lo
             assert not (left and right), "scalar runs must be maximal"
         for lo, hi, scalar in spans:
@@ -378,10 +485,15 @@ class TestNumpySpans:
         assert _kinds(compile_plan(_lower(50, *mixed(50)))) == {True, False}
 
     def test_split_does_not_depend_on_fusion(self):
-        matrix = _lower(50, *mixed(50))
-        assert numpy_dispatch(
-            compile_plan(matrix, fuse_threshold=0)
-        ) == numpy_dispatch(compile_plan(matrix, fuse_threshold=64))
+        """The numpy split and the parallel backend's spans are cached
+        apart: computing either first leaves the other as on a fresh
+        plan."""
+        matrix = wide_then_chain()
+        numpy_first, fused_first = compile_plan(matrix), compile_plan(matrix)
+        expected = numpy_dispatch(numpy_first), fused_dispatch(numpy_first)
+        assert fused_dispatch(fused_first) == expected[1]
+        assert numpy_dispatch(fused_first) == expected[0]
+        assert expected[0] != expected[1]
 
     def test_empty_plan_has_no_spans(self):
         empty = np.zeros(0, dtype=np.int64)
@@ -490,7 +602,7 @@ class TestNumpySpanSolves:
         )
         fields.update(
             (name, getattr(fresh, name))
-            for name in (*ARRAY_FIELDS, "matrix", "fuse_threshold")
+            for name in (*ARRAY_FIELDS, "matrix")
         )
         rebuilt = ExecutionPlan(**fields)
         np.testing.assert_array_equal(
@@ -502,12 +614,14 @@ class TestNumpySpanSolves:
         )
 
     def test_concurrent_first_solves_agree(self):
-        """Threads racing to compute a fresh plan's split (the service's
-        shard workers share plans) all solve bit-equal."""
+        """Threads racing to compute a fresh plan's split and parallel
+        spans (the service's shard workers share plans) all solve
+        bit-equal and see the same spans."""
         backend = get_backend("numpy")
         _, matrix, reference_plan = _span_plans()[1]
         b = np.random.default_rng(18).standard_normal(matrix.n)
         expected = backend.solve(reference_plan, b)
+        expected_spans = fused_dispatch(reference_plan)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -516,6 +630,7 @@ class TestNumpySpanSolves:
                 results = [None] * 8
 
                 def solve(j, plan=plan, results=results):
+                    assert fused_dispatch(plan) == expected_spans
                     results[j] = backend.solve(plan, b)
 
                 workers = [
@@ -661,38 +776,50 @@ class TestJitTier:
         numpy_backend = get_backend("numpy")
         seq = get_backend("numba")
         par = get_backend("numba-parallel")
+        kernels = jit_kernels()
+        span_kinds = set()
         for name, matrix in irregular_matrices():
             rng = np.random.default_rng(8)
             b = rng.standard_normal(matrix.n)
             b_block = rng.standard_normal((matrix.n, k))
-            fused_plan = compile_plan(matrix, fuse_threshold=4)
-            unfused_plan = compile_plan(matrix, fuse_threshold=0)
+            plan = compile_plan(matrix)
+            span_kinds |= {parallel for _, _, parallel in par.dispatch(plan)}
 
-            x_seq = seq.solve(fused_plan, b)
-            for plan in (fused_plan, unfused_plan):
-                np.testing.assert_array_equal(
-                    par.solve(plan, b), x_seq,
-                    err_msg=f"{name}: parallel tier != sequential sweep",
-                )
+            x_seq = seq.solve(plan, b)
+            np.testing.assert_array_equal(
+                par.solve(plan, b), x_seq,
+                err_msg=f"{name}: parallel tier != sequential sweep",
+            )
+            np.testing.assert_array_equal(
+                _pure_solve(plan, b, batch_spans(plan), kernels), x_seq,
+                err_msg=f"{name}: prange over every batch != sequential",
+            )
             np.testing.assert_allclose(
-                x_seq, numpy_backend.solve(fused_plan, b),
+                x_seq, numpy_backend.solve(plan, b),
                 rtol=1e-12, atol=1e-13, err_msg=name,
             )
 
-            xb_seq = seq.solve_block(fused_plan, b_block)
+            xb_seq = seq.solve_block(plan, b_block)
             np.testing.assert_array_equal(
-                par.solve_block(fused_plan, b_block), xb_seq,
+                par.solve_block(plan, b_block), xb_seq,
                 err_msg=f"{name}: block parallel tier != sequential",
+            )
+            np.testing.assert_array_equal(
+                _pure_solve(plan, b_block, batch_spans(plan), kernels),
+                xb_seq,
+                err_msg=f"{name}: block prange over every batch",
             )
             for c in range(k):
                 np.testing.assert_array_equal(
-                    xb_seq[:, c], seq.solve(fused_plan, b_block[:, c]),
+                    xb_seq[:, c], seq.solve(plan, b_block[:, c]),
                     err_msg=f"{name}: block column {c} != single RHS",
                 )
             np.testing.assert_allclose(
-                xb_seq, numpy_backend.solve_block(fused_plan, b_block),
+                xb_seq, numpy_backend.solve_block(plan, b_block),
                 rtol=1e-12, atol=1e-13, err_msg=name,
             )
+        # the corpus drives both span kinds of numba-parallel
+        assert span_kinds == {True, False}
 
     def test_auto_selection_prefers_parallel_tier(self):
         assert get_backend().name == "numba-parallel"

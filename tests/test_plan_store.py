@@ -3,14 +3,15 @@
 Three tiers, mirroring the store's contract:
 
 * **round-trip properties** (hypothesis): for random matrices x
-  schedules x fusion thresholds, ``save`` then ``load`` is bit-identical
-  across every array field and the loaded plan's solves are bitwise
-  equal to the freshly compiled plan's on every available backend;
+  schedules, ``save`` then ``load`` is bit-identical across every array
+  field and the loaded plan's solves are bitwise equal to the freshly
+  compiled plan's on every available backend;
 * **corruption corpus**: every mutation class (torn sidecar, truncated
   npz, per-array byte flips, stale fingerprint, wrong format version,
   toolchain drift) is rejected with its named error, and the
   :class:`~repro.exec.PlanCache` disk tier falls back to compiling —
-  never crashes, never serves the corrupt plan;
+  never crashes, never serves the corrupt plan; a store of the previous
+  format version is refused by name;
 * **fleet behavior**: exactly-one-artifact-per-key under racing
   threads, LRU disk budgeting, and a second process performing zero
   ``compile_plan`` calls against a warm store.
@@ -30,6 +31,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse.linalg import spsolve_triangular
 
 from repro.errors import (
     ConfigurationError,
@@ -62,8 +64,7 @@ from repro.store import (
 from repro.store.plan_store import ARRAY_FIELDS
 from tests.conftest import lower_triangular_matrices
 
-SCALAR_FIELDS = ("direction", "fuse_threshold", "singular_row",
-                 "_singular_reason")
+SCALAR_FIELDS = ("direction", "singular_row", "_singular_reason")
 
 
 def _make_system(n=120, cores=4, seed=0):
@@ -89,16 +90,15 @@ class TestRoundTrip:
     @given(
         lower=lower_triangular_matrices(min_n=2, max_n=30),
         scheduled=st.booleans(),
-        fuse=st.sampled_from([0, 2, 64]),
     )
-    def test_save_load_bit_identical(self, lower, scheduled, fuse):
+    def test_save_load_bit_identical(self, lower, scheduled):
         schedule = None
         if scheduled:
             schedule = WavefrontScheduler().schedule(
                 DAG.from_lower_triangular(lower), 3
             )
-        fresh = compile_plan(lower, schedule, fuse_threshold=fuse)
-        key = plan_store_key(lower, schedule, fuse_threshold=fuse)
+        fresh = compile_plan(lower, schedule)
+        key = plan_store_key(lower, schedule)
         with tempfile.TemporaryDirectory() as tmp:
             store = PlanStore(tmp)
             assert store.save(fresh, key) is not None
@@ -134,8 +134,7 @@ class TestRoundTrip:
     def test_key_plan_mismatch_is_config_error(self, tmp_path):
         store, key, lower, _, plan = _saved_artifact(tmp_path)
         wrong = PlanKey(key.matrix_fingerprint, key.scheduler,
-                        cores=key.cores + 3,
-                        fuse_threshold=key.fuse_threshold)
+                        cores=key.cores + 3)
         with pytest.raises(ConfigurationError):
             store.save(plan, wrong)
 
@@ -147,7 +146,7 @@ class TestExactKey:
             plan_store_key(lower, schedule, scheduler="growlocal"),
             plan_store_key(lower, schedule, scheduler="hdagg"),
             plan_store_key(lower, schedule, scheduler="growlocal",
-                           fuse_threshold=0),
+                           dtype="float32"),
             plan_store_key(lower, None),
             plan_store_key(lower, schedule, scheduler="growlocal",
                            direction="backward"),
@@ -181,6 +180,54 @@ class TestExactKey:
     def test_missing_dir_refused_without_create(self, tmp_path):
         with pytest.raises(ConfigurationError):
             PlanStore(tmp_path / "absent", create=False)
+
+
+class TestFormatVersion:
+    """Version 2 dropped the persisted fusion grouping; a store or an
+    artifact of version 1 is refused by name, never reinterpreted."""
+
+    def _version_1(self, store_dir):
+        """A store laid out with version-1 meta and sidecar versions."""
+        store, key, lower, schedule, _ = _saved_artifact(store_dir)
+        _edit_sidecar(store, key, format_version=1)
+        (store_dir / "plan-store.json").write_text(json.dumps({"version": 1}))
+        return store, key, lower, schedule
+
+    def test_version_1_store_is_refused_by_name(self, tmp_path):
+        assert PLAN_STORE_VERSION == 2 and len(ARRAY_FIELDS) == 11
+        self._version_1(tmp_path)
+        with pytest.raises(ConfigurationError,
+                           match=r"version 1\b.*version 2\b"):
+            PlanStore(tmp_path)
+
+    def test_version_1_sidecar_is_a_version_error(self, tmp_path):
+        store, key, lower, schedule = self._version_1(tmp_path)
+        with pytest.raises(PlanArtifactVersionError,
+                           match=r"format version 1\b"):
+            store.load(key, matrix=lower, schedule=schedule)
+        verdicts = store.verify()["artifacts"]
+        assert [v["error_type"] for v in verdicts] == [
+            "PlanArtifactVersionError"
+        ]
+
+    def test_plan_cache_on_version_1_store_compiles(self, tmp_path,
+                                                   monkeypatch):
+        _, key, lower, schedule = self._version_1(tmp_path)
+        monkeypatch.setenv(PLAN_STORE_ENV_VAR, str(tmp_path))
+        cache = PlanCache()
+        n0 = compile_count()
+        plan = cache.get_or_build(
+            "k", lambda: compile_plan(lower, schedule),
+            store_key=key, source_matrix=lower, source_schedule=schedule,
+        )
+        assert cache.plan_store is None  # the refused store is not used
+        assert compile_count() == n0 + 1
+        assert plan.provenance == "compiled"
+        b = np.random.default_rng(3).standard_normal(lower.n)
+        expected = spsolve_triangular(lower.to_scipy().tocsr(), b)
+        np.testing.assert_allclose(
+            get_backend().solve(plan, b), expected, rtol=1e-10, atol=1e-12
+        )
 
 
 # ---------------------------------------------------------------------------
