@@ -1,4 +1,4 @@
-"""Ablation benches for GrowLocal's design choices (DESIGN.md Section 5).
+"""Ablation benches for GrowLocal's design choices.
 
 Not a table in the paper, but the design decisions Section 3 calls out:
 

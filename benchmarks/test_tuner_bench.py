@@ -150,16 +150,16 @@ def test_learned_prior_accuracy_parity_and_ranking_speedup():
         return matches
 
     # cold pass with the cost prior builds the training store
-    profile = TuningProfile(machine=machine.name)
+    store = ObservationStore(None)
     cost = Autotuner(candidates=CANDIDATES, mode="simulated",
                      expected_solves=1e15, seed=0)
     cost_picks = [
         cost.tune(inst, machine, n_cores=N_CORES, plan_cache=cache,
-                  profile=profile).scheduler
+                  store=store).scheduler
         for inst in corpus
     ]
 
-    model = LearnedTunerModel.fit(profile.observations)
+    model = LearnedTunerModel.fit(store)
     learned = Autotuner(candidates=CANDIDATES, mode="simulated",
                         expected_solves=1e15, seed=0,
                         prior="learned", model=model,
@@ -237,13 +237,12 @@ def test_store_prune_preserves_learned_pick_quality(tmp_path):
     # one cold pass builds the genuine observation base (~80 records),
     # inflated to N_STORE with seeded log-space jitter on the seconds —
     # the redundancy a long-running fleet accumulates
-    profile = TuningProfile(machine=machine.name)
+    base = ObservationStore(None)
     cost = Autotuner(candidates=CANDIDATES, mode="simulated",
                      expected_solves=1e15, seed=0)
     for inst in corpus:
         cost.tune(inst, machine, n_cores=N_CORES, plan_cache=cache,
-                  profile=profile)
-    base = profile.observations
+                  store=base)
     rng = np.random.default_rng(0)
     records = []
     while len(records) < N_STORE:
@@ -257,7 +256,7 @@ def test_store_prune_preserves_learned_pick_quality(tmp_path):
                 break
 
     store = ObservationStore(tmp_path / "fleet", fingerprint="bench")
-    store.extend(records)
+    store.ingest(records)
     store.flush()
 
     with Timer() as t_fit_full:

@@ -4,8 +4,10 @@
 Walks the full profile-reuse loop the autotuner is built around:
 
 1. **cold** — tune a small seeded fleet with the cost-model prior; every
-   run races finalists and appends ``(features, scheduler, seconds)``
-   observations to the tuning profile (the training store);
+   run races finalists, records its decision in the tuning profile and
+   appends ``(features, scheduler, seconds)`` observations to an
+   in-memory :class:`~repro.store.ObservationStore` (the training
+   store);
 2. **train** — fit the ridge-regression ensemble
    (:class:`~repro.tuner.LearnedTunerModel`) on the accumulated
    observations, one model per scheduler, leave-one-out predictive
@@ -23,6 +25,7 @@ from repro.exec import PlanCache
 from repro.experiments.datasets import DatasetInstance
 from repro.machine.model import get_machine
 from repro.matrix.generators import erdos_renyi_lower, narrow_band_lower
+from repro.store import ObservationStore
 from repro.tuner import Autotuner, LearnedTunerModel, TuningProfile
 
 CANDIDATES = ("growlocal", "hdagg", "wavefront")
@@ -52,20 +55,21 @@ def main() -> None:
 
     # 1. cold: cost-model prior, racing, observations accumulate
     profile = TuningProfile(machine=machine.name)
+    store = ObservationStore(None)
     cold_tuner = Autotuner(candidates=CANDIDATES, mode="simulated",
                            expected_solves=1e6, seed=0)
     cold = [
         cold_tuner.tune(inst, machine, n_cores=N_CORES,
-                        plan_cache=cache, profile=profile)
+                        plan_cache=cache, profile=profile, store=store)
         for inst in fleet
     ]
     print(f"cold pass: {cold_tuner.races_run} races, "
-          f"{profile.n_observations} training observations")
+          f"{len(store)} training observations")
     for d in cold:
         print(f"  {d.instance:10s} -> {d.scheduler:10s} ({d.source})")
 
-    # 2. train the learned prior from the profile's training store
-    model = LearnedTunerModel.fit(profile.observations)
+    # 2. train the learned prior from the store
+    model = LearnedTunerModel.fit(store)
     print(f"trained models for: {', '.join(model.schedulers)}")
 
     # 3. warm: learned prior + profile -> zero races on the whole fleet

@@ -11,8 +11,9 @@ for the catalogue with rationale and suppression syntax):
   layer, the tuner's race, the obs subsystem); everywhere else a stray
   ``perf_counter()`` is an unseeded measurement that poisons
   simulated/deterministic paths.
-* ``atomic-write`` — a bare truncating ``open(path, "w")`` tears files
-  under crashes and racing writers; persisted artifacts go through
+* ``atomic-write`` — a bare truncating ``open(path, "w")``,
+  ``Path.write_text`` or ``Path.write_bytes`` tears files under crashes
+  and racing writers; persisted artifacts go through
   :mod:`repro.utils.atomic`.
 * ``no-bare-assert`` — ``assert`` disappears under ``python -O`` and
   raises the wrong type; library validation raises typed errors from
@@ -231,12 +232,16 @@ class AtomicWriteRule(Rule):
     severity = "error"
     autofixable = False
     description = (
-        "bare truncating open(path, 'w') tears files under crashes "
-        "and racing writers; persisted artifacts go through "
-        "repro.utils.atomic (temp file + rename)"
+        "bare truncating open(path, 'w'), .write_text() or "
+        ".write_bytes() tears files under crashes and racing writers; "
+        "persisted artifacts go through repro.utils.atomic (temp file "
+        "+ rename)"
     )
 
     _MODE_CHARS = frozenset("rwxab+tU")
+
+    #: Methods that truncate their target before writing (``pathlib``).
+    _TRUNCATING_METHODS = frozenset({"write_text", "write_bytes"})
 
     def _mode(self, call: ast.Call) -> str | None:
         """The mode argument of an ``open``-like call, when constant.
@@ -262,6 +267,15 @@ class AtomicWriteRule(Rule):
             return
         for call in _calls(module.tree):
             func = call.func
+            if isinstance(func, ast.Attribute) \
+                    and func.attr in self._TRUNCATING_METHODS:
+                yield self.finding(
+                    module, call,
+                    f".{func.attr}() truncates before writing and is "
+                    f"not crash-safe; write through repro.utils.atomic "
+                    f"(atomic_write_text/atomic_write_json)",
+                )
+                continue
             if isinstance(func, ast.Name) and func.id == "open":
                 pass
             elif isinstance(func, ast.Attribute) and func.attr == "open":

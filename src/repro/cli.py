@@ -204,9 +204,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--profile",
                    help="warm-start from this profile JSON (entries "
                         "with matching features skip racing); cold "
-                        "runs append training observations and the "
-                        "updated profile is written back here unless "
-                        "--output says otherwise")
+                        "runs record their decisions and the updated "
+                        "profile is written back here unless --output "
+                        "says otherwise")
     p.add_argument("--output",
                    help="write the updated profile JSON here "
                         "(default: the --profile path when given)")
@@ -214,9 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="observation-store directory receiving this "
                         "run's training observations (default: the "
                         "profile's '<path>.store' sidecar when a "
-                        "profile is involved; in-memory otherwise); "
-                        "legacy v2 inline profile observations are "
-                        "migrated into it")
+                        "profile is involved; in-memory otherwise)")
     p.add_argument("--prior", choices=["cost", "learned"],
                    default=None,
                    help="candidate-ranking prior: one cost-model "
@@ -232,7 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "write the freshly trained model here")
     p.add_argument("--train", action="store_true",
                    help="after tuning, train the learned prior on the "
-                        "profile's accumulated observations (of this "
+                        "store's accumulated observations (of this "
                         "run's --mode) and write it to --model; with "
                         "--prior learned an existing --model file is "
                         "first used for ranking, then refreshed")
@@ -720,8 +718,8 @@ def _cmd_tune(args) -> int:
         LearnedTunerModel,
         TuningProfile,
         load_profile,
-        save_model,
         save_profile,
+        save_trained_model,
     )
 
     instances = list(build_dataset(args.dataset))
@@ -769,20 +767,14 @@ def _cmd_tune(args) -> int:
 
     profile = (load_profile(args.profile) if args.profile
                else TuningProfile(machine=machine.name))
-    # the training data-plane: an explicit --store, or the profile's
-    # sidecar directory; a run with neither keeps observations in the
-    # profile's legacy inline list (in-memory only)
+    # the training data-plane: an explicit --store, else the profile's
+    # sidecar directory, else an in-memory store (so --train always
+    # fits from a store)
     profile_out = args.output or args.profile
     store_path = args.store or (
         f"{profile_out}.store" if profile_out else None
     )
-    store = ObservationStore(store_path) if store_path else None
-    migrated = 0
-    if store is not None and profile.observations:
-        # a v2 profile's inline observations migrate into the store
-        # (content dedup makes repeated migrations idempotent); the
-        # profile is saved back as a thin v3 decision cache below
-        migrated = store.ingest(profile.take_observations())
+    store = ObservationStore(store_path)
     tuner = Autotuner(
         candidates=candidates,
         expected_solves=args.expected_solves,
@@ -802,35 +794,19 @@ def _cmd_tune(args) -> int:
             for inst in instances
         ]
     # without an explicit --output the updated profile (decisions) is
-    # written back to --profile, so the accumulate-then---train
-    # workflow never silently drops data; observations persist in the
-    # store (flushed atomically into this run's shard)
-    if store is not None:
-        store.flush()
+    # written back to --profile; observations persist in the store
+    # (flushed atomically into this run's shard; a no-op in memory)
+    store.flush()
     if profile_out:
         save_profile(profile, profile_out)
-    n_observations = (len(store) if store is not None
-                      else profile.n_observations)
+    n_observations = len(store)
 
     trained = None
     if args.train:
         # restrict training to this run's measurement regime so
-        # simulated and wall-clock targets never pool into one model;
-        # the store is the training source — the inline profile list
-        # only serves runs without any store
-        trained = LearnedTunerModel.fit(
-            store if store is not None else profile.observations,
-            mode=args.mode,
-        )
-        if len(trained) == 0 and os.path.exists(args.model):
-            raise ConfigurationError(
-                f"the training store yielded no fittable models (too "
-                f"few {args.mode!r}-mode observations); refusing to "
-                f"overwrite the existing model {args.model} with an "
-                f"empty one — accumulate more observations via "
-                f"--store/--profile first"
-            )
-        save_model(trained, args.model)
+        # simulated and wall-clock targets never pool into one model
+        trained = LearnedTunerModel.fit(store, mode=args.mode)
+        save_trained_model(trained, args.model)
 
     warm = sum(1 for d in decisions if d.source == "profile")
     learned_stats = (
@@ -852,8 +828,7 @@ def _cmd_tune(args) -> int:
             "warm_starts": warm,
             "races_run": tuner.races_run,
             "n_observations": n_observations,
-            "store": store.path if store is not None else None,
-            "migrated_observations": migrated,
+            "store": store.path,
             "learned_prior": learned_stats,
             "decisions": [d.as_dict() for d in decisions],
         }
@@ -890,12 +865,10 @@ def _cmd_tune(args) -> int:
     print(line)
     if profile_out:
         print(f"wrote {profile_out}")
-    if store is not None:
-        print(f"store {store.path}: {n_observations} observation(s)"
-              + (f", {migrated} migrated from the profile"
-                 if migrated else ""))
-    elif profile.n_observations:
-        print(f"{profile.n_observations} in-memory observation(s) "
+    if store.path is not None:
+        print(f"store {store.path}: {n_observations} observation(s)")
+    elif n_observations:
+        print(f"{n_observations} in-memory observation(s) "
               f"(pass --store to persist them)")
     if trained is not None:
         print(f"wrote {args.model} (models for: "
@@ -966,22 +939,11 @@ def _cmd_store(args) -> int:
 
     if args.store_command == "retrain":
         store = ObservationStore(args.store, create=False)
-        retrain_kwargs = {"mode": args.mode, "force": args.force}
+        retrain_kwargs = {"mode": args.mode, "force": args.force,
+                          "model_path": args.model}
         if args.min_new is not None:
             retrain_kwargs["min_new"] = args.min_new
         model = store.retrain(**retrain_kwargs)
-        if model is not None and len(model) == 0 \
-                and os.path.exists(args.model):
-            raise ConfigurationError(
-                f"the store yielded no fittable models (too few "
-                f"observations per (scheduler, reordered) variant); "
-                f"refusing to overwrite the existing model "
-                f"{args.model} with an empty one"
-            )
-        if model is not None:
-            from repro.tuner import save_model
-
-            save_model(model, args.model)
         payload = {
             "store": store.path,
             "trained": model is not None,

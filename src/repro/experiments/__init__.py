@@ -1,8 +1,8 @@
 """Experiment harness: datasets, runner, metrics, tables, figures.
 
 Reproduces every table and figure of the paper's evaluation (Section 7 and
-appendices); see DESIGN.md for the experiment index and EXPERIMENTS.md for
-the recorded paper-vs-measured outcomes.
+appendices); the ``benchmarks/`` suite regenerates them, one
+``test_<table-or-figure>.py`` module per experiment.
 """
 
 from repro.experiments.datasets import (

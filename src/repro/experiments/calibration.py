@@ -1,8 +1,8 @@
 """Machine-model calibration: fitting simulator constants to targets.
 
 The machine presets in :mod:`repro.machine.model` were produced by the
-grid search implemented here (EXPERIMENTS.md, "Calibration note"): given a
-set of scheduled instances and target geomean speed-ups per scheduler
+grid search implemented here: given a set of scheduled instances and
+target geomean speed-ups per scheduler
 (e.g. the paper's Table 7.1 row), search over barrier/p2p/cache/miss
 parameters for the machine whose simulated geomeans minimize the
 log-space squared error against the targets.

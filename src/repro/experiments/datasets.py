@@ -1,7 +1,7 @@
 """The five evaluation datasets (Section 6.2), built offline.
 
 * ``suitesparse`` — FEM/structural proxies standing in for the SuiteSparse
-  SPD sample of Table A.1 (see DESIGN.md for the substitution argument);
+  SPD sample of Table A.1;
   the selection criteria of Section 6.2.1 are applied: enough flops and
   ``avg wavefront >= 2 * 22`` cores.
 * ``metis`` — the same matrices symmetrically permuted with our nested

@@ -2,7 +2,7 @@
 
 Benchmarks print the same rows the paper reports; these helpers render
 uniform ASCII tables so `pytest benchmarks/ --benchmark-only -s` output can
-be compared to the paper side by side, and EXPERIMENTS.md can quote them.
+be compared to the paper side by side.
 """
 
 from __future__ import annotations

@@ -57,39 +57,43 @@ def in_funnel_partition(
     order = topological_order(dag)
     position = np.empty(dag.n, dtype=np.int64)
     position[order] = np.arange(dag.n, dtype=np.int64)
-    out_degree = dag.out_degrees()
-    visited = np.zeros(dag.n, dtype=bool)
+    # the sweep reads one vertex at a time: Python lists index faster
+    # than numpy scalars
+    position = position.tolist()
+    out_degree = dag.out_degrees().tolist()
+    weights = dag.weights.tolist()
+    parent_ptr, parent_idx = dag.parent_ptr.tolist(), dag.parent_idx.tolist()
+    visited = [False] * dag.n
     partition: list[np.ndarray] = []
 
-    for v in order[::-1]:  # reverse topological order
-        v = int(v)
+    for v in reversed(order.tolist()):  # reverse topological order
         if visited[v]:
             continue
         members: list[int] = []
         weight = 0
         children_count: dict[int, int] = {}
         # pop vertices closest to the seed first (max heap on topo position)
-        heap: list[tuple[int, int]] = [(-int(position[v]), v)]
+        heap: list[tuple[int, int]] = [(-position[v], v)]
         in_queue = {v}
         while heap:
             _, w = heapq.heappop(heap)
             if max_weight is not None and members and (
-                weight + int(dag.weights[w]) > max_weight
+                weight + weights[w] > max_weight
             ):
                 break  # size constraint: stop growing this funnel
             members.append(w)
-            weight += int(dag.weights[w])
-            for u in dag.parents(w):
-                u = int(u)
+            weight += weights[w]
+            for u in parent_idx[parent_ptr[w]:parent_ptr[w + 1]]:
                 if visited[u] or u in in_queue:
                     continue
                 children_count[u] = children_count.get(u, 0) + 1
-                if children_count[u] == int(out_degree[u]):
-                    heapq.heappush(heap, (-int(position[u]), u))
+                if children_count[u] == out_degree[u]:
+                    heapq.heappush(heap, (-position[u], u))
                     in_queue.add(u)
-        member_arr = np.array(sorted(members), dtype=np.int64)
-        visited[member_arr] = True
-        partition.append(member_arr)
+        members.sort()
+        for w in members:
+            visited[w] = True
+        partition.append(np.array(members, dtype=np.int64))
     return partition
 
 

@@ -48,16 +48,30 @@ class CoarseningResult:
 
 def partition_from_parts(n: int, parts: Sequence[np.ndarray]) -> np.ndarray:
     """Convert a list of vertex arrays into a part-id map, validating that
-    the arrays form a partition of ``0..n-1``."""
-    part_of = np.full(n, -1, dtype=np.int64)
-    for pid, part in enumerate(parts):
-        arr = np.asarray(part, dtype=np.int64)
-        if arr.size and (arr.min() < 0 or arr.max() >= n):
-            raise InvalidPartitionError("part contains out-of-range vertex")
-        if np.any(part_of[arr] >= 0):
-            raise InvalidPartitionError("parts overlap")
-        part_of[arr] = pid
-    if np.any(part_of < 0):
+    the arrays form a partition of ``0..n-1``.
+
+    Parts are checked in order, as if assigned one after another: the
+    first part holding an out-of-range vertex or a vertex of an earlier
+    part decides the error."""
+    arrays = [np.asarray(part, dtype=np.int64).ravel() for part in parts]
+    k = len(arrays)
+    flat = np.concatenate(arrays) if k else np.empty(0, dtype=np.int64)
+    pids = np.repeat(np.arange(k, dtype=np.int64),
+                     [arr.size for arr in arrays])
+    valid = (flat >= 0) & (flat < n)
+    verts, owners = flat[valid], pids[valid]
+    part_of = np.full(n, k, dtype=np.int64)
+    np.minimum.at(part_of, verts, owners)  # the first part holding each
+    out_of_range = pids[~valid]
+    overlapping = owners[owners > part_of[verts]]
+    first_out = out_of_range[0] if out_of_range.size else k
+    first_overlap = overlapping[0] if overlapping.size else k
+    if min(first_out, first_overlap) < k:
+        raise InvalidPartitionError(
+            "part contains out-of-range vertex"
+            if first_out <= first_overlap else "parts overlap"
+        )
+    if np.any(part_of == k):
         raise InvalidPartitionError("parts do not cover all vertices")
     return part_of
 

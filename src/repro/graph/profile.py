@@ -5,7 +5,7 @@ one number, but scheduling behaviour depends on the whole width profile:
 warm-up ramps (single-source grids), constant-width bands (natural FEM
 orders), and spiky irregular profiles schedule very differently.  These
 helpers compute the profile and the summary statistics the dataset design
-in this reproduction is based on (see DESIGN.md).
+in this reproduction is based on (see :mod:`repro.experiments.datasets`).
 """
 
 from __future__ import annotations

@@ -8,14 +8,50 @@ incomplete order.
 
 from __future__ import annotations
 
-from collections import deque
-
 import numpy as np
 
 from repro.errors import InvalidPartitionError
 from repro.graph.dag import DAG
+from repro.utils.arrays import segmented_gather
 
 __all__ = ["topological_order", "is_topological_order", "is_acyclic"]
+
+
+def _kahn_rounds(dag: DAG) -> tuple[np.ndarray, np.ndarray]:
+    """FIFO Kahn order and wavefront level of every vertex.
+
+    FIFO Kahn processes the DAG in rounds: round ``k`` holds exactly the
+    vertices of wavefront ``k`` (a vertex is appended while its last
+    parent's round is processed), and within a round a vertex sits where
+    its in-degree reached zero, i.e. at its last occurrence in the
+    round's concatenated child lists.  Each round is one batch of numpy
+    work, so the cost is ``O(|V| + |E|)`` array work plus a constant per
+    wavefront.
+    """
+    ptr, idx = dag.child_ptr, dag.child_idx
+    indeg = dag.in_degrees().copy()
+    order = np.empty(dag.n, dtype=np.int64)
+    level = np.zeros(dag.n, dtype=np.int64)
+    batch = np.nonzero(indeg == 0)[0]
+    count = 0
+    depth = 0
+    while batch.size:
+        order[count:count + batch.size] = batch
+        level[batch] = depth
+        count += batch.size
+        depth += 1
+        starts = ptr[batch]
+        kids = idx[segmented_gather(starts, ptr[batch + 1] - starts)]
+        # first occurrence in the reversed list = last occurrence
+        uniq, first_rev, hits = np.unique(
+            kids[::-1], return_index=True, return_counts=True
+        )
+        indeg[uniq] -= hits
+        ready = indeg[uniq] == 0
+        batch = uniq[ready][np.argsort(-first_rev[ready])]
+    if count != dag.n:
+        raise InvalidPartitionError("graph contains a cycle")
+    return order, level
 
 
 def topological_order(dag: DAG) -> np.ndarray:
@@ -27,22 +63,7 @@ def topological_order(dag: DAG) -> np.ndarray:
         If the graph contains a cycle (possible for quotient graphs built
         from non-cascade partitions).
     """
-    indeg = dag.in_degrees().copy()
-    queue: deque[int] = deque(int(v) for v in np.nonzero(indeg == 0)[0])
-    order = np.empty(dag.n, dtype=np.int64)
-    count = 0
-    while queue:
-        u = queue.popleft()
-        order[count] = u
-        count += 1
-        for v in dag.children(u):
-            v = int(v)
-            indeg[v] -= 1
-            if indeg[v] == 0:
-                queue.append(v)
-    if count != dag.n:
-        raise InvalidPartitionError("graph contains a cycle")
-    return order
+    return _kahn_rounds(dag)[0]
 
 
 def is_acyclic(dag: DAG) -> bool:

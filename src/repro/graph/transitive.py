@@ -18,8 +18,14 @@ from __future__ import annotations
 import numpy as np
 
 from repro.graph.dag import DAG
+from repro.utils.arrays import segmented_gather
 
 __all__ = ["approximate_transitive_reduction", "transitive_edge_mask"]
+
+
+#: Parent-pair probes examined per vectorized batch; bounds the memory
+#: of the candidate arrays on dense graphs.
+_BATCH_PROBES = 1 << 20
 
 
 def transitive_edge_mask(dag: DAG, *, max_work: int | None = None) -> np.ndarray:
@@ -33,45 +39,55 @@ def transitive_edge_mask(dag: DAG, *, max_work: int | None = None) -> np.ndarray
     max_work:
         Optional early-termination budget on the number of parent-pair
         probes, mirroring the paper's remark that the SpMP reduction "may be
-        terminated early if a faster runtime is desired".  ``None`` runs the
-        full algorithm (the paper's configuration).
+        terminated early if a faster runtime is desired".  Vertices are
+        probed in index order and the sweep stops before the first vertex
+        that takes the running probe count past the budget.  ``None`` runs
+        the full algorithm (the paper's configuration).
     """
     src, dst = dag.edges()
     mask = np.zeros(src.size, dtype=bool)
     if src.size == 0:
         return mask
-    # Edge (u, v) lives at a unique position; edges() groups by src with
-    # sorted dst, but we mark via a sorted key array + searchsorted.
-    keys = src * np.int64(dag.n) + dst
-    key_order = np.argsort(keys, kind="stable")
-    sorted_keys = keys[key_order]
-
+    n = np.int64(dag.n)
     parent_ptr, parent_idx = dag.parent_ptr, dag.parent_idx
-    work = 0
-    # For each vertex v: gather the concatenated parent lists of all its
-    # parents (the candidate "grandparent through w" set) and test
-    # membership in parents(v) — one vectorized isin per vertex.
-    for v in range(dag.n):
-        lo, hi = int(parent_ptr[v]), int(parent_ptr[v + 1])
-        if hi - lo < 2:
-            continue
-        pv = parent_idx[lo:hi]
-        chunks = [
-            parent_idx[parent_ptr[w]:parent_ptr[w + 1]]
-            for w in pv.tolist()
+    indeg = np.diff(parent_ptr)
+    # edges in parent-CSR order, keyed v * n + u (ascending)
+    slot_v = np.repeat(np.arange(dag.n, dtype=np.int64), indeg)
+    parent_keys = slot_v * n + parent_idx
+    # one probe batch per edge (w, v) into a vertex with >= 2 parents:
+    # which parents u of w are also parents of v?
+    multi = indeg[slot_v] >= 2
+    probe_w, probe_v = parent_idx[multi], slot_v[multi]
+    probes = indeg[probe_w]
+    if max_work is not None:
+        over = np.nonzero(np.cumsum(probes) > max_work)[0]
+        if over.size:
+            cut = np.searchsorted(probe_v, probe_v[over[0]])
+            probe_w, probe_v, probes = (
+                probe_w[:cut], probe_v[:cut], probes[:cut]
+            )
+    covered = np.zeros(parent_keys.size, dtype=bool)
+    ends = np.cumsum(probes)
+    start = 0
+    while start < probes.size:
+        stop = int(np.searchsorted(
+            ends, ends[start] - probes[start] + _BATCH_PROBES, side="right"
+        ))
+        stop = max(stop, start + 1)
+        counts = probes[start:stop]
+        grand = parent_idx[
+            segmented_gather(parent_ptr[probe_w[start:stop]], counts)
         ]
-        grand = np.concatenate(chunks)
-        work += grand.size
-        if max_work is not None and work > max_work:
-            return mask
-        if grand.size == 0:
-            continue
-        # parents whose edge to v is covered by a 2-path u -> w -> v
-        covered = np.intersect1d(pv, grand)
-        if covered.size:
-            edge_keys = covered * np.int64(dag.n) + v
-            pos = np.searchsorted(sorted_keys, edge_keys)
-            mask[key_order[pos]] = True
+        cand = np.repeat(probe_v[start:stop], counts) * n + grand
+        pos = np.minimum(
+            np.searchsorted(parent_keys, cand), parent_keys.size - 1
+        )
+        covered[pos[parent_keys[pos] == cand]] = True
+        start = stop
+    # edges() groups by source with sorted targets: its keys are sorted
+    mask[np.searchsorted(
+        src * n + dst, parent_idx[covered] * n + slot_v[covered]
+    )] = True
     return mask
 
 

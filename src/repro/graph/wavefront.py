@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.graph.dag import DAG
-from repro.graph.toposort import topological_order
+from repro.graph.toposort import _kahn_rounds
 
 __all__ = [
     "wavefront_levels",
@@ -26,16 +26,7 @@ __all__ = [
 def wavefront_levels(dag: DAG) -> np.ndarray:
     """Level of every vertex: ``0`` for sources, else
     ``1 + max(level of parents)``."""
-    order = topological_order(dag)
-    level = np.zeros(dag.n, dtype=np.int64)
-    for u in order:
-        u = int(u)
-        lu = level[u]
-        for v in dag.children(u):
-            v = int(v)
-            if level[v] < lu + 1:
-                level[v] = lu + 1
-    return level
+    return _kahn_rounds(dag)[1]
 
 
 def wavefronts(dag: DAG) -> list[np.ndarray]:

@@ -5,7 +5,7 @@ the *ratios* that drive the paper's evaluation match its testbeds at the
 proxy problem sizes used here (Section 6.3 machines ran matrices roughly
 20x larger; barrier latency is scaled by the same factor so that the
 barrier-cost-to-total-work ratio of a wavefront schedule is preserved —
-see EXPERIMENTS.md for the calibration note):
+see :mod:`repro.experiments.calibration` for the fit):
 
 * per-row compute cost  ``row_overhead + cycles_per_nnz * nnz(row)``;
 * cache misses cost ``miss_penalty`` each (reuse-distance model);
@@ -105,9 +105,9 @@ class MachineModel:
 # ---------------------------------------------------------------------------
 _PRESETS: dict[str, MachineModel] = {
     # Intel Xeon Gold 6238T: 22 cores, 140.8 GB/s — the main machine.
-    # Calibrated (see EXPERIMENTS.md) so the barrier-overhead-to-work and
-    # locality ratios of the paper's testbed are preserved at the ~50x
-    # smaller proxy matrices.
+    # Calibrated (repro.experiments.calibration) so the
+    # barrier-overhead-to-work and locality ratios of the paper's testbed
+    # are preserved at the ~50x smaller proxy matrices.
     "intel_xeon_6238t": MachineModel(
         name="intel_xeon_6238t",
         n_cores=22,

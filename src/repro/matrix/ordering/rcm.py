@@ -13,6 +13,7 @@ from collections import deque
 import numpy as np
 
 from repro.matrix.csr import CSRMatrix
+from repro.utils.arrays import segmented_gather
 
 __all__ = ["rcm_ordering", "pseudo_peripheral_vertex"]
 
@@ -40,22 +41,19 @@ def _bfs_levels(
     indptr: np.ndarray, adj: np.ndarray, start: int, active: np.ndarray
 ) -> np.ndarray:
     """BFS level of each vertex reachable from ``start`` within ``active``
-    (-1 for unreachable).  ``active`` is a boolean mask."""
+    (-1 for unreachable).  ``active`` is a boolean mask.  One numpy batch
+    per level: the frontier's neighbour lists are gathered at once."""
     n = indptr.size - 1
     level = np.full(n, -1, dtype=np.int64)
     level[start] = 0
-    frontier = [start]
+    frontier = np.array([start], dtype=np.int64)
     depth = 0
-    while frontier:
+    while frontier.size:
         depth += 1
-        nxt: list[int] = []
-        for u in frontier:
-            for v in adj[indptr[u]:indptr[u + 1]]:
-                v = int(v)
-                if active[v] and level[v] < 0:
-                    level[v] = depth
-                    nxt.append(v)
-        frontier = nxt
+        starts = indptr[frontier]
+        nbrs = adj[segmented_gather(starts, indptr[frontier + 1] - starts)]
+        frontier = np.unique(nbrs[active[nbrs] & (level[nbrs] < 0)])
+        level[frontier] = depth
     return level
 
 

@@ -30,9 +30,7 @@ from repro.scheduler.reorder import apply_reordering, schedule_reordering
 from repro.scheduler.schedule import Schedule
 from repro.scheduler.serialize import (
     load_schedule_json,
-    load_schedule_npz,
     save_schedule_json,
-    save_schedule_npz,
     schedule_from_dict,
     schedule_to_dict,
 )
@@ -54,11 +52,9 @@ __all__ = [
     "apply_reordering",
     "available_schedulers",
     "load_schedule_json",
-    "load_schedule_npz",
     "make_scheduler",
     "register_scheduler",
     "save_schedule_json",
-    "save_schedule_npz",
     "schedule_from_dict",
     "schedule_reordering",
     "schedule_to_dict",

@@ -31,7 +31,10 @@ Implementation notes
 * The set of *free* vertices (all parents finalized) is static during a
   superstep — tentative assignments can only produce *exclusive* or
   *blocked* vertices, never free ones — so it is materialized once per
-  superstep as a sorted array walked by a cursor.
+  superstep as a sorted list walked by a cursor.
+* The per-vertex state is read and written one vertex at a time, so it
+  lives in Python lists rather than numpy arrays (scalar list access is
+  several times cheaper than numpy scalar indexing).
 * Exclusive vertices are kept in per-core min-heaps keyed by vertex id;
   entries are invalidated lazily when a vertex becomes blocked (a second
   parent lands on a different core).
@@ -133,22 +136,22 @@ class GrowLocalScheduler(Scheduler):
             empty = np.empty(0, dtype=np.int64)
             return Schedule(empty, empty.copy(), n_cores)
 
-        weights = dag.weights
-        in_deg = dag.in_degrees()
-        child_ptr, child_idx = dag.child_ptr, dag.child_idx
+        weights = dag.weights.tolist()
+        in_deg = dag.in_degrees().tolist()
+        child_ptr, child_idx = dag.child_ptr.tolist(), dag.child_idx.tolist()
 
-        pi = np.full(n, -1, dtype=np.int64)
-        sigma = np.full(n, -1, dtype=np.int64)
+        pi = [-1] * n
+        sigma = [-1] * n
 
         # parents not yet finalized; a vertex is "free" when this hits 0
-        remaining = in_deg.copy()
-        finalized = np.zeros(n, dtype=bool)
-        free_sorted = np.sort(np.nonzero(remaining == 0)[0]).astype(np.int64)
+        remaining = list(in_deg)
+        finalized = [False] * n
+        free_sorted = [v for v in range(n) if in_deg[v] == 0]
 
         # iteration-scratch state (reset via touched lists, O(iteration))
-        tent_core = np.full(n, _NONE, dtype=np.int64)
-        tent_done = np.zeros(n, dtype=np.int64)  # tentatively-satisfied deps
-        excl_core = np.full(n, _NONE, dtype=np.int64)
+        tent_core = [_NONE] * n
+        tent_done = [0] * n  # tentatively-satisfied deps
+        excl_core = [_NONE] * n
 
         n_assigned = 0
         superstep = 0
@@ -176,8 +179,7 @@ class GrowLocalScheduler(Scheduler):
                 sigma[v] = superstep
                 finalized[v] = True
             for v, _ in best_assignment:
-                for k in range(child_ptr[v], child_ptr[v + 1]):
-                    c = int(child_idx[k])
+                for c in child_idx[child_ptr[v]:child_ptr[v + 1]]:
                     remaining[c] -= 1
                     # children assigned in this very superstep (via the
                     # exclusivity rule) are already finalized - skip them
@@ -187,33 +189,31 @@ class GrowLocalScheduler(Scheduler):
             superstep += 1
 
             # rebuild the free list: unconsumed old frees + newly ready
-            leftovers = free_sorted[free_used:]
-            leftovers = leftovers[~finalized[leftovers]]
-            if newly_ready:
-                free_sorted = np.sort(
-                    np.concatenate(
-                        [leftovers, np.array(newly_ready, dtype=np.int64)]
-                    )
-                )
-            else:
-                free_sorted = leftovers
+            leftovers = [
+                v for v in free_sorted[free_used:] if not finalized[v]
+            ]
+            free_sorted = (sorted(leftovers + newly_ready) if newly_ready
+                           else leftovers)
 
-        return Schedule(pi, sigma, n_cores)
+        return Schedule(
+            np.array(pi, dtype=np.int64), np.array(sigma, dtype=np.int64),
+            n_cores,
+        )
 
     # ------------------------------------------------------------------
     def _form_superstep(
         self,
         n_cores: int,
-        weights: np.ndarray,
-        in_deg: np.ndarray,
-        child_ptr: np.ndarray,
-        child_idx: np.ndarray,
-        remaining: np.ndarray,
-        finalized: np.ndarray,
-        free_sorted: np.ndarray,
-        tent_core: np.ndarray,
-        tent_done: np.ndarray,
-        excl_core: np.ndarray,
+        weights: list[int],
+        in_deg: list[int],
+        child_ptr: list[int],
+        child_idx: list[int],
+        remaining: list[int],
+        finalized: list[bool],
+        free_sorted: list[int],
+        tent_core: list[int],
+        tent_done: list[int],
+        excl_core: list[int],
     ) -> tuple[list[tuple[int, int]], int]:
         """Run the inner iteration loop; return the finalized assignment
         (list of ``(vertex, core)``) and how many free-list entries it
@@ -221,7 +221,7 @@ class GrowLocalScheduler(Scheduler):
         alpha = float(self.alpha0)
         if self.adaptive_alpha0:
             alpha = float(
-                min(self.alpha0, max(1, free_sorted.size // n_cores))
+                min(self.alpha0, max(1, len(free_sorted) // n_cores))
             )
         best_beta = -np.inf
         last_beta = -np.inf  # beta of the last *accepted* iteration
@@ -277,16 +277,16 @@ class GrowLocalScheduler(Scheduler):
         self,
         alpha: int,
         n_cores: int,
-        weights: np.ndarray,
-        in_deg: np.ndarray,
-        child_ptr: np.ndarray,
-        child_idx: np.ndarray,
-        remaining: np.ndarray,
-        finalized: np.ndarray,
-        free_sorted: np.ndarray,
-        tent_core: np.ndarray,
-        tent_done: np.ndarray,
-        excl_core: np.ndarray,
+        weights: list[int],
+        in_deg: list[int],
+        child_ptr: list[int],
+        child_idx: list[int],
+        remaining: list[int],
+        finalized: list[bool],
+        free_sorted: list[int],
+        tent_core: list[int],
+        tent_done: list[int],
+        excl_core: list[int],
     ) -> tuple[list[tuple[int, int]], int, bool]:
         """One iteration with parameter ``alpha``.
 
@@ -297,15 +297,14 @@ class GrowLocalScheduler(Scheduler):
         touched: list[int] = []  # children whose tent state was modified
         excl_heaps: list[list[int]] = [[] for _ in range(n_cores)]
         free_cursor = 0
-        n_free = free_sorted.size
+        n_free = len(free_sorted)
         exhausted = True
 
         def assign(v: int, p: int) -> None:
             nonlocal free_cursor
             tent_core[v] = p
             assignment.append((v, p))
-            for k in range(child_ptr[v], child_ptr[v + 1]):
-                c = int(child_idx[k])
+            for c in child_idx[child_ptr[v]:child_ptr[v + 1]]:
                 if finalized[c]:
                     continue
                 if tent_done[c] == 0:
@@ -333,7 +332,7 @@ class GrowLocalScheduler(Scheduler):
                     continue
                 return heapq.heappop(heap)
             while free_cursor < n_free:
-                v = int(free_sorted[free_cursor])
+                v = free_sorted[free_cursor]
                 if tent_core[v] != _NONE:
                     free_cursor += 1
                     continue

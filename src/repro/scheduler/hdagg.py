@@ -35,24 +35,28 @@ from repro.graph.wavefront import wavefront_levels
 from repro.scheduler.base import Scheduler
 from repro.scheduler.schedule import Schedule
 from repro.scheduler.wavefront_sched import balanced_contiguous_split
+from repro.utils.arrays import segmented_gather
 
 __all__ = ["HDaggScheduler"]
 
 
 class _DSU:
-    """Union-find with union by size (used for bundle components)."""
+    """Union-find with union by size (used for bundle components).
+
+    The forest lives in Python lists: every operation touches single
+    entries, which lists index faster than numpy scalars."""
 
     def __init__(self, n: int) -> None:
-        self.parent = np.arange(n, dtype=np.int64)
-        self.size = np.ones(n, dtype=np.int64)
+        self.parent = list(range(n))
+        self.size = [1] * n
 
     def find(self, x: int) -> int:
         root = x
         parent = self.parent
         while parent[root] != root:
-            root = int(parent[root])
+            root = parent[root]
         while parent[x] != root:  # path compression
-            parent[x], x = root, int(parent[x])
+            parent[x], x = root, parent[x]
         return root
 
     def union(self, a: int, b: int) -> None:
@@ -65,8 +69,9 @@ class _DSU:
         self.size[ra] += self.size[rb]
 
     def reset(self, members: np.ndarray) -> None:
-        self.parent[members] = members
-        self.size[members] = 1
+        for v in members.tolist():
+            self.parent[v] = v
+            self.size[v] = 1
 
 
 class HDaggScheduler(Scheduler):
@@ -142,11 +147,13 @@ class HDaggScheduler(Scheduler):
 
         def union_level(members: np.ndarray) -> None:
             """Union new level members with their in-bundle parents."""
-            for v in members.tolist():
-                for u in dag.parents(v):
-                    u = int(u)
-                    if in_bundle[u]:
-                        dsu.union(u, v)
+            starts = dag.parent_ptr[members]
+            counts = dag.parent_ptr[members + 1] - starts
+            us = dag.parent_idx[segmented_gather(starts, counts)]
+            vs = np.repeat(members, counts)
+            inside = in_bundle[us]
+            for u, v in zip(us[inside].tolist(), vs[inside].tolist()):
+                dsu.union(u, v)
 
         for members in levels:
             in_bundle[members] = True
@@ -205,7 +212,8 @@ class HDaggScheduler(Scheduler):
         aligned with ``members``.
         """
         members = np.sort(members)
-        roots = np.array([dsu.find(int(v)) for v in members], dtype=np.int64)
+        roots = np.array([dsu.find(v) for v in members.tolist()],
+                         dtype=np.int64)
         uniq_roots, comp_of = np.unique(roots, return_inverse=True)
         comp_weight = np.zeros(uniq_roots.size, dtype=np.int64)
         np.add.at(comp_weight, comp_of, weights[members])

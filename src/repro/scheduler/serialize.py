@@ -2,9 +2,8 @@
 
 The whole point of spending scheduling time (Table 7.6) is reusing the
 schedule across many solves — often across *processes* in practice.  This
-module persists schedules as JSON (portable, diff-able) or NPZ (compact),
-with integrity metadata (vertex count, core count, an order-independent
-content digest) verified on load.
+module persists schedules as JSON (portable, diff-able) with integrity
+metadata (vertex count, core count, a content digest) verified on load.
 """
 
 from __future__ import annotations
@@ -17,14 +16,13 @@ import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.scheduler.schedule import Schedule
+from repro.utils.atomic import atomic_write_text
 
 __all__ = [
     "schedule_to_dict",
     "schedule_from_dict",
     "save_schedule_json",
     "load_schedule_json",
-    "save_schedule_npz",
-    "load_schedule_npz",
 ]
 
 _FORMAT_VERSION = 1
@@ -77,46 +75,21 @@ def schedule_from_dict(data: dict) -> Schedule:
 
 
 def save_schedule_json(schedule: Schedule, path: str | Path) -> None:
-    """Write a schedule as JSON."""
-    Path(path).write_text(
-        json.dumps(schedule_to_dict(schedule)), encoding="ascii"
-    )
+    """Write a schedule as JSON (atomically: temp file + rename, so a
+    crash never leaves a torn schedule behind)."""
+    atomic_write_text(path, json.dumps(schedule_to_dict(schedule)))
 
 
 def load_schedule_json(path: str | Path) -> Schedule:
-    """Read a JSON schedule written by :func:`save_schedule_json`."""
-    return schedule_from_dict(
-        json.loads(Path(path).read_text(encoding="ascii"))
-    )
+    """Read a JSON schedule written by :func:`save_schedule_json`.
 
-
-def save_schedule_npz(schedule: Schedule, path: str | Path) -> None:
-    """Write a schedule as a compressed NPZ archive."""
-    np.savez_compressed(
-        Path(path),
-        cores=schedule.cores,
-        supersteps=schedule.supersteps,
-        meta=np.array(
-            [_FORMAT_VERSION, schedule.n, schedule.n_cores], dtype=np.int64
-        ),
-    )
-
-
-def load_schedule_npz(path: str | Path) -> Schedule:
-    """Read an NPZ schedule written by :func:`save_schedule_npz`."""
-    with np.load(Path(path)) as data:
-        try:
-            version, n, n_cores = (int(x) for x in data["meta"])
-            cores = data["cores"]
-            steps = data["supersteps"]
-        except KeyError as exc:
-            raise ConfigurationError(
-                f"malformed NPZ schedule: {exc}"
-            ) from exc
-    if version != _FORMAT_VERSION:
+    Raises :class:`~repro.errors.ConfigurationError` when the file is
+    not valid JSON or fails the checks of :func:`schedule_from_dict`.
+    """
+    try:
+        data = json.loads(Path(path).read_text(encoding="ascii"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ConfigurationError(
-            f"unsupported schedule format version {version}"
-        )
-    if cores.size != n or steps.size != n:
-        raise ConfigurationError("schedule payload length mismatch")
-    return Schedule(cores, steps, n_cores)
+            f"schedule {path!s} is not valid JSON: {exc}"
+        ) from None
+    return schedule_from_dict(data)

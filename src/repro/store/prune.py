@@ -1,11 +1,10 @@
 """Coverage-aware thinning of observation records.
 
 A bounded training store has to drop something; *what* it drops decides
-how the learned prior degrades.  FIFO truncation (what the bounded
-profile store did before this layer) forgets whole regions of feature
-space as soon as recent traffic stops visiting them — a fleet that tunes
-a new family of meshes for a week evicts everything it knew about
-Erdős–Rényi structure.  The store prunes by **feature-space coverage**
+how the learned prior degrades.  FIFO truncation forgets whole regions
+of feature space as soon as recent traffic stops visiting them — a fleet
+that tunes a new family of meshes for a week evicts everything it knew
+about Erdős–Rényi structure.  The store prunes by **feature-space coverage**
 instead: within each ``(scheduler, reordered, mode)`` variant the unique
 feature vectors are ordered by farthest-point sampling (greedily keep
 the vector farthest from everything kept so far), and records are

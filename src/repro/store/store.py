@@ -1,13 +1,13 @@
 """The fleet-wide observation store: the tuner's training data-plane.
 
-Before this layer the learned prior's training data lived inside each
-tuning profile — one file per fleet, per run, bounded by FIFO
-truncation, owned by whichever process happened to hold the profile.
-:class:`ObservationStore` separates the **data-plane** (raw observation
-records) from the **decision-plane** (profile warm-start entries) so
-every producer feeds one store:
+:class:`ObservationStore` is the one home of the learned prior's
+training data.  It keeps the **data-plane** (raw observation records)
+apart from the **decision-plane** (the warm-start entries of a
+:class:`~repro.tuner.profile.TuningProfile`, which holds decisions
+only), and every producer feeds one store:
 
-* ``repro tune`` cold runs (``--store``, or the profile's sidecar),
+* ``repro tune`` cold runs (``--store``, else the profile's sidecar,
+  else an in-memory store),
 * sharded suite runners (per-worker stores merged deterministically),
 * the live :class:`~repro.service.SolveService` (genuine measured
   seconds from hot-swap races, so serving traffic trains the prior).
@@ -355,24 +355,11 @@ class ObservationStore:
         if self._hash_index is not None:
             self._hash_index.add(record_key(record))
 
-    def extend(self, records: Iterable[dict]) -> int:
-        """Append raw records (no dedup); returns how many were added.
-
-        Records without a fingerprint (e.g. migrated from a v2
-        profile's inline list) are stamped with this writer's."""
-        added = 0
-        for record in records:
-            record = dict(record)
-            if not record.get("fingerprint"):
-                record["fingerprint"] = self.fingerprint
-            self._append(record)
-            added += 1
-        return added
-
     def ingest(self, records: Iterable[dict]) -> int:
         """Append records not already present (content dedup); returns
         how many were actually added.  Re-ingesting the same batch — a
-        re-run suite, a re-migrated profile — is idempotent."""
+        re-run suite — is idempotent.  Records without a fingerprint
+        are stamped with this writer's."""
         index = self._ensure_hash_index()
         added = 0
         for record in records:
@@ -428,12 +415,8 @@ class ObservationStore:
         yield from list(self._writer_records)
 
     def __len__(self) -> int:
-        return sum(1 for _ in self)
-
-    @property
-    def n_observations(self) -> int:
         """Records currently in the store (all shards + unflushed)."""
-        return len(self)
+        return sum(1 for _ in self)
 
     # ------------------------------------------------------------------
     # persistence
@@ -529,8 +512,8 @@ class ObservationStore:
 
     def prune(self, keep: int) -> PruneStats:
         """Thin the store to at most ``keep`` records by feature-space
-        coverage (:func:`~repro.store.prune.coverage_prune`), replacing
-        the FIFO truncation of the bounded profile store.
+        coverage (:func:`~repro.store.prune.coverage_prune`) rather than
+        by age.
 
         The surviving records are flushed into this writer's shard
         *before* the superseded shards are removed, so a crash
@@ -697,9 +680,11 @@ class ObservationStore:
         (:meth:`_resolve_mode` — the PR 4 separation invariant), the
         meta watermark for that regime is advanced, and the model is
         written to ``model_path`` when given (atomically, via
-        :func:`~repro.tuner.learn.save_model`).
+        :func:`~repro.tuner.learn.save_trained_model`, which raises
+        :class:`~repro.errors.ConfigurationError` rather than replace
+        an existing model file with an empty fit).
         """
-        from repro.tuner.learn import LearnedTunerModel, save_model
+        from repro.tuner.learn import LearnedTunerModel, save_trained_model
 
         with _obs_span("store.retrain", force=bool(force)) as span:
             # one scan resolves the regime, the staleness check and the
@@ -728,7 +713,7 @@ class ObservationStore:
                 }
                 self._write_meta(meta)
             if model_path is not None:
-                save_model(model, model_path)
+                save_trained_model(model, model_path)
             return model
 
     def __repr__(self) -> str:

@@ -13,11 +13,12 @@ per-subject modeling — instead of one hard-coded global default:
   fallback (:class:`LearnedPrior`) — Eq. 7.1 amortization in the
   objective either way;
 * :mod:`~repro.tuner.learn` — the ridge-regression ensemble behind the
-  learned prior: trained on accumulated tuning-profile observations,
-  uncertainty-gated by leave-one-out predictive variance;
+  learned prior: trained on the records of an observation store (any
+  iterable of record dicts), uncertainty-gated by leave-one-out
+  predictive variance;
 * :mod:`~repro.tuner.race` — budgeted successive-halving racing over
   the surviving finalists;
-* :mod:`~repro.tuner.profile` — versioned JSON tuning profiles: a thin
+* :mod:`~repro.tuner.profile` — versioned JSON tuning profiles: a
   decision cache for warm starts (raw training observations live in
   the fleet-wide :mod:`repro.store` data-plane);
 * :mod:`~repro.tuner.auto` — the :class:`Autotuner` pipeline and the
@@ -40,6 +41,7 @@ from repro.tuner.learn import (
     feature_vector,
     load_model,
     save_model,
+    save_trained_model,
 )
 from repro.tuner.predict import (
     DEFAULT_CANDIDATES,
@@ -49,7 +51,6 @@ from repro.tuner.predict import (
 )
 from repro.tuner.profile import (
     PROFILE_VERSION,
-    SUPPORTED_PROFILE_VERSIONS,
     TuningProfile,
     entry_key,
     load_profile,
@@ -69,7 +70,6 @@ __all__ = [
     "MatrixFeatures",
     "PROFILE_VERSION",
     "RaceResult",
-    "SUPPORTED_PROFILE_VERSIONS",
     "SecondsPrediction",
     "TuningDecision",
     "TuningProfile",
@@ -83,5 +83,6 @@ __all__ = [
     "rank_candidates",
     "save_model",
     "save_profile",
+    "save_trained_model",
     "successive_halving",
 ]

@@ -449,11 +449,9 @@ class Autotuner:
             Observation sink for this run's genuine seconds — an
             :class:`~repro.store.ObservationStore` (the fleet-wide
             training data-plane) or anything with its
-            ``add_observation`` signature.  When given, observations go
-            to the store and the profile stays a thin decision cache;
-            without it they land in the profile's legacy inline list
-            (when a profile is given at all).  Warm starts append
-            nothing either way, and model predictions are never
+            ``add_observation`` signature.  Without one nothing is
+            recorded; the profile only ever holds decisions.  Warm
+            starts append nothing, and model predictions are never
             recorded (see :meth:`_record_observations`).
         """
         if machine is None:
@@ -547,10 +545,9 @@ class Autotuner:
             mode=self.mode,
             features=features,
         )
-        sink = store if store is not None else profile
-        if sink is not None:
+        if store is not None:
             self._record_observations(
-                sink, features,
+                store, features,
                 [by_name[s.name] for s in scores], race, reorder, cores,
                 machine.name,
             )
@@ -680,19 +677,18 @@ class Autotuner:
         """Append this run's *genuine* seconds to the training store.
 
         ``sink`` is the observation data-plane — a fleet-wide
-        :class:`~repro.store.ObservationStore`, or the profile's legacy
-        inline list; both expose the same ``add_observation``
-        signature.  Model predictions are never fed back into the store
-        they would later be trained on.  ``scores`` already carries the
-        re-priced finalists (:meth:`_reprice_finalists`), so what
-        qualifies:
+        :class:`~repro.store.ObservationStore`, or anything with its
+        ``add_observation`` signature.  Model predictions are never fed
+        back into the store they would later be trained on.  ``scores``
+        already carries the re-priced finalists
+        (:meth:`_reprice_finalists`), so what qualifies:
 
         * in simulated mode — every cost-model-priced candidate
           (fallback scores and re-priced finalists alike);
         * in measured mode — raced arms only, with the last raw
           wall-clock measurement as the target and the genuine compiled
-          scheduling cost, so one profile never mixes wall-clock and
-          simulated per-solve targets.
+          scheduling cost, so a measured run never records simulated
+          per-solve targets.
 
         Each record carries the effective Section 5 reorder flag — the
         learned prior trains and predicts per (scheduler, reordered)
@@ -873,7 +869,7 @@ class AutoScheduler(Scheduler):
     @property
     def observation_store(self):
         """The currently attached observation sink (``None`` when
-        observations go to the profile's legacy inline list)."""
+        tuning records no observations)."""
         return self._store
 
     def attach_store(self, store, *, source: str | None = None):

@@ -4,15 +4,13 @@ The cost-model prior (:mod:`repro.tuner.predict`) prices every candidate
 by running one machine-model simulation per candidate per instance.
 That is cheap next to racing, but it is still the dominant cost of a
 warm fleet re-tune — and the information it recomputes is exactly what
-accumulated tuning profiles already contain.  This module learns the
-mapping once and answers from then on with **one inference per
+accumulated tuning observations already contain.  This module learns
+the mapping once and answers from then on with **one inference per
 candidate** instead of one simulation:
 
-* every ``repro tune`` run appends ``(features, scheduler, seconds)``
-  observations to the **training data-plane** — the fleet-wide
-  :class:`~repro.store.ObservationStore`, or the legacy inline list of
-  a :class:`~repro.tuner.profile.TuningProfile` when no store is
-  attached;
+* every cold ``repro tune`` run appends ``(features, scheduler,
+  seconds)`` observations to the **training data-plane** — the
+  fleet-wide :class:`~repro.store.ObservationStore`;
 * :meth:`LearnedTunerModel.fit` trains one ridge-regression model per
   scheduler candidate on those observations (any iterable of record
   dicts — a store iterates directly) — inputs are the
@@ -59,6 +57,7 @@ __all__ = [
     "feature_vector",
     "load_model",
     "save_model",
+    "save_trained_model",
 ]
 
 #: Format version of persisted learned-tuner models; bump on
@@ -217,10 +216,10 @@ class LearnedTunerModel:
     """The per-scheduler ridge ensemble behind the learned prior.
 
     One :class:`_RidgeModel` per **(scheduler, reordered)** variant,
-    trained on the observation records a
-    :class:`~repro.tuner.profile.TuningProfile` accumulates (see
-    :meth:`TuningProfile.add_observation
-    <repro.tuner.profile.TuningProfile.add_observation>`).  Keying by
+    trained on the observation records an
+    :class:`~repro.store.ObservationStore` accumulates (see
+    :meth:`ObservationStore.add_observation
+    <repro.store.ObservationStore.add_observation>`).  Keying by
     the effective Section 5 reorder flag keeps reordered and unpermuted
     seconds apart — a model trained from CLI tunes (scheduler-default
     reordering) answers a :class:`~repro.service.SolveService`
@@ -269,9 +268,9 @@ class LearnedTunerModel:
         """Train one model per scheduler from observation records.
 
         ``observations`` is any iterable of record dicts — a plain
-        list, a profile's legacy inline list, or a
-        :class:`~repro.store.ObservationStore` (iterated once, shard by
-        shard; no materialized copy of the store is required).
+        list or an :class:`~repro.store.ObservationStore` (iterated
+        once, shard by shard; no materialized copy of the store is
+        required).
 
         Each record carries ``features`` (a
         :meth:`MatrixFeatures.as_dict` payload), ``scheduler``,
@@ -451,6 +450,30 @@ def save_model(model: LearnedTunerModel, path: str | os.PathLike) -> None:
     corrupts a previously good model file.
     """
     atomic_write_json(model.as_dict(), path)
+
+
+def save_trained_model(
+    model: LearnedTunerModel, path: str | os.PathLike
+) -> None:
+    """:func:`save_model` for a fresh fit, refusing to replace an
+    existing model file with an empty one.
+
+    A fit that learned nothing (too few observations per
+    (scheduler, reordered) variant) raises
+    :class:`~repro.errors.ConfigurationError` when ``path`` already
+    exists, so a retrain on thin data never discards a working model;
+    with no file at ``path`` the empty model is written.  ``repro tune
+    --train`` and :meth:`~repro.store.ObservationStore.retrain` both
+    write through this guard.
+    """
+    if len(model) == 0 and os.path.exists(path):
+        raise ConfigurationError(
+            f"the fit yielded no models (too few observations per "
+            f"(scheduler, reordered) variant); refusing to overwrite "
+            f"the existing model {os.fspath(path)} with an empty one — "
+            f"accumulate more observations first"
+        )
+    save_model(model, path)
 
 
 def load_model(path: str | os.PathLike) -> LearnedTunerModel:

@@ -2,9 +2,10 @@
 
 The segmented gather — "for each segment ``i``, the consecutive indices
 ``starts[i] .. starts[i] + counts[i]``, concatenated" — underlies the
-execution-plan compiler's gather layout, its level peel, and the cache
-model's access streams.  One implementation keeps the subtle index
-arithmetic in one place.
+execution-plan compiler's gather layout, its level peel, the cache
+model's access streams, and the frontier-at-a-time graph sweeps
+(Kahn rounds, BFS levels, triangle probes, HDagg's bundle unions).  One
+implementation keeps the subtle index arithmetic in one place.
 """
 
 from __future__ import annotations

@@ -210,12 +210,24 @@ class TestAtomicWrite:
         assert [f.line for f in findings] == [2, 3]
         assert rules_fired(findings) == {"atomic-write"}
 
+    def test_flags_path_write_text_and_write_bytes(self, tmp_path):
+        findings = lint_snippet(tmp_path, """\
+            from pathlib import Path
+            Path("f").write_text("x", encoding="utf-8")
+            out = Path("g")
+            out.write_bytes(b"x")
+            """)
+        assert [f.line for f in findings] == [2, 4]
+        assert rules_fired(findings) == {"atomic-write"}
+
     def test_reads_and_appends_are_clean(self, tmp_path):
         assert lint_snippet(tmp_path, """\
+            from pathlib import Path
             a = open("f")
             b = open("g", "r")
             c = open("h", "ab")
             d = open("i", "x")
+            e = Path("j").read_text()
             """) == []
 
     def test_atomic_module_is_exempt(self, tmp_path):

@@ -46,6 +46,18 @@ def test_solve_with_and_without_schedule(matrix_file, tmp_path, capsys):
     np.testing.assert_allclose(x_sched, x_serial, rtol=1e-10)
 
 
+def test_solve_with_torn_schedule_is_a_clean_error(matrix_file, tmp_path,
+                                                    capsys):
+    sched = tmp_path / "s.json"
+    main(["schedule", "--matrix", matrix_file, "--cores", "4",
+          "--output", str(sched)])
+    sched.write_text(sched.read_text()[:-10])  # a write cut short
+    capsys.readouterr()
+    assert main(["solve", "--matrix", matrix_file,
+                 "--schedule", str(sched)]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
 def test_solve_custom_rhs(matrix_file, tmp_path):
     rhs = tmp_path / "b.npy"
     np.save(rhs, np.linspace(1, 2, 300))
@@ -251,13 +263,10 @@ def test_tune_writes_sidecar_store(tmp_path, capsys):
     assert "observations" not in data
 
 
-def test_tune_explicit_store_and_migration_from_v2_profile(
-    tmp_path, capsys
-):
+def test_tune_explicit_store_and_refused_v2_profile(tmp_path, capsys):
     import json
 
     from repro.store import ObservationStore
-    from repro.tuner import load_profile
 
     profile = str(tmp_path / "profile.json")
     store_dir = str(tmp_path / "fleet.store")
@@ -270,23 +279,38 @@ def test_tune_explicit_store_and_migration_from_v2_profile(
     assert cold["store"] == store_dir
     assert len(ObservationStore(store_dir, create=False)) == 3
 
-    # rewrite the profile as a v2 file with inline observations: the
-    # next run must migrate them into the store (dedup keeps the store
-    # clean) and write the profile back thin
+    # a version-2 profile with inline observations is refused with a
+    # named error; neither the file nor the store is touched
     data = json.loads(open(profile).read())
-    inline = [dict(r) for r in ObservationStore(store_dir)]
-    for record in inline:
-        record["seconds"] *= 2.0  # distinct content: must be added
-    data.update(version=2, observations=inline)
-    open(profile, "w").write(json.dumps(data))
-
+    data.update(version=2, observations=list(ObservationStore(store_dir)))
+    v2 = json.dumps(data)
+    open(profile, "w").write(v2)
     assert main([*args, "--profile", profile, "--store", store_dir,
-                 "--json"]) == 0
-    warm = json.loads(capsys.readouterr().out)
-    assert warm["migrated_observations"] == 3
-    assert warm["races_run"] == 0
-    assert warm["n_observations"] == 6
-    assert load_profile(profile).n_observations == 0  # thin again
+                 "--json"]) == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and "version 2" in err
+    assert open(profile).read() == v2
+    assert len(ObservationStore(store_dir, create=False)) == 3
+
+
+def test_tune_train_without_profile_or_store_fits_in_memory(tmp_path,
+                                                            capsys):
+    import json
+
+    from repro.tuner import load_model
+
+    model = str(tmp_path / "model.json")
+    assert main(["tune", "--dataset", "narrow_band", "--limit", "2",
+                 "--schedulers", "growlocal,hdagg", "--mode", "simulated",
+                 "--seed", "0", "--cores", "8", "--train", "--model",
+                 model, "--json"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["store"] is None
+    assert out["n_observations"] == 6
+    assert set(out["trained"]["schedulers"]) == {"growlocal", "hdagg",
+                                                 "serial"}
+    assert load_model(model).schedulers == out["trained"]["schedulers"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["model.json"]
 
 
 def test_store_stats_json_shape(tmp_path, capsys):

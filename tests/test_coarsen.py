@@ -3,7 +3,8 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.errors import InvalidPartitionError, ReproError
 from repro.graph.coarsen import (
@@ -158,3 +159,41 @@ def test_property_coarsen_preserves_acyclicity(dag):
 def test_property_out_funnels_are_cascades(dag):
     parts = out_funnel_partition(dag)
     assert is_cascade_partition(dag, parts)
+
+
+def _part_of_reference(n: int, parts: list[list[int]]):
+    """Part-by-part reference for :func:`partition_from_parts`: the
+    first part with an out-of-range vertex or a vertex of an earlier
+    part decides the error."""
+    part_of = np.full(n, -1, dtype=np.int64)
+    for pid, part in enumerate(parts):
+        arr = np.asarray(part, dtype=np.int64)
+        if arr.size and (arr.min() < 0 or arr.max() >= n):
+            return "part contains out-of-range vertex"
+        if np.any(part_of[arr] >= 0):
+            return "parts overlap"
+        part_of[arr] = pid
+    if np.any(part_of < 0):
+        return "parts do not cover all vertices"
+    return part_of.tolist()
+
+
+@settings(max_examples=100, deadline=None)
+@example((3, [[0, 1], [1], [2, 7]]))  # overlap before a later bad vertex
+@example((3, [[0], [0, 7]]))  # both in one part: out-of-range first
+@example((2, [[1, 1], [0]]))  # a repeat inside one part is no overlap
+@given(st.integers(0, 6).flatmap(lambda n: st.tuples(
+    st.just(n),
+    st.lists(st.lists(st.integers(-1, n), max_size=4), max_size=5)
+    | st.permutations(range(n)).flatmap(lambda perm: st.just(
+        [perm[: len(perm) // 2], perm[len(perm) // 2:]])),
+)))
+def test_property_partition_from_parts_matches_part_by_part_check(case):
+    n, parts = case
+    try:
+        got = partition_from_parts(
+            n, [np.array(p, dtype=np.int64) for p in parts]
+        ).tolist()
+    except InvalidPartitionError as exc:
+        got = str(exc)
+    assert got == _part_of_reference(n, parts)

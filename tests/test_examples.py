@@ -9,8 +9,6 @@ import subprocess
 import sys
 from pathlib import Path
 
-import pytest
-
 EXAMPLES = Path(__file__).resolve().parent.parent / "examples"
 
 
@@ -64,7 +62,6 @@ def test_autotune_learned():
     assert "priced by inference" in out
 
 
-@pytest.mark.slow
 def test_scheduler_comparison():
     out = _run("scheduler_comparison.py", timeout=900)
     assert "narrow_band" in out

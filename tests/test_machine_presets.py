@@ -60,6 +60,6 @@ def test_compute_cost_is_uniform_across_x86(machines):
 def test_cache_smaller_than_proxy_vectors(machines):
     """The calibration requires the x-vector of typical proxies (>= 10k
     elements) to exceed per-core cache capacity, else locality effects
-    vanish (EXPERIMENTS.md calibration note)."""
+    vanish."""
     for m in machines.values():
         assert m.cache_lines * m.line_elems < 10_000

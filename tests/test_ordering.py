@@ -12,6 +12,7 @@ from repro.matrix.ordering import (
     nested_dissection_ordering,
     rcm_ordering,
 )
+from repro.matrix.ordering.rcm import _bfs_levels, _symmetric_adjacency
 from repro.matrix.permute import is_permutation, permute_symmetric
 from repro.matrix.properties import bandwidth
 from tests.conftest import lower_triangular_matrices
@@ -113,3 +114,25 @@ def test_property_all_orderings_are_permutations(m):
     for order_fn in (rcm_ordering, minimum_degree_ordering,
                      nested_dissection_ordering):
         assert is_permutation(order_fn(m))
+
+
+@settings(max_examples=40, deadline=None)
+@given(lower_triangular_matrices(min_n=1, max_n=30))
+def test_property_bfs_levels_match_reference_bfs(m):
+    """Level-batched BFS equals a vertex-at-a-time BFS restricted to an
+    active mask (the nested-dissection subproblem)."""
+    indptr, adj = _symmetric_adjacency(m)
+    rng = np.random.default_rng(m.n)
+    active = rng.random(m.n) < 0.7
+    start = int(rng.integers(m.n))
+    expected = [-1] * m.n
+    expected[start] = 0
+    queue = [start]
+    for u in queue:
+        for v in adj[indptr[u]:indptr[u + 1]].tolist():
+            if active[v] and expected[v] < 0:
+                expected[v] = expected[u] + 1
+                queue.append(v)
+    np.testing.assert_array_equal(
+        _bfs_levels(indptr, adj, start, active), expected
+    )

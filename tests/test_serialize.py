@@ -11,9 +11,7 @@ from repro.errors import ConfigurationError
 from repro.scheduler.schedule import Schedule
 from repro.scheduler.serialize import (
     load_schedule_json,
-    load_schedule_npz,
     save_schedule_json,
-    save_schedule_npz,
     schedule_from_dict,
     schedule_to_dict,
 )
@@ -44,10 +42,19 @@ def test_json_roundtrip(tmp_path, sample):
     assert _equal(load_schedule_json(path), sample)
 
 
-def test_npz_roundtrip(tmp_path, sample):
-    path = tmp_path / "s.npz"
-    save_schedule_npz(sample, path)
-    assert _equal(load_schedule_npz(path), sample)
+@pytest.mark.parametrize("content", [
+    pytest.param(None, id="torn"),
+    pytest.param(b"", id="empty"),
+    pytest.param(b"\xff\xfe not ascii", id="binary"),
+])
+def test_invalid_json_is_a_configuration_error(tmp_path, sample, content):
+    path = tmp_path / "s.json"
+    if content is None:
+        save_schedule_json(sample, path)
+        content = path.read_bytes()[:-10]  # a write cut short
+    path.write_bytes(content)
+    with pytest.raises(ConfigurationError, match="not valid JSON"):
+        load_schedule_json(path)
 
 
 def test_digest_detects_corruption(sample):

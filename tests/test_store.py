@@ -192,21 +192,6 @@ class TestStoreBasics:
         monkeypatch.setenv("REPRO_MACHINE_FINGERPRINT", "../escape")
         assert "/" not in machine_fingerprint()
 
-    def test_profile_records_hash_like_store_records(self, features):
-        """TuningProfile.add_observation builds the store's canonical
-        record shape, so migrating a profile observation that the store
-        also recorded directly dedups to one record."""
-        from repro.tuner import TuningProfile
-
-        kwargs = dict(scheduling_seconds=0.1, n_cores=N_CORES,
-                      mode="simulated", reordered=True,
-                      machine="intel_xeon_6238t", source="tune")
-        profile = TuningProfile()
-        profile.add_observation(features, "growlocal", 1.5, **kwargs)
-        store = ObservationStore(None, fingerprint="m1")
-        store.add_observation(features, "growlocal", 1.5, **kwargs)
-        assert store.ingest(profile.take_observations()) == 0
-
     def test_record_key_is_content_identity(self, features):
         a = build_record(features, "growlocal", 1.0, mode="simulated",
                          fingerprint="m1")
@@ -276,11 +261,11 @@ class TestMerge:
                               n_cores=N_CORES, fingerprint="shared")
         a = ObservationStore(tmp_path / "a", fingerprint="m1")
         _fill(a, features, "growlocal", [1.0, 2.0])
-        a.extend([dict(shared)])
+        a.ingest([dict(shared)])
         a.flush()
         b = ObservationStore(tmp_path / "b", fingerprint="m2")
         _fill(b, features, "growlocal", [1.5, 2.5])
-        b.extend([dict(shared)])
+        b.ingest([dict(shared)])
         b.flush()
         return a, b
 
@@ -417,10 +402,10 @@ class TestPrune:
     def test_store_prune_rewrites_shards(self, tmp_path):
         records, _, _ = self._clustered_records()
         store = ObservationStore(tmp_path / "s", fingerprint="m1")
-        store.extend(records[:60])
+        store.ingest(records[:60])
         store.flush()
         other = ObservationStore(tmp_path / "s", fingerprint="m2")
-        other.extend(records[60:])
+        other.ingest(records[60:])
         other.flush()
         pruner = ObservationStore(tmp_path / "s", fingerprint="p")
         stats = pruner.prune(10)
@@ -511,6 +496,25 @@ class TestRetrain:
         assert store.needs_retrain(min_new=2)
         assert store.retrain(min_new=2) is not None
 
+    def test_empty_fit_never_replaces_an_existing_model(self, tmp_path,
+                                                        features):
+        """A forced retrain on too little data must raise, not replace
+        a working model file with an empty one."""
+        path = tmp_path / "model.json"
+        rich = ObservationStore(tmp_path / "rich")
+        for name in ("growlocal", "hdagg", "serial"):
+            _fill(rich, features, name, [1.0, 1.1, 1.2])
+        assert len(rich.retrain(model_path=path)) == 3
+        before = path.read_bytes()
+
+        thin = ObservationStore(tmp_path / "thin")
+        _fill(thin, features, "growlocal", [1.0])
+        _fill(thin, features, "hdagg", [2.0])
+        with pytest.raises(ConfigurationError, match="refusing to overwrite"):
+            thin.retrain(force=True, model_path=path)
+        assert path.read_bytes() == before
+        assert len(load_model(path).schedulers) == 3
+
     def test_empty_fit_does_not_advance_the_watermark(self, tmp_path,
                                                       features):
         store = ObservationStore(tmp_path / "s")
@@ -556,8 +560,8 @@ class TestTunerStoreIntegration:
         decision = tuner.tune(small_inst, machine, n_cores=N_CORES,
                               profile=profile, store=store)
         assert decision.source == "raced"
-        # observations went to the store, not the profile
-        assert profile.n_observations == 0
+        # observations went to the store; the profile holds the decision
+        assert set(profile.as_dict()) == {"version", "machine", "entries"}
         assert len(profile) == 1
         records = list(store)
         assert len(records) == len(CANDIDATES) + 1

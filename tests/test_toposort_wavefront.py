@@ -1,5 +1,7 @@
 """Tests for topological sorting and wavefront analysis."""
 
+from collections import deque
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -88,3 +90,37 @@ def test_property_wavefronts_partition_vertices(dag):
     levels = wavefronts(dag)
     combined = np.concatenate(levels) if levels else np.empty(0, dtype=int)
     assert np.array_equal(np.sort(combined), np.arange(dag.n))
+
+
+def _fifo_kahn(dag: DAG) -> list[int]:
+    """Reference: queue-based Kahn, sources enqueued in index order."""
+    indeg = dag.in_degrees().tolist()
+    queue = deque(v for v in range(dag.n) if indeg[v] == 0)
+    order = []
+    while queue:
+        u = queue.popleft()
+        order.append(u)
+        for v in dag.children(u).tolist():
+            indeg[v] -= 1
+            if indeg[v] == 0:
+                queue.append(v)
+    return order
+
+
+@settings(max_examples=60, deadline=None)
+@given(dags(max_n=40))
+def test_property_toposort_is_fifo_kahn_order(dag):
+    """The round-wise implementation reproduces the queue-based Kahn
+    order exactly — schedulers' smallest-ID tie-breaking and the
+    coarsening relabel depend on it."""
+    np.testing.assert_array_equal(topological_order(dag), _fifo_kahn(dag))
+
+
+@settings(max_examples=60, deadline=None)
+@given(dags(max_n=40))
+def test_property_levels_are_longest_path_depths(dag):
+    expected = [0] * dag.n
+    for u in _fifo_kahn(dag):
+        for v in dag.children(u).tolist():
+            expected[v] = max(expected[v], expected[u] + 1)
+    np.testing.assert_array_equal(wavefront_levels(dag), expected)

@@ -1,9 +1,8 @@
-"""Tests for execution traces, the Gantt renderer, and report generation."""
+"""Tests for execution traces and the Gantt renderer."""
 
 import numpy as np
 import pytest
 
-from repro.experiments.report import ExperimentRecord, ReproductionReport
 from repro.graph.dag import DAG
 from repro.machine.bsp_sim import simulate_bsp
 from repro.machine.model import MachineModel
@@ -70,32 +69,3 @@ class TestGantt:
         art = render_gantt(ExecutionTrace(busy, 0.0), max_supersteps=5)
         assert "first 5 of 100" in art
 
-
-class TestReport:
-    def test_record_markdown(self):
-        rec = ExperimentRecord(
-            experiment_id="Table 7.1",
-            title="speed-ups",
-            measured_table="a  b\n1  2",
-            paper_summary="GL=10.79",
-            shape_criteria=[("GL > HDagg", True), ("GL > SpMP", False)],
-            notes="scale compressed",
-        )
-        md = rec.to_markdown()
-        assert "## Table 7.1" in md
-        assert "- [x] GL > HDagg" in md
-        assert "- [ ] GL > SpMP" in md
-        assert not rec.passed
-
-    def test_report_aggregation(self, tmp_path):
-        report = ReproductionReport(title="Repro", preamble="intro")
-        report.add(ExperimentRecord("T1", "a", "t", "p",
-                                    [("ok", True)]))
-        report.add(ExperimentRecord("T2", "b", "t", "p",
-                                    [("bad", False)]))
-        assert report.n_passed == 1
-        md = report.to_markdown()
-        assert "1 / 2 experiments" in md
-        out = tmp_path / "r.md"
-        report.write(out)
-        assert out.read_text().startswith("# Repro")

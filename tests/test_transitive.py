@@ -2,6 +2,7 @@
 
 import numpy as np
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.graph.dag import DAG
 from repro.graph.transitive import (
@@ -95,3 +96,33 @@ def test_property_idempotent_on_result_edges(dag):
             int(s) in parent_sets[w] for w in parent_sets[int(d)]
         )
         assert bool(m) == covered
+
+
+def _mask_reference(dag: DAG, max_work: int | None) -> np.ndarray:
+    """Vertex-at-a-time reference: probe each vertex's grandparents in
+    index order, stopping before the vertex that exceeds the budget."""
+    src, dst = dag.edges()
+    index = {(int(s), int(d)): i for i, (s, d) in enumerate(
+        zip(src, dst, strict=True))}
+    mask = np.zeros(src.size, dtype=bool)
+    work = 0
+    for v in range(dag.n):
+        pv = dag.parents(v).tolist()
+        if len(pv) < 2:
+            continue
+        grand = [u for w in pv for u in dag.parents(w).tolist()]
+        work += len(grand)
+        if max_work is not None and work > max_work:
+            break
+        for u in set(pv) & set(grand):
+            mask[index[(u, v)]] = True
+    return mask
+
+
+@settings(max_examples=60, deadline=None)
+@given(dags(max_n=25), st.one_of(st.none(), st.integers(0, 80)))
+def test_property_mask_matches_vertex_loop(dag, max_work):
+    np.testing.assert_array_equal(
+        transitive_edge_mask(dag, max_work=max_work),
+        _mask_reference(dag, max_work),
+    )

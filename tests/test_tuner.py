@@ -24,6 +24,7 @@ from repro.machine.model import get_machine
 from repro.matrix.generators import erdos_renyi_lower, narrow_band_lower
 from repro.scheduler.registry import available_schedulers, make_scheduler
 from repro.service import SolveService
+from repro.store import ObservationStore
 from repro.tuner import (
     Autotuner,
     LearnedPrior,
@@ -672,7 +673,7 @@ class TestReviewRegressions:
 # the learned prior (training store, ridge ensemble, uncertainty gate)
 # ---------------------------------------------------------------------------
 class TestLearnedPrior:
-    """The regression-backed prior: trained on profile observations,
+    """The regression-backed prior: trained on observation-store records,
     uncertainty-gated, bit-identical to the cost model when untrained."""
 
     @pytest.fixture(scope="class")
@@ -694,33 +695,35 @@ class TestLearnedPrior:
 
     @pytest.fixture(scope="class")
     def trained(self, corpus, machine):
-        """Profile + model from one cold simulated tuning pass."""
+        """Profile, in-memory store and model from one cold simulated
+        tuning pass."""
         cache = PlanCache()
         profile = TuningProfile(machine=machine.name)
+        store = ObservationStore(None)
         tuner = Autotuner(candidates=CANDIDATES, mode="simulated",
                           expected_solves=1e15, seed=0)
         for inst in corpus:
             tuner.tune(inst, machine, n_cores=N_CORES, plan_cache=cache,
-                       profile=profile)
-        return profile, LearnedTunerModel.fit(profile.observations)
+                       profile=profile, store=store)
+        return profile, store, LearnedTunerModel.fit(store)
 
     def test_cold_runs_accumulate_observations(self, trained, corpus):
-        profile, model = trained
+        _, store, model = trained
         # every scored candidate (pool + serial) of every instance
-        assert profile.n_observations == len(corpus) * (len(CANDIDATES) + 1)
+        assert len(store) == len(corpus) * (len(CANDIDATES) + 1)
         assert set(model.schedulers) == set(CANDIDATES) | {"serial"}
         for name in model.schedulers:
             assert model.n_samples(name) == len(corpus)
 
     def test_warm_starts_append_nothing(self, corpus, machine, trained):
-        profile, _ = trained
-        before = profile.n_observations
+        profile, store, _ = trained
+        before = len(store)
         warm = Autotuner(candidates=CANDIDATES, mode="simulated",
                          expected_solves=1e15, seed=0)
         decision = warm.tune(corpus[0], machine, n_cores=N_CORES,
-                             profile=profile)
+                             profile=profile, store=store)
         assert decision.source == "profile"
-        assert profile.n_observations == before
+        assert len(store) == before
 
     def test_empty_store_is_bit_identical_to_cost_prior(
         self, corpus, machine
@@ -744,7 +747,7 @@ class TestLearnedPrior:
         )
 
     def test_learned_rank_is_deterministic(self, corpus, machine, trained):
-        _, model = trained
+        *_, model = trained
         prior = LearnedPrior(model, min_samples=3, max_std=5.0)
         cache = PlanCache()
         first = prior.rank(corpus[0], CANDIDATES, machine,
@@ -758,7 +761,7 @@ class TestLearnedPrior:
 
     def test_gate_min_samples_forces_fallback(self, corpus, machine,
                                               trained):
-        _, model = trained
+        *_, model = trained
         prior = LearnedPrior(model, min_samples=len(corpus) + 1)
         scores = prior.rank(corpus[0], CANDIDATES, machine,
                             n_cores=N_CORES, expected_solves=1e15)
@@ -766,7 +769,7 @@ class TestLearnedPrior:
         assert prior.n_predicted == 0
 
     def test_gate_max_std_forces_fallback(self, corpus, machine, trained):
-        _, model = trained
+        *_, model = trained
         prior = LearnedPrior(model, min_samples=3, max_std=0.0)
         scores = prior.rank(corpus[0], CANDIDATES, machine,
                             n_cores=N_CORES, expected_solves=1e15)
@@ -777,7 +780,7 @@ class TestLearnedPrior:
     ):
         """A fully admitted ranking touches no plan cache at all —
         pure inference."""
-        _, model = trained
+        *_, model = trained
         prior = LearnedPrior(model, min_samples=3, max_std=10.0)
         cache = PlanCache()
         features = extract_features(corpus[0], n_cores=N_CORES)
@@ -799,7 +802,7 @@ class TestLearnedPrior:
         """Acceptance: with the simulated race re-pricing finalists,
         the learned tuner's picks match the cost tuner's at least as
         often as not — here exactly, on the training corpus."""
-        _, model = trained
+        *_, model = trained
         cache = PlanCache()
         cost = Autotuner(candidates=CANDIDATES, mode="simulated",
                          expected_solves=1e15, seed=0)
@@ -822,7 +825,7 @@ class TestLearnedPrior:
     ):
         """The race that settles the decision must run on genuine
         cost-model seconds, never on the model's own predictions."""
-        _, model = trained
+        *_, model = trained
         inst = corpus[0]
         learned = Autotuner(candidates=CANDIDATES, mode="simulated",
                             expected_solves=1e15, seed=0,
@@ -849,7 +852,7 @@ class TestLearnedPrior:
                                                trained):
         """Observations written during a learned-prior tune carry real
         simulated seconds, not model output."""
-        _, model = trained
+        *_, model = trained
         inst = corpus[1]
         learned = Autotuner(candidates=CANDIDATES, mode="simulated",
                             expected_solves=1e15, seed=0,
@@ -857,24 +860,24 @@ class TestLearnedPrior:
                             min_prediction_samples=3,
                             max_prediction_std=5.0)
         cache = PlanCache()
-        profile = TuningProfile(machine=machine.name)
+        store = ObservationStore(None)
         learned.tune(inst, machine, n_cores=N_CORES, plan_cache=cache,
-                     profile=profile)
+                     store=store)
         truth = {
             s.name: s.parallel_seconds
             for s in rank_candidates(inst, CANDIDATES, machine,
                                      n_cores=N_CORES, plan_cache=cache,
                                      expected_solves=1e15)
         }
-        assert profile.n_observations > 0
-        for obs in profile.observations:
+        assert len(store) > 0
+        for obs in store:
             assert obs["seconds"] == pytest.approx(
                 truth[obs["scheduler"]], rel=1e-12
             )
 
     def test_model_save_load_roundtrip(self, corpus, machine, trained,
                                        tmp_path):
-        _, model = trained
+        *_, model = trained
         path = tmp_path / "model.json"
         save_model(model, path)
         back = load_model(path)
@@ -908,18 +911,19 @@ class TestLearnedPrior:
             load_model(path)
 
     def test_model_with_cost_prior_is_rejected(self, trained):
-        _, model = trained
+        *_, model = trained
         with pytest.raises(ConfigurationError):
             Autotuner(prior="cost", model=model)
         with pytest.raises(ConfigurationError):
             Autotuner(prior="nope")
 
     def test_fit_skips_malformed_observations(self, trained):
-        profile, _ = trained
-        noisy = [*profile.observations,
+        _, store, _ = trained
+        records = list(store)
+        noisy = [*records,
                  {"scheduler": "growlocal"},          # no features
                  {"features": {}, "scheduler": "x", "seconds": "nan"},
-                 {"features": profile.observations[0]["features"],
+                 {"features": records[0]["features"],
                   "scheduler": "growlocal", "seconds": float("inf")}]
         model = LearnedTunerModel.fit(noisy)
         assert set(model.schedulers) == set(CANDIDATES) | {"serial"}
@@ -929,7 +933,7 @@ class TestLearnedPrior:
     ):
         """SolveService(schedule='auto') under a learned-prior tuner:
         solves stay bit-equal to the installed plan."""
-        _, model = trained
+        *_, model = trained
         lower = narrow_band_lower(400, 0.1, 10.0, seed=41)
         tuner = Autotuner(candidates=CANDIDATES, mode="simulated",
                           expected_solves=1e15, seed=0,
@@ -949,127 +953,64 @@ class TestLearnedPrior:
 
 
 # ---------------------------------------------------------------------------
-# profile schema migration (v1 -> v2 training store)
+# the profile format: version 3, decisions only; older files are refused
 # ---------------------------------------------------------------------------
-class TestProfileMigration:
-    def _cold_profile(self, inst, machine):
+class TestProfileFormat:
+    @pytest.fixture(scope="class")
+    def cold(self, small_inst, machine):
+        """A decision from one cold simulated run, its profile entries
+        and the store that received the run's observations."""
         profile = TuningProfile(machine=machine.name)
+        store = ObservationStore(None)
         tuner = Autotuner(candidates=CANDIDATES, mode="simulated",
                           expected_solves=1e15, seed=0)
-        decision = tuner.tune(inst, machine, n_cores=N_CORES,
-                              profile=profile)
-        return profile, decision
+        decision = tuner.tune(small_inst, machine, n_cores=N_CORES,
+                              profile=profile, store=store)
+        return profile, store, decision
 
-    def test_v1_profile_still_warm_starts(self, small_inst, machine,
-                                          tmp_path):
-        """A profile written by PR 3 (version 1, no observation store)
-        must warm-start unchanged after the training-store extension."""
+    @pytest.mark.parametrize("version, inline", [
+        pytest.param(1, False, id="v1"),
+        pytest.param(2, True, id="v2"),
+        pytest.param(3, True, id="v3-with-observations"),
+        pytest.param(99, False, id="unknown-version"),
+    ])
+    def test_load_refuses(self, cold, machine, tmp_path, version,
+                          inline):
+        """Version 1 and 2 files, and any file still carrying an
+        inline observation array, are refused with a named error —
+        old training data is never silently dropped."""
         import json
 
-        profile, decision = self._cold_profile(small_inst, machine)
-        v1_path = tmp_path / "v1.json"
-        # exactly what PR 3's save_profile wrote: version 1, no
-        # observations key at all
-        v1_path.write_text(json.dumps({
-            "version": 1,
-            "machine": machine.name,
-            "entries": profile.entries,
-        }, indent=2, sort_keys=True))
-
-        loaded = load_profile(v1_path)
-        assert loaded.n_observations == 0
-        warm_tuner = Autotuner(candidates=CANDIDATES, mode="simulated",
-                               expected_solves=1e15, seed=0)
-        warm = warm_tuner.tune(small_inst, machine, n_cores=N_CORES,
-                               profile=loaded)
-        assert warm.source == "profile"
-        assert warm.scheduler == decision.scheduler
-        assert warm_tuner.races_run == 0
-
-    def test_v1_round_trips_to_current(self, small_inst, machine,
-                                       tmp_path):
-        """Loading v1 and saving upgrades the file to the current (v3,
-        thin decision cache) version."""
-        import json
-
-        profile, decision = self._cold_profile(small_inst, machine)
-        v1_path = tmp_path / "v1.json"
-        v1_path.write_text(json.dumps({
-            "version": 1,
-            "machine": machine.name,
-            "entries": profile.entries,
-        }))
-        loaded = load_profile(v1_path)
-
-        v3_path = tmp_path / "v3.json"
-        save_profile(loaded, v3_path)
-        data = json.loads(v3_path.read_text())
-        assert data["version"] == 3
-        # v3 is a thin decision cache: no empty legacy observation list
-        assert "observations" not in data
-
-        reloaded = load_profile(v3_path)
-        warm_tuner = Autotuner(candidates=CANDIDATES, mode="simulated",
-                               expected_solves=1e15, seed=0)
-        warm = warm_tuner.tune(small_inst, machine, n_cores=N_CORES,
-                               profile=reloaded)
-        assert warm.source == "profile"
-        assert warm.scheduler == decision.scheduler
-
-    def test_v2_inline_observations_still_load(self, small_inst,
-                                               machine, tmp_path):
-        """A v2 profile (PR 4: profiles doubled as the training store)
-        loads its inline observations into the legacy list — ready for
-        migration into an ObservationStore — and still warm-starts."""
-        import json
-
-        profile, decision = self._cold_profile(small_inst, machine)
-        v2_path = tmp_path / "v2.json"
-        v2_path.write_text(json.dumps({
-            "version": 2,
-            "machine": machine.name,
-            "entries": profile.entries,
-            "observations": profile.observations,
-        }))
-        loaded = load_profile(v2_path)
-        assert loaded.n_observations == profile.n_observations > 0
-        # non-empty legacy observations keep round-tripping (data is
-        # never silently dropped by a plain load/save cycle)
-        out = tmp_path / "resaved.json"
-        save_profile(loaded, out)
-        assert json.loads(out.read_text())["observations"] \
-            == profile.observations
-        warm_tuner = Autotuner(candidates=CANDIDATES, mode="simulated",
-                               expected_solves=1e15, seed=0)
-        warm = warm_tuner.tune(small_inst, machine, n_cores=N_CORES,
-                               profile=loaded)
-        assert warm.source == "profile"
-        assert warm.scheduler == decision.scheduler
-
-    def test_unknown_version_still_raises(self, tmp_path):
-        path = tmp_path / "future.json"
-        path.write_text('{"version": 99, "entries": {}}')
-        with pytest.raises(ConfigurationError):
+        profile, store, _ = cold
+        data = {"version": version, "machine": machine.name,
+                "entries": profile.entries}
+        if inline:
+            data["observations"] = list(store)
+        path = tmp_path / "profile.json"
+        path.write_text(json.dumps(data))
+        cause = "observations" if version == 3 else f"version {version}"
+        with pytest.raises(ConfigurationError, match=cause):
             load_profile(path)
 
-    def test_observation_store_is_bounded(self, small_inst):
-        from repro.tuner import profile as profile_mod
+    def test_saved_profile_is_decisions_only_and_warm_starts(
+        self, cold, small_inst, machine, tmp_path
+    ):
+        import json
 
-        features = extract_features(small_inst, n_cores=N_CORES)
-        p = TuningProfile()
-        cap = profile_mod.MAX_OBSERVATIONS
-        p.observations = [{"features": features.as_dict(),
-                           "scheduler": "serial", "seconds": 1.0}
-                          ] * cap
-        # satellite regression: the drop past the bound is surfaced as
-        # a returned count, never silent
-        assert p.add_observation(features, "growlocal", 2.0) == 1
-        assert p.n_observations == cap
-        assert p.observations[-1]["scheduler"] == "growlocal"
-        assert p.add_observation(features, "hdagg", 3.0,
-                                 mode="simulated") == 1
-        under = TuningProfile()
-        assert under.add_observation(features, "serial", 1.0) == 0
+        profile, _, decision = cold
+        path = tmp_path / "profile.json"
+        save_profile(profile, path)
+        data = json.loads(path.read_text())
+        assert data == {"version": 3, "machine": machine.name,
+                        "entries": profile.entries}
+
+        warm_tuner = Autotuner(candidates=CANDIDATES, mode="simulated",
+                               expected_solves=1e15, seed=0)
+        warm = warm_tuner.tune(small_inst, machine, n_cores=N_CORES,
+                               profile=load_profile(path))
+        assert warm_tuner.races_run == 0
+        assert warm.source == "profile"
+        assert warm.scheduler == decision.scheduler
 
 
 class TestLearnedPriorReviewRegressions:
@@ -1078,13 +1019,13 @@ class TestLearnedPriorReviewRegressions:
 
     def _trained_on(self, insts, machine, **tune_kwargs):
         cache = PlanCache()
-        profile = TuningProfile(machine=machine.name)
+        store = ObservationStore(None)
         tuner = Autotuner(candidates=CANDIDATES, mode="simulated",
                           seed=0, **tune_kwargs)
         for inst in insts:
             tuner.tune(inst, machine, n_cores=N_CORES, plan_cache=cache,
-                       profile=profile)
-        return profile, LearnedTunerModel.fit(profile.observations)
+                       store=store)
+        return store, LearnedTunerModel.fit(store)
 
     def test_race_handicap_uses_genuine_scheduling_seconds(
         self, machine
@@ -1099,8 +1040,8 @@ class TestLearnedPriorReviewRegressions:
                                               6.0 + i, seed=200 + i))
             for i in range(5)
         ]
-        profile, model = self._trained_on(insts, machine,
-                                          expected_solves=2.0)
+        _, model = self._trained_on(insts, machine,
+                                    expected_solves=2.0)
         cache = PlanCache()
         cost = Autotuner(candidates=CANDIDATES, mode="simulated",
                          expected_solves=2.0, seed=0)
@@ -1124,18 +1065,18 @@ class TestLearnedPriorReviewRegressions:
         model keeps the two variants apart."""
         inst = DatasetInstance("ro", narrow_band_lower(400, 0.1, 8.0,
                                                        seed=77))
-        profile = TuningProfile(machine=machine.name)
+        store = ObservationStore(None)
         tuner = Autotuner(candidates=("growlocal",), mode="simulated",
                           expected_solves=1e15, seed=0)
         # reorder=None: the paper default — growlocal reorders, the
         # serial baseline does not
-        tuner.tune(inst, machine, n_cores=N_CORES, profile=profile)
-        by_sched = {o["scheduler"]: o for o in profile.observations}
+        tuner.tune(inst, machine, n_cores=N_CORES, store=store)
+        by_sched = {o["scheduler"]: o for o in store}
         assert by_sched["growlocal"]["reordered"] is True
         assert by_sched["serial"]["reordered"] is False
 
         model = LearnedTunerModel.fit(
-            profile.observations * 3  # clear the fit minimum
+            list(store) * 3  # clear the fit minimum
         )
         features = extract_features(inst, n_cores=N_CORES)
         x = None
@@ -1148,24 +1089,6 @@ class TestLearnedPriorReviewRegressions:
             x, "growlocal", reordered=False) is None
         assert model.n_samples("growlocal") == 3
         assert model.n_samples("growlocal", reordered=False) == 0
-
-    def test_loaded_profile_preserves_file_version(self, small_inst,
-                                                   machine, tmp_path):
-        import json
-
-        profile = TuningProfile(machine=machine.name)
-        tuner = Autotuner(candidates=CANDIDATES, mode="simulated",
-                          seed=0)
-        tuner.tune(small_inst, machine, n_cores=N_CORES,
-                   profile=profile)
-        v1 = tmp_path / "v1.json"
-        v1.write_text(json.dumps({"version": 1,
-                                  "machine": machine.name,
-                                  "entries": profile.entries}))
-        assert load_profile(v1).version == 1
-        v3 = tmp_path / "v3.json"
-        save_profile(load_profile(v1), v3)
-        assert load_profile(v3).version == 3
 
     def test_fit_filters_to_one_measurement_mode(self, small_inst):
         """Simulated and wall-clock seconds must never pool into one
