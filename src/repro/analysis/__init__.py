@@ -6,8 +6,8 @@ and per source tree instead of per-solve numeric faith.
 
 * :mod:`~repro.analysis.verify` — prove, without executing a sweep,
   that an :class:`~repro.exec.plan.ExecutionPlan` is dependency-safe
-  and structurally sound (the integrity gate for cached, hot-swapped
-  and — in the future — deserialized plans);
+  and structurally sound (the integrity gate for cached plans and for
+  plans deserialized from the plan store);
 * :mod:`~repro.analysis.lint` — an AST rule engine enforcing the
   repo's invariants (seeded RNG, atomic writes, lock discipline, typed
   validation errors, quarantined wall-clock reads);

@@ -843,7 +843,7 @@ def _cmd_tune(args) -> int:
         return 0
 
     rows = [
-        [d.instance, d.scheduler, d.backend, d.max_batch,
+        [d.instance, d.scheduler, d.backend,
          f"{d.predicted_speedup:.2f}x",
          "-" if not math.isfinite(d.amortization)
          else f"{d.amortization:.0f}",
@@ -851,7 +851,7 @@ def _cmd_tune(args) -> int:
         for d in decisions
     ]
     print(format_table(
-        ["instance", "scheduler", "backend", "max batch",
+        ["instance", "scheduler", "backend",
          "pred speed-up", "amortization", "source"],
         rows,
         title=f"tune: {args.dataset} ({len(instances)} instances, "

@@ -116,8 +116,8 @@ class Tracer:
         return Span(self, name, dict(tags))
 
     def event(self, name: str, **tags: object) -> None:
-        """A zero-duration point event (hot-swap applied, plan evicted)
-        parented under the current span, if any."""
+        """A zero-duration point event (requests enqueued) parented
+        under the current span, if any."""
         stack = self._stack()
         self._emit({
             "name": name,

@@ -15,9 +15,8 @@ exactly one shard, so a shard's queue only ever holds requests that
 regardless of how clients interleave across systems.
 
 All shards share one :class:`~repro.exec.PlanCache` (and, through it,
-any configured plan store) plus the optional observation store, so
-lowering work and tuning data are pooled exactly as with a single
-service.
+any configured plan store), so lowering work is pooled exactly as with
+a single service.
 
 Routing is stateless — ``shard_index(key, n_shards)`` is a pure
 function of the key's string form, stable across processes and Python
@@ -140,7 +139,7 @@ class ServingGateway:
     n_shards:
         Number of independent :class:`SolveService` shards (each with
         its own queue and worker thread).
-    backend, max_batch, max_queue, store:
+    backend, max_batch, max_queue:
         Forwarded to every shard (``max_queue`` bounds each shard's
         queue *independently*).
     plan_cache:
@@ -169,7 +168,6 @@ class ServingGateway:
         max_batch: int = 64,
         max_queue: int | None = None,
         plan_cache: PlanCache | None = None,
-        store=None,
     ) -> None:
         if n_shards < 1:
             raise ConfigurationError(
@@ -183,7 +181,6 @@ class ServingGateway:
                 max_batch=max_batch,
                 max_queue=max_queue,
                 plan_cache=cache,
-                store=store,
             )
             for _ in range(n_shards)
         ]
@@ -215,13 +212,12 @@ class ServingGateway:
         self,
         key: object,
         matrix: CSRMatrix,
-        schedule: Schedule | str | None = None,
+        schedule: Schedule | None = None,
         **kwargs,
     ) -> ExecutionPlan:
         """Register a system on its hash-designated shard.
 
-        Accepts everything :meth:`SolveService.register` does,
-        including ``schedule="auto"`` tuning.
+        Accepts everything :meth:`SolveService.register` does.
         """
         return self._shard(key).register(key, matrix, schedule, **kwargs)
 
@@ -229,10 +225,6 @@ class ServingGateway:
         """Remove a system from its shard, returning final stats."""
         # cleanup stays legal on a closed gateway, as on a service
         return self._shards[self.shard_of(key)].unregister(key)
-
-    def hot_swap(self, key: object, plan: ExecutionPlan) -> ExecutionPlan:
-        """Atomically replace ``key``'s serving plan on its shard."""
-        return self._shard(key).hot_swap(key, plan)
 
     def systems(self) -> list[object]:
         """Keys of all registered systems across every shard."""

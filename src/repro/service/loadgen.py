@@ -28,6 +28,7 @@ measuring the peak rate the topology sustains — the number the
 
 from __future__ import annotations
 
+import math
 import time
 from concurrent.futures import Future
 from dataclasses import dataclass, field
@@ -62,13 +63,15 @@ class BurstPhase:
     duration_s: float
 
     def __post_init__(self) -> None:
-        if self.rate_rps <= 0.0:
+        if not (math.isfinite(self.rate_rps) and self.rate_rps > 0.0):
             raise ConfigurationError(
-                f"phase rate_rps must be > 0, got {self.rate_rps}"
+                f"phase rate_rps must be finite and > 0, got "
+                f"{self.rate_rps}"
             )
-        if self.duration_s <= 0.0:
+        if not (math.isfinite(self.duration_s) and self.duration_s > 0.0):
             raise ConfigurationError(
-                f"phase duration_s must be > 0, got {self.duration_s}"
+                f"phase duration_s must be finite and > 0, got "
+                f"{self.duration_s}"
             )
 
 
@@ -100,13 +103,16 @@ class LoadgenConfig:
             raise ConfigurationError(
                 "config needs at least one BurstPhase"
             )
-        if self.zipf_s < 0.0:
+        if not (math.isfinite(self.zipf_s) and self.zipf_s >= 0.0):
             raise ConfigurationError(
-                f"zipf_s must be >= 0, got {self.zipf_s}"
+                f"zipf_s must be finite and >= 0, got {self.zipf_s}"
             )
-        if self.timeout_s is not None and self.timeout_s <= 0.0:
+        if self.timeout_s is not None and not (
+            math.isfinite(self.timeout_s) and self.timeout_s > 0.0
+        ):
             raise ConfigurationError(
-                f"timeout_s must be positive, got {self.timeout_s}"
+                f"timeout_s must be positive and finite, got "
+                f"{self.timeout_s}"
             )
 
     @property

@@ -25,6 +25,7 @@ across consumers.
 
 from __future__ import annotations
 
+import math
 import threading
 import time
 from collections import deque
@@ -74,10 +75,6 @@ class _System:
         "total_queue_wait_seconds",
         "n_deadline_misses",
         "n_admission_rejections",
-        "max_batch",
-        "tuned_scheduler",
-        "n_plan_swaps",
-        "arms",
         "latency_hist",
         "batch_hist",
         "queue_wait_hist",
@@ -98,13 +95,6 @@ class _System:
         self.total_queue_wait_seconds = 0.0
         self.n_deadline_misses = 0
         self.n_admission_rejections = 0
-        #: Per-system micro-batch bound (None: the service default).
-        self.max_batch: int | None = None
-        #: Autotuner outcome (None for explicitly scheduled systems).
-        self.tuned_scheduler: str | None = None
-        self.n_plan_swaps = 0
-        #: Per-arm measured seconds from the tuning race.
-        self.arms: dict[str, float] = {}
         #: Obs histograms (``REPRO_OBS`` on), else None — live in the
         #: process registry under ``system=<key>`` labels.
         self.latency_hist = None
@@ -123,9 +113,6 @@ class _System:
             total_queue_wait_seconds=self.total_queue_wait_seconds,
             n_deadline_misses=self.n_deadline_misses,
             n_admission_rejections=self.n_admission_rejections,
-            tuned_scheduler=self.tuned_scheduler,
-            n_plan_swaps=self.n_plan_swaps,
-            arm_seconds=dict(self.arms),
             backend=backend,
             plan_source=getattr(self.plan, "provenance", "compiled"),
             latency_hist=(
@@ -187,14 +174,6 @@ class SolveService:
     plan_cache:
         Shared thread-safe :class:`~repro.exec.PlanCache` used to lower
         registered systems; a private cache is created when omitted.
-    store:
-        Optional :class:`~repro.store.ObservationStore`: every
-        ``schedule="auto"`` registration appends the **genuine measured
-        seconds** of its hot-swap race to it (tagged
-        ``source="service"``), so serving traffic keeps training the
-        learned prior.  Only real race measurements enter the store —
-        never the prior's predictions (the tuner's
-        ``_record_observations`` invariant).
 
     Examples
     --------
@@ -216,7 +195,6 @@ class SolveService:
         max_batch: int = 64,
         max_queue: int | None = None,
         plan_cache: PlanCache | None = None,
-        store=None,
     ) -> None:
         if max_batch < 1:
             raise ConfigurationError("max_batch must be >= 1")
@@ -226,7 +204,6 @@ class SolveService:
         self._max_batch = int(max_batch)
         self._max_queue = int(max_queue) if max_queue is not None else None
         self._cache = plan_cache if plan_cache is not None else PlanCache()
-        self._store = store
         #: The obs module when ``REPRO_OBS`` is on, else None.  Captured
         #: once: per-request paths test one attribute instead of
         #: re-reading the environment.
@@ -264,14 +241,10 @@ class SolveService:
         self,
         key: object,
         matrix: CSRMatrix,
-        schedule: Schedule | str | None = None,
+        schedule: Schedule | None = None,
         *,
         direction: str = "forward",
         plan: ExecutionPlan | None = None,
-        machine=None,
-        tuner=None,
-        n_cores: int | None = None,
-        profile=None,
     ) -> ExecutionPlan:
         """Register ``(matrix, schedule)`` as a solve target under ``key``.
 
@@ -281,48 +254,20 @@ class SolveService:
         once.  A cached plan is only reused when it was compiled for
         *these* ``matrix``/``schedule`` objects; re-registering a key
         with different inputs compiles fresh instead of silently serving
-        the stale plan.  Pass a precompiled ``plan`` to bypass the cache
-        (it is validated against ``matrix``).  Singular systems are
-        rejected here, at registration, never in the worker thread.
-        Returns the compiled plan.
-
-        ``schedule="auto"`` hands the choice to the autotuner
-        (:mod:`repro.tuner`): the system starts serving on the cost
-        model's prior pick immediately, the tuner races the finalists
-        with measured micro-runs against this service's backend, and the
-        winning plan is hot-swapped in (see :meth:`hot_swap`).  The
-        race's per-arm statistics, the chosen scheduler and the swap
-        count are surfaced in :meth:`stats`; the tuned ``max_batch``
-        bound overrides the service default for this system.  Optional
-        ``machine`` (cost-model preset), ``tuner``
-        (:class:`~repro.tuner.Autotuner`) and ``n_cores`` configure the
-        tuning run; a ``profile``
-        (:class:`~repro.tuner.TuningProfile`) warm-starts it — a stored
-        decision with matching features installs without racing, and
-        fresh decisions are recorded back, so re-registering a known
-        fleet runs **zero races**.  With a service-level ``store`` the
-        race's genuine measured seconds are appended as training
-        observations (warm starts append nothing).
+        the stale plan.  ``schedule=None`` compiles the level-set plan:
+        one batch per dependency level, the fewest batches any schedule
+        of ``matrix`` lowers to.  Pass a precompiled ``plan`` to bypass
+        the cache (it is validated against ``matrix``).  Singular
+        systems are rejected here, at registration, never in the worker
+        thread.  Returns the compiled plan.
         """
         if isinstance(schedule, str):
-            if schedule != "auto":
-                raise ConfigurationError(
-                    f"unknown schedule spec {schedule!r}; pass a "
-                    "Schedule, None, or 'auto'"
-                )
-            if plan is not None:
-                raise ConfigurationError(
-                    "schedule='auto' and a precompiled plan are mutually "
-                    "exclusive"
-                )
-            return self._register_auto(
-                key, matrix,
-                direction=direction, machine=machine, tuner=tuner,
-                n_cores=n_cores, profile=profile,
-            )
-        if profile is not None:
             raise ConfigurationError(
-                "a tuning profile is only meaningful with schedule='auto'"
+                f"unknown schedule spec {schedule!r}; pass a Schedule, or "
+                "schedule=None for the level-set plan (the fewest batches "
+                "of any schedule of this matrix). To choose a scheduler "
+                "for a simulated machine, use `repro tune` or "
+                "make_scheduler('auto')"
             )
         if plan is not None:
             plan.require_compatible(matrix.n, direction)
@@ -367,197 +312,6 @@ class SolveService:
             self._systems[key] = self._make_system(key, plan)
         return plan
 
-    def _register_auto(
-        self,
-        key: object,
-        matrix: CSRMatrix,
-        *,
-        direction: str,
-        machine,
-        tuner,
-        n_cores: int | None,
-        profile=None,
-    ) -> ExecutionPlan:
-        """Tuner-backed registration (see :meth:`register`)."""
-        # local imports: the tuner layer sits above the service and
-        # importing it at module scope would be circular
-        from repro.experiments.datasets import DatasetInstance
-        from repro.experiments.runner import compiled_entry
-        from repro.machine.model import get_machine
-        from repro.scheduler.registry import make_scheduler
-        from repro.tuner.auto import (
-            DEFAULT_MACHINE,
-            Autotuner,
-            clip_cores,
-            matrix_fingerprint,
-        )
-        from repro.tuner.features import extract_features
-
-        if direction != "forward":
-            raise ConfigurationError(
-                "schedule='auto' tunes forward (lower-triangular) "
-                "systems only"
-            )
-        if machine is None:
-            machine = get_machine(DEFAULT_MACHINE)
-        if tuner is None:
-            tuner = Autotuner(backend=self._backend.name)
-        elif tuner.backend is None:
-            # measured racing must time the backend this service will
-            # actually serve with, not whatever auto-selection prefers
-            tuner.backend = self._backend.name
-        cores = clip_cores(machine, n_cores)
-        # the instance name keys the shared plan cache, so it must be
-        # derived from the matrix *content*: re-registering a key (or a
-        # second service sharing the cache) with a different same-size
-        # matrix would otherwise hit the previous matrix's plans and
-        # silently serve wrong solutions
-        inst = DatasetInstance(
-            f"__auto__{matrix_fingerprint(matrix)}", matrix
-        )
-
-        # 0. warm start: a profile decision whose features still match
-        # (and that is admissible under this tuner's configuration)
-        # installs directly — no prior ranking, no extra compile, no
-        # race, nothing appended to the store
-        features = extract_features(inst, n_cores=cores)
-        warm = tuner.probe_profile(
-            inst, machine, n_cores=cores, reorder=False,
-            profile=profile, features=features,
-        )
-        if warm is not None:
-            warm_plan = compiled_entry(
-                inst, make_scheduler(warm.scheduler), cores, False,
-                self._cache,
-            ).plan
-            warm_plan.require_solvable()
-            with self._cond:
-                if self._closed:
-                    raise ConfigurationError(
-                        "service is closed; register() after close() "
-                        "is not allowed"
-                    )
-                system = self._make_system(key, warm_plan)
-                system.tuned_scheduler = warm.scheduler
-                system.max_batch = warm.max_batch
-                self._systems[key] = system
-            return warm_plan
-
-        # 1. prior: start serving on the prior's pick right away (the
-        # tuner's configured prior — cost model, or learned inference
-        # with cost-model fallback).  reorder=False throughout — a
-        # Section 5-reordered plan solves a symmetrically permuted
-        # system, not the one being registered.  Features are extracted
-        # once above and shared by the ranking and the tuning run.
-        scores = tuner.rank_prior(
-            inst, machine,
-            n_cores=cores, reorder=False, plan_cache=self._cache,
-            features=features,
-        )
-        prior = scores[0]
-        prior_plan = compiled_entry(
-            inst, make_scheduler(prior.name), cores, False, self._cache
-        ).plan
-        prior_plan.require_solvable()
-        with self._cond:
-            if self._closed:
-                raise ConfigurationError(
-                    "service is closed; register() after close() is not "
-                    "allowed"
-                )
-            system = self._make_system(key, prior_plan)
-            self._systems[key] = system
-
-        # 2. race the finalists (passing the prior's ranking so the
-        # candidate simulations run once, not twice), then hot-swap the
-        # winner in while the system keeps serving.  A profile hit
-        # warm-starts instead — zero races — and appends nothing to the
-        # store; a cold race records its genuine measured seconds
-        # there, stamped with serving provenance (the source override
-        # is scoped to this registration: a caller-supplied tuner keeps
-        # its own tag for later non-service runs).
-        races_before = tuner.races_run
-        prev_source = tuner.observation_source
-        if self._store is not None:
-            tuner.observation_source = "service"
-        try:
-            decision = tuner.tune(
-                inst, machine,
-                n_cores=cores, reorder=False, plan_cache=self._cache,
-                prior_scores=scores, features=features,
-                profile=profile, store=self._store,
-            )
-        finally:
-            tuner.observation_source = prev_source
-        if self._store is not None:
-            # persist the race's observations now: a service is long-
-            # lived and nothing else guarantees a flush before exit
-            self._store.flush()
-        winner_plan = compiled_entry(
-            inst, make_scheduler(decision.scheduler), cores, False,
-            self._cache,
-        ).plan
-        raced = tuner.races_run > races_before
-        arms = {
-            name: values[-1]
-            for name, values in (
-                tuner.last_race.measurements
-                if raced and tuner.last_race else {}
-            ).items()
-        }
-        with self._cond:
-            system.tuned_scheduler = decision.scheduler
-            system.max_batch = decision.max_batch
-            system.arms = arms
-        if winner_plan is not prior_plan:
-            self.hot_swap(key, winner_plan)
-        return winner_plan
-
-    def hot_swap(self, key: object, plan: ExecutionPlan) -> ExecutionPlan:
-        """Atomically replace the serving plan of a registered system.
-
-        The new plan must be a different *schedule* of the **same
-        system**: it is validated against the installed plan's size,
-        sweep direction and matrix (identity, falling back to content
-        equality for plans recompiled elsewhere) — a plan of a
-        different same-size matrix would otherwise silently serve wrong
-        solutions, the guard the explicit-plan ``register`` path
-        applies.  The auto-registration path swaps the race winner in
-        this way, and callers can re-tune a live system and swap
-        likewise.  Requests already queued execute with
-        whichever plan is installed when their batch executes; each
-        result is bit-equal to solving that plan directly — the worker
-        loads the plan reference once per batch, and plans themselves
-        are immutable.
-        """
-        plan.require_solvable()
-        with self._cond:
-            if self._closed:
-                raise ConfigurationError(
-                    "service is closed; hot_swap() after close() is not "
-                    "allowed"
-                )
-            system = self._require_system(key)
-            plan.require_compatible(
-                system.plan.n, system.plan.direction
-            )
-            if (
-                plan.matrix is not system.plan.matrix
-                and plan.matrix != system.plan.matrix
-            ):
-                raise MatrixFormatError(
-                    "hot-swapped plan was compiled from a different "
-                    f"matrix than the one registered under {key!r}"
-                )
-            system.plan = plan
-            system.n_plan_swaps += 1
-        if self._obs is not None:
-            self._obs.get_registry().counter(
-                "service.hot_swaps", system=str(key)
-            ).inc()
-            self._obs.event("service.hot_swap", system=str(key))
-        return plan
-
     def unregister(self, key: object) -> SystemStats:
         """Remove a registered system, returning its final stats.
 
@@ -587,9 +341,9 @@ class SolveService:
     ) -> "Future[np.ndarray]":
         """Enqueue one right-hand side; returns a future for ``x``.
 
-        ``timeout`` (seconds) sets the request's deadline: if the
-        worker has not *started executing* it within the bound, the
-        future fails with
+        ``timeout`` (seconds, finite and positive) sets the request's
+        deadline: if the worker has not *started executing* it within
+        the bound, the future fails with
         :class:`~repro.errors.DeadlineExceededError` instead of the
         expired request occupying a batch slot.
         """
@@ -613,9 +367,12 @@ class SolveService:
         ``timeout`` (seconds) applies per request, measured from
         enqueue (see :meth:`submit`).
         """
-        if timeout is not None and timeout <= 0.0:
+        if timeout is not None and not (
+            math.isfinite(timeout) and timeout > 0.0
+        ):
             raise ConfigurationError(
-                f"timeout must be positive (seconds), got {timeout}"
+                f"timeout must be positive and finite (seconds), got "
+                f"{timeout}"
             )
         system, checked = None, []
         with self._cond:
@@ -752,10 +509,6 @@ class SolveService:
             self._cond.notify_all()
         if wait:
             self._worker.join()
-        if self._store is not None:
-            # defensive: registrations flush as they record, but a
-            # store shared with other writers may hold pending records
-            self._store.flush()
         if self._obs is not None:
             # persist metrics + trace so `repro obs report` works right
             # after a service run; the snapshot is cumulative, so a
@@ -809,14 +562,9 @@ class SolveService:
             return [], expired
         first = self._queue.popleft()
         batch = [first]
-        limit = (
-            first.system.max_batch
-            if first.system.max_batch is not None
-            else self._max_batch
-        )
         while (
             self._queue
-            and len(batch) < limit
+            and len(batch) < self._max_batch
             and self._queue[0].system is first.system
         ):
             request = self._queue.popleft()

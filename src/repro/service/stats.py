@@ -10,7 +10,7 @@ for this system when saturated.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 __all__ = ["SystemStats"]
 
@@ -49,15 +49,6 @@ class SystemStats:
         Requests refused at submission time with
         :class:`~repro.errors.AdmissionError` (bounded-queue
         overflow); they never entered the queue.
-    tuned_scheduler:
-        Scheduler the autotuner picked for this system (``None`` when
-        the system was registered with an explicit schedule).
-    n_plan_swaps:
-        Times the serving plan was hot-swapped (auto-registration swaps
-        once, from the prior's plan to the race winner's).
-    arm_seconds:
-        Per-arm measured seconds from the tuning race (the online arm
-        statistics; empty for explicitly scheduled systems).
     latency_hist / batch_hist / queue_wait_hist:
         Histogram snapshots (see :mod:`repro.obs.metrics`) of
         per-request latency, micro-batch size and per-request
@@ -103,9 +94,6 @@ class SystemStats:
     total_queue_wait_seconds: float = 0.0
     n_deadline_misses: int = 0
     n_admission_rejections: int = 0
-    tuned_scheduler: str | None = None
-    n_plan_swaps: int = 0
-    arm_seconds: dict = field(default_factory=dict)
     backend: str = ""
     plan_source: str = ""
     latency_hist: dict | None = None
@@ -187,10 +175,10 @@ class SystemStats:
     def as_row(self) -> dict[str, object]:
         """Plain-dict view (counters plus derived rates) for tables.
 
-        Percentile columns (``latency_p50_s``, ``latency_p99_s``,
-        ``batch_p50``, ``batch_p99``) appear only when the snapshot
-        carries obs histograms, keeping gate-off rows bit-compatible
-        with earlier releases.
+        The six percentile columns (``latency_p50_s``,
+        ``latency_p99_s``, ``batch_p50``, ``batch_p99``,
+        ``queue_wait_p50_s``, ``queue_wait_p99_s``) appear only when
+        the snapshot carries obs histograms (``REPRO_OBS`` on).
         """
         row = {
             "key": self.key,
@@ -204,8 +192,6 @@ class SystemStats:
             "throughput_rps": self.throughput_rps,
             "deadline_misses": self.n_deadline_misses,
             "admission_rejections": self.n_admission_rejections,
-            "tuned_scheduler": self.tuned_scheduler,
-            "plan_swaps": self.n_plan_swaps,
             "backend": self.backend,
             "plan_source": self.plan_source,
         }

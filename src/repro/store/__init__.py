@@ -14,10 +14,9 @@ decisions (:mod:`repro.tuner.profile`) and model training
   replaces FIFO truncation;
 * :func:`machine_fingerprint` — which host produced the seconds.
 
-Producers: ``repro tune`` (``--store``), the sharded suite runner
-(per-worker stores merged deterministically) and the live
-:class:`~repro.service.SolveService` (measured hot-swap races).  The
-CLI surface is ``repro store merge|prune|stats|retrain``.
+Producers: ``repro tune`` (``--store``) and the sharded suite runner
+(per-worker stores merged deterministically).  The CLI surface is
+``repro store merge|prune|stats|retrain``.
 
 The sibling :mod:`~repro.store.plan_store` is the *compiled-artifact*
 data-plane: :class:`PlanStore` persists lowered

@@ -8,15 +8,13 @@ only), and every producer feeds one store:
 
 * ``repro tune`` cold runs (``--store``, else the profile's sidecar,
   else an in-memory store),
-* sharded suite runners (per-worker stores merged deterministically),
-* the live :class:`~repro.service.SolveService` (genuine measured
-  seconds from hot-swap races, so serving traffic trains the prior).
+* sharded suite runners (per-worker stores merged deterministically).
 
 Layout: a store is a **directory** of append-only JSONL shards
 (``obs-<fingerprint>-<seq>.jsonl``; one record per line) plus a
 versioned ``store.json`` meta file tracking retrain watermarks.  Each
 writer claims its own shard (exclusive create), so concurrent suite
-workers and services never contend on a file; shard rewrites go through
+workers never contend on a file; shard rewrites go through
 a sibling temp file and :func:`os.replace`
 (:mod:`repro.utils.atomic`), so a crash mid-write never loses the
 previous good shard.
@@ -27,8 +25,8 @@ the **provenance mode** (``"measured"`` wall clock or ``"simulated"``
 cost model).  The PR 4 invariants hold end to end: seconds of the two
 regimes never pool into one regressor (:meth:`ObservationStore.retrain`
 trains per regime), and model predictions never enter the store —
-:meth:`add_observation` is only fed genuine measurements by the tuner
-and the service, and rejects records with an unknown mode outright.
+:meth:`add_observation` is only fed genuine measurements by the
+tuner, and rejects records with an unknown mode outright.
 """
 
 from __future__ import annotations
@@ -152,8 +150,8 @@ def build_record(
 
     ``machine`` is the *machine-model* name the seconds were priced or
     measured under; ``fingerprint`` identifies the physical producer
-    host; ``source`` records the producing subsystem (``"tune"``,
-    ``"suite"``, ``"service"``).
+    host; ``source`` records the producing subsystem (``"tune"`` or
+    ``"suite"``).
     """
     if isinstance(features, MatrixFeatures):
         features = features.as_dict()
@@ -423,7 +421,7 @@ class ObservationStore:
     # ------------------------------------------------------------------
     def _claim_shard(self) -> str:
         """Reserve this writer's shard file with an exclusive create, so
-        concurrent writers (suite workers, services) never share one."""
+        concurrent writers (suite workers) never share one."""
         assert self.path is not None  # repro: allow[no-bare-assert]
         seq = 0
         while True:

@@ -1,4 +1,4 @@
-"""Autotuner: per-matrix adaptive scheduler/backend selection.
+"""Autotuner: per-matrix adaptive scheduler selection.
 
 The subsystem that answers *which scheduler should run this matrix on
 this machine* automatically — per instance, in the spirit of idiographic
@@ -29,7 +29,6 @@ from repro.tuner.auto import (
     AutoScheduler,
     Autotuner,
     TuningDecision,
-    choose_max_batch,
     matrix_fingerprint,
 )
 from repro.tuner.features import MatrixFeatures, extract_features
@@ -73,7 +72,6 @@ __all__ = [
     "SecondsPrediction",
     "TuningDecision",
     "TuningProfile",
-    "choose_max_batch",
     "entry_key",
     "extract_features",
     "feature_vector",

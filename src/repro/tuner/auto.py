@@ -1,4 +1,4 @@
-"""The autotuner: per-matrix adaptive scheduler/backend selection.
+"""The autotuner: per-matrix adaptive scheduler selection.
 
 :class:`Autotuner` answers the paper's central question — *which*
 scheduler wins on *which* matrix, and when its scheduling cost amortizes
@@ -73,7 +73,6 @@ __all__ = [
     "AutoScheduler",
     "Autotuner",
     "TuningDecision",
-    "choose_max_batch",
     "clip_cores",
     "matrix_fingerprint",
 ]
@@ -107,7 +106,6 @@ class TuningDecision:
     n_cores: int
     scheduler: str
     backend: str
-    max_batch: int
     reorder: bool
     predicted_speedup: float
     objective_seconds: float
@@ -137,7 +135,6 @@ class TuningDecision:
             "n_cores": self.n_cores,
             "scheduler": self.scheduler,
             "backend": self.backend,
-            "max_batch": self.max_batch,
             "reorder": self.reorder,
             "predicted_speedup": _finite(self.predicted_speedup),
             "objective_seconds": _finite(self.objective_seconds),
@@ -155,7 +152,10 @@ class TuningDecision:
         cls, data: dict[str, object], *, source: str | None = None
     ) -> "TuningDecision":
         """Inverse of :meth:`as_dict`; ``source`` overrides the stored
-        provenance (profile hits are re-labelled ``"profile"``)."""
+        provenance (profile hits are re-labelled ``"profile"``).
+
+        Keys this build does not store are ignored, so version-3
+        entries that still carry a ``max_batch`` load unchanged."""
         def _num(key: str) -> float:
             v = data.get(key)
             return math.inf if v is None else float(v)
@@ -166,7 +166,6 @@ class TuningDecision:
             n_cores=int(data["n_cores"]),
             scheduler=str(data["scheduler"]),
             backend=str(data["backend"]),
-            max_batch=int(data["max_batch"]),
             reorder=bool(data["reorder"]),
             predicted_speedup=_num("predicted_speedup"),
             objective_seconds=_num("objective_seconds"),
@@ -182,33 +181,6 @@ class TuningDecision:
             mode=str(data.get("mode", "")),
             features=MatrixFeatures.from_dict(data["features"]),
         )
-
-
-def choose_max_batch(features: MatrixFeatures) -> int:
-    """Micro-batch bound for the solve service, from matrix structure.
-
-    Deep, narrow wavefront profiles spend each solve on fixed
-    interpreter costs — a vectorized call per dependency layer, or a
-    scalar-sweep step per row of low-work layers — which a block solve
-    pays per layer or row once for all its columns, so coalescing many
-    right-hand sides into one SpTRSM amortizes the most there; wide
-    shallow profiles already saturate each sweep, and oversized batches
-    only add latency.
-
-    Examples
-    --------
-    >>> from repro.matrix.generators import narrow_band_lower
-    >>> from repro.tuner import choose_max_batch, extract_features
-    >>> f = extract_features(narrow_band_lower(200, 0.1, 4.0, seed=0),
-    ...                      n_cores=4)
-    >>> choose_max_batch(f) in (16, 32, 64)
-    True
-    """
-    if features.avg_wavefront < 32.0:
-        return 64
-    if features.avg_wavefront < 256.0:
-        return 32
-    return 16
 
 
 def _stable_seed(seed: int, name: str) -> int:
@@ -244,7 +216,7 @@ def matrix_fingerprint(matrix: CSRMatrix) -> str:
 
 
 class Autotuner:
-    """Select the best ``(scheduler, backend, max_batch)`` per matrix.
+    """Select the best scheduler per matrix.
 
     Parameters
     ----------
@@ -264,11 +236,9 @@ class Autotuner:
         Seeds the racing right-hand sides; a fixed seed plus simulated
         mode makes the whole selection deterministic.
     mode:
-        ``"measured"`` (wall-clock micro-runs) or ``"simulated"``
+        ``"measured"`` (wall-clock micro-runs on the auto-selected
+        backend, :func:`repro.exec.get_backend`) or ``"simulated"``
         (cost-model seconds, deterministic).
-    backend:
-        Execution backend name to tune for; ``None`` auto-selects via
-        :func:`repro.exec.get_backend`.
     prior:
         ``"cost"`` (the default: one cost-model simulation per
         candidate, :func:`~repro.tuner.predict.rank_candidates`) or
@@ -314,7 +284,6 @@ class Autotuner:
         base_repeats: int = 3,
         seed: int = 0,
         mode: str = "measured",
-        backend: str | None = None,
         prior: str = "cost",
         model: LearnedTunerModel | str | os.PathLike | None = None,
         max_prediction_std: float = 0.75,
@@ -343,7 +312,6 @@ class Autotuner:
         self.base_repeats = int(base_repeats)
         self.seed = int(seed)
         self.mode = mode
-        self.backend = backend
         self.prior = prior
         if isinstance(model, (str, os.PathLike)):
             model = load_model(model)
@@ -360,51 +328,16 @@ class Autotuner:
             else None
         )
         #: Provenance tag stamped on observation records this tuner
-        #: writes (``"tune"``; the solve service and the suite runner
-        #: override it with ``"service"`` / ``"suite"``).
+        #: writes (``"tune"``; the suite runner overrides it with
+        #: ``"suite"``).
         self.observation_source = "tune"
         #: Races actually run (warm starts from a profile skip racing —
         #: observable here and asserted by tests).
         self.races_run = 0
-        #: The full :class:`~repro.tuner.race.RaceResult` of the last
-        #: race, for reporting/debugging.
-        self.last_race: RaceResult | None = None
 
     # ------------------------------------------------------------------
     # the tuning pipeline
     # ------------------------------------------------------------------
-    def rank_prior(
-        self,
-        inst: DatasetInstance,
-        machine: MachineModel,
-        *,
-        n_cores: int | None = None,
-        reorder: bool | None = None,
-        plan_cache: PlanCache | None = None,
-        features: MatrixFeatures | None = None,
-    ) -> list[CandidateScore]:
-        """Rank this tuner's candidate pool with its configured prior.
-
-        The single dispatch point between the cost-model prior and the
-        learned prior — :meth:`tune` and the
-        :class:`~repro.service.SolveService` auto-registration path
-        both go through it, so ``prior="learned"`` applies everywhere a
-        prior ranking is computed.
-        """
-        cache = plan_cache if plan_cache is not None else PlanCache()
-        if self.learned_prior is not None:
-            return self.learned_prior.rank(
-                inst, self.candidates, machine,
-                n_cores=n_cores, reorder=reorder,
-                expected_solves=self.expected_solves, plan_cache=cache,
-                features=features,
-            )
-        return rank_candidates(
-            inst, self.candidates, machine,
-            n_cores=n_cores, reorder=reorder,
-            expected_solves=self.expected_solves, plan_cache=cache,
-        )
-
     def tune(
         self,
         inst: DatasetInstance,
@@ -414,8 +347,6 @@ class Autotuner:
         reorder: bool | None = None,
         plan_cache: PlanCache | None = None,
         profile: TuningProfile | None = None,
-        prior_scores: list | None = None,
-        features: MatrixFeatures | None = None,
         store=None,
     ) -> TuningDecision:
         """Tune one instance; returns the decision (and records it in
@@ -428,23 +359,16 @@ class Autotuner:
             must solve the original (unpermuted) system.
         plan_cache:
             Shared :class:`~repro.exec.PlanCache` — candidate plans are
-            compiled at most once across prior, race, exhaustive suites
-            and services hanging off the same cache.
+            compiled at most once across the prior, the race and
+            exhaustive suites hanging off the same cache.
         profile:
             Warm-start store: a stored decision whose features still
-            match is returned without racing; fresh decisions are
-            recorded into it.
-        prior_scores:
-            Precomputed :meth:`rank_prior` output for exactly this
-            (instance, machine, cores, reorder) configuration.  Callers
-            that already ranked — the solve service picks a prior plan
-            before racing — pass it here so the candidate simulations
-            (or inferences) run once, not twice.
-        features:
-            Precomputed :func:`~repro.tuner.features.extract_features`
-            output for ``inst`` at this run's core count — callers that
-            already extracted (the solve service) pass it so the work
-            runs once.
+            match, and whose scheduler, reorder flag, amortization
+            target and racing mode this tuner admits, is returned
+            without ranking or racing; fresh decisions are recorded
+            into it.  A malformed entry (hand-edited, truncated) is
+            treated like a feature mismatch: it is re-tuned and
+            overwritten.
         store:
             Observation sink for this run's genuine seconds — an
             :class:`~repro.store.ObservationStore` (the fleet-wide
@@ -457,26 +381,26 @@ class Autotuner:
         if machine is None:
             machine = get_machine(DEFAULT_MACHINE)
         cores = clip_cores(machine, n_cores)
-        if features is None:
-            features = extract_features(inst, n_cores=cores)
+        features = extract_features(inst, n_cores=cores)
         key = entry_key(inst.name, machine.name, cores)
-        warm = self.probe_profile(
-            inst, machine, n_cores=cores, reorder=reorder,
-            profile=profile, features=features,
-        )
+        warm = self._warm_start(profile, key, features, reorder)
         if warm is not None:
             return warm
 
         cache = plan_cache if plan_cache is not None else PlanCache()
-        scores = (
-            prior_scores
-            if prior_scores is not None
-            else self.rank_prior(
-                inst, machine,
-                n_cores=cores, reorder=reorder, plan_cache=cache,
+        if self.learned_prior is not None:
+            scores = self.learned_prior.rank(
+                inst, self.candidates, machine,
+                n_cores=cores, reorder=reorder,
+                expected_solves=self.expected_solves, plan_cache=cache,
                 features=features,
             )
-        )
+        else:
+            scores = rank_candidates(
+                inst, self.candidates, machine,
+                n_cores=cores, reorder=reorder,
+                expected_solves=self.expected_solves, plan_cache=cache,
+            )
         finalists = self._reprice_finalists(
             scores[: self.keep], inst, machine, cores, reorder, cache
         )
@@ -518,18 +442,15 @@ class Autotuner:
                 handicap=handicap,
             )
         self.races_run += 1
-        self.last_race = race
 
         winner = by_name[race.winner]
         winner_sched = make_scheduler(winner.name)
-        backend_name = get_backend(self.backend).name
         decision = TuningDecision(
             instance=inst.name,
             machine=machine.name,
             n_cores=cores,
             scheduler=winner.name,
-            backend=backend_name,
-            max_batch=choose_max_batch(features),
+            backend=get_backend().name,
             reorder=resolve_reorder(winner_sched, reorder),
             predicted_speedup=winner.speedup,
             objective_seconds=winner.objective_seconds,
@@ -555,38 +476,19 @@ class Autotuner:
             profile.record(key, decision.as_dict())
         return decision
 
-    def probe_profile(
+    def _warm_start(
         self,
-        inst: DatasetInstance,
-        machine: MachineModel | None = None,
-        *,
-        n_cores: int | None = None,
-        reorder: bool | None = None,
-        profile: TuningProfile | None = None,
-        features: MatrixFeatures | None = None,
+        profile: TuningProfile | None,
+        key: str,
+        features: MatrixFeatures,
+        reorder: bool | None,
     ) -> TuningDecision | None:
-        """The stored, still-admissible decision for this configuration
-        — or ``None`` (no profile, no entry, feature drift, malformed
-        entry, or a decision made under an incompatible configuration).
-
-        This is :meth:`tune`'s warm-start check, exposed so callers
-        that do expensive work *before* tuning — the solve service
-        ranks the prior and compiles its pick to start serving
-        immediately — can skip all of it when the decision is already
-        known.  A malformed entry (hand-edited, truncated) is treated
-        like a feature mismatch: the caller re-tunes and overwrites it
-        rather than crashing the warm start.
-        """
+        """The stored, still-admissible decision under ``key`` — or
+        ``None`` (no profile, no entry, feature drift, malformed entry,
+        or a decision made under an incompatible configuration)."""
         if profile is None:
             return None
-        if machine is None:
-            machine = get_machine(DEFAULT_MACHINE)
-        cores = clip_cores(machine, n_cores)
-        if features is None:
-            features = extract_features(inst, n_cores=cores)
-        stored = profile.lookup(
-            entry_key(inst.name, machine.name, cores), features
-        )
+        stored = profile.lookup(key, features)
         if stored is None:
             return None
         try:
@@ -759,7 +661,7 @@ class Autotuner:
 
             return measure
 
-        backend = get_backend(self.backend)
+        backend = get_backend()
         rng = np.random.default_rng(_stable_seed(self.seed, inst.name))
         b = rng.standard_normal(inst.n)
 

@@ -222,9 +222,8 @@ class LearnedTunerModel:
     <repro.store.ObservationStore.add_observation>`).  Keying by
     the effective Section 5 reorder flag keeps reordered and unpermuted
     seconds apart — a model trained from CLI tunes (scheduler-default
-    reordering) answers a :class:`~repro.service.SolveService`
-    registration (``reorder=False``) only from matching observations,
-    falling back to the cost model otherwise.  An empty model is valid
+    reordering) answers a ``reorder=False`` ranking only from matching
+    observations, falling back to the cost model otherwise.  An empty model is valid
     — it predicts nothing, so a
     :class:`~repro.tuner.predict.LearnedPrior` built on it falls back
     to the cost model for every candidate.

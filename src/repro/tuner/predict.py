@@ -153,8 +153,7 @@ def rank_candidates(
     reorder:
         Forwarded to :func:`~repro.experiments.runner.run_instance`.
         Pass ``False`` when the tuned plan must solve the *original*
-        system (the :class:`~repro.service.SolveService` case — a
-        reordered plan solves a symmetrically permuted one).
+        system (a reordered plan solves a symmetrically permuted one).
     expected_solves:
         How many solves are expected to reuse the schedule; weights the
         scheduling cost in the objective (Eq. 7.1).
@@ -297,9 +296,8 @@ class LearnedPrior:
         for name in names:
             # query the model variant matching the reorder flag this
             # ranking executes under — reordered and unpermuted seconds
-            # are separate regressors (a service-path reorder=False
-            # ranking never answers from Section 5-reordered training
-            # data)
+            # are separate regressors (a reorder=False ranking never
+            # answers from Section 5-reordered training data)
             prediction = self.model.predict_from_vector(
                 x, name,
                 reordered=resolve_reorder(make_scheduler(name), reorder),

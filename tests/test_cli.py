@@ -118,6 +118,20 @@ def test_suite_rejects_unknown_scheduler(capsys):
     assert "unknown schedulers" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags", [
+    pytest.param(["--rate", "inf"], id="rate-inf"),
+    pytest.param(["--rate", "nan"], id="rate-nan"),
+    pytest.param(["--duration", "inf"], id="duration-inf"),
+    pytest.param(["--zipf", "nan"], id="zipf-nan"),
+    pytest.param(["--timeout", "nan"], id="timeout-nan"),
+])
+def test_loadgen_refuses_non_finite_values(flags, capsys):
+    """``--rate inf`` used to loop forever building the schedule; every
+    non-finite rate, duration, skew or deadline is a one-line error."""
+    assert main(["loadgen", "--systems", "1", *flags]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
 def test_missing_file_is_error(capsys):
     assert main(["schedule", "--matrix", "/nonexistent.mtx"]) == 2
 

@@ -305,6 +305,66 @@ class TestDatasetEquivalence:
         )
 
 
+class TestLevelSetPlan:
+    """``compile_plan(L)`` (``schedule=None``) is the level-set plan: one
+    batch per dependency level, the fewest any schedule lowers to, with
+    the same executed arrays as a wavefront schedule's plan at 1, 4 and
+    8 cores.  The solve service serves this plan and refuses
+    ``schedule="auto"`` on the strength of it."""
+
+    @pytest.fixture(scope="class")
+    def corpus(self):
+        """Small instances of the paper's four families (seeded as the
+        benchmark seeds them), a chain and a wide-shallow shape."""
+        from repro.experiments.bench import (
+            make_deep_narrow,
+            make_wide_shallow,
+        )
+        from repro.matrix.generators import (
+            erdos_renyi_lower,
+            grid_laplacian_2d,
+            narrow_band_lower,
+            rcm_mesh,
+        )
+
+        seeds = [int(s) for s in
+                 np.random.default_rng(0).integers(2**31, size=3)]
+        return {
+            "narrow-band": narrow_band_lower(2_500, 0.05, 20.0,
+                                             seed=seeds[0]),
+            "erdos-renyi": erdos_renyi_lower(500, 0.1, seed=seeds[1]),
+            "grid": grid_laplacian_2d(45, 45).lower_triangle(),
+            "mesh": rcm_mesh(38, 75, reach=1, lateral_prob=0.3,
+                             long_edge_prob=0.03,
+                             seed=seeds[2]).lower_triangle(),
+            "chain": make_deep_narrow(n=1_000, seed=0),
+            "wide-shallow": make_wide_shallow(levels=16, width=100,
+                                              deps=3, seed=0),
+        }
+
+    @pytest.mark.parametrize("name", ["narrow-band", "erdos-renyi", "grid",
+                                      "mesh", "chain", "wide-shallow"])
+    def test_serial_plan_is_the_wavefront_level_set(self, corpus, name):
+        from repro.graph.wavefront import wavefront_levels
+        from repro.scheduler.registry import make_scheduler
+
+        lower = corpus[name]
+        dag = DAG.from_lower_triangular(lower)
+        levels = wavefront_levels(dag)
+        plan = compile_plan(lower)
+        assert plan.n_batches == int(levels.max()) + 1
+        assert np.all(np.diff(levels[plan.rows]) >= 0)
+        for n_cores in (1, 4, 8):
+            schedule = make_scheduler("wavefront").schedule(dag, n_cores)
+            other = compile_plan(lower, schedule)
+            for field in ("rows", "batch_ptr", "off_ptr", "off_cols",
+                          "off_vals", "diag"):
+                np.testing.assert_array_equal(
+                    getattr(plan, field), getattr(other, field),
+                    err_msg=f"{name}: {field} at {n_cores} cores",
+                )
+
+
 class TestBackendRegistry:
     def test_numpy_always_listed(self):
         assert "numpy" in list_backends()

@@ -294,13 +294,10 @@ class TestAdmissionDeadlinesLifecycle:
             with pytest.raises(ConfigurationError):
                 gateway.submit("nope", np.ones(4))
 
-    def test_unregister_and_hot_swap_route(self, lower):
+    def test_unregister_routes_to_the_owning_shard(self, lower):
         with ServingGateway(n_shards=2) as gateway:
             gateway.register("s", lower)
             gateway.solve("s", np.ones(lower.n))
-            plan = compile_plan(lower)
-            gateway.hot_swap("s", plan)
-            assert gateway.stats("s").n_plan_swaps == 1
             final = gateway.unregister("s")
             assert final.n_requests == 1
             assert gateway.systems() == []

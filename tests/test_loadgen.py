@@ -44,6 +44,25 @@ class TestConfig:
                 phases=(BurstPhase(1.0, 1.0),), timeout_s=0.0
             )
 
+    @pytest.mark.parametrize("value", [
+        pytest.param(float("inf"), id="inf"),
+        pytest.param(float("nan"), id="nan"),
+        pytest.param(float("-inf"), id="-inf"),
+    ])
+    def test_non_finite_values_are_refused(self, value):
+        """An infinite rate or duration would make build_schedule loop
+        forever, a NaN one would build an empty run, and a NaN deadline
+        never expires: all are configuration errors."""
+        with pytest.raises(ConfigurationError, match="rate_rps"):
+            BurstPhase(value, 1.0)
+        with pytest.raises(ConfigurationError, match="duration_s"):
+            BurstPhase(10.0, value)
+        phases = (BurstPhase(10.0, 1.0),)
+        with pytest.raises(ConfigurationError, match="zipf_s"):
+            LoadgenConfig(phases=phases, zipf_s=value)
+        with pytest.raises(ConfigurationError, match="timeout_s"):
+            LoadgenConfig(phases=phases, timeout_s=value)
+
     def test_duration_and_offered_rate(self):
         config = LoadgenConfig(
             phases=(BurstPhase(100.0, 1.0), BurstPhase(400.0, 1.0))

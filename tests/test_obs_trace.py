@@ -81,11 +81,11 @@ class TestSpanNesting:
     def test_event_is_parented_under_current_span(self):
         tracer = Tracer()
         with tracer.span("root") as root:
-            tracer.event("hot_swap", system="s")
-        swap, _ = tracer.events()
-        assert swap["parent_id"] == root.span_id
-        assert swap["dur_s"] == 0.0
-        assert swap["tags"] == {"system": "s"}
+            tracer.event("enqueue", system="s")
+        event, _ = tracer.events()
+        assert event["parent_id"] == root.span_id
+        assert event["dur_s"] == 0.0
+        assert event["tags"] == {"system": "s"}
 
 
 class TestFlush:

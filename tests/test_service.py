@@ -418,6 +418,23 @@ class TestAdmissionAndDeadlines:
                     "s", [np.ones(lower.n)], timeout=-1.0
                 )
 
+    @pytest.mark.parametrize(
+        "timeout", [float("nan"), float("inf"), float("-inf")]
+    )
+    def test_non_finite_timeout_is_refused(self, lower, timeout):
+        """A NaN deadline compares false against every instant, so it
+        would silently disable the deadline; refuse it with the
+        infinities."""
+        with SolveService() as service:
+            service.register("s", lower)
+            with pytest.raises(ConfigurationError, match="finite"):
+                service.submit("s", np.ones(lower.n), timeout=timeout)
+            with pytest.raises(ConfigurationError, match="finite"):
+                service.submit_many(
+                    "s", [np.ones(lower.n)], timeout=timeout
+                )
+            assert service.pending == 0
+
     def test_oversized_submission_rejected_all_or_nothing(self, lower):
         """A submit_many that cannot fit under max_queue raises
         AdmissionError and enqueues *nothing*; the service keeps

@@ -3,10 +3,10 @@ data-plane.
 
 The load-bearing acceptance checks live here:
 
-* measured hot-swap races of a :class:`~repro.service.SolveService`
-  append genuine observations to a configured store, and a subsequent
-  ``retrain`` produces a model whose warm start runs **zero races** on
-  the same matrices;
+* measured races of :meth:`~repro.tuner.Autotuner.tune` append genuine
+  observations to a configured store, and a subsequent ``retrain``
+  produces a model whose warm start runs **zero races** on the same
+  matrices;
 * two stores built under different machine fingerprints merge
   deterministically, dedup identical observations, and a model trained
   on the merged store never mixes measured and simulated regimes;
@@ -26,11 +26,11 @@ from repro.errors import ConfigurationError
 from repro.exec import PlanCache, get_backend
 from repro.experiments.datasets import DatasetInstance
 from repro.experiments.parallel import run_suite_parallel
-from repro.experiments.runner import run_suite
+from repro.experiments.runner import compiled_entry, run_suite
 from repro.machine.model import get_machine
 from repro.matrix.generators import erdos_renyi_lower, narrow_band_lower
 from repro.scheduler.registry import make_scheduler
-from repro.service import SolveService
+from repro.solver.sptrsv import forward_substitution
 from repro.store import (
     ObservationStore,
     build_record,
@@ -753,18 +753,24 @@ class TestTunerStoreIntegration:
 
 
 # ---------------------------------------------------------------------------
-# the acceptance loop: service races -> store -> retrain -> zero-race warm
+# the acceptance loop: measured races -> store -> retrain -> zero-race warm
 # ---------------------------------------------------------------------------
 class TestServiceStoreLoop:
+    """The measured loop on ``reorder=False`` plans, the unpermuted
+    systems a solve service serves."""
+
     def test_measured_races_feed_store_and_retrain_warm_starts(
         self, tmp_path, machine
     ):
-        """Acceptance: SolveService measured hot-swap races append
-        observations to a configured store; retraining from that store
-        yields a model whose warm start runs zero races on the same
-        matrices."""
-        matrices = [
-            narrow_band_lower(250 + 60 * i, 0.12, 6.0 + i, seed=300 + i)
+        """Acceptance: measured races append observations to a
+        configured store; retraining from that store yields a model
+        whose warm start runs zero races on the same matrices."""
+        insts = [
+            DatasetInstance(
+                f"loop{i}",
+                narrow_band_lower(250 + 60 * i, 0.12, 6.0 + i,
+                                  seed=300 + i),
+            )
             for i in range(3)
         ]
         store = ObservationStore(tmp_path / "fleet", fingerprint="svc")
@@ -772,21 +778,20 @@ class TestServiceStoreLoop:
         cache = PlanCache()
         tuner = Autotuner(candidates=CANDIDATES, mode="measured",
                           budget_seconds=0.02, seed=0)
-        with SolveService(store=store, plan_cache=cache) as svc:
-            for i, lower in enumerate(matrices):
-                svc.register(f"sys{i}", lower, schedule="auto",
-                             tuner=tuner, machine=machine,
-                             n_cores=N_CORES, profile=profile)
-        assert tuner.races_run == len(matrices)
-        # the service's source override is scoped to registration, and
-        # the records were flushed to disk (a fresh reader sees them)
-        assert tuner.observation_source == "tune"
+        cold = [
+            tuner.tune(inst, machine, n_cores=N_CORES, reorder=False,
+                       plan_cache=cache, profile=profile, store=store)
+            for inst in insts
+        ]
+        store.flush()
+        assert tuner.races_run == len(insts)
+        # the records were flushed to disk: a fresh reader sees them
         records = list(ObservationStore(store.path, create=False))
         assert records
-        # genuine measured seconds only: wall-clock regime, service
+        # genuine measured seconds only: wall-clock regime, the tuner's
         # provenance, the unpermuted (reorder=False) variant
         assert all(r["mode"] == "measured" for r in records)
-        assert all(r["source"] == "service" for r in records)
+        assert all(r["source"] == "tune" for r in records)
         assert all(r["reordered"] is False for r in records)
         assert all(r["seconds"] > 0 for r in records)
 
@@ -800,28 +805,32 @@ class TestServiceStoreLoop:
                                min_prediction_samples=2,
                                max_prediction_std=100.0)
         n_before = len(store)
-        rng = np.random.default_rng(3)
-        with SolveService(store=store, plan_cache=cache) as svc:
-            for i, lower in enumerate(matrices):
-                plan = svc.register(f"sys{i}", lower, schedule="auto",
-                                    tuner=warm_tuner, machine=machine,
-                                    n_cores=N_CORES, profile=profile)
-                b = rng.standard_normal(lower.n)
-                x = svc.solve(f"sys{i}", b)
-                assert np.array_equal(x, get_backend().solve(plan, b))
+        warm = [
+            warm_tuner.tune(inst, machine, n_cores=N_CORES,
+                            reorder=False, plan_cache=cache,
+                            profile=profile, store=store)
+            for inst in insts
+        ]
         assert warm_tuner.races_run == 0  # every decision came warm
+        assert [d.scheduler for d in warm] == [d.scheduler for d in cold]
+        assert all(d.source == "profile" for d in warm)
         assert len(store) == n_before  # warm starts append nothing
         # the warm fast path skipped the prior entirely: the learned
         # prior never scored (or fell back on) a single candidate
         assert warm_tuner.learned_prior.n_predicted == 0
         assert warm_tuner.learned_prior.n_fallback == 0
-
-    def test_profile_with_non_auto_schedule_is_rejected(self, machine):
-        lower = narrow_band_lower(100, 0.2, 5.0, seed=1)
-        with SolveService() as svc:
-            with pytest.raises(ConfigurationError):
-                svc.register("sys", lower,
-                             profile=TuningProfile(machine=machine.name))
+        # each warm pick solves the original system
+        rng = np.random.default_rng(3)
+        for inst, decision in zip(insts, warm, strict=True):
+            plan = compiled_entry(
+                inst, make_scheduler(decision.scheduler), N_CORES, False,
+                cache,
+            ).plan
+            b = rng.standard_normal(inst.n)
+            np.testing.assert_allclose(
+                get_backend().solve(plan, b),
+                forward_substitution(inst.lower, b), rtol=1e-10,
+            )
 
     def test_empty_store_keeps_cost_prior_bit_identical(self, tmp_path,
                                                         machine):

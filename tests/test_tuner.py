@@ -6,8 +6,8 @@ The load-bearing acceptance checks live here:
   exhaustive per-instance scheduler for >= 80% of instances;
 * tuner selection is deterministic for a fixed seed (simulated racing);
 * re-tuning through a persisted profile skips racing (warm start);
-* hot-swapping a :class:`~repro.service.SolveService` onto the tuned
-  plan preserves bit-equal solves.
+* the solve service refuses ``schedule="auto"`` and names the plan
+  ``schedule=None`` compiles instead.
 """
 
 import math
@@ -15,15 +15,15 @@ import math
 import numpy as np
 import pytest
 
-from repro.errors import ConfigurationError, ReproError
-from repro.exec import PlanCache, get_backend
+from repro.errors import ConfigurationError
+from repro.exec import PlanCache
 from repro.experiments.datasets import DatasetInstance, build_dataset
 from repro.experiments.runner import run_instance, run_suite
 from repro.graph.dag import DAG
 from repro.machine.model import get_machine
 from repro.matrix.generators import erdos_renyi_lower, narrow_band_lower
 from repro.scheduler.registry import available_schedulers, make_scheduler
-from repro.service import SolveService
+from repro.service import ServingGateway, SolveService
 from repro.store import ObservationStore
 from repro.tuner import (
     Autotuner,
@@ -39,6 +39,7 @@ from repro.tuner import (
     save_profile,
     successive_halving,
 )
+from repro.tuner import auto as tuner_auto
 from repro.tuner.predict import rank_candidates
 
 CANDIDATES = ("growlocal", "hdagg", "wavefront")
@@ -272,7 +273,6 @@ class TestTunerOnDataset:
         assert warm_tuner.races_run == 0  # every decision came warm
         assert all(d.source == "profile" for d in warm)
         assert [d.scheduler for d in warm] == [d.scheduler for d in cold]
-        assert [d.max_batch for d in warm] == [d.max_batch for d in cold]
 
     def test_profile_misses_on_structure_drift(self, machine, tmp_path):
         """A stored decision is not trusted for a matrix whose features
@@ -415,106 +415,29 @@ class TestAutoScheduler:
 
 
 # ---------------------------------------------------------------------------
-# SolveService auto-registration and hot-swap
+# the solve service refuses schedule="auto"
 # ---------------------------------------------------------------------------
 class TestServiceAuto:
     @pytest.fixture(scope="class")
     def lower(self):
         return narrow_band_lower(600, 0.1, 12.0, seed=11)
 
-    def test_hot_swap_to_tuned_plan_is_bit_equal(self, lower, machine):
-        tuner = Autotuner(candidates=CANDIDATES, mode="simulated",
-                          expected_solves=1e15, seed=0)
-        with SolveService() as svc:
-            plan = svc.register("sys", lower, schedule="auto",
-                                tuner=tuner, machine=machine,
-                                n_cores=N_CORES)
-            rng = np.random.default_rng(0)
-            for _ in range(3):
-                b = rng.standard_normal(lower.n)
-                x = svc.solve("sys", b)
-                direct = get_backend().solve(plan, b)
-                assert np.array_equal(x, direct)
-
-    def test_auto_stats_surface_arms_and_pick(self, lower, machine):
-        tuner = Autotuner(candidates=CANDIDATES, mode="simulated",
-                          expected_solves=1e15, seed=0)
-        with SolveService() as svc:
-            svc.register("sys", lower, schedule="auto", tuner=tuner,
-                         machine=machine, n_cores=N_CORES)
-            stats = svc.stats("sys")
-            assert stats.tuned_scheduler in (*CANDIDATES, "serial")
-            assert stats.arm_seconds  # racing recorded per-arm seconds
-            assert all(v > 0 for v in stats.arm_seconds.values())
-            row = stats.as_row()
-            assert row["tuned_scheduler"] == stats.tuned_scheduler
-
-    def test_tuned_max_batch_bounds_coalescing(self, lower, machine):
-        """The tuned per-system max_batch overrides the service default:
-        a 1000-deep backlog must never coalesce past the tuned bound."""
-        tuner = Autotuner(candidates=CANDIDATES, mode="simulated",
-                          expected_solves=1e15, seed=0)
-        with SolveService(max_batch=1000) as svc:
-            svc.register("sys", lower, schedule="auto", tuner=tuner,
-                         machine=machine, n_cores=N_CORES)
-            tuned_bound = None
-            with svc._cond:
-                tuned_bound = svc._systems["sys"].max_batch
-            assert tuned_bound is not None and tuned_bound < 1000
-            futures = svc.submit_many(
-                "sys", [np.ones(lower.n) for _ in range(3 * tuned_bound)]
-            )
-            for f in futures:
-                f.result()
-            assert svc.stats("sys").max_batch_size <= tuned_bound
-
-    def test_explicit_hot_swap_counts_and_validates(self, lower):
-        from repro.exec import compile_plan
-        from repro.scheduler import GrowLocalScheduler
-
-        dag = DAG.from_lower_triangular(lower)
-        schedule = GrowLocalScheduler().schedule(dag, 4)
-        tuned = compile_plan(lower, schedule)
-        with SolveService() as svc:
-            svc.register("sys", lower)  # serial plan
-            b = np.linspace(1.0, 2.0, lower.n)
-            svc.hot_swap("sys", tuned)
-            assert svc.stats("sys").n_plan_swaps == 1
-            x = svc.solve("sys", b)
-            assert np.array_equal(x, get_backend().solve(tuned, b))
-            # size-incompatible plan is rejected
-            other = compile_plan(narrow_band_lower(50, 0.2, 5.0, seed=0))
-            with pytest.raises(ReproError):
-                svc.hot_swap("sys", other)
-
     def test_register_rejects_unknown_schedule_spec(self, lower):
+        """No string is a schedule spec.  ``"auto"`` is refused too, not
+        aliased to ``None``: the message names ``schedule=None`` (the
+        level-set plan) and where scheduler choice lives instead."""
         with SolveService() as svc:
             with pytest.raises(ConfigurationError):
                 svc.register("sys", lower, schedule="autotune")
-
-    def test_reregistering_key_with_different_matrix_retunes(self, machine):
-        """Regression: auto-registration keys the shared cache by matrix
-        *content*, so reusing a service key for a different same-size
-        matrix must serve the new system, not the old one's plans."""
-        from repro.solver.sptrsv import forward_substitution
-
-        a = narrow_band_lower(300, 0.12, 8.0, seed=31)
-        b_mat = narrow_band_lower(300, 0.12, 8.0, seed=32)
-        tuner_args = dict(candidates=CANDIDATES, mode="simulated",
-                          expected_solves=1e15, seed=0)
-        rhs = np.linspace(1.0, 2.0, 300)
-        with SolveService() as svc:
-            svc.register("sys", a, schedule="auto",
-                         tuner=Autotuner(**tuner_args), machine=machine,
-                         n_cores=N_CORES)
-            svc.unregister("sys")
-            svc.register("sys", b_mat, schedule="auto",
-                         tuner=Autotuner(**tuner_args), machine=machine,
-                         n_cores=N_CORES)
-            x = svc.solve("sys", rhs)
-        np.testing.assert_allclose(
-            x, forward_substitution(b_mat, rhs), rtol=1e-10
-        )
+        for target in (SolveService(), ServingGateway(n_shards=2)):
+            with target:
+                with pytest.raises(ConfigurationError) as info:
+                    target.register("k", lower, schedule="auto")
+                assert target.systems() == []
+            message = str(info.value)
+            assert "schedule=None" in message
+            assert "repro tune" in message
+            assert "make_scheduler('auto')" in message
 
 
 class TestReviewRegressions:
@@ -584,19 +507,6 @@ class TestReviewRegressions:
         assert second.reorder is False
         assert tuner.races_run == 2
 
-    def test_hot_swap_rejects_plan_of_a_different_matrix(self):
-        """Regression: a plan compiled from a *different* same-size
-        matrix must be rejected, mirroring register()'s guard."""
-        from repro.errors import MatrixFormatError
-        from repro.exec import compile_plan
-
-        l1 = narrow_band_lower(200, 0.15, 6.0, seed=61)
-        l2 = narrow_band_lower(200, 0.15, 6.0, seed=62)
-        with SolveService() as svc:
-            svc.register("sys", l1)
-            with pytest.raises(MatrixFormatError):
-                svc.hot_swap("sys", compile_plan(l2))
-
     def test_standalone_schedule_widens_past_the_machine_width(self):
         """Regression: schedule(dag, n) with n above the machine preset
         must decide *and* schedule at n, not decide at the clipped
@@ -633,17 +543,6 @@ class TestReviewRegressions:
         assert repeat.tune(small_inst, machine, n_cores=N_CORES,
                            profile=profile).source == "profile"
         assert repeat.races_run == 0
-
-    def test_service_aligns_caller_tuner_with_its_backend(self, machine):
-        """A caller-supplied tuner without an explicit backend must race
-        on the service's serving backend, not auto-selection's."""
-        lower = narrow_band_lower(200, 0.15, 6.0, seed=71)
-        tuner = Autotuner(candidates=CANDIDATES, mode="simulated", seed=0)
-        assert tuner.backend is None
-        with SolveService(backend="numpy") as svc:
-            svc.register("sys", lower, schedule="auto", tuner=tuner,
-                         machine=machine, n_cores=N_CORES)
-        assert tuner.backend == "numpy"
 
     def test_malformed_profile_entry_falls_back_to_retuning(
         self, small_inst, machine
@@ -821,7 +720,7 @@ class TestLearnedPrior:
         assert learned.learned_prior.n_predicted > 0
 
     def test_simulated_race_reprices_learned_finalists(
-        self, corpus, machine, trained
+        self, corpus, machine, trained, monkeypatch
     ):
         """The race that settles the decision must run on genuine
         cost-model seconds, never on the model's own predictions."""
@@ -833,9 +732,19 @@ class TestLearnedPrior:
                             min_prediction_samples=3,
                             max_prediction_std=5.0)
         cache = PlanCache()
+        seen: dict[str, float] = {}
+
+        def recording_race(arms, measure, **kwargs):
+            def record(name, repeats, round_index):
+                seen[name] = measure(name, repeats, round_index)
+                return seen[name]
+
+            return successive_halving(arms, record, **kwargs)
+
+        monkeypatch.setattr(tuner_auto, "successive_halving",
+                            recording_race)
         decision = learned.tune(inst, machine, n_cores=N_CORES,
                                 plan_cache=cache)
-        race = learned.last_race
         # every raced arm's measurement equals its true simulated
         # seconds (the cost prior's numbers), not a prediction
         truth = {
@@ -844,9 +753,11 @@ class TestLearnedPrior:
                                      n_cores=N_CORES, plan_cache=cache,
                                      expected_solves=1e15)
         }
-        for name, values in race.measurements.items():
-            assert values[-1] == pytest.approx(truth[name], rel=1e-12)
+        assert seen
+        for name, seconds in seen.items():
+            assert seconds == pytest.approx(truth[name], rel=1e-12)
         assert decision.scheduler in truth
+        assert decision.measured_seconds == seen[decision.scheduler]
 
     def test_repriced_observations_are_genuine(self, corpus, machine,
                                                trained):
@@ -928,29 +839,6 @@ class TestLearnedPrior:
         model = LearnedTunerModel.fit(noisy)
         assert set(model.schedulers) == set(CANDIDATES) | {"serial"}
 
-    def test_service_auto_with_learned_prior_stays_bit_equal(
-        self, machine, trained
-    ):
-        """SolveService(schedule='auto') under a learned-prior tuner:
-        solves stay bit-equal to the installed plan."""
-        *_, model = trained
-        lower = narrow_band_lower(400, 0.1, 10.0, seed=41)
-        tuner = Autotuner(candidates=CANDIDATES, mode="simulated",
-                          expected_solves=1e15, seed=0,
-                          prior="learned", model=model,
-                          min_prediction_samples=3,
-                          max_prediction_std=5.0)
-        with SolveService() as svc:
-            plan = svc.register("sys", lower, schedule="auto",
-                                tuner=tuner, machine=machine,
-                                n_cores=N_CORES)
-            rng = np.random.default_rng(1)
-            b = rng.standard_normal(lower.n)
-            x = svc.solve("sys", b)
-            assert np.array_equal(x, get_backend().solve(plan, b))
-            assert svc.stats("sys").tuned_scheduler in (*CANDIDATES,
-                                                        "serial")
-
 
 # ---------------------------------------------------------------------------
 # the profile format: version 3, decisions only; older files are refused
@@ -1011,6 +899,30 @@ class TestProfileFormat:
         assert warm_tuner.races_run == 0
         assert warm.source == "profile"
         assert warm.scheduler == decision.scheduler
+
+    def test_entry_carrying_max_batch_still_warm_starts(
+        self, cold, small_inst, machine, tmp_path
+    ):
+        """Version-3 entries written with a ``max_batch`` field load and
+        warm-start with zero races; the field is ignored."""
+        import json
+
+        profile, _, decision = cold
+        entries = {
+            key: {**entry, "max_batch": 32}
+            for key, entry in profile.entries.items()
+        }
+        path = tmp_path / "profile.json"
+        path.write_text(json.dumps({"version": 3, "machine": machine.name,
+                                    "entries": entries}))
+        warm_tuner = Autotuner(candidates=CANDIDATES, mode="simulated",
+                               expected_solves=1e15, seed=0)
+        warm = warm_tuner.tune(small_inst, machine, n_cores=N_CORES,
+                               profile=load_profile(path))
+        assert warm_tuner.races_run == 0
+        assert warm.source == "profile"
+        assert warm.scheduler == decision.scheduler
+        assert "max_batch" not in warm.as_dict()
 
 
 class TestLearnedPriorReviewRegressions:
