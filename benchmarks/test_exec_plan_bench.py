@@ -19,6 +19,7 @@ import os
 import numpy as np
 import pytest
 
+from repro.analysis.verify import check_plan
 from repro.exec import compile_plan, get_backend
 from repro.experiments.bench import make_deep_narrow, make_wide_shallow
 from repro.experiments.tables import format_table
@@ -141,6 +142,56 @@ def test_numpy_deep_narrow_beats_per_row_loop():
         f"numpy solve only {speedup:.2f}x faster than the per-row loop "
         f"on the deep-narrow corpus"
     )
+
+
+class TestSetupFloors:
+    """Set-up is O(nnz) whatever the plan's depth.
+
+    Two shapes with the same row count: a dependency chain (one row
+    per level, fewer non-zeros) and five wide levels.  Compiling the
+    chain must stay within 4x of compiling the wide shape; a level pass
+    that costs O(n) per level reads about 30-40x.  On the wide plan the
+    verifier's source cross-check must stay within 8x of the structural
+    checks alone; sorting the non-zeros to compare them reads about
+    15-25x.
+    """
+
+    def _shapes(self):
+        deep = make_deep_narrow(n=4_000 if SMOKE else 20_000, seed=1)
+        wide = make_wide_shallow(
+            levels=5, width=800 if SMOKE else 4_000, seed=0
+        )
+        assert deep.n == wide.n and deep.nnz < wide.nnz
+        return deep, wide
+
+    def test_deep_compile_within_4x_of_wide(self):
+        deep, wide = self._shapes()
+        compile_plan(deep)  # warm caches
+        compile_plan(wide)
+        t_deep = _median_time(lambda: compile_plan(deep))
+        t_wide = _median_time(lambda: compile_plan(wide))
+        ratio = t_deep / t_wide
+        print(f"\ncompile (n={deep.n}): chain {t_deep * 1e3:.2f} ms, "
+              f"wide {t_wide * 1e3:.2f} ms -> {ratio:.2f}x")
+        assert ratio <= 4.0, (
+            f"compiling the chain costs {ratio:.1f}x the wide shape "
+            f"of the same row count (floor 4x)"
+        )
+
+    def test_source_check_within_8x_of_structural_check(self):
+        _, wide = self._shapes()
+        plan = compile_plan(wide)
+        check_plan(plan, matrix=wide)  # warm caches
+        t_source = _median_time(lambda: check_plan(plan, matrix=wide))
+        t_plain = _median_time(lambda: check_plan(plan))
+        ratio = t_source / t_plain
+        print(f"\ncheck_plan (n={wide.n}): with matrix "
+              f"{t_source * 1e3:.2f} ms, without {t_plain * 1e3:.2f} ms "
+              f"-> {ratio:.2f}x")
+        assert ratio <= 8.0, (
+            f"the source cross-check costs {ratio:.1f}x the structural "
+            f"checks (floor 8x)"
+        )
 
 
 def _require_threads(minimum: int = 2) -> int:

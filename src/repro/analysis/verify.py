@@ -40,6 +40,7 @@ import numpy as np
 
 from repro.errors import PlanVerificationError
 from repro.obs_gate import VALIDATE_ENV_VAR, validation_enabled
+from repro.utils.arrays import segmented_gather
 
 __all__ = [
     "INVARIANTS",
@@ -99,7 +100,8 @@ INVARIANTS = {
     "source-consistency": (
         "(with the source matrix/schedule at hand) the gather "
         "structure, diagonal values and superstep map match the inputs "
-        "the plan claims to have been compiled from"
+        "the plan claims to have been compiled from, each row's gather "
+        "segment in the source CSR order"
     ),
 }
 
@@ -485,10 +487,11 @@ class _Verifier:
                       f"plan covers {n} rows, source matrix has "
                       f"{matrix.n}")
             return
-        # rebuild the expected per-position gather content from the
-        # matrix and compare after sorting each segment (the plan keeps
-        # CSR order, but order inside a segment is irrelevant to the
-        # kernels' segment sums)
+        # the expected gather content is the matrix's off-diagonals in
+        # plan order, each segment in CSR order: the kernels add a
+        # segment's entries in stored order (reduceat, _sweep), so that
+        # order decides the result's bits and a plan that permutes a
+        # segment breaks the bit-equality contracts
         row_nnz = matrix.row_nnz()
         rows_flat = np.repeat(np.arange(n, dtype=np.int64), row_nnz)
         off_mask = matrix.indices != rows_flat
@@ -510,23 +513,24 @@ class _Verifier:
                 row=r,
             )
             return
-        owner_rows = plan.rows[
-            np.repeat(np.arange(n, dtype=np.int64), got_counts)
-        ]
-        plan_order = np.lexsort((plan.off_cols, owner_rows))
-        src_order = np.lexsort(
-            (matrix.indices[off_mask], rows_flat[off_mask])
-        )
+        off_ptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(expect_counts, out=off_ptr[1:])
+        flat = segmented_gather(off_ptr[plan.rows], got_counts)
+        want_cols = matrix.indices[off_mask][flat]
+        want_vals = matrix.data[off_mask][flat]
         if not (
-            np.array_equal(plan.off_cols[plan_order],
-                           matrix.indices[off_mask][src_order])
-            and np.array_equal(plan.off_vals[plan_order],
-                               matrix.data[off_mask][src_order])
+            np.array_equal(plan.off_cols, want_cols)
+            and np.array_equal(plan.off_vals, want_vals)
         ):
+            e = np.flatnonzero(
+                (plan.off_cols != want_cols) | (plan.off_vals != want_vals)
+            )[0]
+            r = int(plan.rows[np.searchsorted(plan.off_ptr, e, "right") - 1])
             self.fail(
                 "source-consistency",
-                "off-diagonal gather structure does not match the "
-                "source matrix content",
+                f"off-diagonal gather entries of row {r} do not match "
+                f"the source matrix's off-diagonals in CSR order",
+                row=r,
             )
         dpos = matrix.diag_positions()
         expect_diag = np.zeros(n)

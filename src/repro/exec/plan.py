@@ -243,49 +243,74 @@ class ExecutionPlan:
         )
 
 
+#: Rows per block of :func:`_levelize`'s recurrence.  Dependencies on
+#: rows of earlier blocks are final when a block starts, so they cost one
+#: vectorized max per block; only dependencies inside a block run through
+#: the scalar loop.
+_LEVEL_BLOCK = 2048
+
+
 def _levelize(
     n: int,
     dep: np.ndarray,
     consumer: np.ndarray,
     step: np.ndarray,
+    direction: str,
 ) -> np.ndarray:
     """Longest-path layer of every row w.r.t. *intra-superstep* deps.
 
     ``dep[k] -> consumer[k]`` are the dependency edges (off-diagonal
-    entries); only edges whose endpoints share a superstep constrain the
-    layering — cross-superstep edges are resolved by the barrier.  One
-    vectorized Kahn peel per layer; the loop count equals the maximum
-    intra-superstep chain length, not the row count.
+    entries) in CSR order, i.e. grouped by ascending ``consumer``; only
+    edges whose endpoints share a superstep constrain the layering —
+    cross-superstep edges are resolved by the barrier.  A row's level is
+    ``0`` without such deps, else ``1 + max`` over their levels.
+
+    Ascending ids are a topological order of a forward plan and
+    descending ids of a backward one, so the recurrence settles every
+    row in one pass in that order.  The pass runs in blocks of
+    :data:`_LEVEL_BLOCK` rows: deps in earlier blocks are folded in by
+    one vectorized segment max per block, and only deps inside the block
+    go through a scalar loop.  Cost: ``O(n + nnz)`` array work plus one
+    scalar step per in-block dep, whatever the depth.
     """
     level = np.zeros(n, dtype=np.int64)
-    if dep.size == 0 or n == 0:
-        return level
     intra = step[dep] == step[consumer]
     src = dep[intra]
     dst = consumer[intra]
     if src.size == 0:
         return level
-    indeg = np.bincount(dst, minlength=n)
-    # CSR-ish adjacency of the intra-step edges, grouped by source
-    order = np.argsort(src, kind="stable")
-    child = dst[order]
-    child_ptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(src, minlength=n), out=child_ptr[1:])
-
-    frontier = np.flatnonzero(indeg == 0)
-    lvl = 0
-    while frontier.size:
-        level[frontier] = lvl
-        starts = child_ptr[frontier]
-        flat = segmented_gather(starts, child_ptr[frontier + 1] - starts)
-        if flat.size == 0:
-            break
-        kids = child[flat]
-        indeg -= np.bincount(kids, minlength=n)
-        cand = np.unique(kids)
-        frontier = cand[indeg[cand] == 0]
-        lvl += 1
-    return level
+    if direction == "backward":
+        # mirror the ids: the topological order ascends and, reversed,
+        # the edges stay grouped by ascending consumer
+        src = (n - 1) - src[::-1]
+        dst = (n - 1) - dst[::-1]
+    block = _LEVEL_BLOCK
+    ptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(dst, minlength=n), out=ptr[1:])
+    has_deps = np.flatnonzero(ptr[1:] != ptr[:-1])
+    block_ptr = np.searchsorted(has_deps, np.arange(0, n + block, block))
+    for k, lo in enumerate(range(0, n, block)):
+        rows = has_deps[block_ptr[k]:block_ptr[k + 1]]
+        if rows.size == 0:
+            continue
+        e0, e1 = ptr[lo], ptr[min(lo + block, n)]
+        s = src[e0:e1]
+        # deps in earlier blocks are final; deps inside this block
+        # still read 0, a lower bound the scalar loop below raises
+        level[rows] = np.maximum.reduceat(level[s], ptr[rows] - e0) + 1
+        inner = np.flatnonzero(s >= lo)
+        if inner.size:
+            view = level[lo:lo + block]
+            lv = view.tolist()
+            for a, b in zip(
+                (s[inner] - lo).tolist(),
+                (dst[e0:e1][inner] - lo).tolist(),
+                strict=True,
+            ):
+                if lv[a] >= lv[b]:
+                    lv[b] = lv[a] + 1
+            view[:] = lv
+    return level[::-1] if direction == "backward" else level
 
 
 def compile_plan(
@@ -422,7 +447,7 @@ def _compile_plan_impl(
         if schedule is not None
         else np.zeros(n, dtype=np.int64)
     )
-    level = _levelize(n, off_cols_all, off_rows_all, step)
+    level = _levelize(n, off_cols_all, off_rows_all, step, direction)
     tie = (
         np.arange(n, dtype=np.int64)
         if direction == "forward"

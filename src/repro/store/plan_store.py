@@ -1,12 +1,13 @@
 """Persisted execution plans: the fleet's compiled-artifact data-plane.
 
-Every process used to re-lower its ``(matrix, schedule)`` pairs into
-:class:`~repro.exec.plan.ExecutionPlan`s, so scheduling cost was paid
-per process instead of per fleet.  A :class:`PlanStore` persists the
-lowered arrays on disk once and lets every later process — suite
-workers, services, CLI runs — **load instead of compile**, driving the
-``expected_solves`` denominator of the paper's Eq. 7.1 amortized
-objective toward the fleet-lifetime solve count.
+A :class:`PlanStore` persists the lowered arrays of
+:class:`~repro.exec.plan.ExecutionPlan`s on disk, so a later process —
+suite workers, services, CLI runs — can load a verified plan instead of
+lowering its ``(matrix, schedule)`` pair again.  Only the lowering is
+replaced: scheduling is still paid, because the schedule is not
+persisted and the store key is built from it.  Lowering is O(nnz), and
+so is the integrity gate below, so a load costs about as much as the
+compile it replaces.
 
 Format (version :data:`PLAN_STORE_VERSION`)
 -------------------------------------------

@@ -2,10 +2,11 @@
 
 The segmented gather — "for each segment ``i``, the consecutive indices
 ``starts[i] .. starts[i] + counts[i]``, concatenated" — underlies the
-execution-plan compiler's gather layout, its level peel, the cache
-model's access streams, and the frontier-at-a-time graph sweeps
-(Kahn rounds, BFS levels, triangle probes, HDagg's bundle unions).  One
-implementation keeps the subtle index arithmetic in one place.
+execution-plan compiler's gather layout, the plan verifier's source
+cross-check, the cache model's access streams, and the frontier-at-a-time
+graph sweeps (Kahn rounds, BFS levels, triangle probes, HDagg's bundle
+unions).  One implementation keeps the subtle index arithmetic in one
+place.
 """
 
 from __future__ import annotations

@@ -26,6 +26,7 @@ from repro.graph.dag import DAG
 from repro.matrix.generators import narrow_band_lower
 from repro.scheduler.registry import make_scheduler
 
+from tests.conftest import lower_triangular_matrices
 from tests.test_kernels_parallel import irregular_matrices
 
 
@@ -116,6 +117,74 @@ def _swap_dependent_pair(plan):
     diag = plan.diag.copy()
     diag[k], diag[dep_pos] = diag[dep_pos], diag[k]
     return clone_plan(plan, rows=rows, pos=pos, diag=diag)
+
+
+def _sorted_source_match(plan, matrix):
+    """Reference: the sorted source comparison the verifier used to run.
+
+    Each row's gather entries are compared with the matrix's
+    off-diagonals after sorting by (row, column), so the order inside
+    a segment is ignored."""
+    n = matrix.n
+    rows_flat = np.repeat(np.arange(n, dtype=np.int64), matrix.row_nnz())
+    off = matrix.indices != rows_flat
+    owner_rows = plan.rows[
+        np.repeat(np.arange(n, dtype=np.int64), np.diff(plan.off_ptr))
+    ]
+    plan_order = np.lexsort((plan.off_cols, owner_rows))
+    src_order = np.lexsort((matrix.indices[off], rows_flat[off]))
+    return (
+        np.array_equal(plan.off_cols[plan_order],
+                       matrix.indices[off][src_order])
+        and np.array_equal(plan.off_vals[plan_order],
+                           matrix.data[off][src_order])
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    matrix=lower_triangular_matrices(min_n=2, max_n=40),
+    scheduler=st.sampled_from([None, "growlocal", "hdagg", "wavefront"]),
+    cores=st.integers(1, 4),
+    backward=st.booleans(),
+    mutation=st.sampled_from(["none", "value", "column", "cross-row"]),
+    pick=st.integers(0, 10**6),
+)
+def test_property_source_verdict_matches_sorted_check(
+    matrix, scheduler, cores, backward, mutation, pick
+):
+    """Except for in-segment order, the CSR-order check accepts and
+    rejects exactly what the sorted comparison did."""
+    if backward:
+        matrix = matrix.transpose()
+        plan = compile_plan(matrix, direction="backward")
+    else:
+        schedule = (
+            None if scheduler is None
+            else make_scheduler(scheduler).schedule(
+                DAG.from_lower_triangular(matrix), cores
+            )
+        )
+        plan = compile_plan(matrix, schedule)
+    cols, vals = plan.off_cols.copy(), plan.off_vals.copy()
+    if mutation != "none" and cols.size:
+        e = pick % cols.size
+        if mutation == "value":
+            vals[e] += 1.0
+        elif mutation == "column":
+            cols[e] = (cols[e] + 1 + pick % (matrix.n - 1)) % matrix.n
+        else:
+            owner = np.repeat(np.arange(plan.n), np.diff(plan.off_ptr))
+            other = np.flatnonzero(owner != owner[e])
+            if other.size:
+                f = other[pick % other.size]
+                cols[[e, f]] = cols[[f, e]]
+                vals[[e, f]] = vals[[f, e]]
+    mutated = clone_plan(plan, off_cols=cols, off_vals=vals)
+    report = verify_plan(mutated, matrix=matrix, require_solvable=False)
+    assert ("source-consistency" not in report.invariants) == (
+        _sorted_source_match(mutated, matrix)
+    )
 
 
 class TestCorruptedPlanCorpus:
@@ -235,6 +304,24 @@ class TestCorruptedPlanCorpus:
         assert verify_plan(bad).ok  # ...but not what the matrix says
         report = verify_plan(bad, matrix=lower)
         assert report.invariants == {"source-consistency"}
+
+    def test_in_segment_permutation_is_source_consistency(self, compiled):
+        # the same entries in another order inside one row's segment:
+        # the kernels add a segment in stored order, so the result's
+        # bits can change although the content, as a set, matches
+        lower, _, plan = compiled
+        seg = np.diff(plan.off_ptr)
+        k = int(np.flatnonzero(seg >= 2)[0])
+        lo = int(plan.off_ptr[k])
+        cols, vals = plan.off_cols.copy(), plan.off_vals.copy()
+        cols[[lo, lo + 1]] = cols[[lo + 1, lo]]
+        vals[[lo, lo + 1]] = vals[[lo + 1, lo]]
+        bad = clone_plan(plan, off_cols=cols, off_vals=vals)
+        assert verify_plan(bad).ok
+        assert _sorted_source_match(bad, lower)
+        report = self.assert_exactly(bad, "source-consistency",
+                                     matrix=lower)
+        assert report.violations[0].row == int(plan.rows[k])
 
     def test_schedule_mismatch_is_source_consistency(self, compiled):
         _, schedule, plan = compiled
