@@ -38,9 +38,8 @@ Subpackages
                      into SpTRSM micro-batches, per-system stats
 ``repro.experiments`` datasets, runner (sequential + process-sharded),
                      metrics, tables and figures
-``repro.store``      fleet-wide observation store: the learned tuner's
-                     training data-plane (merge, coverage prune,
-                     staleness-triggered retrain)
+``repro.store``      persisted execution plans: the plan cache's disk
+                     tier, loaded through the plan integrity gate
 ``repro.tuner``      autotuner: per-matrix scheduler/backend selection
                      (features -> cost-model prior -> measured racing),
                      persisted tuning profiles, the "auto" scheduler
@@ -82,14 +81,10 @@ from repro.service import SolveService
 from repro.tuner import (
     AutoScheduler,
     Autotuner,
-    LearnedPrior,
-    LearnedTunerModel,
     TuningDecision,
     TuningProfile,
     extract_features,
-    load_model,
     load_profile,
-    save_model,
     save_profile,
 )
 from repro.solver import (
@@ -115,8 +110,6 @@ __all__ = [
     "HDaggScheduler",
     "InvalidPartitionError",
     "InvalidScheduleError",
-    "LearnedPrior",
-    "LearnedTunerModel",
     "MachineModel",
     "MatrixFormatError",
     "NotTriangularError",
@@ -140,10 +133,8 @@ __all__ = [
     "get_machine",
     "list_backends",
     "list_machines",
-    "load_model",
     "load_profile",
     "make_scheduler",
-    "save_model",
     "save_profile",
     "scheduled_sptrsv",
     "threaded_sptrsv",

@@ -14,15 +14,7 @@ Exposes the library's main workflows without writing Python::
                               --machine intel_xeon_6238t \
                               --output profile.json
     python -m repro tune      --dataset narrow_band \
-                              --profile profile.json \
-                              --train --model model.json
-    python -m repro tune      --dataset narrow_band \
-                              --profile profile.json --model model.json
-    python -m repro store     merge --into fleet.store a.store b.store
-    python -m repro store     stats --store fleet.store --json
-    python -m repro store     prune --store fleet.store --keep 5000
-    python -m repro store     retrain --store fleet.store \
-                              --model model.json
+                              --profile profile.json
     python -m repro plans     save --store plans.store --matrix L.mtx \
                               --scheduler growlocal --cores 8
     python -m repro plans     verify --store plans.store --json
@@ -37,19 +29,16 @@ Exposes the library's main workflows without writing Python::
     python -m repro obs       tail --dir .repro-obs -n 20
     python -m repro obs       export --dir .repro-obs
 
-``compare``, ``suite``, ``tune`` and every ``store``/``plans`` verb
+``compare``, ``suite``, ``tune`` and every ``plans`` verb
 accept ``--json`` for machine-readable output (consumed by CI smoke
 checks and scripting instead of scraping the tables).  The ``plans``
 verbs manage the persisted-plan disk tier
 (:mod:`repro.store.plan_store`, ``REPRO_PLAN_STORE_DIR``): ``save``
 compiles and persists an artifact, ``load`` runs the full integrity
 gate, ``verify`` audits a whole store, ``gc`` enforces the LRU byte
-budget (``docs/plan_store.md``).  Training observations
-flow into a fleet-wide observation store (``tune --store DIR``, or the
-profile's ``<path>.store`` sidecar by default); ``tune --train`` fits
-the learned prior from it, ``tune --model`` ranks with the fit, and
-the ``store`` verbs merge/prune/summarize/retrain the fleet's data
-(``docs/cli.md`` documents every verb).
+budget (``docs/plan_store.md``).  ``tune`` writes its decisions to a
+tuning profile and warm-starts from one (``docs/cli.md`` documents
+every verb).
 
 Matrices are read/written in Matrix Market format; schedules in the JSON
 format of :mod:`repro.scheduler.serialize`.
@@ -193,9 +182,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help="only the first K instances of the dataset")
     p.add_argument("--expected-solves", type=float, default=1000.0,
                    help="solves expected to reuse each decision "
-                        "(weights scheduling cost, Eq. 7.1)")
+                        "(weights scheduling cost, Eq. 7.1; > 0, "
+                        "inf for per-solve speed only)")
     p.add_argument("--budget-s", type=float, default=0.25,
-                   help="measured racing budget per instance, seconds")
+                   help="measured racing budget per instance, seconds "
+                        "(>= 0)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--mode", choices=["measured", "simulated"],
                    default="measured",
@@ -210,106 +201,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output",
                    help="write the updated profile JSON here "
                         "(default: the --profile path when given)")
-    p.add_argument("--store",
-                   help="observation-store directory receiving this "
-                        "run's training observations (default: the "
-                        "profile's '<path>.store' sidecar when a "
-                        "profile is involved; in-memory otherwise)")
-    p.add_argument("--prior", choices=["cost", "learned"],
-                   default=None,
-                   help="candidate-ranking prior: one cost-model "
-                        "simulation per candidate (cost, default) or "
-                        "one model inference per candidate with "
-                        "per-candidate cost-model fallback (learned; "
-                        "implied by --model unless --train is given — "
-                        "pass --prior learned explicitly to also rank "
-                        "with the model being retrained)")
-    p.add_argument("--model",
-                   help="learned-prior model JSON: read it to rank "
-                        "with the learned prior, or (with --train) "
-                        "write the freshly trained model here")
-    p.add_argument("--train", action="store_true",
-                   help="after tuning, train the learned prior on the "
-                        "store's accumulated observations (of this "
-                        "run's --mode) and write it to --model; with "
-                        "--prior learned an existing --model file is "
-                        "first used for ranking, then refreshed")
-    p.add_argument("--min-samples", type=int, default=4,
-                   help="learned prior: observations a per-scheduler "
-                        "model needs before its predictions are "
-                        "trusted (below: cost-model fallback)")
-    p.add_argument("--max-std", type=float, default=0.75,
-                   help="learned prior: largest admissible predictive "
-                        "standard deviation, log space (above: "
-                        "cost-model fallback)")
     p.add_argument("--json", action="store_true",
                    help="machine-readable JSON instead of a table")
-
-    p = sub.add_parser(
-        "store",
-        help="fleet-wide observation store: merge, prune, stats, "
-             "retrain",
-    )
-    store_sub = p.add_subparsers(dest="store_command", required=True)
-
-    ps = store_sub.add_parser(
-        "stats", help="per-scheduler/per-regime coverage summary"
-    )
-    ps.add_argument("--store", required=True,
-                    help="observation-store directory")
-    ps.add_argument("--json", action="store_true",
-                    help="machine-readable JSON instead of a table")
-
-    ps = store_sub.add_parser(
-        "merge",
-        help="merge source stores into one (content dedup; each source "
-             "record is read exactly once)",
-    )
-    ps.add_argument("--into", required=True,
-                    help="destination store directory (created if "
-                         "missing)")
-    ps.add_argument("sources", nargs="+",
-                    help="source store directories")
-    ps.add_argument("--json", action="store_true",
-                    help="machine-readable JSON instead of a summary "
-                         "line")
-
-    ps = store_sub.add_parser(
-        "prune",
-        help="thin the store to --keep records by feature-space "
-             "coverage (farthest-point sampling per variant)",
-    )
-    ps.add_argument("--store", required=True,
-                    help="observation-store directory")
-    ps.add_argument("--keep", type=int, required=True,
-                    help="records to keep at most")
-    ps.add_argument("--json", action="store_true",
-                    help="machine-readable JSON instead of a summary "
-                         "line")
-
-    ps = store_sub.add_parser(
-        "retrain",
-        help="refit the learned prior from the store when it is stale",
-    )
-    ps.add_argument("--store", required=True,
-                    help="observation-store directory")
-    ps.add_argument("--model", required=True,
-                    help="write the refreshed model JSON here")
-    ps.add_argument("--mode", choices=["measured", "simulated"],
-                    default=None,
-                    help="train on one measurement regime (default: "
-                         "the store's majority regime, measured "
-                         "winning ties)")
-    ps.add_argument("--min-new", type=int, default=None,
-                    help="new observations of the regime required "
-                         "since the last retrain (default 100; a "
-                         "never-trained regime is always stale)")
-    ps.add_argument("--force", action="store_true",
-                    help="retrain even when the staleness gate says "
-                         "nothing changed")
-    ps.add_argument("--json", action="store_true",
-                    help="machine-readable JSON instead of a summary "
-                         "line")
 
     p = sub.add_parser(
         "plans",
@@ -715,11 +608,9 @@ def _cmd_tune(args) -> int:
     from repro.experiments.tables import format_table
     from repro.tuner import (
         Autotuner,
-        LearnedTunerModel,
         TuningProfile,
         load_profile,
         save_profile,
-        save_trained_model,
     )
 
     instances = list(build_dataset(args.dataset))
@@ -741,104 +632,40 @@ def _cmd_tune(args) -> int:
                 f"available: {sorted(allowed)}"
             )
 
-    if args.train and not args.model:
-        raise ConfigurationError(
-            "--train needs --model PATH to write the trained model to"
-        )
-    prior = args.prior
-    load_model_path = None
-    if args.model and not args.train:
-        load_model_path = args.model
-        if prior is None:
-            prior = "learned"  # a model to read implies the learned prior
-    elif args.model and args.train and prior == "learned" \
-            and os.path.exists(args.model):
-        # an explicit learned-prior run that also retrains: rank with
-        # the existing model, then overwrite it with the refreshed fit
-        load_model_path = args.model
-    if prior is None:
-        prior = "cost"
-    if load_model_path and prior != "learned":
-        raise ConfigurationError(
-            "--model (without --train) requires --prior learned"
-        )
-
-    from repro.store import ObservationStore
-
-    profile = (load_profile(args.profile) if args.profile
-               else TuningProfile(machine=machine.name))
-    # the training data-plane: an explicit --store, else the profile's
-    # sidecar directory, else an in-memory store (so --train always
-    # fits from a store)
-    profile_out = args.output or args.profile
-    store_path = args.store or (
-        f"{profile_out}.store" if profile_out else None
-    )
-    store = ObservationStore(store_path)
     tuner = Autotuner(
         candidates=candidates,
         expected_solves=args.expected_solves,
         budget_seconds=args.budget_s,
         seed=args.seed,
         mode=args.mode,
-        prior=prior,
-        model=load_model_path,
-        max_prediction_std=args.max_std,
-        min_prediction_samples=args.min_samples,
     )
+    profile = (load_profile(args.profile) if args.profile
+               else TuningProfile(machine=machine.name))
     cache = PlanCache()
     with Timer() as t:
         decisions = [
             tuner.tune(inst, machine, n_cores=args.cores,
-                       plan_cache=cache, profile=profile, store=store)
+                       plan_cache=cache, profile=profile)
             for inst in instances
         ]
-    # without an explicit --output the updated profile (decisions) is
-    # written back to --profile; observations persist in the store
-    # (flushed atomically into this run's shard; a no-op in memory)
-    store.flush()
+    # without an explicit --output the updated profile is written back
+    # to --profile
+    profile_out = args.output or args.profile
     if profile_out:
         save_profile(profile, profile_out)
-    n_observations = len(store)
-
-    trained = None
-    if args.train:
-        # restrict training to this run's measurement regime so
-        # simulated and wall-clock targets never pool into one model
-        trained = LearnedTunerModel.fit(store, mode=args.mode)
-        save_trained_model(trained, args.model)
 
     warm = sum(1 for d in decisions if d.source == "profile")
-    learned_stats = (
-        {
-            "n_predicted": tuner.learned_prior.n_predicted,
-            "n_fallback": tuner.learned_prior.n_fallback,
-        }
-        if tuner.learned_prior is not None
-        else None
-    )
     if args.json:
         payload = {
             "dataset": args.dataset,
             "machine": machine.name,
             "mode": args.mode,
-            "prior": prior,
             "seed": args.seed,
             "wall_seconds": t.elapsed,
             "warm_starts": warm,
             "races_run": tuner.races_run,
-            "n_observations": n_observations,
-            "store": store.path,
-            "learned_prior": learned_stats,
             "decisions": [d.as_dict() for d in decisions],
         }
-        if trained is not None:
-            payload["trained"] = {
-                "model": args.model,
-                "schedulers": trained.schedulers,
-                "n_samples": {name: trained.n_samples(name)
-                              for name in trained.schedulers},
-            }
         print(json.dumps(_json_sanitize(payload), indent=2))
         return 0
 
@@ -857,122 +684,11 @@ def _cmd_tune(args) -> int:
         title=f"tune: {args.dataset} ({len(instances)} instances, "
               f"{machine.name}, {args.mode})",
     ))
-    line = (f"wall time {t.elapsed:.2f}s; {tuner.races_run} race(s), "
-            f"{warm} warm start(s) from profile")
-    if learned_stats is not None:
-        line += (f"; learned prior: {learned_stats['n_predicted']} "
-                 f"predicted, {learned_stats['n_fallback']} fell back")
-    print(line)
+    print(f"wall time {t.elapsed:.2f}s; {tuner.races_run} race(s), "
+          f"{warm} warm start(s) from profile")
     if profile_out:
         print(f"wrote {profile_out}")
-    if store.path is not None:
-        print(f"store {store.path}: {n_observations} observation(s)")
-    elif n_observations:
-        print(f"{n_observations} in-memory observation(s) "
-              f"(pass --store to persist them)")
-    if trained is not None:
-        print(f"wrote {args.model} (models for: "
-              f"{', '.join(trained.schedulers) or 'nothing — store empty'})")
     return 0
-
-
-def _cmd_store(args) -> int:
-    from repro.errors import ConfigurationError
-    from repro.store import ObservationStore
-
-    if args.store_command == "stats":
-        store = ObservationStore(args.store, create=False)
-        stats = store.stats()
-        if args.json:
-            print(json.dumps(_json_sanitize(stats), indent=2))
-            return 0
-        from repro.experiments.tables import format_table
-
-        rows = []
-        for name, entry in sorted(stats["schedulers"].items()):
-            for mode, regime in sorted(entry["regimes"].items()):
-                rows.append([
-                    name, mode or "-", regime["n"],
-                    regime["reordered"], regime["unique_features"],
-                ])
-        print(format_table(
-            ["scheduler", "regime", "records", "reordered",
-             "unique features"],
-            rows,
-            title=f"store: {args.store} "
-                  f"({stats['n_observations']} observation(s), "
-                  f"{stats['n_shards']} shard(s), "
-                  f"{len(stats['machines'])} machine(s))",
-        ))
-        return 0
-
-    if args.store_command == "merge":
-        dest = ObservationStore(args.into)
-        result = dest.merge(args.sources)
-        payload = {
-            "into": dest.path,
-            "sources": list(args.sources),
-            **result.as_dict(),
-            "n_observations": len(dest),
-        }
-        if args.json:
-            print(json.dumps(_json_sanitize(payload), indent=2))
-        else:
-            print(f"merged {result.sources} store(s) into {dest.path}: "
-                  f"{result.records_read} record(s) read, "
-                  f"{result.added} added, "
-                  f"{result.duplicates} duplicate(s) skipped")
-        return 0
-
-    if args.store_command == "prune":
-        store = ObservationStore(args.store, create=False)
-        result = store.prune(args.keep)
-        payload = {"store": store.path, "keep": args.keep,
-                   **result.as_dict()}
-        if args.json:
-            print(json.dumps(_json_sanitize(payload), indent=2))
-        else:
-            print(f"pruned {store.path}: {result.before} -> "
-                  f"{result.after} record(s) "
-                  f"({result.dropped} dropped by coverage thinning)")
-        return 0
-
-    if args.store_command == "retrain":
-        store = ObservationStore(args.store, create=False)
-        retrain_kwargs = {"mode": args.mode, "force": args.force,
-                          "model_path": args.model}
-        if args.min_new is not None:
-            retrain_kwargs["min_new"] = args.min_new
-        model = store.retrain(**retrain_kwargs)
-        payload = {
-            "store": store.path,
-            "trained": model is not None,
-            "mode": model.mode if model is not None else args.mode,
-            "model": args.model if model is not None else None,
-            "schedulers": model.schedulers if model is not None else [],
-            "n_samples": (
-                {name: model.n_samples(name)
-                 for name in model.schedulers}
-                if model is not None else {}
-            ),
-            "n_observations": len(store),
-        }
-        if args.json:
-            print(json.dumps(_json_sanitize(payload), indent=2))
-        elif model is None:
-            print(f"store {store.path} is not stale "
-                  f"(--force to retrain anyway)")
-        else:
-            print(f"retrained from {store.path} "
-                  f"({payload['n_observations']} observation(s), "
-                  f"mode {model.mode}); wrote {args.model} "
-                  f"(models for: "
-                  f"{', '.join(model.schedulers) or 'nothing'})")
-        return 0
-
-    raise ConfigurationError(
-        f"unknown store command {args.store_command!r}"
-    )
 
 
 def _plans_system(args):
@@ -1460,7 +1176,6 @@ _COMMANDS = {
     "compare": _cmd_compare,
     "suite": _cmd_suite,
     "tune": _cmd_tune,
-    "store": _cmd_store,
     "plans": _cmd_plans,
     "generate": _cmd_generate,
     "datasets": _cmd_datasets,

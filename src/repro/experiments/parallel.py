@@ -18,15 +18,6 @@ resolved (``ExperimentResult.backend``) — workers re-probe backend
 availability in their own process, so suite rows always name the kernel
 tier that actually backed them.
 
-Training observations shard the same way: with an ``"auto"`` scheduler
-in the suite and a ``store`` given, every worker collects its shard's
-tuning observations into a private in-memory
-:class:`~repro.store.ObservationStore`, and the parent merges the
-per-worker stores **deterministically** — shards are ingested in
-instance order with content dedup, so the merged store is independent
-of which worker finished first (and re-running the same suite against
-the same store adds nothing).
-
 Only the timing-derived fields (``scheduling_seconds``, ``amortization``)
 and the cache counters depend on *where* a result was computed; every
 simulated metric is deterministic and identical to a sequential run.
@@ -38,18 +29,12 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 
-from repro.errors import ConfigurationError
 from repro.exec import PlanCache
 from repro.experiments.datasets import DatasetInstance
-from repro.experiments.runner import (
-    ExperimentResult,
-    observation_store_attached,
-    run_instance,
-)
+from repro.experiments.runner import ExperimentResult, run_instance
 from repro.machine.model import MachineModel
 from repro.obs_gate import get_obs
 from repro.scheduler.base import Scheduler
-from repro.store import ObservationStore
 
 __all__ = ["run_suite_parallel"]
 
@@ -69,9 +54,8 @@ def _run_shard(
     machine: MachineModel,
     n_cores: int | None,
     reorder: bool | None,
-    collect_observations: bool = False,
 ) -> tuple[dict[str, ExperimentResult], int, int, tuple[int, int, int],
-           list[dict], dict | None]:
+           dict | None]:
     """One instance x all schedulers inside a worker process.
 
     Returns the per-scheduler results, this shard's cache hit/miss
@@ -80,10 +64,7 @@ def _run_shard(
     (hits, misses, rejects) deltas — workers inherit the parent's
     environment, so ``REPRO_PLAN_STORE_DIR`` gives every worker the
     same disk tier and a warm store turns worker startup compiles into
-    loads — the training observations the shard's adaptive schedulers
-    produced when ``collect_observations`` is set (collected through a
-    private in-memory per-worker store, merged deterministically by the
-    parent), and — with the ``REPRO_OBS`` gate on — this shard's
+    loads — and, with the ``REPRO_OBS`` gate on, this shard's
     metrics snapshot, recorded through a scoped registry so shards
     never double-count each other.
     """
@@ -94,36 +75,24 @@ def _run_shard(
         (pstore.hits, pstore.misses, pstore.rejects)
         if pstore is not None else (0, 0, 0)
     )
-    sink = None
-    if collect_observations:
-        # route observations through a throwaway in-memory sink; the
-        # context manager restores whatever each scheduler had attached
-        # before — with workers == 1 these are the *caller's* live
-        # objects, and leaving them attached to a discarded sink would
-        # silently swallow every later observation
-        sink = ObservationStore(None)
-    ctx = (observation_store_attached(schedulers, sink)
-           if sink is not None else nullcontext(0))
     obs = get_obs()
     scope = obs.scoped_registry() if obs is not None else nullcontext()
     with scope as scoped:
-        with ctx:
-            results = {
-                name: run_instance(
-                    inst, scheduler, machine,
-                    n_cores=n_cores, reorder=reorder, plan_cache=cache,
-                )
-                for name, scheduler in schedulers.items()
-            }
+        results = {
+            name: run_instance(
+                inst, scheduler, machine,
+                n_cores=n_cores, reorder=reorder, plan_cache=cache,
+            )
+            for name, scheduler in schedulers.items()
+        }
     metrics_snapshot = scoped.snapshot() if scoped is not None else None
-    observations = list(sink) if sink is not None else []
     store_delta = (
         (pstore.hits - store0[0], pstore.misses - store0[1],
          pstore.rejects - store0[2])
         if pstore is not None else (0, 0, 0)
     )
     return (results, cache.hits - hits0, cache.misses - misses0,
-            store_delta, observations, metrics_snapshot)
+            store_delta, metrics_snapshot)
 
 
 def run_suite_parallel(
@@ -135,7 +104,6 @@ def run_suite_parallel(
     reorder: bool | None = None,
     workers: int | None = None,
     max_cache_entries: int | None = None,
-    store=None,
 ) -> dict[str, list[ExperimentResult]]:
     """Run every scheduler on every instance, sharded across processes.
 
@@ -156,14 +124,6 @@ def run_suite_parallel(
     max_cache_entries:
         Optional bound for each worker's :class:`~repro.exec.PlanCache`
         (LRU eviction), capping per-process memory on huge suites.
-    store:
-        Optional :class:`~repro.store.ObservationStore`: each worker
-        collects the tuning observations of the suite's adaptive
-        (``"auto"``) schedulers into a private per-worker store, and
-        the per-worker stores are merged into ``store`` after the suite
-        — ingested in instance order with content dedup, then flushed
-        once — so the merge is deterministic regardless of worker
-        scheduling and idempotent across re-runs.
 
     Returns
     -------
@@ -175,34 +135,12 @@ def run_suite_parallel(
     if workers is None:
         workers = os.cpu_count() or 1
     workers = max(1, min(int(workers), max(len(instances), 1)))
-    # a store attached directly to a scheduler (AutoScheduler(store=…))
-    # must not be silently dropped when the suite runs in worker
-    # processes — the workers would append to pickled *copies*.  Use it
-    # as the merge destination; an explicit ``store=`` wins, and two
-    # different pre-attached stores are ambiguous.
-    if store is None:
-        pre_attached = {
-            id(s): s
-            for s in (
-                getattr(scheduler, "observation_store", None)
-                for scheduler in schedulers.values()
-            )
-            if s is not None
-        }
-        if len(pre_attached) > 1:
-            raise ConfigurationError(
-                "schedulers carry different attached observation "
-                "stores; pass an explicit store= to run_suite_parallel"
-            )
-        store = next(iter(pre_attached.values()), None)
-    collect = store is not None
 
     if workers == 1:
         _init_worker(max_cache_entries)
         try:
             shards = [
-                _run_shard(inst, schedulers, machine, n_cores, reorder,
-                           collect)
+                _run_shard(inst, schedulers, machine, n_cores, reorder)
                 for inst in instances
             ]
         finally:
@@ -216,20 +154,13 @@ def run_suite_parallel(
             futures = [
                 pool.submit(
                     _run_shard, inst, schedulers, machine, n_cores,
-                    reorder, collect,
+                    reorder,
                 )
                 for inst in instances
             ]
             # gather in submission order == instance order: the merge is
             # deterministic regardless of which worker finished first
             shards = [f.result() for f in futures]
-
-    if store is not None:
-        # deterministic merge of the per-worker observation stores:
-        # instance order, content dedup, one flush
-        for _, _, _, _, observations, _ in shards:
-            store.ingest(observations)
-        store.flush()
 
     # deterministic merge of the per-shard metrics registries: shards
     # are ingested in instance order (never completion order) into the
@@ -240,19 +171,19 @@ def run_suite_parallel(
     merged_metrics = None
     if obs is not None:
         registry = obs.get_registry()
-        for _, _, _, _, _, snapshot in shards:
+        for _, _, _, _, snapshot in shards:
             if snapshot is not None:
                 registry.ingest(snapshot)
         merged_metrics = registry.snapshot()
 
     out: dict[str, list[ExperimentResult]] = {name: [] for name in schedulers}
-    total_hits = sum(h for _, h, _, _, _, _ in shards)
-    total_misses = sum(m for _, _, m, _, _, _ in shards)
+    total_hits = sum(h for _, h, _, _, _ in shards)
+    total_misses = sum(m for _, _, m, _, _ in shards)
     total_store = [0, 0, 0]
-    for _, _, _, store_delta, _, _ in shards:
+    for _, _, _, store_delta, _ in shards:
         for i in range(3):
             total_store[i] += store_delta[i]
-    for results, _, _, _, _, _ in shards:
+    for results, _, _, _, _ in shards:
         for name in schedulers:
             result = results[name]
             result.plan_cache_hits = total_hits

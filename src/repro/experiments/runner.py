@@ -23,7 +23,6 @@ it.  Cache hit/miss counters are surfaced on every
 
 from __future__ import annotations
 
-from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,9 +43,8 @@ from repro.scheduler.reorder import schedule_reordering
 from repro.matrix.permute import permute_symmetric
 from repro.utils.timing import Timer
 
-__all__ = ["ExperimentResult", "observation_store_attached",
-           "compiled_entry", "resolve_reorder", "run_instance",
-           "run_suite", "REORDERING_SCHEDULERS"]
+__all__ = ["ExperimentResult", "compiled_entry", "resolve_reorder",
+           "run_instance", "run_suite", "REORDERING_SCHEDULERS"]
 
 #: Schedulers that include the Section 5 reordering step by default
 #: (the paper applies it to its own algorithms, not to the baselines).
@@ -360,40 +358,6 @@ def run_instance(
     )
 
 
-@contextmanager
-def observation_store_attached(
-    schedulers: dict[str, Scheduler], store, *, source: str = "suite"
-):
-    """Scope-route the tuning observations of every store-capable
-    scheduler in ``schedulers`` into ``store``.
-
-    Adaptive schedulers (the tuner's ``"auto"`` entry) expose a
-    duck-typed ``attach_store`` hook; plain schedulers produce no
-    observations and are left alone.  On exit every scheduler's
-    previous attachment and provenance tag are restored — in reverse
-    order, so an object registered under several names ends up exactly
-    where it started — because suite runners may operate on the
-    *caller's live objects* and must not leave them pointed at a
-    suite-scoped sink.  Yields the number of schedulers attached.
-    """
-    attached = []
-    for scheduler in schedulers.values():
-        attach = getattr(scheduler, "attach_store", None)
-        if attach is None:
-            continue
-        tuner = getattr(scheduler, "tuner", None)
-        prev_source = getattr(tuner, "observation_source", None)
-        prev_store = attach(store, source=source)
-        attached.append((attach, prev_store, tuner, prev_source))
-    try:
-        yield len(attached)
-    finally:
-        for attach, prev_store, tuner, prev_source in reversed(attached):
-            attach(prev_store)
-            if tuner is not None and prev_source is not None:
-                tuner.observation_source = prev_source
-
-
 def run_suite(
     instances: tuple[DatasetInstance, ...] | list[DatasetInstance],
     schedulers: dict[str, Scheduler],
@@ -402,7 +366,6 @@ def run_suite(
     n_cores: int | None = None,
     reorder: bool | None = None,
     plan_cache: PlanCache | None = None,
-    store=None,
 ) -> dict[str, list[ExperimentResult]]:
     """Run every scheduler on every instance; returns results grouped by
     scheduler name (aligned with the instance order).
@@ -411,32 +374,18 @@ def run_suite(
     own to span several suites — e.g. the same instances on different
     machine models): each (instance, scheduler, cores) triple is
     scheduled, reordered and lowered exactly once, and each instance's
-    serial plan is compiled once and shared by every scheduler.
-
-    ``store`` (an :class:`~repro.store.ObservationStore`) is attached
-    to every adaptive scheduler for the duration of the suite
-    (:func:`observation_store_attached` — previous attachments and
-    provenance tags are restored afterwards): cold ``"auto"``
-    decisions append their genuine seconds as ``source="suite"``
-    training observations, and the store is flushed once at the end."""
+    serial plan is compiled once and shared by every scheduler."""
     cache = plan_cache if plan_cache is not None else PlanCache()
-    ctx = (observation_store_attached(schedulers, store)
-           if store is not None else nullcontext(0))
     out: dict[str, list[ExperimentResult]] = {name: [] for name in schedulers}
-    with ctx:
-        for inst in instances:
-            for name, scheduler in schedulers.items():
-                out[name].append(
-                    run_instance(
-                        inst, scheduler, machine,
-                        n_cores=n_cores, reorder=reorder,
-                        plan_cache=cache,
-                    )
+    for inst in instances:
+        for name, scheduler in schedulers.items():
+            out[name].append(
+                run_instance(
+                    inst, scheduler, machine,
+                    n_cores=n_cores, reorder=reorder,
+                    plan_cache=cache,
                 )
-    if store is not None:
-        flush = getattr(store, "flush", None)
-        if flush is not None:
-            flush()
+            )
     return out
 
 

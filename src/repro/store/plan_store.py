@@ -41,13 +41,11 @@ every surviving plan must still pass the mandatory
 which converts every rejection into a counted miss so the caller falls
 back to compiling.
 
-Writes are crash- and race-safe like the sibling
-:class:`~repro.store.store.ObservationStore`: payloads land in a
-same-directory temp file and are renamed into place
-(:mod:`repro.utils.atomic` semantics), the sidecar is written *after*
-the npz (a sidecar is the commit record), and writers claim a key via
-an exclusive-create lock file so racing processes produce exactly one
-artifact per key.  Disk usage is LRU-bounded: loads touch the sidecar
+Writes are crash- and race-safe: payloads land in a same-directory
+temp file and are renamed into place (:mod:`repro.utils.atomic`
+semantics), the sidecar is written *after* the npz (a sidecar is the
+commit record), and writers claim a key via an exclusive-create lock
+file so racing processes produce exactly one artifact per key.  Disk usage is LRU-bounded: loads touch the sidecar
 mtime and :meth:`PlanStore.gc` evicts least-recently-used artifacts
 beyond the byte budget (``REPRO_PLAN_STORE_MAX_BYTES``).
 """
@@ -466,7 +464,6 @@ class PlanStore:
                     raise
                 sidecar = dict(scalars)
                 sidecar["content_hash"] = _artifact_hash(arrays, scalars)
-                sidecar["created_by"] = _machine_tag()
                 atomic_write_json(sidecar, sidecar_path)
         finally:
             try:
@@ -854,9 +851,3 @@ class PlanStore:
             f"rejects={self.rejects})"
         )
 
-
-def _machine_tag() -> str:
-    """Provenance tag for sidecars (informational, not hashed)."""
-    from repro.store.store import machine_fingerprint
-
-    return machine_fingerprint()

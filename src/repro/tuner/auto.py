@@ -34,22 +34,17 @@ from __future__ import annotations
 
 import hashlib
 import math
-import os
 import statistics
 import time
 from contextlib import nullcontext
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.exec import PlanCache, get_backend
 from repro.experiments.datasets import DatasetInstance
-from repro.experiments.runner import (
-    compiled_entry,
-    resolve_reorder,
-    run_instance,
-)
+from repro.experiments.runner import compiled_entry, resolve_reorder
 from repro.graph.dag import DAG
 from repro.machine.model import MachineModel, get_machine
 from repro.matrix.csr import CSRMatrix
@@ -58,16 +53,14 @@ from repro.scheduler.base import Scheduler
 from repro.scheduler.registry import make_scheduler
 from repro.scheduler.schedule import Schedule
 from repro.tuner.features import MatrixFeatures, extract_features
-from repro.tuner.learn import LearnedTunerModel, load_model
 from repro.tuner.predict import (
     DEFAULT_CANDIDATES,
-    CandidateScore,
-    LearnedPrior,
+    check_expected_solves,
     clip_cores,
     rank_candidates,
 )
 from repro.tuner.profile import TuningProfile, entry_key
-from repro.tuner.race import RaceResult, successive_halving
+from repro.tuner.race import successive_halving
 
 __all__ = [
     "AutoScheduler",
@@ -227,11 +220,13 @@ class Autotuner:
     expected_solves:
         Solves expected to reuse the decision — weights the scheduling
         cost in both the prior objective and the racing handicap
-        (Eq. 7.1).  Large values select for pure per-solve speed.
+        (Eq. 7.1).  Must be ``> 0``; large values (``inf`` included)
+        select for pure per-solve speed.
     keep:
         Finalists the prior forwards into the race.
     budget_seconds / base_repeats:
-        Racing budget (see :func:`~repro.tuner.race.successive_halving`).
+        Racing budget, ``budget_seconds >= 0`` (see
+        :func:`~repro.tuner.race.successive_halving`).
     seed:
         Seeds the racing right-hand sides; a fixed seed plus simulated
         mode makes the whole selection deterministic.
@@ -239,22 +234,6 @@ class Autotuner:
         ``"measured"`` (wall-clock micro-runs on the auto-selected
         backend, :func:`repro.exec.get_backend`) or ``"simulated"``
         (cost-model seconds, deterministic).
-    prior:
-        ``"cost"`` (the default: one cost-model simulation per
-        candidate, :func:`~repro.tuner.predict.rank_candidates`) or
-        ``"learned"`` (one model inference per candidate with
-        per-candidate cost-model fallback,
-        :class:`~repro.tuner.predict.LearnedPrior`).  With an empty or
-        absent model the learned prior falls back for every candidate
-        and is bit-identical to ``"cost"``.
-    model:
-        The :class:`~repro.tuner.learn.LearnedTunerModel` behind the
-        learned prior — an instance, or a path to a model written by
-        ``repro tune --train`` / :func:`~repro.tuner.learn.save_model`.
-        Only meaningful (and only allowed) with ``prior="learned"``.
-    max_prediction_std / min_prediction_samples:
-        The learned prior's uncertainty gate (see
-        :class:`~repro.tuner.predict.LearnedPrior`).
 
     Examples
     --------
@@ -284,10 +263,6 @@ class Autotuner:
         base_repeats: int = 3,
         seed: int = 0,
         mode: str = "measured",
-        prior: str = "cost",
-        model: LearnedTunerModel | str | os.PathLike | None = None,
-        max_prediction_std: float = 0.75,
-        min_prediction_samples: int = 4,
     ) -> None:
         if mode not in ("measured", "simulated"):
             raise ConfigurationError(
@@ -295,42 +270,19 @@ class Autotuner:
             )
         if keep < 1:
             raise ConfigurationError("keep must be >= 1")
-        if prior not in ("cost", "learned"):
+        if not float(budget_seconds) >= 0:
             raise ConfigurationError(
-                f"unknown prior {prior!r}; use 'cost' or 'learned'"
-            )
-        if model is not None and prior != "learned":
-            raise ConfigurationError(
-                "a learned model requires prior='learned'"
+                f"budget_seconds must be >= 0, got {budget_seconds!r}"
             )
         self.candidates = tuple(
             candidates if candidates is not None else DEFAULT_CANDIDATES
         )
-        self.expected_solves = float(expected_solves)
+        self.expected_solves = check_expected_solves(expected_solves)
         self.keep = int(keep)
         self.budget_seconds = float(budget_seconds)
         self.base_repeats = int(base_repeats)
         self.seed = int(seed)
         self.mode = mode
-        self.prior = prior
-        if isinstance(model, (str, os.PathLike)):
-            model = load_model(model)
-        #: The gated learned prior (``None`` under ``prior="cost"``);
-        #: its ``n_predicted``/``n_fallback`` counters are observable
-        #: here (and surfaced by ``repro tune --json``).
-        self.learned_prior: LearnedPrior | None = (
-            LearnedPrior(
-                model,
-                max_std=max_prediction_std,
-                min_samples=min_prediction_samples,
-            )
-            if prior == "learned"
-            else None
-        )
-        #: Provenance tag stamped on observation records this tuner
-        #: writes (``"tune"``; the suite runner overrides it with
-        #: ``"suite"``).
-        self.observation_source = "tune"
         #: Races actually run (warm starts from a profile skip racing —
         #: observable here and asserted by tests).
         self.races_run = 0
@@ -347,7 +299,6 @@ class Autotuner:
         reorder: bool | None = None,
         plan_cache: PlanCache | None = None,
         profile: TuningProfile | None = None,
-        store=None,
     ) -> TuningDecision:
         """Tune one instance; returns the decision (and records it in
         ``profile`` when one is given).
@@ -369,14 +320,6 @@ class Autotuner:
             into it.  A malformed entry (hand-edited, truncated) is
             treated like a feature mismatch: it is re-tuned and
             overwritten.
-        store:
-            Observation sink for this run's genuine seconds — an
-            :class:`~repro.store.ObservationStore` (the fleet-wide
-            training data-plane) or anything with its
-            ``add_observation`` signature.  Without one nothing is
-            recorded; the profile only ever holds decisions.  Warm
-            starts append nothing, and model predictions are never
-            recorded (see :meth:`_record_observations`).
         """
         if machine is None:
             machine = get_machine(DEFAULT_MACHINE)
@@ -388,24 +331,13 @@ class Autotuner:
             return warm
 
         cache = plan_cache if plan_cache is not None else PlanCache()
-        if self.learned_prior is not None:
-            scores = self.learned_prior.rank(
-                inst, self.candidates, machine,
-                n_cores=cores, reorder=reorder,
-                expected_solves=self.expected_solves, plan_cache=cache,
-                features=features,
-            )
-        else:
-            scores = rank_candidates(
-                inst, self.candidates, machine,
-                n_cores=cores, reorder=reorder,
-                expected_solves=self.expected_solves, plan_cache=cache,
-            )
-        finalists = self._reprice_finalists(
-            scores[: self.keep], inst, machine, cores, reorder, cache
+        scores = rank_candidates(
+            inst, self.candidates, machine,
+            n_cores=cores, reorder=reorder,
+            expected_solves=self.expected_solves, plan_cache=cache,
         )
+        finalists = scores[: self.keep]
         by_name = {s.name: s for s in scores}
-        by_name.update({s.name: s for s in finalists})
         handicap = {
             s.name: s.scheduling_seconds / self.expected_solves
             for s in finalists
@@ -466,12 +398,6 @@ class Autotuner:
             mode=self.mode,
             features=features,
         )
-        if store is not None:
-            self._record_observations(
-                store, features,
-                [by_name[s.name] for s in scores], race, reorder, cores,
-                machine.name,
-            )
         if profile is not None:
             profile.record(key, decision.as_dict())
         return decision
@@ -498,125 +424,6 @@ class Autotuner:
         if not self._admissible(decision, reorder):
             return None
         return decision
-
-    def _reprice_finalists(
-        self,
-        finalists: list[CandidateScore],
-        inst: DatasetInstance,
-        machine: MachineModel,
-        cores: int,
-        reorder: bool | None,
-        cache: PlanCache,
-    ) -> list[CandidateScore]:
-        """Replace learned-scored finalists with genuinely priced ones.
-
-        The race settles the *decision*, so what it consumes — the
-        per-solve seconds it compares and the Eq. 7.1 scheduling
-        handicap — must be genuine, never the model's own prediction.
-        Only the ``keep`` finalists are re-priced, so the learned
-        prior's saving over simulating the whole candidate pool stands.
-
-        In simulated mode one real cost-model run replaces the whole
-        score (the race measures every finalist anyway, so this adds no
-        simulations) — every field of a simulated-mode decision is then
-        exactly what the cost prior would have produced.  In measured
-        mode the race times real solves and the handicap takes the
-        genuine scheduling cost from the compiled entry the measure
-        path builds regardless; the winner's ``predicted_*`` decision
-        fields remain prior estimates there — as they are under the
-        cost prior too — with ``measured_seconds`` carrying the ground
-        truth.
-        """
-        out = []
-        for s in finalists:
-            if s.result is not None:
-                out.append(s)
-                continue
-            scheduler = make_scheduler(s.name)
-            if self.mode == "simulated":
-                result = run_instance(
-                    inst, scheduler, machine,
-                    n_cores=cores, reorder=reorder, plan_cache=cache,
-                )
-                parallel_s = machine.cycles_to_seconds(
-                    result.parallel_cycles
-                )
-                out.append(CandidateScore(
-                    name=s.name,
-                    objective_seconds=(
-                        parallel_s
-                        + result.scheduling_seconds / self.expected_solves
-                    ),
-                    parallel_seconds=parallel_s,
-                    scheduling_seconds=result.scheduling_seconds,
-                    result=result,
-                ))
-            else:
-                entry = compiled_entry(
-                    inst, scheduler, cores,
-                    resolve_reorder(scheduler, reorder), cache,
-                )
-                out.append(replace(
-                    s,
-                    scheduling_seconds=entry.scheduling_seconds,
-                    objective_seconds=(
-                        s.parallel_seconds
-                        + entry.scheduling_seconds / self.expected_solves
-                    ),
-                ))
-        return out
-
-    def _record_observations(
-        self,
-        sink,
-        features: MatrixFeatures,
-        scores: list[CandidateScore],
-        race: RaceResult,
-        reorder: bool | None,
-        cores: int,
-        machine_name: str,
-    ) -> None:
-        """Append this run's *genuine* seconds to the training store.
-
-        ``sink`` is the observation data-plane — a fleet-wide
-        :class:`~repro.store.ObservationStore`, or anything with its
-        ``add_observation`` signature.  Model predictions are never fed
-        back into the store they would later be trained on.  ``scores``
-        already carries the re-priced finalists
-        (:meth:`_reprice_finalists`), so what qualifies:
-
-        * in simulated mode — every cost-model-priced candidate
-          (fallback scores and re-priced finalists alike);
-        * in measured mode — raced arms only, with the last raw
-          wall-clock measurement as the target and the genuine compiled
-          scheduling cost, so a measured run never records simulated
-          per-solve targets.
-
-        Each record carries the effective Section 5 reorder flag — the
-        learned prior trains and predicts per (scheduler, reordered)
-        variant, so reordered and unpermuted seconds never conflate.
-        """
-        for s in scores:
-            measured = race.measurements.get(s.name)
-            if self.mode == "measured":
-                if not measured:
-                    continue
-                seconds = measured[-1]
-            elif s.result is not None:
-                seconds = s.parallel_seconds
-            else:
-                continue  # learned non-finalist: prediction, not genuine
-            reordered = (
-                s.result.reordered
-                if s.result is not None
-                else resolve_reorder(make_scheduler(s.name), reorder)
-            )
-            sink.add_observation(
-                features, s.name, seconds,
-                scheduling_seconds=s.scheduling_seconds,
-                n_cores=cores, mode=self.mode, reordered=reordered,
-                machine=machine_name, source=self.observation_source,
-            )
 
     def _admissible(
         self, decision: TuningDecision, reorder: bool | None
@@ -650,10 +457,6 @@ class Autotuner:
     def _make_measure(self, inst, machine, cores, reorder, cache,
                       finalists):
         if self.mode == "simulated":
-            # every finalist carries genuine simulated seconds by now —
-            # learned-scored ones were re-priced by
-            # _reprice_finalists — so the race never runs on model
-            # predictions
             per_solve = {s.name: s.parallel_seconds for s in finalists}
 
             def measure(name: str, repeats: int, round_index: int) -> float:
@@ -747,7 +550,6 @@ class AutoScheduler(Scheduler):
         machine: MachineModel | str | None = None,
         tuner: Autotuner | None = None,
         profile: TuningProfile | None = None,
-        store=None,
         **tuner_options: object,
     ) -> None:
         if tuner is not None and tuner_options:
@@ -759,7 +561,6 @@ class AutoScheduler(Scheduler):
             get_machine(machine) if isinstance(machine, str) else machine
         )
         self._profile = profile
-        self._store = store
         self._decisions: dict[
             tuple[str, str, int, bool | None], TuningDecision
         ] = {}
@@ -767,29 +568,6 @@ class AutoScheduler(Scheduler):
     @property
     def tuner(self) -> Autotuner:
         return self._tuner
-
-    @property
-    def observation_store(self):
-        """The currently attached observation sink (``None`` when
-        tuning records no observations)."""
-        return self._store
-
-    def attach_store(self, store, *, source: str | None = None):
-        """Route this scheduler's tuning observations into ``store``.
-
-        The suite runners call this (with ``source="suite"``) so
-        ``"auto"`` suites feed the fleet-wide training data-plane; any
-        caller can attach an :class:`~repro.store.ObservationStore`
-        (or an in-memory one) the same way.  Returns the previously
-        attached store, so a caller routing through a temporary sink
-        (the sharded suite runner) can restore the original attachment
-        afterwards.
-        """
-        previous = self._store
-        self._store = store
-        if source is not None:
-            self._tuner.observation_source = str(source)
-        return previous
 
     def decide(
         self,
@@ -814,7 +592,7 @@ class AutoScheduler(Scheduler):
             self._decisions[memo_key] = self._tuner.tune(
                 inst, machine,
                 n_cores=cores, reorder=reorder, plan_cache=plan_cache,
-                profile=self._profile, store=self._store,
+                profile=self._profile,
             )
         return self._decisions[memo_key]
 

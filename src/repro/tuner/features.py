@@ -13,8 +13,6 @@ decision is only trusted for a matrix whose features match.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import math
 from dataclasses import asdict, dataclass
 
@@ -90,19 +88,6 @@ class MatrixFeatures:
     def from_dict(cls, data: dict[str, object]) -> "MatrixFeatures":
         """Inverse of :meth:`as_dict` (profile deserialization)."""
         return cls(**{k: data[k] for k in cls.__dataclass_fields__})
-
-    def fingerprint(self) -> str:
-        """Short stable hash of the features.
-
-        Floats are rounded to 9 significant digits before hashing so the
-        fingerprint is robust to JSON round-tripping.
-        """
-        canon = {
-            k: (float(f"{v:.9g}") if isinstance(v, float) else v)
-            for k, v in sorted(self.as_dict().items())
-        }
-        payload = json.dumps(canon, sort_keys=True).encode()
-        return hashlib.sha256(payload).hexdigest()[:16]
 
     def matches(self, other: "MatrixFeatures") -> bool:
         """Whether ``other`` describes the same structure (warm-start

@@ -7,15 +7,9 @@ stage for every entry whose features still match (warm start); a matrix
 that changed structure under the same name misses the feature check and
 is re-tuned rather than served a stale decision.
 
-A profile holds decisions only.  Raw training observations live in the
-fleet-wide :class:`~repro.store.ObservationStore` (``repro tune
---store``, or the profile's ``<path>.store`` sidecar directory on the
-CLI), keeping warm-start decisions, raw observations and model training
-in separate layers.
-
-The file format is versioned and this build reads version
-:data:`PROFILE_VERSION` only.  Files of versions 1 and 2, and any file
-that carries an ``observations`` array, raise
+A profile holds decisions only.  The file format is versioned and this
+build reads version :data:`PROFILE_VERSION` only.  Files of versions 1
+and 2, and any file that carries an ``observations`` array, raise
 :class:`~repro.errors.ConfigurationError` naming the cause, so old
 training data is refused rather than silently dropped.
 """
@@ -130,9 +124,7 @@ def load_profile(path: str | os.PathLike) -> TuningProfile:
     Raises :class:`~repro.errors.ConfigurationError` on invalid JSON, on
     any version other than :data:`PROFILE_VERSION`, on a file that
     carries an ``observations`` array (versions 1 and 2 kept training
-    data inline; it belongs in an
-    :class:`~repro.store.ObservationStore`), and on a structurally
-    invalid file.
+    data inline), and on a structurally invalid file.
     """
     with open(path, "r", encoding="utf-8") as fh:
         try:
@@ -154,8 +146,8 @@ def load_profile(path: str | os.PathLike) -> TuningProfile:
     if "observations" in data:
         raise ConfigurationError(
             f"tuning profile {path!s} carries an inline observations "
-            f"array; profiles hold decisions only and training "
-            f"observations belong in an ObservationStore"
+            f"array; profiles hold decisions only; re-tune to write a "
+            f"current profile"
         )
     entries = data.get("entries", {})
     if not isinstance(entries, dict):

@@ -1,11 +1,11 @@
 """Atomic file writes: serialize, write a sibling temp file, rename.
 
-Tuning profiles, learned-model files and observation-store shards are
-all read back by later runs (often by *other* processes: suite workers,
-services, CI steps).  A plain ``open(path, "w")`` truncates the target
-before the first byte is written, so a crash mid-``json.dump`` — or two
-workers racing — leaves a torn file that poisons every future warm
-start.  Every persisted artifact therefore goes through
+Tuning profiles, plan-store sidecars, schedules, matrices and
+observability snapshots are read back by later runs (often by *other*
+processes: suite workers, services, CI steps).  A plain
+``open(path, "w")`` truncates the target before the first byte is
+written, so a crash mid-``json.dump`` — or two workers racing — leaves
+a torn file that poisons every future warm start.  Every persisted artifact therefore goes through
 :func:`atomic_write_text`: the full content is materialized first, lands
 in a temp file *in the same directory* (same filesystem, so the rename
 is atomic), and :func:`os.replace` swaps it in.  Readers observe either

@@ -213,275 +213,61 @@ def test_tune_rejects_auto_as_candidate(capsys):
     assert "candidate" in capsys.readouterr().err
 
 
-def test_tune_train_writes_model_and_warm_learned_run(tmp_path, capsys):
+def test_tune_output_writes_only_the_profile(tmp_path, capsys):
+    """``--output`` writes the decisions-only profile and nothing beside
+    it; the JSON payload carries decisions and race counts only."""
     import json
 
-    profile = str(tmp_path / "profile.json")
-    model = str(tmp_path / "model.json")
-    args = ["tune", "--dataset", "narrow_band", "--limit", "2",
-            "--schedulers", "growlocal,hdagg", "--mode", "simulated",
-            "--seed", "0", "--cores", "8"]
-
-    # cold run: races, writes profile incl. training observations
-    assert main([*args, "--output", profile, "--json"]) == 0
-    cold = json.loads(capsys.readouterr().out)
-    assert cold["prior"] == "cost"
-    # (growlocal, hdagg, serial) observed on each of the 2 instances
-    assert cold["n_observations"] == 6
-    picked = [d["scheduler"] for d in cold["decisions"]]
-
-    # --train: warm-runs against the profile, fits + writes the model
-    assert main([*args, "--profile", profile, "--train",
-                 "--model", model, "--json"]) == 0
-    trained = json.loads(capsys.readouterr().out)
-    assert trained["races_run"] == 0 and trained["warm_starts"] == 2
-    assert set(trained["trained"]["schedulers"]) == {
-        "growlocal", "hdagg", "serial"
-    }
-
-    # --model implies the learned prior; the profile still warm-starts
-    assert main([*args, "--profile", profile, "--model", model,
-                 "--json"]) == 0
-    warm = json.loads(capsys.readouterr().out)
-    assert warm["prior"] == "learned"
-    assert warm["races_run"] == 0
-    assert [d["scheduler"] for d in warm["decisions"]] == picked
-
-    # without the profile the learned prior actually predicts (the
-    # tiny store clears a min-samples gate of 1)
-    assert main([*args, "--model", model, "--min-samples", "1",
-                 "--max-std", "100", "--json"]) == 0
-    learned = json.loads(capsys.readouterr().out)
-    assert learned["prior"] == "learned"
-    assert learned["learned_prior"]["n_predicted"] > 0
-
-
-def test_tune_writes_sidecar_store(tmp_path, capsys):
-    import json
-
-    from repro.store import ObservationStore
-
-    profile = str(tmp_path / "profile.json")
+    profile = tmp_path / "profile.json"
     assert main(["tune", "--dataset", "narrow_band", "--limit", "1",
                  "--schedulers", "growlocal,hdagg", "--mode", "simulated",
-                 "--seed", "0", "--cores", "8", "--output", profile,
+                 "--seed", "0", "--cores", "8", "--output", str(profile),
                  "--json"]) == 0
-    cold = json.loads(capsys.readouterr().out)
-    assert cold["store"] == profile + ".store"
-    assert cold["n_observations"] == 3
-    store = ObservationStore(profile + ".store", create=False)
-    assert len(store) == 3
-    # the profile itself stays a thin v3 decision cache
-    data = json.loads(open(profile).read())
-    assert data["version"] == 3
-    assert "observations" not in data
+    out = json.loads(capsys.readouterr().out)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["profile.json"]
+    assert set(out) == {"dataset", "machine", "mode", "seed",
+                        "wall_seconds", "warm_starts", "races_run",
+                        "decisions"}
+    assert json.loads(profile.read_text())["version"] == 3
 
 
-def test_tune_explicit_store_and_refused_v2_profile(tmp_path, capsys):
+def test_tune_refuses_v2_profile(tmp_path, capsys):
+    """A version-2 profile with inline observations is refused with a
+    named error, and the file is left untouched."""
     import json
 
-    from repro.store import ObservationStore
-
     profile = str(tmp_path / "profile.json")
-    store_dir = str(tmp_path / "fleet.store")
     args = ["tune", "--dataset", "narrow_band", "--limit", "1",
             "--schedulers", "growlocal,hdagg", "--mode", "simulated",
             "--seed", "0", "--cores", "8"]
-    assert main([*args, "--output", profile, "--store", store_dir,
-                 "--json"]) == 0
-    cold = json.loads(capsys.readouterr().out)
-    assert cold["store"] == store_dir
-    assert len(ObservationStore(store_dir, create=False)) == 3
-
-    # a version-2 profile with inline observations is refused with a
-    # named error; neither the file nor the store is touched
+    assert main([*args, "--output", profile]) == 0
+    capsys.readouterr()
     data = json.loads(open(profile).read())
-    data.update(version=2, observations=list(ObservationStore(store_dir)))
+    data.update(version=2, observations=[
+        {"scheduler": "growlocal", "seconds": 1e-4, "mode": "simulated"},
+    ])
     v2 = json.dumps(data)
     open(profile, "w").write(v2)
-    assert main([*args, "--profile", profile, "--store", store_dir,
-                 "--json"]) == 2
+    assert main([*args, "--profile", profile, "--json"]) == 2
     err = capsys.readouterr().err
     assert "error:" in err and "version 2" in err
     assert open(profile).read() == v2
-    assert len(ObservationStore(store_dir, create=False)) == 3
 
 
-def test_tune_train_without_profile_or_store_fits_in_memory(tmp_path,
-                                                            capsys):
-    import json
-
-    from repro.tuner import load_model
-
-    model = str(tmp_path / "model.json")
-    assert main(["tune", "--dataset", "narrow_band", "--limit", "2",
-                 "--schedulers", "growlocal,hdagg", "--mode", "simulated",
-                 "--seed", "0", "--cores", "8", "--train", "--model",
-                 model, "--json"]) == 0
-    out = json.loads(capsys.readouterr().out)
-    assert out["store"] is None
-    assert out["n_observations"] == 6
-    assert set(out["trained"]["schedulers"]) == {"growlocal", "hdagg",
-                                                 "serial"}
-    assert load_model(model).schedulers == out["trained"]["schedulers"]
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["model.json"]
-
-
-def test_store_stats_json_shape(tmp_path, capsys):
-    import json
-
-    store_dir = str(tmp_path / "fleet.store")
+@pytest.mark.parametrize("flag", [
+    pytest.param("--expected-solves=0", id="solves-zero"),
+    pytest.param("--expected-solves=-5", id="solves-negative"),
+    pytest.param("--expected-solves=nan", id="solves-nan"),
+    pytest.param("--budget-s=nan", id="budget-nan"),
+])
+def test_tune_refuses_out_of_range_objectives(flag, capsys):
+    """Zero expected solves used to crash with a ZeroDivisionError,
+    negative ones rewarded scheduling cost, and NaN silently disabled
+    the objective or the racing budget: each is now a one-line error."""
     assert main(["tune", "--dataset", "narrow_band", "--limit", "1",
-                 "--schedulers", "growlocal,hdagg", "--mode",
-                 "simulated", "--seed", "0", "--cores", "8",
-                 "--store", store_dir, "--json"]) == 0
-    capsys.readouterr()
-    assert main(["store", "stats", "--store", store_dir, "--json"]) == 0
-    stats = json.loads(capsys.readouterr().out)
-    assert stats["n_observations"] == 3
-    assert stats["n_shards"] == 1
-    assert isinstance(stats["machines"], list) and stats["machines"]
-    assert stats["modes"] == {"simulated": 3}
-    assert stats["sources"] == {"tune": 3}
-    assert set(stats["schedulers"]) == {"growlocal", "hdagg", "serial"}
-    for entry in stats["schedulers"].values():
-        assert entry["n"] == 1
-        regime = entry["regimes"]["simulated"]
-        assert set(regime) == {"n", "reordered", "unique_features"}
-        assert regime["unique_features"] == 1
-    assert "trained" in stats
-    # table output renders too
-    assert main(["store", "stats", "--store", store_dir]) == 0
-    assert "store:" in capsys.readouterr().out
-
-
-def test_store_merge_retrain_prune_cli_loop(tmp_path, capsys,
-                                            monkeypatch):
-    """The fleet loop end to end: cold tune on two 'machines', merge
-    their stores, retrain, prune — every verb with --json."""
-    import json
-
-    args = ["tune", "--dataset", "narrow_band", "--limit", "2",
-            "--schedulers", "growlocal,hdagg", "--mode", "simulated",
-            "--seed", "0", "--cores", "8"]
-    monkeypatch.setenv("REPRO_MACHINE_FINGERPRINT", "ci-a")
-    assert main([*args, "--store", str(tmp_path / "a")]) == 0
-    monkeypatch.setenv("REPRO_MACHINE_FINGERPRINT", "ci-b")
-    assert main([*args, "--store", str(tmp_path / "b")]) == 0
-    monkeypatch.delenv("REPRO_MACHINE_FINGERPRINT")
-    capsys.readouterr()
-
-    merged = str(tmp_path / "merged")
-    assert main(["store", "merge", "--into", merged,
-                 str(tmp_path / "a"), str(tmp_path / "b"),
-                 "--json"]) == 0
-    out = json.loads(capsys.readouterr().out)
-    assert out["records_read"] == 12
-    assert out["added"] == 12  # distinct fingerprints: no dedup
-    assert out["duplicates"] == 0
-    assert out["n_observations"] == 12
-
-    assert main(["store", "stats", "--store", merged, "--json"]) == 0
-    stats = json.loads(capsys.readouterr().out)
-    assert stats["machines"] == ["ci-a", "ci-b"]
-
-    model = str(tmp_path / "model.json")
-    assert main(["store", "retrain", "--store", merged,
-                 "--model", model, "--json"]) == 0
-    trained = json.loads(capsys.readouterr().out)
-    assert trained["trained"] is True
-    assert trained["mode"] == "simulated"
-    assert set(trained["schedulers"]) == {"growlocal", "hdagg",
-                                          "serial"}
-    assert all(n >= 4 for n in trained["n_samples"].values())
-
-    # freshly trained: the staleness gate reports nothing new
-    assert main(["store", "retrain", "--store", merged,
-                 "--model", model, "--json"]) == 0
-    stale = json.loads(capsys.readouterr().out)
-    assert stale["trained"] is False
-    assert stale["model"] is None
-
-    assert main(["store", "prune", "--store", merged, "--keep", "6",
-                 "--json"]) == 0
-    pruned = json.loads(capsys.readouterr().out)
-    assert (pruned["before"], pruned["after"]) == (12, 6)
-    # every (scheduler, regime) variant survives the thinning
-    assert main(["store", "stats", "--store", merged, "--json"]) == 0
-    after = json.loads(capsys.readouterr().out)
-    assert set(after["schedulers"]) == {"growlocal", "hdagg", "serial"}
-
-
-def test_store_verbs_require_existing_store(tmp_path, capsys):
-    missing = str(tmp_path / "nope")
-    assert main(["store", "stats", "--store", missing]) == 2
-    assert "does not exist" in capsys.readouterr().err
-    assert main(["store", "retrain", "--store", missing,
-                 "--model", str(tmp_path / "m.json")]) == 2
-
-
-def test_tune_train_requires_model_path(capsys):
-    assert main(["tune", "--dataset", "narrow_band", "--limit", "1",
-                 "--train"]) == 2
-    assert "--model" in capsys.readouterr().err
-
-
-def test_tune_model_with_cost_prior_rejected(tmp_path, capsys):
-    model = tmp_path / "model.json"
-    model.write_text("{}")
-    assert main(["tune", "--dataset", "narrow_band", "--limit", "1",
-                 "--prior", "cost", "--model", str(model)]) == 2
-    assert "learned" in capsys.readouterr().err
-
-
-def test_tune_train_with_prior_learned_ranks_with_existing_model(
-    tmp_path, capsys
-):
-    import json
-
-    profile = str(tmp_path / "profile.json")
-    model = str(tmp_path / "model.json")
-    args = ["tune", "--dataset", "narrow_band", "--limit", "2",
-            "--schedulers", "growlocal,hdagg", "--mode", "simulated",
-            "--seed", "0", "--cores", "8"]
-    assert main([*args, "--output", profile]) == 0
-    assert main([*args, "--profile", profile, "--train",
-                 "--model", model]) == 0
-    capsys.readouterr()
-
-    # --prior learned --train with an existing model: the model ranks
-    # the run (no profile -> the prior actually fires), then refreshes
-    assert main([*args, "--prior", "learned", "--train",
-                 "--model", model, "--min-samples", "2",
-                 "--max-std", "100", "--json"]) == 0
-    out = json.loads(capsys.readouterr().out)
-    assert out["prior"] == "learned"
-    assert out["learned_prior"]["n_predicted"] > 0
-    assert out["trained"]["schedulers"]  # refreshed model written
-
-
-def test_tune_train_refuses_to_overwrite_model_with_empty_fit(
-    tmp_path, capsys
-):
-    import json
-
-    model = str(tmp_path / "model.json")
-    args = ["tune", "--dataset", "narrow_band",
-            "--schedulers", "growlocal,hdagg", "--mode", "simulated",
-            "--seed", "0", "--cores", "8"]
-    # a real model from two instances
-    assert main([*args, "--limit", "2", "--train", "--model",
-                 model]) == 0
-    before = json.loads(open(model).read())
-    assert before["models"]
-    capsys.readouterr()
-
-    # one instance -> one observation per variant -> empty fit: the
-    # existing model must survive, with a clear error
-    assert main([*args, "--limit", "1", "--train", "--model",
-                 model]) == 2
-    assert "refusing to overwrite" in capsys.readouterr().err
-    assert json.loads(open(model).read()) == before
+                 "--schedulers", "wavefront", "--mode", "simulated",
+                 flag]) == 2
+    assert "error:" in capsys.readouterr().err
 
 
 # ----------------------------------------------------------------------

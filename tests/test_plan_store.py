@@ -126,6 +126,22 @@ class TestRoundTrip:
         bare = store.load(key)
         assert bare.matrix is None and bare.schedule is None
 
+    def test_sidecar_still_carrying_created_by_loads(self, tmp_path):
+        """Sidecars no longer carry the host tag ``created_by``; one
+        written with it (outside the content hash) still loads through
+        the full gate."""
+        store, key, lower, schedule, plan = _saved_artifact(tmp_path)
+        _, sidecar_path, _ = store._paths(key)
+        assert "created_by" not in json.loads(
+            Path(sidecar_path).read_text()
+        )
+        _edit_sidecar(store, key, created_by="node7-0123456789ab")
+        loaded = store.load(key, matrix=lower, schedule=schedule)
+        assert loaded.provenance == "store"
+        for name in ARRAY_FIELDS:
+            assert np.array_equal(getattr(loaded, name),
+                                  getattr(plan, name)), name
+
     def test_save_is_first_writer_wins(self, tmp_path):
         store, key, _, _, plan = _saved_artifact(tmp_path)
         assert store.save(plan, key) is None

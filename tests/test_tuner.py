@@ -11,35 +11,31 @@ The load-bearing acceptance checks live here:
 """
 
 import math
+import os
 
 import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.exec import PlanCache
+from repro.exec import PlanCache, get_backend
 from repro.experiments.datasets import DatasetInstance, build_dataset
-from repro.experiments.runner import run_instance, run_suite
+from repro.experiments.runner import compiled_entry, run_instance, run_suite
 from repro.graph.dag import DAG
 from repro.machine.model import get_machine
 from repro.matrix.generators import erdos_renyi_lower, narrow_band_lower
 from repro.scheduler.registry import available_schedulers, make_scheduler
 from repro.service import ServingGateway, SolveService
-from repro.store import ObservationStore
+from repro.solver.sptrsv import forward_substitution
 from repro.tuner import (
     Autotuner,
-    LearnedPrior,
-    LearnedTunerModel,
     MatrixFeatures,
     TuningDecision,
     TuningProfile,
     extract_features,
-    load_model,
     load_profile,
-    save_model,
     save_profile,
     successive_halving,
 )
-from repro.tuner import auto as tuner_auto
 from repro.tuner.predict import rank_candidates
 
 CANDIDATES = ("growlocal", "hdagg", "wavefront")
@@ -96,12 +92,6 @@ class TestFeatures:
         direct = extract_features(small_inst.lower, n_cores=N_CORES)
         assert direct == extract_features(small_inst, n_cores=N_CORES)
 
-    def test_deterministic_fingerprint(self, small_inst):
-        a = extract_features(small_inst, n_cores=N_CORES)
-        b = extract_features(small_inst, n_cores=N_CORES)
-        assert a == b
-        assert a.fingerprint() == b.fingerprint()
-
     def test_dict_roundtrip_and_matching(self, small_inst):
         f = extract_features(small_inst, n_cores=N_CORES)
         back = MatrixFeatures.from_dict(f.as_dict())
@@ -115,7 +105,6 @@ class TestFeatures:
             n_cores=N_CORES,
         )
         assert not f.matches(other)
-        assert f.fingerprint() != other.fingerprint()
 
 
 # ---------------------------------------------------------------------------
@@ -200,6 +189,43 @@ class TestPredict:
         rank_candidates(small_inst, CANDIDATES, machine,
                         n_cores=N_CORES, plan_cache=cache)
         assert cache.misses == misses  # second ranking is all hits
+
+
+# ---------------------------------------------------------------------------
+# the objective's range: refused up front, never clamped or divided by
+# ---------------------------------------------------------------------------
+class TestObjectiveValidation:
+    @pytest.mark.parametrize("kwargs", [
+        pytest.param({"expected_solves": 0}, id="solves-zero"),
+        pytest.param({"expected_solves": -5}, id="solves-negative"),
+        pytest.param({"expected_solves": math.nan}, id="solves-nan"),
+        pytest.param({"budget_seconds": -1.0}, id="budget-negative"),
+        pytest.param({"budget_seconds": math.nan}, id="budget-nan"),
+    ])
+    def test_tuner_refuses(self, kwargs):
+        name = next(iter(kwargs))
+        with pytest.raises(ConfigurationError, match=name):
+            Autotuner(candidates=CANDIDATES, mode="simulated", **kwargs)
+
+    @pytest.mark.parametrize("solves", [0, -5, math.nan])
+    def test_rank_candidates_refuses(self, small_inst, machine, solves):
+        with pytest.raises(ConfigurationError, match="expected_solves"):
+            rank_candidates(small_inst, CANDIDATES, machine,
+                            n_cores=N_CORES, expected_solves=solves)
+
+    def test_infinite_expected_solves_ranks_per_solve_seconds(
+        self, small_inst, machine
+    ):
+        """``inf`` means per-solve speed only: the objective is the
+        simulated solve time and the decision round-trips."""
+        scores = rank_candidates(small_inst, CANDIDATES, machine,
+                                 n_cores=N_CORES, expected_solves=math.inf)
+        assert all(s.objective_seconds == s.parallel_seconds
+                   for s in scores)
+        tuner = Autotuner(candidates=CANDIDATES, mode="simulated",
+                          expected_solves=math.inf, seed=0)
+        decision = tuner.tune(small_inst, machine, n_cores=N_CORES)
+        assert TuningDecision.from_dict(decision.as_dict()) == decision
 
 
 # ---------------------------------------------------------------------------
@@ -569,292 +595,18 @@ class TestReviewRegressions:
 
 
 # ---------------------------------------------------------------------------
-# the learned prior (training store, ridge ensemble, uncertainty gate)
-# ---------------------------------------------------------------------------
-class TestLearnedPrior:
-    """The regression-backed prior: trained on observation-store records,
-    uncertainty-gated, bit-identical to the cost model when untrained."""
-
-    @pytest.fixture(scope="class")
-    def corpus(self):
-        insts = []
-        for i in range(6):
-            if i % 2 == 0:
-                insts.append(DatasetInstance(
-                    f"learn_nb{i}",
-                    narrow_band_lower(300 + 60 * i, 0.08, 6.0 + i,
-                                      seed=100 + i),
-                ))
-            else:
-                insts.append(DatasetInstance(
-                    f"learn_er{i}",
-                    erdos_renyi_lower(300 + 60 * i, 0.01, seed=100 + i),
-                ))
-        return insts
-
-    @pytest.fixture(scope="class")
-    def trained(self, corpus, machine):
-        """Profile, in-memory store and model from one cold simulated
-        tuning pass."""
-        cache = PlanCache()
-        profile = TuningProfile(machine=machine.name)
-        store = ObservationStore(None)
-        tuner = Autotuner(candidates=CANDIDATES, mode="simulated",
-                          expected_solves=1e15, seed=0)
-        for inst in corpus:
-            tuner.tune(inst, machine, n_cores=N_CORES, plan_cache=cache,
-                       profile=profile, store=store)
-        return profile, store, LearnedTunerModel.fit(store)
-
-    def test_cold_runs_accumulate_observations(self, trained, corpus):
-        _, store, model = trained
-        # every scored candidate (pool + serial) of every instance
-        assert len(store) == len(corpus) * (len(CANDIDATES) + 1)
-        assert set(model.schedulers) == set(CANDIDATES) | {"serial"}
-        for name in model.schedulers:
-            assert model.n_samples(name) == len(corpus)
-
-    def test_warm_starts_append_nothing(self, corpus, machine, trained):
-        profile, store, _ = trained
-        before = len(store)
-        warm = Autotuner(candidates=CANDIDATES, mode="simulated",
-                         expected_solves=1e15, seed=0)
-        decision = warm.tune(corpus[0], machine, n_cores=N_CORES,
-                             profile=profile, store=store)
-        assert decision.source == "profile"
-        assert len(store) == before
-
-    def test_empty_store_is_bit_identical_to_cost_prior(
-        self, corpus, machine
-    ):
-        """Acceptance: an untrained learned prior must degrade
-        bit-identically to the PR 3 cost-model prior."""
-        cache = PlanCache()
-        cost = Autotuner(candidates=CANDIDATES, mode="simulated",
-                         expected_solves=1e15, seed=0)
-        learned = Autotuner(candidates=CANDIDATES, mode="simulated",
-                            expected_solves=1e15, seed=0,
-                            prior="learned")
-        a = [cost.tune(i, machine, n_cores=N_CORES, plan_cache=cache)
-             for i in corpus]
-        b = [learned.tune(i, machine, n_cores=N_CORES, plan_cache=cache)
-             for i in corpus]
-        assert [d.as_dict() for d in a] == [d.as_dict() for d in b]
-        assert learned.learned_prior.n_predicted == 0
-        assert learned.learned_prior.n_fallback == len(corpus) * (
-            len(CANDIDATES) + 1
-        )
-
-    def test_learned_rank_is_deterministic(self, corpus, machine, trained):
-        *_, model = trained
-        prior = LearnedPrior(model, min_samples=3, max_std=5.0)
-        cache = PlanCache()
-        first = prior.rank(corpus[0], CANDIDATES, machine,
-                           n_cores=N_CORES, plan_cache=cache,
-                           expected_solves=1e15)
-        second = prior.rank(corpus[0], CANDIDATES, machine,
-                            n_cores=N_CORES, plan_cache=cache,
-                            expected_solves=1e15)
-        assert [(s.name, s.objective_seconds, s.source) for s in first] \
-            == [(s.name, s.objective_seconds, s.source) for s in second]
-
-    def test_gate_min_samples_forces_fallback(self, corpus, machine,
-                                              trained):
-        *_, model = trained
-        prior = LearnedPrior(model, min_samples=len(corpus) + 1)
-        scores = prior.rank(corpus[0], CANDIDATES, machine,
-                            n_cores=N_CORES, expected_solves=1e15)
-        assert all(s.source == "cost_model" for s in scores)
-        assert prior.n_predicted == 0
-
-    def test_gate_max_std_forces_fallback(self, corpus, machine, trained):
-        *_, model = trained
-        prior = LearnedPrior(model, min_samples=3, max_std=0.0)
-        scores = prior.rank(corpus[0], CANDIDATES, machine,
-                            n_cores=N_CORES, expected_solves=1e15)
-        assert all(s.source == "cost_model" for s in scores)
-
-    def test_confident_model_ranks_without_simulation(
-        self, corpus, machine, trained
-    ):
-        """A fully admitted ranking touches no plan cache at all —
-        pure inference."""
-        *_, model = trained
-        prior = LearnedPrior(model, min_samples=3, max_std=10.0)
-        cache = PlanCache()
-        features = extract_features(corpus[0], n_cores=N_CORES)
-        scores = prior.rank(corpus[0], CANDIDATES, machine,
-                            n_cores=N_CORES, plan_cache=cache,
-                            features=features, expected_solves=1e15)
-        assert cache.hits == 0 and cache.misses == 0
-        assert all(s.source == "learned" for s in scores)
-        assert prior.n_fallback == 0
-        # learned scores still expose the CandidateScore surface
-        for s in scores:
-            assert s.result is None
-            assert s.speedup > 0
-            assert s.std_log is not None
-
-    def test_learned_tuner_matches_cost_tuner_on_trained_corpus(
-        self, corpus, machine, trained
-    ):
-        """Acceptance: with the simulated race re-pricing finalists,
-        the learned tuner's picks match the cost tuner's at least as
-        often as not — here exactly, on the training corpus."""
-        *_, model = trained
-        cache = PlanCache()
-        cost = Autotuner(candidates=CANDIDATES, mode="simulated",
-                         expected_solves=1e15, seed=0)
-        learned = Autotuner(candidates=CANDIDATES, mode="simulated",
-                            expected_solves=1e15, seed=0,
-                            prior="learned", model=model,
-                            min_prediction_samples=3,
-                            max_prediction_std=5.0)
-        cost_picks = [cost.tune(i, machine, n_cores=N_CORES,
-                                plan_cache=cache).scheduler
-                      for i in corpus]
-        learned_picks = [learned.tune(i, machine, n_cores=N_CORES,
-                                      plan_cache=cache).scheduler
-                         for i in corpus]
-        assert learned_picks == cost_picks
-        assert learned.learned_prior.n_predicted > 0
-
-    def test_simulated_race_reprices_learned_finalists(
-        self, corpus, machine, trained, monkeypatch
-    ):
-        """The race that settles the decision must run on genuine
-        cost-model seconds, never on the model's own predictions."""
-        *_, model = trained
-        inst = corpus[0]
-        learned = Autotuner(candidates=CANDIDATES, mode="simulated",
-                            expected_solves=1e15, seed=0,
-                            prior="learned", model=model,
-                            min_prediction_samples=3,
-                            max_prediction_std=5.0)
-        cache = PlanCache()
-        seen: dict[str, float] = {}
-
-        def recording_race(arms, measure, **kwargs):
-            def record(name, repeats, round_index):
-                seen[name] = measure(name, repeats, round_index)
-                return seen[name]
-
-            return successive_halving(arms, record, **kwargs)
-
-        monkeypatch.setattr(tuner_auto, "successive_halving",
-                            recording_race)
-        decision = learned.tune(inst, machine, n_cores=N_CORES,
-                                plan_cache=cache)
-        # every raced arm's measurement equals its true simulated
-        # seconds (the cost prior's numbers), not a prediction
-        truth = {
-            s.name: s.parallel_seconds
-            for s in rank_candidates(inst, CANDIDATES, machine,
-                                     n_cores=N_CORES, plan_cache=cache,
-                                     expected_solves=1e15)
-        }
-        assert seen
-        for name, seconds in seen.items():
-            assert seconds == pytest.approx(truth[name], rel=1e-12)
-        assert decision.scheduler in truth
-        assert decision.measured_seconds == seen[decision.scheduler]
-
-    def test_repriced_observations_are_genuine(self, corpus, machine,
-                                               trained):
-        """Observations written during a learned-prior tune carry real
-        simulated seconds, not model output."""
-        *_, model = trained
-        inst = corpus[1]
-        learned = Autotuner(candidates=CANDIDATES, mode="simulated",
-                            expected_solves=1e15, seed=0,
-                            prior="learned", model=model,
-                            min_prediction_samples=3,
-                            max_prediction_std=5.0)
-        cache = PlanCache()
-        store = ObservationStore(None)
-        learned.tune(inst, machine, n_cores=N_CORES, plan_cache=cache,
-                     store=store)
-        truth = {
-            s.name: s.parallel_seconds
-            for s in rank_candidates(inst, CANDIDATES, machine,
-                                     n_cores=N_CORES, plan_cache=cache,
-                                     expected_solves=1e15)
-        }
-        assert len(store) > 0
-        for obs in store:
-            assert obs["seconds"] == pytest.approx(
-                truth[obs["scheduler"]], rel=1e-12
-            )
-
-    def test_model_save_load_roundtrip(self, corpus, machine, trained,
-                                       tmp_path):
-        *_, model = trained
-        path = tmp_path / "model.json"
-        save_model(model, path)
-        back = load_model(path)
-        features = extract_features(corpus[0], n_cores=N_CORES)
-        compared = 0
-        for name in model.schedulers:
-            for reordered in (False, True):
-                a = model.predict(features, name, reordered=reordered)
-                b = back.predict(features, name, reordered=reordered)
-                if a is None:
-                    assert b is None
-                    continue
-                compared += 1
-                assert b.parallel_seconds == pytest.approx(
-                    a.parallel_seconds, rel=1e-12
-                )
-                assert b.std_log == pytest.approx(a.std_log, rel=1e-12)
-                assert b.n_samples == a.n_samples
-        assert compared >= len(model.schedulers)
-
-    def test_model_version_mismatch_raises(self, tmp_path):
-        path = tmp_path / "model.json"
-        path.write_text('{"version": 999, "models": {}}')
-        with pytest.raises(ConfigurationError):
-            load_model(path)
-
-    def test_model_invalid_json_raises(self, tmp_path):
-        path = tmp_path / "model.json"
-        path.write_text("not json")
-        with pytest.raises(ConfigurationError):
-            load_model(path)
-
-    def test_model_with_cost_prior_is_rejected(self, trained):
-        *_, model = trained
-        with pytest.raises(ConfigurationError):
-            Autotuner(prior="cost", model=model)
-        with pytest.raises(ConfigurationError):
-            Autotuner(prior="nope")
-
-    def test_fit_skips_malformed_observations(self, trained):
-        _, store, _ = trained
-        records = list(store)
-        noisy = [*records,
-                 {"scheduler": "growlocal"},          # no features
-                 {"features": {}, "scheduler": "x", "seconds": "nan"},
-                 {"features": records[0]["features"],
-                  "scheduler": "growlocal", "seconds": float("inf")}]
-        model = LearnedTunerModel.fit(noisy)
-        assert set(model.schedulers) == set(CANDIDATES) | {"serial"}
-
-
-# ---------------------------------------------------------------------------
 # the profile format: version 3, decisions only; older files are refused
 # ---------------------------------------------------------------------------
 class TestProfileFormat:
     @pytest.fixture(scope="class")
     def cold(self, small_inst, machine):
-        """A decision from one cold simulated run, its profile entries
-        and the store that received the run's observations."""
+        """A decision from one cold simulated run and its profile."""
         profile = TuningProfile(machine=machine.name)
-        store = ObservationStore(None)
         tuner = Autotuner(candidates=CANDIDATES, mode="simulated",
                           expected_solves=1e15, seed=0)
         decision = tuner.tune(small_inst, machine, n_cores=N_CORES,
-                              profile=profile, store=store)
-        return profile, store, decision
+                              profile=profile)
+        return profile, decision
 
     @pytest.mark.parametrize("version, inline", [
         pytest.param(1, False, id="v1"),
@@ -869,11 +621,14 @@ class TestProfileFormat:
         old training data is never silently dropped."""
         import json
 
-        profile, store, _ = cold
+        profile, _ = cold
         data = {"version": version, "machine": machine.name,
                 "entries": profile.entries}
         if inline:
-            data["observations"] = list(store)
+            data["observations"] = [
+                {"scheduler": "growlocal", "seconds": 1e-4,
+                 "mode": "simulated"},
+            ]
         path = tmp_path / "profile.json"
         path.write_text(json.dumps(data))
         cause = "observations" if version == 3 else f"version {version}"
@@ -885,7 +640,7 @@ class TestProfileFormat:
     ):
         import json
 
-        profile, _, decision = cold
+        profile, decision = cold
         path = tmp_path / "profile.json"
         save_profile(profile, path)
         data = json.loads(path.read_text())
@@ -900,6 +655,19 @@ class TestProfileFormat:
         assert warm.source == "profile"
         assert warm.scheduler == decision.scheduler
 
+    def test_save_profile_failure_keeps_previous_file(self, tmp_path):
+        """A failed save leaves the previous profile whole and no temp
+        file behind."""
+        path = tmp_path / "profile.json"
+        save_profile(TuningProfile(machine="good-machine"), path)
+        bad = TuningProfile(machine="bad")
+        bad.entries["k"] = {"unserializable": object()}
+        with pytest.raises(TypeError):
+            save_profile(bad, path)
+        assert load_profile(path).machine == "good-machine"
+        assert not [f for f in os.listdir(tmp_path)
+                    if f.endswith(".tmp")]
+
     def test_entry_carrying_max_batch_still_warm_starts(
         self, cold, small_inst, machine, tmp_path
     ):
@@ -907,7 +675,7 @@ class TestProfileFormat:
         warm-start with zero races; the field is ignored."""
         import json
 
-        profile, _, decision = cold
+        profile, decision = cold
         entries = {
             key: {**entry, "max_batch": 32}
             for key, entry in profile.entries.items()
@@ -925,139 +693,59 @@ class TestProfileFormat:
         assert "max_batch" not in warm.as_dict()
 
 
-class TestLearnedPriorReviewRegressions:
-    """Pins for defects found in review of the learned-prior
-    integration."""
+# ---------------------------------------------------------------------------
+# the measured-mode profile round trip, with a solve check
+# ---------------------------------------------------------------------------
+class TestMeasuredProfileLoop:
+    """The measured loop on ``reorder=False`` plans, the unpermuted
+    systems a solve service serves."""
 
-    def _trained_on(self, insts, machine, **tune_kwargs):
-        cache = PlanCache()
-        store = ObservationStore(None)
-        tuner = Autotuner(candidates=CANDIDATES, mode="simulated",
-                          seed=0, **tune_kwargs)
-        for inst in insts:
-            tuner.tune(inst, machine, n_cores=N_CORES, plan_cache=cache,
-                       store=store)
-        return store, LearnedTunerModel.fit(store)
-
-    def test_race_handicap_uses_genuine_scheduling_seconds(
-        self, machine
+    def test_warm_picks_skip_racing_and_solve_the_original_system(
+        self, tmp_path, machine
     ):
-        """With a small expected_solves the Eq. 7.1 handicap matters;
-        it must come from genuine scheduling costs, never the model's
-        scheduling-seconds prediction — the learned tuner's decision
-        equals the cost tuner's bit for bit."""
         insts = [
-            DatasetInstance(f"hc{i}",
-                            narrow_band_lower(300 + 50 * i, 0.1,
-                                              6.0 + i, seed=200 + i))
-            for i in range(5)
+            DatasetInstance(
+                f"loop{i}",
+                narrow_band_lower(250 + 60 * i, 0.12, 6.0 + i,
+                                  seed=300 + i),
+            )
+            for i in range(3)
         ]
-        _, model = self._trained_on(insts, machine,
-                                    expected_solves=2.0)
+        profile = TuningProfile(machine=machine.name)
         cache = PlanCache()
-        cost = Autotuner(candidates=CANDIDATES, mode="simulated",
-                         expected_solves=2.0, seed=0)
-        learned = Autotuner(candidates=CANDIDATES, mode="simulated",
-                            expected_solves=2.0, seed=0,
-                            prior="learned", model=model,
-                            min_prediction_samples=2,
-                            max_prediction_std=50.0)
-        for inst in insts:
-            a = cost.tune(inst, machine, n_cores=N_CORES,
-                          plan_cache=cache)
-            b = learned.tune(inst, machine, n_cores=N_CORES,
-                             plan_cache=cache)
-            # identical decision dicts: scheduler, objective, speedup,
-            # amortization — all genuine, none predicted
-            assert b.as_dict() == a.as_dict()
-        assert learned.learned_prior.n_predicted > 0
+        tuner = Autotuner(candidates=CANDIDATES, mode="measured",
+                          budget_seconds=0.02, seed=0)
+        cold = [
+            tuner.tune(inst, machine, n_cores=N_CORES, reorder=False,
+                       plan_cache=cache, profile=profile)
+            for inst in insts
+        ]
+        assert tuner.races_run == len(insts)
+        assert all(d.source == "raced" and d.reorder is False
+                   for d in cold)
+        path = tmp_path / "profile.json"
+        save_profile(profile, path)
 
-    def test_observations_record_the_reorder_flag(self, machine):
-        """Training records carry the effective Section 5 flag, and the
-        model keeps the two variants apart."""
-        inst = DatasetInstance("ro", narrow_band_lower(400, 0.1, 8.0,
-                                                       seed=77))
-        store = ObservationStore(None)
-        tuner = Autotuner(candidates=("growlocal",), mode="simulated",
-                          expected_solves=1e15, seed=0)
-        # reorder=None: the paper default — growlocal reorders, the
-        # serial baseline does not
-        tuner.tune(inst, machine, n_cores=N_CORES, store=store)
-        by_sched = {o["scheduler"]: o for o in store}
-        assert by_sched["growlocal"]["reordered"] is True
-        assert by_sched["serial"]["reordered"] is False
-
-        model = LearnedTunerModel.fit(
-            list(store) * 3  # clear the fit minimum
-        )
-        features = extract_features(inst, n_cores=N_CORES)
-        x = None
-        from repro.tuner import feature_vector
-        x = feature_vector(features)
-        # only the observed variant has a model
-        assert model.predict_from_vector(
-            x, "growlocal", reordered=True) is not None
-        assert model.predict_from_vector(
-            x, "growlocal", reordered=False) is None
-        assert model.n_samples("growlocal") == 3
-        assert model.n_samples("growlocal", reordered=False) == 0
-
-    def test_fit_filters_to_one_measurement_mode(self, small_inst):
-        """Simulated and wall-clock seconds must never pool into one
-        regressor: fit trains on one mode (explicit, or majority)."""
-        features = extract_features(small_inst, n_cores=N_CORES)
-        obs = []
-        for i in range(4):
-            obs.append({"features": features.as_dict(),
-                        "scheduler": "growlocal", "seconds": 1.0 + i,
-                        "mode": "simulated"})
-        for i in range(2):
-            obs.append({"features": features.as_dict(),
-                        "scheduler": "growlocal", "seconds": 100.0 + i,
-                        "mode": "measured"})
-        # majority mode (simulated) wins by default
-        auto_fit = LearnedTunerModel.fit(obs)
-        assert auto_fit.n_samples("growlocal") == 4
-        # explicit mode overrides
-        measured = LearnedTunerModel.fit(obs, mode="measured")
-        assert measured.n_samples("growlocal") == 2
-        # tie -> measured (ground truth) wins
-        tied = LearnedTunerModel.fit(obs[:2] + obs[4:])
-        assert tied.n_samples("growlocal") == 2
-
-    def test_measured_trained_model_never_mixes_with_simulated_fallback(
-        self, small_inst, machine
-    ):
-        """A model trained on wall-clock seconds must not be ranked
-        against simulated fallback scores in one objective: partial
-        admission falls back entirely; full admission stays learned."""
-        features = extract_features(small_inst, n_cores=N_CORES)
-        def obs(scheduler, seconds):
-            return {"features": features.as_dict(),
-                    "scheduler": scheduler, "seconds": seconds,
-                    "mode": "measured"}
-
-        # models for only part of the pool -> partial admission
-        partial = LearnedTunerModel.fit(
-            [obs("growlocal", 1.0 + i * 0.1) for i in range(4)]
-        )
-        assert partial.mode == "measured"
-        prior = LearnedPrior(partial, min_samples=2, max_std=100.0)
-        scores = prior.rank(small_inst, CANDIDATES, machine,
-                            n_cores=N_CORES, reorder=False,
-                            expected_solves=1e15)
-        assert all(s.source == "cost_model" for s in scores)
-        assert prior.n_predicted == 0
-
-        # models for the whole pool (+ serial) -> pure wall-clock
-        # ranking, fully learned
-        full = LearnedTunerModel.fit(
-            [obs(name, 1.0 + i * 0.1)
-             for name in (*CANDIDATES, "serial") for i in range(4)]
-        )
-        prior_full = LearnedPrior(full, min_samples=2, max_std=100.0)
-        scores = prior_full.rank(small_inst, CANDIDATES, machine,
-                                 n_cores=N_CORES, reorder=False,
-                                 expected_solves=1e15)
-        assert all(s.source == "learned" for s in scores)
-        assert prior_full.n_fallback == 0
+        reloaded = load_profile(path)
+        warm_tuner = Autotuner(candidates=CANDIDATES, mode="measured",
+                               budget_seconds=0.02, seed=0)
+        warm = [
+            warm_tuner.tune(inst, machine, n_cores=N_CORES,
+                            reorder=False, plan_cache=cache,
+                            profile=reloaded)
+            for inst in insts
+        ]
+        assert warm_tuner.races_run == 0  # every decision came warm
+        assert [d.scheduler for d in warm] == [d.scheduler for d in cold]
+        assert all(d.source == "profile" for d in warm)
+        rng = np.random.default_rng(3)
+        for inst, decision in zip(insts, warm, strict=True):
+            plan = compiled_entry(
+                inst, make_scheduler(decision.scheduler), N_CORES, False,
+                cache,
+            ).plan
+            b = rng.standard_normal(inst.n)
+            np.testing.assert_allclose(
+                get_backend().solve(plan, b),
+                forward_substitution(inst.lower, b), rtol=1e-10,
+            )
