@@ -70,10 +70,6 @@ INVARIANTS = {
         "rows is a permutation of 0..n-1 and pos is its exact inverse: "
         "every row is executed exactly once"
     ),
-    "batch-order": (
-        "batch_step is non-decreasing: batches never travel backwards "
-        "through supersteps"
-    ),
     "gather-pointer": (
         "off_ptr starts at 0, is non-decreasing and ends at the gather "
         "array length: every position owns a well-formed (possibly "
@@ -205,8 +201,8 @@ class _Verifier:
         )
 
     # -- dtype contract -------------------------------------------------
-    _INT_FIELDS = ("rows", "batch_ptr", "batch_step", "off_ptr",
-                   "off_cols", "pos", "core_rows", "core_ptr", "row_step")
+    _INT_FIELDS = ("rows", "batch_ptr", "off_ptr", "off_cols", "pos",
+                   "core_rows", "core_ptr", "row_step")
     _FLOAT_FIELDS = ("diag", "off_vals")
 
     def check_dtypes(self) -> None:
@@ -315,25 +311,6 @@ class _Verifier:
                       row=int(rows[bad[0]]))
             return False
         return True
-
-    def check_batch_order(self) -> None:
-        step = self.plan.batch_step
-        if step.ndim != 1 or step.size != self.plan.batch_ptr.size - 1:
-            self.fail("batch-order",
-                      f"batch_step must have one entry per batch "
-                      f"({self.plan.batch_ptr.size - 1}), got shape "
-                      f"{step.shape}")
-            return
-        drops = np.flatnonzero(np.diff(step) < 0)
-        if drops.size:
-            b = int(drops[0])
-            self.fail(
-                "batch-order",
-                f"batch_step decreases between batches {b} and {b + 1} "
-                f"({int(step[b])} -> {int(step[b + 1])}): execution "
-                f"order travels backwards through supersteps",
-                batch=b + 1,
-            )
 
     def check_gather_ptr(self) -> bool:
         plan = self.plan
@@ -609,8 +586,6 @@ def verify_plan(
     batches_ok = v.check_batches()
     rows_ok = v.check_rows()
     gather_ok = v.check_gather_ptr()
-    if batches_ok:
-        v.check_batch_order()
     bounds_ok = gather_ok and v.check_gather_bounds()
     if batches_ok and rows_ok and bounds_ok:
         v.check_dependency_safety()

@@ -191,7 +191,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=["measured", "simulated"],
                    default="measured",
                    help="race on wall-clock micro-runs (measured) or "
-                        "deterministic cost-model seconds (simulated)")
+                        "cost-model seconds per solve (simulated)")
     p.add_argument("--profile",
                    help="warm-start from this profile JSON (entries "
                         "with matching features skip racing); cold "

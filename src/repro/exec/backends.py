@@ -17,7 +17,7 @@ accelerators) plugs in behind the same boundary:
   of consecutive smaller batches as one sequential JIT sweep, so deep
   narrow layer structure does not pay per-layer dispatch.
 
-The plan carries only the schedule's dependency batches; the position
+The plan carries only its matrix's dependency batches; the position
 spans a backend walks are derived from ``batch_ptr`` once per plan
 (:func:`numpy_dispatch`, :func:`fused_dispatch`), never stored in it.
 

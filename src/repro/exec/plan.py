@@ -10,17 +10,19 @@ in interpreted Python.
 
 Lowered representation
 ----------------------
-*Batches.*  Rows are grouped into *batches*: within one superstep, rows are
-layered by their intra-superstep dependencies (``level(v) = 0`` if every
-dependency of ``v`` sits in an earlier superstep, else ``1 + max`` over
-same-superstep dependencies).  All rows of a batch are mutually independent,
-so a batch can be solved by a single vectorized gather / segment-sum /
-scatter, and the numpy backend does so for every batch with more than a
-few rows plus off-diagonal entries; runs of lower-work batches it solves as
-one scalar sweep instead, since a vectorized call costs more than their
-work (see :func:`~repro.exec.backends.numpy_dispatch`).  For valid schedules
-(Definition 2.1) intra-superstep dependencies never cross cores, so batching
-across the cores of a superstep is exactly the barrier semantics.
+*Batches.*  Rows are grouped into *batches* by global dependency level
+(``level(v) = 0`` if ``v`` has no dependency, else ``1 + max`` over its
+dependencies), whatever the schedule: ``compile_plan(A, S)`` executes the
+same arrays as the level-set plan ``compile_plan(A)``.  All rows of a
+batch are mutually independent, so a batch can be solved by a single
+vectorized gather / segment-sum / scatter, and the numpy backend does so
+for every batch with more than a few rows plus off-diagonal entries;
+runs of lower-work batches it solves as one scalar sweep instead, since
+a vectorized call costs more than their work (see
+:func:`~repro.exec.backends.numpy_dispatch`).  No backend runs the
+schedule's per-core program, so a superstep-major layout would only add
+a batch at every superstep boundary; the schedule is kept in the core
+sequences below.
 
 *Gather arrays.*  For every row position the off-diagonal column indices and
 values are re-laid-out contiguously in batch order (``off_ptr`` /
@@ -28,13 +30,14 @@ values are re-laid-out contiguously in batch order (``off_ptr`` /
 missing/zero diagonals are detected once at compile time instead of on
 every solve.
 
-*Core sequences.*  The per-core execution sequences (program order of the
-simulated machine) are concatenated into ``core_rows`` / ``core_ptr`` so the
-BSP, asynchronous and serial simulators can share one plan-based cost
-kernel.
+*Core sequences.*  The schedule's per-core execution sequences (program
+order of the simulated machine) are concatenated into ``core_rows`` /
+``core_ptr``, and its superstep map is ``row_step``, so the BSP,
+asynchronous and serial simulators share one plan-based cost kernel
+that sees the schedule itself.
 
-*Dispatch spans.*  The plan carries the schedule's dependency batches
-and nothing about how a backend groups them: each backend derives its
+*Dispatch spans.*  The plan carries the dependency batches and nothing
+about how a backend groups them: each backend derives its
 position spans from ``batch_ptr`` once per plan and keeps them on the
 plan object, never persisted (see
 :func:`~repro.exec.backends.numpy_dispatch` and
@@ -98,10 +101,8 @@ class ExecutionPlan:
         ``int64[n]`` — row ids in execution order, grouped by batch.
     batch_ptr:
         ``int64[n_batches + 1]`` — batch ``t`` spans
-        ``rows[batch_ptr[t]:batch_ptr[t+1]]``.
-    batch_step:
-        ``int64[n_batches]`` — superstep of each batch (batches never span
-        supersteps).
+        ``rows[batch_ptr[t]:batch_ptr[t+1]]``; batch ``t`` holds the
+        rows of global dependency level ``t``, whatever the schedule.
     off_ptr / off_cols / off_vals:
         Concatenated off-diagonal gather structure aligned with positions
         in ``rows``: position ``k`` reads
@@ -113,10 +114,11 @@ class ExecutionPlan:
     pos:
         ``int64[n]`` — ``pos[row_id]`` is the row's position in ``rows``.
     core_rows / core_ptr:
-        Per-core program order: core ``p`` executes
+        The schedule's per-core program order: core ``p`` executes
         ``core_rows[core_ptr[p]:core_ptr[p+1]]``.
     row_step:
-        ``int64[n]`` — superstep per *row id* (all zeros for serial plans).
+        ``int64[n]`` — the schedule's superstep per *row id* (all zeros
+        for serial plans).
     singular_row:
         Row id of the first missing/zero diagonal, ``-1`` when the matrix
         is solvable.  :meth:`require_solvable` turns it into a
@@ -139,7 +141,6 @@ class ExecutionPlan:
         "direction",
         "rows",
         "batch_ptr",
-        "batch_step",
         "off_ptr",
         "off_cols",
         "off_vals",
@@ -190,9 +191,9 @@ class ExecutionPlan:
     @property
     def n_supersteps(self) -> int:
         """Superstep count of the lowered schedule (<= 1 for serial)."""
-        if self.batch_step.size == 0:
+        if self.row_step.size == 0:
             return 0
-        return int(self.batch_step.max()) + 1
+        return int(self.row_step.max()) + 1
 
     @property
     def n_fused_groups(self) -> int:
@@ -246,24 +247,25 @@ class ExecutionPlan:
 #: Rows per block of :func:`_levelize`'s recurrence.  Dependencies on
 #: rows of earlier blocks are final when a block starts, so they cost one
 #: vectorized max per block; only dependencies inside a block run through
-#: the scalar loop.
-_LEVEL_BLOCK = 2048
+#: the scalar loop.  Timed over the benchmark workloads' plans: larger
+#: blocks send more of a scattered matrix's dependencies (Erdős–Rényi)
+#: through the scalar loop, smaller ones add per-block calls on wide
+#: plans.
+_LEVEL_BLOCK = 512
 
 
 def _levelize(
     n: int,
     dep: np.ndarray,
     consumer: np.ndarray,
-    step: np.ndarray,
     direction: str,
 ) -> np.ndarray:
-    """Longest-path layer of every row w.r.t. *intra-superstep* deps.
+    """Longest-path dependency level of every row.
 
     ``dep[k] -> consumer[k]`` are the dependency edges (off-diagonal
-    entries) in CSR order, i.e. grouped by ascending ``consumer``; only
-    edges whose endpoints share a superstep constrain the layering —
-    cross-superstep edges are resolved by the barrier.  A row's level is
-    ``0`` without such deps, else ``1 + max`` over their levels.
+    entries) in CSR order, i.e. grouped by ascending ``consumer``.  A
+    row's level is ``0`` without deps, else ``1 + max`` over their
+    levels.
 
     Ascending ids are a topological order of a forward plan and
     descending ids of a backward one, so the recurrence settles every
@@ -274,11 +276,9 @@ def _levelize(
     scalar step per in-block dep, whatever the depth.
     """
     level = np.zeros(n, dtype=np.int64)
-    intra = step[dep] == step[consumer]
-    src = dep[intra]
-    dst = consumer[intra]
-    if src.size == 0:
+    if dep.size == 0:
         return level
+    src, dst = dep, consumer
     if direction == "backward":
         # mirror the ids: the topological order ascends and, reversed,
         # the edges stay grouped by ascending consumer
@@ -330,8 +330,10 @@ def compile_plan(
         ``"backward"``.
     schedule:
         Optional barrier schedule; ``None`` compiles a serial plan (one
-        core, one superstep, rows layered by the full dependency DAG —
-        i.e. classic level-set execution).
+        core, one superstep).  Either way the executed batches are the
+        matrix's level set; the schedule supplies only the per-core
+        program (``core_rows`` / ``core_ptr`` / ``row_step``) the
+        machine simulators read.
     direction:
         Sweep direction; decides triangularity validation and the
         tie-break order inside a batch (ascending ids forward, descending
@@ -441,31 +443,22 @@ def _compile_plan_impl(
     off_indptr_all = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(off_counts_row, out=off_indptr_all[1:])
 
-    # --- batch layout: (superstep, intra-step level, id) ---------------
-    step = (
-        schedule.supersteps
-        if schedule is not None
-        else np.zeros(n, dtype=np.int64)
-    )
-    level = _levelize(n, off_cols_all, off_rows_all, step, direction)
+    # --- batch layout: (dependency level, id), whatever the schedule ---
+    level = _levelize(n, off_cols_all, off_rows_all, direction)
     tie = (
         np.arange(n, dtype=np.int64)
         if direction == "forward"
         else np.arange(n, 0, -1, dtype=np.int64)
     )
-    rows = np.lexsort((tie, level, step)).astype(np.int64)
-    srt_step = step[rows]
+    rows = np.lexsort((tie, level)).astype(np.int64)
     srt_level = level[rows]
     if n:
-        change = np.flatnonzero(
-            (srt_step[1:] != srt_step[:-1]) | (srt_level[1:] != srt_level[:-1])
-        ) + 1
+        change = np.flatnonzero(srt_level[1:] != srt_level[:-1]) + 1
         batch_ptr = np.concatenate(
             ([0], change, [n])
         ).astype(np.int64)
     else:
         batch_ptr = np.zeros(1, dtype=np.int64)
-    batch_step = srt_step[batch_ptr[:-1]] if n else np.zeros(0, np.int64)
 
     # --- gather arrays re-laid-out in batch order ----------------------
     counts_pos = off_counts_row[rows]
@@ -478,8 +471,9 @@ def _compile_plan_impl(
     pos = np.empty(n, dtype=np.int64)
     pos[rows] = np.arange(n, dtype=np.int64)
 
-    # --- per-core program order (cost-model layout) --------------------
+    # --- the schedule's per-core program (cost-model layout) -----------
     if schedule is not None:
+        step = schedule.supersteps
         sequences = schedule.core_sequences()
         core_ptr = np.zeros(len(sequences) + 1, dtype=np.int64)
         np.cumsum([seq.size for seq in sequences], out=core_ptr[1:])
@@ -489,6 +483,7 @@ def _compile_plan_impl(
             else np.zeros(0, dtype=np.int64)
         )
     else:
+        step = np.zeros(n, dtype=np.int64)
         core_ptr = np.array([0, n], dtype=np.int64)
         core_rows = (
             np.arange(n, dtype=np.int64)
@@ -502,7 +497,6 @@ def _compile_plan_impl(
         direction=direction,
         rows=rows,
         batch_ptr=batch_ptr,
-        batch_step=batch_step,
         off_ptr=off_ptr,
         off_cols=off_cols,
         off_vals=off_vals,

@@ -2,13 +2,13 @@
 
 Executes a schedule through the :mod:`repro.exec` subsystem: the
 ``(matrix, schedule)`` pair is lowered once into an
-:class:`~repro.exec.plan.ExecutionPlan` whose batches are the
-dependency layers of each superstep, and a backend kernel runs one
-vectorized gather/scatter per batch.  For a valid schedule
-(Definition 2.1) intra-superstep dependencies never cross cores, so the
-batched execution is observationally identical to running each core's
-rows in vertex-id order between barriers — the semantics of the seed's
-per-row emulator.
+:class:`~repro.exec.plan.ExecutionPlan`, whose executed batches are the
+matrix's global dependency levels whatever the schedule, and a backend
+kernel runs one vectorized gather/scatter per batch.  Every row reads
+only finished rows, so the result equals, up to rounding, running each
+core's rows in vertex-id order between barriers — the semantics of the
+seed's per-row emulator.  So the batched execution does not show
+whether the schedule is valid.
 
 With ``verify_dependencies=True`` the seed's per-row reference path is
 used instead: it asserts before each row that all dependencies were

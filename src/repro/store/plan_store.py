@@ -13,7 +13,7 @@ Format (version :data:`PLAN_STORE_VERSION`)
 -------------------------------------------
 One artifact is two sibling files under the store directory:
 
-* ``<stem>.npz`` — the plan's eleven flat arrays (batch layout, gather
+* ``<stem>.npz`` — the plan's ten flat arrays (batch layout, gather
   structure, diagonal, permutations, core program order), written
   uncompressed so members are plain ``.npy`` payloads (nothing is
   pickled and loads pass ``allow_pickle=False``);
@@ -93,7 +93,7 @@ __all__ = [
 
 #: Format version of plan-store artifacts; bump on incompatible layout
 #: changes.  A mismatch is a named rejection, never a reinterpretation.
-PLAN_STORE_VERSION = 2
+PLAN_STORE_VERSION = 3
 
 #: Environment variable pointing the disk tier of every
 #: :class:`~repro.exec.PlanCache` at a store directory.
@@ -112,7 +112,6 @@ META_FILE = "plan-store.json"
 ARRAY_FIELDS = (
     "rows",
     "batch_ptr",
-    "batch_step",
     "off_ptr",
     "off_cols",
     "off_vals",

@@ -17,10 +17,19 @@ to hard-code a scheduler name:
    (:mod:`repro.tuner.profile`) and reloaded for warm starts.
 
 Two racing modes are supported.  ``"measured"`` (the default) times real
-backend solves on a seeded right-hand side — ground truth on this
-hardware, at the cost of wall-clock noise.  ``"simulated"`` scores arms
-by cost-model seconds: fully deterministic, used by tests, CI and any
-caller that needs bit-reproducible decisions.
+backend solves on a seeded right-hand side, at the cost of wall-clock
+noise.  Every plan executes its matrix's level set whatever the schedule
+(:func:`~repro.exec.compile_plan`), so the finalists that run without
+the Section 5 reorder execute the same arrays: a measured race gives
+them one arm, the one cheapest to schedule, and separates only plans
+that execute differently.  ``"simulated"`` scores arms by cost-model
+seconds per solve, which repeat from run to run and tell every schedule
+apart.  In both modes the objective adds the wall-clock seconds of
+scheduling each candidate, divided by ``expected_solves`` (Eq. 7.1), so
+a decision's ``objective_seconds`` and ``amortization`` vary between
+processes, and at a small ``expected_solves`` so can the pick.  With
+``expected_solves=inf`` the scheduling term is zero, and a simulated
+tuning repeats its picks and simulated seconds.
 
 :class:`AutoScheduler` packages a tuner as a registry-compatible
 scheduler (name ``"auto"``): the experiment runner resolves it per
@@ -55,6 +64,7 @@ from repro.scheduler.schedule import Schedule
 from repro.tuner.features import MatrixFeatures, extract_features
 from repro.tuner.predict import (
     DEFAULT_CANDIDATES,
+    CandidateScore,
     check_expected_solves,
     clip_cores,
     rank_candidates,
@@ -228,12 +238,15 @@ class Autotuner:
         Racing budget, ``budget_seconds >= 0`` (see
         :func:`~repro.tuner.race.successive_halving`).
     seed:
-        Seeds the racing right-hand sides; a fixed seed plus simulated
-        mode makes the whole selection deterministic.
+        Seeds the right-hand sides of a measured race (a simulated race
+        solves none).
     mode:
         ``"measured"`` (wall-clock micro-runs on the auto-selected
-        backend, :func:`repro.exec.get_backend`) or ``"simulated"``
-        (cost-model seconds, deterministic).
+        backend, :func:`repro.exec.get_backend`, one arm per executed
+        plan) or ``"simulated"`` (cost-model seconds per solve, one arm
+        per finalist).  Either way the scheduling term of the objective
+        is wall-clock time; see the module docstring for what repeats
+        between runs.
 
     Examples
     --------
@@ -337,6 +350,8 @@ class Autotuner:
             expected_solves=self.expected_solves, plan_cache=cache,
         )
         finalists = scores[: self.keep]
+        if self.mode == "measured":
+            finalists = _one_arm_per_executed_plan(finalists, reorder)
         by_name = {s.name: s for s in scores}
         handicap = {
             s.name: s.scheduling_seconds / self.expected_solves
@@ -482,6 +497,33 @@ class Autotuner:
             return statistics.median(times)
 
         return measure
+
+
+def _one_arm_per_executed_plan(
+    finalists: list[CandidateScore], reorder: bool | None
+) -> list[CandidateScore]:
+    """The finalists a measured race times: one per executed plan.
+
+    The finalists that run without the Section 5 reorder all execute
+    the level set of the unpermuted matrix, so their measurements differ
+    by timer noise only.  They collapse into the one cheapest to
+    schedule (the one equal measurements pick by its handicap), raced in
+    the place of the first of them.  Each reordered plan solves its own
+    permutation of the system and keeps its arm.
+    """
+    plain = [
+        s for s in finalists
+        if not resolve_reorder(make_scheduler(s.name), reorder)
+    ]
+    if len(plain) < 2:
+        return finalists
+    cheapest = min(plain, key=lambda s: s.scheduling_seconds)
+    plain_names = {s.name for s in plain}
+    return [
+        cheapest if s is plain[0] else s
+        for s in finalists
+        if s.name not in plain_names or s is plain[0]
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -119,7 +119,8 @@ def rank_candidates(
 
     Returns scores sorted ascending by amortized per-solve objective —
     element 0 is the prior's pick.  Ties break by candidate order, then
-    name, so the ranking is deterministic.
+    name.  ``scheduling_seconds`` is wall-clock time, so below
+    ``expected_solves=inf`` the ranking can change between runs.
 
     Parameters
     ----------

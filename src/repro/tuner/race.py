@@ -14,9 +14,10 @@ The race is **deterministic given its inputs**: arms are eliminated by
 the same arms with the same measurement outcomes pick the same winner.
 The measurement itself is injected (``measure(arm, repeats, round)``):
 the tuner's measured mode times real backend solves on seeded right-hand
-sides, its simulated mode returns cost-model seconds — making the whole
-selection reproducible bit-for-bit when determinism matters more than
-wall-clock fidelity (tests, profiles built in CI).
+sides, its simulated mode returns cost-model seconds, which repeat from
+run to run.  The handicap below is wall-clock time in both modes, so a
+simulated race repeats its winner only where the handicap is zero
+(``expected_solves=inf``) or too small to reorder the arms.
 
 Scheduling cost stays part of the objective through racing too: the
 caller folds the Eq. 7.1 amortization term (``scheduling_seconds /

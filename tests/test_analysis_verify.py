@@ -273,15 +273,6 @@ class TestCorruptedPlanCorpus:
         self.assert_exactly(clone_plan(plan, off_ptr=off_ptr),
                             "gather-pointer")
 
-    def test_decreasing_batch_step(self, compiled):
-        _, _, plan = compiled
-        assert plan.batch_step.size >= 2
-        step = plan.batch_step.copy()
-        step[0] = step[-1] + 1
-        bad = clone_plan(plan, batch_step=step)
-        report = verify_plan(bad, require_solvable=True)
-        assert "batch-order" in report.invariants
-
     def test_out_of_bounds_core_rows(self, compiled):
         _, _, plan = compiled
         core_rows = plan.core_rows.copy()
@@ -439,10 +430,10 @@ class TestReportShapes:
 
     def test_invariant_catalogue_complete(self):
         # every id the verifier can emit is documented
-        assert len(INVARIANTS) == 10
+        assert len(INVARIANTS) == 9
         assert set(INVARIANTS) == {
             "dtype-contract", "batch-pointer", "row-coverage",
-            "batch-order", "gather-pointer", "gather-bounds",
+            "gather-pointer", "gather-bounds",
             "dependency-safety", "diagonal-coverage", "core-coverage",
             "source-consistency",
         }

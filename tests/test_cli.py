@@ -318,7 +318,7 @@ def test_check_plan_builtin_corpus(capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["ok"] is True
     assert payload["n_plans"] == 7
-    assert len(payload["invariants"]) == 10
+    assert len(payload["invariants"]) == 9
     names = {p["plan"] for p in payload["plans"]}
     assert any("backward" in n for n in names)
     assert set(payload["invariants"]) >= {

@@ -8,6 +8,8 @@ invariants, and equivalence of the plan-based paths with the seed's
 per-row reference kernel on real dataset instances.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -91,12 +93,6 @@ class TestPlanStructure:
             plan = compile_plan(small_grid_lower, s)
             assert plan.n_supersteps == s.n_supersteps
             assert plan.n_cores == s.n_cores
-            # batches never span supersteps and arrive in order
-            assert np.all(np.diff(plan.batch_step) >= 0)
-            np.testing.assert_array_equal(
-                plan.batch_step,
-                s.supersteps[plan.rows[plan.batch_ptr[:-1]]],
-            )
 
     def test_repr(self, small_er_lower):
         assert "ExecutionPlan" in repr(compile_plan(small_er_lower))
@@ -305,12 +301,32 @@ class TestDatasetEquivalence:
         )
 
 
+#: The paper's five schedulers, as the benchmark runs them.
+PAPER_SCHEDULERS = ("growlocal", "funnel+gl", "hdagg", "spmp", "wavefront")
+
+
+def _reordered(matrix, schedule, direction):
+    """The Section 5 reorder of ``(matrix, schedule)``: vertices
+    relabelled in (superstep, core, id) order.  A backward sweep runs
+    the mirror image, descending ids inside a cell and the first vertex
+    taking the last id, so the matrix stays upper triangular."""
+    from repro.matrix.permute import permute_symmetric
+    from repro.scheduler.reorder import schedule_reordering
+
+    perm = schedule_reordering(schedule)
+    if direction == "backward":
+        ids = np.arange(schedule.n, dtype=np.int64)
+        order = np.lexsort((-ids, schedule.cores, schedule.supersteps))
+        perm = np.empty_like(ids)
+        perm[order] = ids[::-1]
+    return permute_symmetric(matrix, perm), schedule.reorder_vertices(perm)
+
+
 class TestLevelSetPlan:
     """``compile_plan(L)`` (``schedule=None``) is the level-set plan: one
-    batch per dependency level, the fewest any schedule lowers to, with
-    the same executed arrays as a wavefront schedule's plan at 1, 4 and
-    8 cores.  The solve service serves this plan and refuses
-    ``schedule="auto"`` on the strength of it."""
+    batch per dependency level.  Every schedule's plan executes exactly
+    its arrays, and keeps only the schedule's per-core program
+    (``core_rows`` / ``core_ptr`` / ``row_step``) for the simulators."""
 
     @pytest.fixture(scope="class")
     def corpus(self):
@@ -347,21 +363,52 @@ class TestLevelSetPlan:
     def test_serial_plan_is_the_wavefront_level_set(self, corpus, name):
         from repro.graph.wavefront import wavefront_levels
         from repro.scheduler.registry import make_scheduler
+        from repro.solver.backward import backward_dag
 
         lower = corpus[name]
-        dag = DAG.from_lower_triangular(lower)
-        levels = wavefront_levels(dag)
+        levels = wavefront_levels(DAG.from_lower_triangular(lower))
         plan = compile_plan(lower)
         assert plan.n_batches == int(levels.max()) + 1
         assert np.all(np.diff(levels[plan.rows]) >= 0)
-        for n_cores in (1, 4, 8):
-            schedule = make_scheduler("wavefront").schedule(dag, n_cores)
-            other = compile_plan(lower, schedule)
-            for field in ("rows", "batch_ptr", "off_ptr", "off_cols",
-                          "off_vals", "diag"):
+        b = np.random.default_rng(0).standard_normal(lower.n)
+        backend = get_backend("numpy")
+        for direction in ("forward", "backward"):
+            source = lower if direction == "forward" else lower.transpose()
+            dag = (DAG.from_lower_triangular(source)
+                   if direction == "forward" else backward_dag(source))
+            for scheduler, n_cores, reorder in itertools.product(
+                PAPER_SCHEDULERS, (1, 3, 8), (False, True)
+            ):
+                schedule = make_scheduler(scheduler).schedule(dag, n_cores)
+                matrix = source
+                if reorder:
+                    matrix, schedule = _reordered(source, schedule,
+                                                  direction)
+                case = (f"{name}: {scheduler} at {n_cores} cores, "
+                        f"{direction}, reorder={reorder}")
+                serial = compile_plan(matrix, direction=direction)
+                other = compile_plan(matrix, schedule, direction=direction)
+                for field in ("rows", "batch_ptr", "off_ptr", "off_cols",
+                              "off_vals", "diag", "pos"):
+                    np.testing.assert_array_equal(
+                        getattr(serial, field), getattr(other, field),
+                        err_msg=f"{case}: {field}",
+                    )
                 np.testing.assert_array_equal(
-                    getattr(plan, field), getattr(other, field),
-                    err_msg=f"{name}: {field} at {n_cores} cores",
+                    other.row_step, schedule.supersteps, err_msg=case
+                )
+                sequences = schedule.core_sequences()
+                np.testing.assert_array_equal(
+                    other.core_rows, np.concatenate(sequences),
+                    err_msg=case,
+                )
+                np.testing.assert_array_equal(
+                    np.diff(other.core_ptr), [s.size for s in sequences],
+                    err_msg=case,
+                )
+                np.testing.assert_array_equal(
+                    backend.solve(other, b), backend.solve(serial, b),
+                    err_msg=case,
                 )
 
 

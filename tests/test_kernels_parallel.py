@@ -525,8 +525,10 @@ class TestNumpySpanSolves:
         b = np.linspace(-1.0, 1.0, matrix.n)
         _assert_matches_scipy(matrix, compile_plan(matrix), b)
 
-    @pytest.mark.parametrize("k", [1, 3, 16])
+    @pytest.mark.parametrize("k", range(1, 18))
     def test_block_columns_bitwise_equal_solve(self, k):
+        """Every width from 1 to 17 columns, on plans with both kinds
+        of span."""
         backend = get_backend("numpy")
         for name, matrix, plan in _span_plans():
             rng = np.random.default_rng(14)

@@ -1,11 +1,10 @@
 """The compiler's level pass against the per-level Kahn peel it replaced.
 
-``repro.exec.plan._levelize`` computes every row's longest-path layer
-over its intra-superstep dependencies with a blocked recurrence in
-topological id order.  These tests pin it to the numpy Kahn peel it
-replaced (kept below as the reference) on random triangular patterns,
-chains and level stacks, forward and backward, under serial, random and
-blocked superstep maps.  The block size is patched down so that small
+``repro.exec.plan._levelize`` computes every row's longest-path
+dependency level with a blocked recurrence in topological id order.
+These tests pin it to the numpy Kahn peel it replaced (kept below as the
+reference) on random triangular patterns, chains and level stacks,
+forward and backward.  The block size is patched down so that small
 cases cross many block edges; a chain longer than the real block size
 crosses them at full size.
 """
@@ -25,15 +24,10 @@ from repro.utils.arrays import segmented_gather
 from tests.conftest import lower_triangular_matrices
 
 
-def _kahn_levelize(n, dep, consumer, step):
+def _kahn_levelize(n, src, dst):
     """Reference: one vectorized Kahn peel per level, O(n) per level."""
     level = np.zeros(n, dtype=np.int64)
-    if dep.size == 0 or n == 0:
-        return level
-    intra = step[dep] == step[consumer]
-    src = dep[intra]
-    dst = consumer[intra]
-    if src.size == 0:
+    if src.size == 0 or n == 0:
         return level
     indeg = np.bincount(dst, minlength=n)
     order = np.argsort(src, kind="stable")
@@ -89,38 +83,23 @@ def patterns(draw, max_n=60):
     return random_values_lower(n, pairs[:, 0], pairs[:, 1], seed=0)
 
 
-@st.composite
-def step_maps(draw, n):
-    """A superstep per row: serial, random, or blocked runs of ids."""
-    kind = draw(st.sampled_from(["serial", "random", "blocked"]))
-    if kind == "serial":
-        return np.zeros(n, dtype=np.int64)
-    if kind == "random":
-        rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
-        return rng.integers(0, draw(st.integers(1, 5)), size=n)
-    width = draw(st.integers(1, 12))
-    return np.arange(n, dtype=np.int64) // width
-
-
-def _both(matrix, direction, step, block):
+def _both(matrix, direction, block):
     if direction == "backward":
         matrix = matrix.transpose()
     dep, consumer = _edges(matrix)
     with mock.patch.object(plan_mod, "_LEVEL_BLOCK", block):
-        got = plan_mod._levelize(matrix.n, dep, consumer, step, direction)
-    return got, _kahn_levelize(matrix.n, dep, consumer, step)
+        got = plan_mod._levelize(matrix.n, dep, consumer, direction)
+    return got, _kahn_levelize(matrix.n, dep, consumer)
 
 
 @settings(max_examples=300, deadline=None)
 @given(
-    data=st.data(),
     matrix=patterns(),
     direction=st.sampled_from(["forward", "backward"]),
     block=st.sampled_from([1, 2, 3, 5, 8, 2048]),
 )
-def test_property_levels_equal_kahn_peel(data, matrix, direction, block):
-    step = data.draw(step_maps(matrix.n))
-    got, want = _both(matrix, direction, step, block)
+def test_property_levels_equal_kahn_peel(matrix, direction, block):
+    got, want = _both(matrix, direction, block)
     np.testing.assert_array_equal(got, want)
 
 
@@ -130,10 +109,7 @@ def test_property_levels_equal_kahn_peel(data, matrix, direction, block):
 def test_property_serial_forward_levels_are_wavefronts(matrix, block):
     dep, consumer = _edges(matrix)
     with mock.patch.object(plan_mod, "_LEVEL_BLOCK", block):
-        got = plan_mod._levelize(
-            matrix.n, dep, consumer, np.zeros(matrix.n, np.int64),
-            "forward",
-        )
+        got = plan_mod._levelize(matrix.n, dep, consumer, "forward")
     np.testing.assert_array_equal(
         got, wavefront_levels(DAG.from_lower_triangular(matrix))
     )
@@ -146,9 +122,6 @@ def test_full_size_blocks_on_a_chain_and_a_level_stack():
     for matrix in (make_deep_narrow(n=n, seed=0),
                    make_wide_shallow(levels=4, width=n // 4, seed=0)):
         for direction in ("forward", "backward"):
-            ids = np.arange(matrix.n, dtype=np.int64)
-            for step in (np.zeros_like(ids), ids // 1_000):
-                got, want = _both(matrix, direction, step,
-                                  plan_mod._LEVEL_BLOCK)
-                np.testing.assert_array_equal(got, want)
+            got, want = _both(matrix, direction, plan_mod._LEVEL_BLOCK)
+            np.testing.assert_array_equal(got, want)
 

@@ -199,36 +199,51 @@ class TestExactKey:
 
 
 class TestFormatVersion:
-    """Version 2 dropped the persisted fusion grouping; a store or an
-    artifact of version 1 is refused by name, never reinterpreted."""
+    """Version 2 dropped the persisted fusion grouping and version 3 the
+    per-batch superstep array; a store or an artifact of an earlier
+    version is refused by name, never reinterpreted."""
 
-    def _version_1(self, store_dir):
-        """A store laid out with version-1 meta and sidecar versions."""
+    def _old_version(self, store_dir, version=1):
+        """A store laid out with an earlier meta and sidecar version."""
         store, key, lower, schedule, _ = _saved_artifact(store_dir)
-        _edit_sidecar(store, key, format_version=1)
-        (store_dir / "plan-store.json").write_text(json.dumps({"version": 1}))
+        _edit_sidecar(store, key, format_version=version)
+        (store_dir / "plan-store.json").write_text(
+            json.dumps({"version": version})
+        )
         return store, key, lower, schedule
 
-    def test_version_1_store_is_refused_by_name(self, tmp_path):
-        assert PLAN_STORE_VERSION == 2 and len(ARRAY_FIELDS) == 11
-        self._version_1(tmp_path)
+    def _assert_store_refused(self, store_dir, version):
+        assert PLAN_STORE_VERSION == 3 and len(ARRAY_FIELDS) == 10
+        self._old_version(store_dir, version)
         with pytest.raises(ConfigurationError,
-                           match=r"version 1\b.*version 2\b"):
-            PlanStore(tmp_path)
+                           match=rf"version {version}\b.*version 3\b"):
+            PlanStore(store_dir)
 
-    def test_version_1_sidecar_is_a_version_error(self, tmp_path):
-        store, key, lower, schedule = self._version_1(tmp_path)
+    def _assert_sidecar_refused(self, store_dir, version):
+        store, key, lower, schedule = self._old_version(store_dir, version)
         with pytest.raises(PlanArtifactVersionError,
-                           match=r"format version 1\b"):
+                           match=rf"format version {version}\b"):
             store.load(key, matrix=lower, schedule=schedule)
         verdicts = store.verify()["artifacts"]
         assert [v["error_type"] for v in verdicts] == [
             "PlanArtifactVersionError"
         ]
 
+    def test_version_1_store_is_refused_by_name(self, tmp_path):
+        self._assert_store_refused(tmp_path, 1)
+
+    def test_version_1_sidecar_is_a_version_error(self, tmp_path):
+        self._assert_sidecar_refused(tmp_path, 1)
+
+    def test_version_2_store_is_refused_by_name(self, tmp_path):
+        self._assert_store_refused(tmp_path, 2)
+
+    def test_version_2_sidecar_is_a_version_error(self, tmp_path):
+        self._assert_sidecar_refused(tmp_path, 2)
+
     def test_plan_cache_on_version_1_store_compiles(self, tmp_path,
                                                    monkeypatch):
-        _, key, lower, schedule = self._version_1(tmp_path)
+        _, key, lower, schedule = self._old_version(tmp_path)
         monkeypatch.setenv(PLAN_STORE_ENV_VAR, str(tmp_path))
         cache = PlanCache()
         n0 = compile_count()

@@ -36,7 +36,8 @@ from repro.tuner import (
     save_profile,
     successive_halving,
 )
-from repro.tuner.predict import rank_candidates
+from repro.tuner.auto import _one_arm_per_executed_plan
+from repro.tuner.predict import CandidateScore, rank_candidates
 
 CANDIDATES = ("growlocal", "hdagg", "wavefront")
 N_CORES = 8
@@ -272,6 +273,29 @@ class TestTunerOnDataset:
             d.as_dict() for d in second
         ]
 
+    def test_simulated_picks_repeat_across_plan_caches(
+        self, dataset_instances, machine
+    ):
+        """Two tunings with their own plan caches, so every schedule and
+        compile is timed twice.  At ``expected_solves=inf`` the picks and
+        the simulated seconds repeat; ``amortization`` carries the
+        compile's wall-clock scheduling seconds, so it is not compared."""
+        def simulated(decision):
+            return (decision.instance, decision.scheduler, decision.reorder,
+                    decision.predicted_speedup, decision.objective_seconds,
+                    decision.measured_seconds)
+
+        runs = []
+        for _ in range(2):
+            tuner = Autotuner(candidates=CANDIDATES, mode="simulated",
+                              expected_solves=math.inf, seed=0)
+            runs.append([
+                simulated(tuner.tune(inst, machine, n_cores=N_CORES,
+                                     plan_cache=PlanCache()))
+                for inst in dataset_instances
+            ])
+        assert runs[0] == runs[1]
+
     def test_profile_warm_start_skips_racing(
         self, dataset_instances, machine, shared_cache, tmp_path
     ):
@@ -343,6 +367,44 @@ class TestTunerOnDataset:
         assert decision.scheduler in (*CANDIDATES, "serial")
         assert decision.measured_seconds is not None
         assert decision.measured_seconds > 0
+
+    def test_measured_race_gives_unreordered_plans_one_arm(self):
+        """Plans run without the reorder execute the same level-set
+        arrays, so a measured race gives them one arm, the cheapest to
+        schedule, in the place of the first of them; each reordered
+        plan keeps its arm."""
+        def score(name, scheduling_seconds):
+            return CandidateScore(name, 0.0, 0.0, scheduling_seconds, None)
+
+        hdagg, growlocal = score("hdagg", 3.0), score("growlocal", 5.0)
+        wavefront, serial = score("wavefront", 1.0), score("serial", 2.0)
+        finalists = [hdagg, growlocal, wavefront, serial]
+        assert _one_arm_per_executed_plan(finalists, None) == [
+            wavefront, growlocal,
+        ]
+        assert _one_arm_per_executed_plan(finalists, False) == [wavefront]
+        assert _one_arm_per_executed_plan(finalists, True) == finalists
+
+    def test_measured_tuning_without_reorder_races_one_arm(
+        self, small_inst, machine
+    ):
+        """With ``reorder=False`` every finalist executes the same plan:
+        the pick is the finalist cheapest to schedule and nothing is
+        timed."""
+        cache = PlanCache()
+        tuner = Autotuner(candidates=CANDIDATES, mode="measured",
+                          budget_seconds=0.05, seed=0)
+        decision = tuner.tune(small_inst, machine, n_cores=N_CORES,
+                              reorder=False, plan_cache=cache)
+        finalists = rank_candidates(
+            small_inst, CANDIDATES, machine, n_cores=N_CORES,
+            reorder=False, expected_solves=tuner.expected_solves,
+            plan_cache=cache,
+        )[: tuner.keep]
+        cheapest = min(finalists, key=lambda s: s.scheduling_seconds)
+        assert decision.scheduler == cheapest.name
+        assert decision.measured_seconds is None
+        assert tuner.races_run == 1
 
 
 # ---------------------------------------------------------------------------
