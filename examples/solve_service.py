@@ -1,9 +1,9 @@
 #!/usr/bin/env python
 """Serve concurrent solve requests through the SolveService.
 
-Registers two triangular systems (a scheduled narrow-band instance and a
-serial Erdős–Rényi instance), fires interleaved single-RHS requests at
-them from several client threads, and prints the per-system serving
+Registers two triangular systems (a narrow-band and an Erdős–Rényi
+instance, each lowered once to its level-set plan), fires interleaved
+single-RHS requests at them from several client threads, and prints the per-system serving
 statistics — requests, micro-batch sizes, latency and throughput.  Every
 answer is verified bit-equal to solving its right-hand side alone, which
 is the service's core guarantee: coalescing is invisible to clients.
@@ -16,9 +16,7 @@ import threading
 import numpy as np
 
 from repro import compile_plan, get_backend
-from repro.graph.dag import DAG
 from repro.matrix.generators import erdos_renyi_lower, narrow_band_lower
-from repro.scheduler import GrowLocalScheduler
 from repro.service import SolveService
 
 N_CLIENTS = 4
@@ -28,12 +26,9 @@ REQUESTS_PER_CLIENT = 12
 def main() -> None:
     band = narrow_band_lower(3000, 0.05, 20.0, seed=0)
     er = erdos_renyi_lower(2000, 4e-3, seed=1)
-    schedule = GrowLocalScheduler().schedule(
-        DAG.from_lower_triangular(band), 8
-    )
     backend = get_backend()
     oracles = {
-        "band": compile_plan(band, schedule),
+        "band": compile_plan(band),
         "er": compile_plan(er),
     }
     sizes = {"band": band.n, "er": er.n}
@@ -41,7 +36,7 @@ def main() -> None:
     verified = []
 
     with SolveService(backend=backend, max_batch=16) as service:
-        service.register("band", band, schedule)
+        service.register("band", band)
         service.register("er", er)
 
         def client(seed: int) -> None:

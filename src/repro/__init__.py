@@ -28,10 +28,11 @@ Subpackages
 ``repro.graph``      dependence DAGs, wavefronts, transitive reduction,
                      acyclicity-preserving coarsening
 ``repro.scheduler``  GrowLocal and all baseline schedulers
-``repro.exec``       execution plans: schedules lowered once to flat
-                     arrays, pluggable backend kernels (numpy/numba),
-                     the shared simulator cost kernel, plan caching
-``repro.machine``    the simulated multicore (BSP + asynchronous models)
+``repro.exec``       execution plans: a matrix's level set lowered once
+                     to flat arrays, pluggable backend kernels
+                     (numpy/numba), plan caching
+``repro.machine``    the simulated multicore (BSP + asynchronous models),
+                     one cost kernel pricing schedules directly
 ``repro.solver``     SpTRSV kernels, scheduled/threaded execution, PCG,
                      Gauß–Seidel
 ``repro.service``    concurrent solve service: keyed requests coalesced

@@ -2,9 +2,9 @@
 
 ``repro check source`` lints the library tree against the repo's
 invariant rules; ``repro check plan`` statically verifies compiled
-:class:`ExecutionPlan` artifacts (a user-supplied matrix/schedule, or
-the built-in synthetic corpus when none is given); ``repro check all``
-runs both.  Every half returns a JSON-shaped payload (documented in
+:class:`ExecutionPlan` artifacts (a user-supplied matrix, or the
+built-in synthetic corpus when none is given); ``repro check all`` runs
+both.  Every half returns a JSON-shaped payload (documented in
 ``docs/analysis.md``) so CI consumes the report as an artifact instead
 of scraping text; the CLI exit code is 0 iff every half is clean.
 """
@@ -49,46 +49,35 @@ def check_source(paths: list[str] | None = None) -> dict:
 
 
 def _corpus():
-    """The synthetic verification corpus: irregular shapes x schedulers.
+    """The synthetic verification corpus: irregular shapes, both sweep
+    directions.
 
     Small on purpose — the point is exercising every invariant checker
-    against genuinely compiled plans (serial and scheduled, forward and
-    backward), not benchmarking.
+    against genuinely compiled plans, not benchmarking.  A plan is its
+    matrix's level set whatever the schedule, so the corpus holds one
+    plan per (matrix, direction).
     """
-    from repro.graph.dag import DAG
     from repro.matrix.generators import (
         erdos_renyi_lower,
         narrow_band_lower,
     )
-    from repro.scheduler.registry import make_scheduler
 
-    matrices = [
-        ("narrow-band", narrow_band_lower(120, 0.3, 6.0, seed=0)),
-        ("erdos-renyi", erdos_renyi_lower(150, 0.05, seed=1)),
-    ]
-    for name, lower in matrices:
-        yield f"{name}/serial", lower, None, "forward"
-        for sched_name in ("growlocal", "hdagg"):
-            schedule = make_scheduler(sched_name).schedule(
-                DAG.from_lower_triangular(lower), 4
-            )
-            yield f"{name}/{sched_name}", lower, schedule, "forward"
+    yield ("narrow-band/forward",
+           narrow_band_lower(120, 0.3, 6.0, seed=0), "forward")
+    yield ("erdos-renyi/forward",
+           erdos_renyi_lower(150, 0.05, seed=1), "forward")
     upper = narrow_band_lower(100, 0.3, 5.0, seed=2).transpose()
-    yield "narrow-band/backward", upper, None, "backward"
+    yield "narrow-band/backward", upper, "backward"
 
 
-def check_plans(
-    matrix_path: str | None = None,
-    schedule_path: str | None = None,
-) -> dict:
+def check_plans(matrix_path: str | None = None) -> dict:
     """Statically verify compiled plans, without executing any sweep.
 
-    With ``matrix_path`` the file's lower triangle is compiled (against
-    ``schedule_path`` when given) and verified with full
-    source-consistency cross-checks.  Without it, the built-in
-    synthetic corpus compiles and verifies plans across schedulers and
-    sweep directions — the CI self-check that the compiler only ever
-    emits plans the verifier accepts.
+    With ``matrix_path`` the file's lower triangle is compiled and
+    verified with full source-consistency cross-checks.  Without it,
+    the built-in synthetic corpus compiles and verifies plans across
+    matrices and sweep directions — the CI self-check that the compiler
+    only ever emits plans the verifier accepts.
     """
     from repro.exec.plan import compile_plan
 
@@ -97,20 +86,15 @@ def check_plans(
         from repro.matrix.io_mm import read_matrix_market
 
         lower = read_matrix_market(matrix_path).lower_triangle()
-        schedule = None
-        if schedule_path is not None:
-            from repro.scheduler.serialize import load_schedule_json
-
-            schedule = load_schedule_json(schedule_path)
-        cases = [(matrix_path, lower, schedule, "forward")]
+        cases = [(matrix_path, lower, "forward")]
     else:
         cases = list(_corpus())
-    for name, matrix, schedule, direction in cases:
+    for name, matrix, direction in cases:
         plan = compile_plan(
-            matrix, schedule, direction=direction,
+            matrix, direction=direction,
             validate=False,  # the point is the explicit report below
         )
-        report = verify_plan(plan, matrix=matrix, schedule=schedule)
+        report = verify_plan(plan, matrix=matrix)
         reports.append({
             "plan": name,
             "n": plan.n,
@@ -129,11 +113,10 @@ def check_plans(
 def check_all(
     paths: list[str] | None = None,
     matrix_path: str | None = None,
-    schedule_path: str | None = None,
 ) -> dict:
     """Both halves; ``ok`` iff source lint and plan verification pass."""
     source = check_source(paths)
-    plan = check_plans(matrix_path, schedule_path)
+    plan = check_plans(matrix_path)
     return {
         "source": source,
         "plan": plan,

@@ -89,15 +89,11 @@ INVARIANTS = {
         "non-zero for solvable plans, and agrees with the recorded "
         "singular_row"
     ),
-    "core-coverage": (
-        "core_ptr is well-formed and the concatenated per-core "
-        "sequences execute every row exactly once, within bounds"
-    ),
     "source-consistency": (
-        "(with the source matrix/schedule at hand) the gather "
-        "structure, diagonal values and superstep map match the inputs "
-        "the plan claims to have been compiled from, each row's gather "
-        "segment in the source CSR order"
+        "(with the source matrix at hand) the gather structure and "
+        "diagonal values match the matrix the plan claims to have been "
+        "compiled from, each row's gather segment in the source CSR "
+        "order; a source schedule covers the plan's rows"
     ),
 }
 
@@ -201,8 +197,7 @@ class _Verifier:
         )
 
     # -- dtype contract -------------------------------------------------
-    _INT_FIELDS = ("rows", "batch_ptr", "off_ptr", "off_cols", "pos",
-                   "core_rows", "core_ptr", "row_step")
+    _INT_FIELDS = ("rows", "batch_ptr", "off_ptr", "off_cols", "pos")
     _FLOAT_FIELDS = ("diag", "off_vals")
 
     def check_dtypes(self) -> None:
@@ -421,41 +416,6 @@ class _Verifier:
                 row=int(plan.singular_row),
             )
 
-    def check_cores(self) -> None:
-        plan, n = self.plan, self.plan.rows.size
-        if not self._check_pointer(
-            "core-coverage", "core_ptr", plan.core_ptr,
-            plan.core_rows.size, strict=False,
-        ):
-            return
-        if plan.core_rows.size != n:
-            self.fail(
-                "core-coverage",
-                f"per-core sequences cover {plan.core_rows.size} rows, "
-                f"plan has {n}",
-            )
-            return
-        if n == 0:
-            return
-        if plan.core_rows.min() < 0 or plan.core_rows.max() >= n:
-            bad = plan.core_rows[
-                (plan.core_rows < 0) | (plan.core_rows >= n)
-            ]
-            self.fail("core-coverage",
-                      f"core_rows contains out-of-range id "
-                      f"{int(bad[0])}", row=int(bad[0]))
-            return
-        counts = np.bincount(plan.core_rows, minlength=n)
-        off = np.flatnonzero(counts != 1)
-        if off.size:
-            r = int(off[0])
-            self.fail(
-                "core-coverage",
-                f"row {r} appears {int(counts[r])} times across the "
-                f"per-core sequences (must be exactly once)",
-                row=r,
-            )
-
     # -- optional cross-checks against the sources ----------------------
     def check_matrix(self, matrix) -> None:
         plan, n = self.plan, self.plan.rows.size
@@ -523,22 +483,10 @@ class _Verifier:
             )
 
     def check_schedule(self, schedule) -> None:
-        plan = self.plan
-        if schedule.n != plan.rows.size:
+        if schedule.n != self.plan.rows.size:
             self.fail("source-consistency",
-                      f"plan covers {plan.rows.size} rows, source "
+                      f"plan covers {self.plan.rows.size} rows, source "
                       f"schedule has {schedule.n}")
-            return
-        if not np.array_equal(plan.row_step, schedule.supersteps):
-            bad = np.flatnonzero(
-                plan.row_step != schedule.supersteps
-            )
-            self.fail(
-                "source-consistency",
-                f"row_step disagrees with the schedule's superstep "
-                f"map (first mismatch at row {int(bad[0])})",
-                row=int(bad[0]),
-            )
 
 
 def verify_plan(
@@ -554,10 +502,14 @@ def verify_plan(
     ----------
     plan:
         The :class:`~repro.exec.plan.ExecutionPlan` to verify.
-    matrix / schedule:
-        Optional sources; when given, the gather structure, diagonal
-        values and superstep map are cross-checked against them
-        (``source-consistency``).
+    matrix:
+        Optional source; when given, the gather structure and diagonal
+        values are cross-checked against it (``source-consistency``).
+    schedule:
+        Optional schedule of the source matrix.  It is only checked to
+        cover the plan's rows (a ``source-consistency`` violation
+        otherwise) and is not read otherwise: a plan is its matrix's
+        level set, the same for every schedule.
     require_solvable:
         When true (default) a zero diagonal is a violation; pass
         ``False`` for cost-model plans compiled with
@@ -590,7 +542,6 @@ def verify_plan(
     if batches_ok and rows_ok and bounds_ok:
         v.check_dependency_safety()
     v.check_diagonal(require_solvable=require_solvable)
-    v.check_cores()
     if rows_ok and gather_ok and bounds_ok and matrix is not None:
         v.check_matrix(matrix)
     if schedule is not None:
@@ -606,6 +557,9 @@ def check_plan(
     require_solvable: bool = True,
 ) -> None:
     """:func:`verify_plan`, raising on any violation.
+
+    ``schedule`` is only checked to cover the plan's rows, as in
+    :func:`verify_plan`.
 
     Raises
     ------

@@ -15,8 +15,7 @@ Exposes the library's main workflows without writing Python::
                               --output profile.json
     python -m repro tune      --dataset narrow_band \
                               --profile profile.json
-    python -m repro plans     save --store plans.store --matrix L.mtx \
-                              --scheduler growlocal --cores 8
+    python -m repro plans     save --store plans.store --matrix L.mtx
     python -m repro plans     verify --store plans.store --json
     python -m repro generate  --kind erdos_renyi --n 10000 --p 5e-4 \
                               --output L.mtx
@@ -215,14 +214,6 @@ def build_parser() -> argparse.ArgumentParser:
         pp.add_argument("--matrix", required=True,
                         help="Matrix Market file (lower triangle is "
                              "used)")
-        pp.add_argument("--schedule", default=None,
-                        help="schedule JSON (default: the serial plan)")
-        pp.add_argument("--scheduler", default=None,
-                        choices=available_schedulers(),
-                        help="compute the schedule with this scheduler "
-                             "instead of loading --schedule")
-        pp.add_argument("--cores", type=int, default=8,
-                        help="cores for --scheduler (default 8)")
 
     pp = plans_sub.add_parser(
         "save",
@@ -386,8 +377,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--matrix", default=None,
                    help="verify the plan compiled from this .mtx file "
                         "instead of the built-in corpus")
-    p.add_argument("--schedule", default=None,
-                   help="schedule JSON to compile --matrix against")
     p.add_argument("--rules", action="store_true",
                    help="print the lint rule catalogue and exit")
     p.add_argument("--json", action="store_true",
@@ -691,28 +680,6 @@ def _cmd_tune(args) -> int:
     return 0
 
 
-def _plans_system(args):
-    """The (lower matrix, schedule, scheduler label) a ``plans`` verb
-    operates on: an explicit schedule JSON, a named scheduler run at
-    ``--cores``, or the serial plan."""
-    from repro.errors import ConfigurationError
-
-    if args.schedule and args.scheduler:
-        raise ConfigurationError(
-            "--schedule and --scheduler are mutually exclusive"
-        )
-    lower = _load_lower(args.matrix)
-    schedule = None
-    label = None
-    if args.schedule:
-        schedule = load_schedule_json(args.schedule)
-    elif args.scheduler:
-        dag = DAG.from_lower_triangular(lower)
-        schedule = make_scheduler(args.scheduler).schedule(dag, args.cores)
-        label = args.scheduler
-    return lower, schedule, label
-
-
 def _cmd_plans(args) -> int:
     from repro.errors import ConfigurationError
     from repro.store import PlanStore, plan_store_key
@@ -720,10 +687,10 @@ def _cmd_plans(args) -> int:
     if args.plans_command == "save":
         from repro.exec import compile_plan
 
-        lower, schedule, label = _plans_system(args)
+        lower = _load_lower(args.matrix)
         store = PlanStore(args.store)
-        key = plan_store_key(lower, schedule, scheduler=label)
-        plan = compile_plan(lower, schedule, check_diagonal=False)
+        key = plan_store_key(lower)
+        plan = compile_plan(lower, check_diagonal=False)
         path = store.save(plan, key)
         payload = {
             "store": store.path,
@@ -742,10 +709,10 @@ def _cmd_plans(args) -> int:
         return 0
 
     if args.plans_command == "load":
-        lower, schedule, label = _plans_system(args)
+        lower = _load_lower(args.matrix)
         store = PlanStore(args.store, create=False)
-        key = plan_store_key(lower, schedule, scheduler=label)
-        plan = store.get(key, matrix=lower, schedule=schedule)
+        key = plan_store_key(lower)
+        plan = store.get(key, matrix=lower)
         payload = {
             "store": store.path,
             "key": key.as_dict(),
@@ -778,11 +745,11 @@ def _cmd_plans(args) -> int:
         from repro.experiments.tables import format_table
 
         print(format_table(
-            ["stem", "n", "cores", "dtype", "bytes"],
+            ["stem", "n", "direction", "dtype", "bytes"],
             [
                 [
                     row["stem"], row["n"],
-                    (row["key"] or {}).get("cores", "-"),
+                    (row["key"] or {}).get("direction", "-"),
                     (row["key"] or {}).get("dtype", "-"),
                     row["bytes"],
                 ]
@@ -1121,9 +1088,9 @@ def _cmd_check(args) -> int:
     if args.target == "source":
         payload = check_source(args.path)
     elif args.target == "plan":
-        payload = check_plans(args.matrix, args.schedule)
+        payload = check_plans(args.matrix)
     else:
-        payload = check_all(args.path, args.matrix, args.schedule)
+        payload = check_all(args.path, args.matrix)
 
     if args.json:
         print(json.dumps(_json_sanitize(payload), indent=2))

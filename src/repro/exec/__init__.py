@@ -1,14 +1,16 @@
-"""Execution plans: compile schedules once, execute them fast, anywhere.
+"""Execution plans: compile a matrix once, execute it fast, anywhere.
 
-This package is the boundary between *what* a schedule says and *how* it
-is executed — the load-bearing seam every scaling direction (process
-pools, sharding, native kernels) plugs into:
+This package is the boundary between *what* a triangular solve computes
+and *how* it is executed — the load-bearing seam every scaling direction
+(process pools, sharding, native kernels) plugs into:
 
-* :mod:`~repro.exec.plan` — :func:`compile_plan` lowers a
-  ``(CSRMatrix, Schedule)`` pair into an :class:`ExecutionPlan`: flat
-  contiguous arrays of dependency-layer batches, off-diagonal gather
-  indices, precompiled diagonals (validated once, at compile time) and
-  per-core program order;
+* :mod:`~repro.exec.plan` — :func:`compile_plan` lowers a triangular
+  :class:`~repro.matrix.csr.CSRMatrix` and a sweep direction into an
+  :class:`ExecutionPlan`: flat contiguous arrays of the matrix's
+  dependency levels (its level set), off-diagonal gather indices and
+  precompiled diagonals (validated once, at compile time).  Every
+  schedule of one matrix executes the same plan; the machine simulators
+  price a schedule without one;
 * :mod:`~repro.exec.backends` — the pluggable kernel registry
   (``numpy`` always available: vectorized batches, with runs of
   low-work batches swept as scalars; the JIT tiers ``numba`` and
@@ -19,12 +21,10 @@ pools, sharding, native kernels) plugs into:
 * :mod:`~repro.exec.kernels_numba` — the shared JIT kernel tier
   (``prange`` batch sweeps, sequential span sweeps, persistent
   artifact cache so warm processes never recompile);
-* :mod:`~repro.exec.cost` — the single plan-based cost kernel shared by
-  the BSP, asynchronous and serial machine simulators;
 * :mod:`~repro.exec.plan_cache` — a keyed, thread-safe LRU
   :class:`PlanCache` with hit/miss counters, shared by the experiment
-  runners (each (instance, scheduler, cores) triple compiled exactly
-  once per worker) and the :class:`~repro.service.SolveService`.
+  runners (one plan per executed matrix per worker) and the
+  :class:`~repro.service.SolveService`.
 """
 
 from repro.exec.backends import (

@@ -1,40 +1,33 @@
-"""Execution-plan compiler: lower a ``(CSRMatrix, Schedule)`` pair once.
+"""Execution-plan compiler: lower a triangular matrix once.
 
 The paper's thesis is that SpTRSV throughput is decided in the executed
 kernel, not in the schedule data structure.  This module separates the two:
-:func:`compile_plan` lowers a triangular matrix plus (optionally) a barrier
-schedule into an :class:`ExecutionPlan` — flat, contiguous NumPy arrays that
-the backend kernels of :mod:`repro.exec.backends` and the machine-model
-cost kernel of :mod:`repro.exec.cost` consume without ever walking CSR rows
-in interpreted Python.
+:func:`compile_plan` lowers a triangular matrix and a sweep direction into
+an :class:`ExecutionPlan` — flat, contiguous NumPy arrays that the backend
+kernels of :mod:`repro.exec.backends` consume without ever walking CSR
+rows in interpreted Python.  A barrier schedule is not part of the plan:
+the :class:`~repro.scheduler.schedule.Schedule` object is itself the
+per-core program, and the machine simulators price it directly.
 
 Lowered representation
 ----------------------
 *Batches.*  Rows are grouped into *batches* by global dependency level
 (``level(v) = 0`` if ``v`` has no dependency, else ``1 + max`` over its
-dependencies), whatever the schedule: ``compile_plan(A, S)`` executes the
-same arrays as the level-set plan ``compile_plan(A)``.  All rows of a
+dependencies): every plan of a matrix is its level set.  All rows of a
 batch are mutually independent, so a batch can be solved by a single
 vectorized gather / segment-sum / scatter, and the numpy backend does so
 for every batch with more than a few rows plus off-diagonal entries;
 runs of lower-work batches it solves as one scalar sweep instead, since
 a vectorized call costs more than their work (see
-:func:`~repro.exec.backends.numpy_dispatch`).  No backend runs the
+:func:`~repro.exec.backends.numpy_dispatch`).  No backend runs a
 schedule's per-core program, so a superstep-major layout would only add
-a batch at every superstep boundary; the schedule is kept in the core
-sequences below.
+a batch at every superstep boundary.
 
 *Gather arrays.*  For every row position the off-diagonal column indices and
 values are re-laid-out contiguously in batch order (``off_ptr`` /
 ``off_cols`` / ``off_vals``), the diagonal is pre-extracted (``diag``), and
 missing/zero diagonals are detected once at compile time instead of on
 every solve.
-
-*Core sequences.*  The schedule's per-core execution sequences (program
-order of the simulated machine) are concatenated into ``core_rows`` /
-``core_ptr``, and its superstep map is ``row_step``, so the BSP,
-asynchronous and serial simulators share one plan-based cost kernel
-that sees the schedule itself.
 
 *Dispatch spans.*  The plan carries the dependency batches and nothing
 about how a backend groups them: each backend derives its
@@ -43,9 +36,10 @@ plan object, never persisted (see
 :func:`~repro.exec.backends.numpy_dispatch` and
 :func:`~repro.exec.backends.fused_dispatch`).
 
-Compiling is a one-time cost per ``(matrix, schedule)`` pair; every
-consumer — repeated triangular solves inside CG/Gauss-Seidel, the machine
-simulators, the experiment runner — reuses the plan.
+Compiling is a one-time cost per ``(matrix, direction)`` pair; every
+consumer — repeated triangular solves inside CG/Gauss-Seidel, the
+experiment runner, the solve service — reuses the plan, and every
+schedule of one matrix shares it.
 """
 
 from __future__ import annotations
@@ -90,11 +84,9 @@ class ExecutionPlan:
     Attributes
     ----------
     matrix:
-        The source :class:`~repro.matrix.csr.CSRMatrix` (kept for cost
-        models and debugging; kernels only touch the flat arrays below).
-    schedule:
-        The source :class:`~repro.scheduler.schedule.Schedule`, or ``None``
-        for a serial plan.
+        The source :class:`~repro.matrix.csr.CSRMatrix` (kept for
+        staleness checks and debugging; kernels only touch the flat
+        arrays below).
     direction:
         ``"forward"`` (lower triangular) or ``"backward"`` (upper).
     rows:
@@ -102,7 +94,7 @@ class ExecutionPlan:
     batch_ptr:
         ``int64[n_batches + 1]`` — batch ``t`` spans
         ``rows[batch_ptr[t]:batch_ptr[t+1]]``; batch ``t`` holds the
-        rows of global dependency level ``t``, whatever the schedule.
+        rows of global dependency level ``t``.
     off_ptr / off_cols / off_vals:
         Concatenated off-diagonal gather structure aligned with positions
         in ``rows``: position ``k`` reads
@@ -113,12 +105,6 @@ class ExecutionPlan:
         ``float64[n]`` — diagonal value per position in ``rows``.
     pos:
         ``int64[n]`` — ``pos[row_id]`` is the row's position in ``rows``.
-    core_rows / core_ptr:
-        The schedule's per-core program order: core ``p`` executes
-        ``core_rows[core_ptr[p]:core_ptr[p+1]]``.
-    row_step:
-        ``int64[n]`` — the schedule's superstep per *row id* (all zeros
-        for serial plans).
     singular_row:
         Row id of the first missing/zero diagonal, ``-1`` when the matrix
         is solvable.  :meth:`require_solvable` turns it into a
@@ -129,15 +115,14 @@ class ExecutionPlan:
     >>> from repro.exec import compile_plan
     >>> from repro.matrix.generators import narrow_band_lower
     >>> plan = compile_plan(narrow_band_lower(100, 0.1, 5.0, seed=0))
-    >>> (plan.n, plan.direction, plan.n_cores)
-    (100, 'forward', 1)
+    >>> (plan.n, plan.direction)
+    (100, 'forward')
     >>> plan.n_batches >= 1
     True
     """
 
     __slots__ = (
         "matrix",
-        "schedule",
         "direction",
         "rows",
         "batch_ptr",
@@ -146,9 +131,6 @@ class ExecutionPlan:
         "off_vals",
         "diag",
         "pos",
-        "core_rows",
-        "core_ptr",
-        "row_step",
         "singular_row",
         "_singular_reason",
         "provenance",
@@ -184,18 +166,6 @@ class ExecutionPlan:
         return int(self.batch_ptr.size) - 1
 
     @property
-    def n_cores(self) -> int:
-        """Core count of the lowered schedule (1 for serial plans)."""
-        return int(self.core_ptr.size) - 1
-
-    @property
-    def n_supersteps(self) -> int:
-        """Superstep count of the lowered schedule (<= 1 for serial)."""
-        if self.row_step.size == 0:
-            return 0
-        return int(self.row_step.max()) + 1
-
-    @property
     def n_fused_groups(self) -> int:
         """Number of ``numba-parallel`` spans: one per batch of at least
         :data:`~repro.exec.backends.PARALLEL_BATCH_ROWS` rows, one per
@@ -209,10 +179,6 @@ class ExecutionPlan:
     def nnz_off(self) -> int:
         """Off-diagonal entries in the gather structure."""
         return int(self.off_cols.size)
-
-    def core_sequence(self, p: int) -> np.ndarray:
-        """Program-order row ids of core ``p``."""
-        return self.core_rows[self.core_ptr[p]:self.core_ptr[p + 1]]
 
     def require_solvable(self) -> None:
         """Raise :class:`SingularMatrixError` if a diagonal entry is
@@ -239,8 +205,7 @@ class ExecutionPlan:
     def __repr__(self) -> str:
         return (
             f"ExecutionPlan(n={self.n}, direction={self.direction!r}, "
-            f"batches={self.n_batches}, cores={self.n_cores}, "
-            f"supersteps={self.n_supersteps})"
+            f"batches={self.n_batches})"
         )
 
 
@@ -321,7 +286,7 @@ def compile_plan(
     check_diagonal: bool = True,
     validate: bool | None = None,
 ) -> ExecutionPlan:
-    """Lower ``(matrix, schedule)`` into an :class:`ExecutionPlan`.
+    """Lower ``matrix`` into an :class:`ExecutionPlan` of its level set.
 
     Parameters
     ----------
@@ -329,11 +294,11 @@ def compile_plan(
         Lower-triangular for ``direction="forward"``, upper-triangular for
         ``"backward"``.
     schedule:
-        Optional barrier schedule; ``None`` compiles a serial plan (one
-        core, one superstep).  Either way the executed batches are the
-        matrix's level set; the schedule supplies only the per-core
-        program (``core_rows`` / ``core_ptr`` / ``row_step``) the
-        machine simulators read.
+        Optional barrier schedule of ``matrix``.  It is only checked to
+        cover the matrix's rows (a
+        :class:`~repro.errors.MatrixFormatError` otherwise) and is not
+        read otherwise: the plan is the same with or without it.  The
+        machine simulators price a schedule directly.
     direction:
         Sweep direction; decides triangularity validation and the
         tie-break order inside a batch (ascending ids forward, descending
@@ -355,14 +320,10 @@ def compile_plan(
     --------
     >>> import numpy as np
     >>> from repro.exec import compile_plan, get_backend
-    >>> from repro.graph.dag import DAG
     >>> from repro.matrix.generators import narrow_band_lower
-    >>> from repro.scheduler import GrowLocalScheduler
     >>> from repro.solver.sptrsv import forward_substitution
     >>> L = narrow_band_lower(200, 0.1, 8.0, seed=0)
-    >>> schedule = GrowLocalScheduler().schedule(
-    ...     DAG.from_lower_triangular(L), 4)
-    >>> plan = compile_plan(L, schedule)     # compile once...
+    >>> plan = compile_plan(L)     # compile once...
     >>> x = get_backend().solve(plan, np.ones(L.n))  # ...execute many
     >>> np.allclose(x, forward_substitution(L, np.ones(L.n)))
     True
@@ -443,7 +404,7 @@ def _compile_plan_impl(
     off_indptr_all = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(off_counts_row, out=off_indptr_all[1:])
 
-    # --- batch layout: (dependency level, id), whatever the schedule ---
+    # --- batch layout: (dependency level, id) ---------------------------
     level = _levelize(n, off_cols_all, off_rows_all, direction)
     tie = (
         np.arange(n, dtype=np.int64)
@@ -471,29 +432,8 @@ def _compile_plan_impl(
     pos = np.empty(n, dtype=np.int64)
     pos[rows] = np.arange(n, dtype=np.int64)
 
-    # --- the schedule's per-core program (cost-model layout) -----------
-    if schedule is not None:
-        step = schedule.supersteps
-        sequences = schedule.core_sequences()
-        core_ptr = np.zeros(len(sequences) + 1, dtype=np.int64)
-        np.cumsum([seq.size for seq in sequences], out=core_ptr[1:])
-        core_rows = (
-            np.concatenate(sequences)
-            if sequences
-            else np.zeros(0, dtype=np.int64)
-        )
-    else:
-        step = np.zeros(n, dtype=np.int64)
-        core_ptr = np.array([0, n], dtype=np.int64)
-        core_rows = (
-            np.arange(n, dtype=np.int64)
-            if direction == "forward"
-            else np.arange(n - 1, -1, -1, dtype=np.int64)
-        )
-
     plan = ExecutionPlan(
         matrix=matrix,
-        schedule=schedule,
         direction=direction,
         rows=rows,
         batch_ptr=batch_ptr,
@@ -502,9 +442,6 @@ def _compile_plan_impl(
         off_vals=off_vals,
         diag=diag_by_row[rows],
         pos=pos,
-        core_rows=core_rows,
-        core_ptr=core_ptr,
-        row_step=step,
         singular_row=singular_row,
         _singular_reason=reason,
     )
@@ -517,8 +454,5 @@ def _compile_plan_impl(
 
         # cost-model plans (check_diagonal=False) may legally carry a
         # zero diagonal; require solvability only when the compiler did
-        check_plan(
-            plan, matrix=matrix, schedule=schedule,
-            require_solvable=check_diagonal,
-        )
+        check_plan(plan, matrix=matrix, require_solvable=check_diagonal)
     return plan

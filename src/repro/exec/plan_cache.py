@@ -1,18 +1,18 @@
 """Keyed cache for compiled execution artifacts, with hit/miss counters.
 
-Lowering a ``(matrix, schedule)`` pair is a one-time cost, but the seed
-experiment runner re-lowered the same pair on every call — once for the
-reordering stage, again for the simulation, again for every solve.  A
-:class:`PlanCache` memoizes any compiled artifact (plans, reordered
-matrices, whole scheduler runs) under a caller-chosen hashable key and
-counts hits and misses so callers (and tests) can verify that each
-(instance, scheduler, cores) triple is compiled exactly once.
+Lowering a matrix is a one-time cost, but the seed experiment runner
+re-lowered it on every call — once for the reordering stage, again for
+the simulation, again for every solve.  A :class:`PlanCache` memoizes
+any compiled artifact (plans, reordered matrices, whole scheduler runs)
+under a caller-chosen hashable key and counts hits and misses so
+callers (and tests) can verify that each executed matrix is compiled
+exactly once.
 
 The cache is **thread-safe** and, when bounded, evicts in **LRU** order:
 every hit moves its entry to the most-recently-used end, so the entries
-every consumer keeps coming back to (an instance's ``__serial__`` plan,
-hit by every scheduler of a suite) survive however many one-shot entries
-stream past them.  A plain FIFO bound would evict exactly those hottest,
+every consumer keeps coming back to (an instance's unpermuted plan, hit
+by every scheduler without the Section 5 reorder) survive however many
+one-shot entries stream past them.  A plain FIFO bound would evict exactly those hottest,
 first-inserted entries first.
 
 Builders run *outside* the lock: compiling a plan can take seconds, and
@@ -33,7 +33,7 @@ Behind the in-memory tier sits an optional **disk tier**: a
 lazily from ``REPRO_PLAN_STORE_DIR``).  When a lookup carries a
 ``store_key``, a memory miss consults the store before running the
 builder — a warm store turns a process's first compile of every
-``(matrix, schedule)`` pair into a load — and a freshly built
+matrix into a load — and a freshly built
 :class:`~repro.exec.plan.ExecutionPlan` is persisted best-effort for
 the next process.  The store's own integrity gate (mandatory
 ``check_plan`` plus fingerprint/toolchain/content-hash checks) runs on
@@ -135,7 +135,6 @@ class PlanCache:
         *,
         store_key=None,
         source_matrix=None,
-        source_schedule=None,
     ) -> T:
         """Return the cached value for ``key``, building it on first use.
 
@@ -146,8 +145,8 @@ class PlanCache:
         With a ``store_key`` (a :class:`~repro.store.plan_store
         .PlanKey`) and a configured disk tier, a memory miss first
         consults the :class:`~repro.store.plan_store.PlanStore` —
-        ``source_matrix``/``source_schedule`` are reattached to and
-        cross-checked against the loaded plan — and a freshly built
+        ``source_matrix`` is reattached to and cross-checked against
+        the loaded plan — and a freshly built
         plan is persisted best-effort.  Store rejections (corrupt,
         stale, failed ``check_plan``) fall through to the builder.
         """
@@ -165,9 +164,7 @@ class PlanCache:
             obs.get_registry().counter("plan_cache.misses").inc()
         store = self.plan_store if store_key is not None else None
         if store is not None:
-            loaded = store.get(
-                store_key, matrix=source_matrix, schedule=source_schedule
-            )
+            loaded = store.get(store_key, matrix=source_matrix)
             if loaded is not None:
                 # the store already ran the full integrity gate; insert
                 # first-insertion-wins like a built value

@@ -2,8 +2,8 @@
 
 :func:`~repro.experiments.runner.run_suite` is embarrassingly parallel
 across instances — every (instance, scheduler) cell is independent, and
-the plan cache only ever shares work *within* an instance (its serial
-plan and serial cycles) or across repeat runs.  :func:`run_suite_parallel`
+the plan cache only ever shares work *within* an instance (its
+unpermuted plan and serial cycles) or across repeat runs.  :func:`run_suite_parallel`
 exploits exactly that: instances are sharded across a process pool, each
 worker process owns a private :class:`~repro.exec.PlanCache` that
 persists across the shards it executes, and the per-shard results are

@@ -7,18 +7,20 @@ Section 6.1 for one (matrix, scheduler, machine) triple:
    Section 5 locality reordering (both are scheduling-side work, so both
    are wall-clock timed into the ``scheduling_seconds`` numerator of the
    amortization threshold, Eq. 7.1);
-2. lower the scheduled problem once into an
-   :class:`~repro.exec.plan.ExecutionPlan`;
-3. simulate the parallel execution (BSP simulator, or the event-driven
-   asynchronous simulator for SpMP) and the serial execution off the plan;
+2. take the executed matrix's :class:`~repro.exec.plan.ExecutionPlan`
+   (its level set, whatever the schedule) for the solves;
+3. simulate the parallel execution of the schedule (BSP simulator, or
+   the event-driven asynchronous simulator for SpMP) and the serial
+   execution — the simulators price the schedule itself, not the plan;
 4. derive speed-up, barrier reduction, flop rate and amortization.
 
-Compiled artifacts are memoized in a :class:`~repro.exec.PlanCache` keyed
-by ``(instance, scheduler, cores, reorder)``: :func:`run_suite` shares one
-cache across the whole suite so each triple is scheduled, reordered and
-lowered exactly once, however many reorder/simulate/solve stages consume
-it.  Cache hit/miss counters are surfaced on every
-:class:`ExperimentResult`.
+Scheduled triples are memoized in a :class:`~repro.exec.PlanCache` keyed
+by ``(instance, scheduler, cores, reorder)``, and plans by executed
+matrix: an instance's unpermuted matrix has one plan, shared by every
+scheduler without the Section 5 reorder, and each reorder has its own.
+:func:`run_suite` shares one cache across the whole suite, so each
+triple is scheduled once and each executed matrix lowered once.  Cache
+hit/miss counters are surfaced on every :class:`ExperimentResult`.
 """
 
 from __future__ import annotations
@@ -107,12 +109,13 @@ class ExperimentResult:
 
 @dataclass
 class _CompiledTriple:
-    """One (instance, scheduler, cores) triple, lowered once.
+    """One (instance, scheduler, cores) triple, scheduled once.
 
     Everything downstream stages need: the schedule, the (possibly
-    reordered) executed matrix/schedule, the execution plan, the captured
-    sync DAG for asynchronous schedulers, and the scheduling wall-clock
-    time (schedule + reordering permutation, per Eq. 7.1)."""
+    reordered) executed matrix/schedule, the executed matrix's plan
+    (shared with every triple that executes the same matrix), the
+    captured sync DAG for asynchronous schedulers, and the scheduling
+    wall-clock time (schedule + reordering permutation, per Eq. 7.1)."""
 
     schedule: object
     exec_matrix: object
@@ -129,9 +132,10 @@ def _compile_triple(
     scheduler: Scheduler,
     cores: int,
     reorder: bool,
-    store=None,
+    cache: PlanCache,
 ) -> _CompiledTriple:
-    """Schedule, reorder and lower one triple (the cache-miss path)."""
+    """Schedule and reorder one triple, and take its executed matrix's
+    plan from ``cache`` (the cache-miss path)."""
     # The Section 5 reordering permutation is scheduling-side work: its
     # cost belongs in the amortization numerator alongside the scheduler
     # proper, so the timer covers both.
@@ -146,26 +150,22 @@ def _compile_triple(
             exec_schedule = schedule.reorder_vertices(perm)
     # capture per-call scheduler state before the next schedule() call
     sync_dag = getattr(scheduler, "sync_dag", None)
-    # the disk tier sits between scheduling and lowering: scheduling is
-    # always paid (the schedule object itself is not persisted), but a
-    # warm PlanStore replaces the lowering with a verified load — the
-    # fingerprint is over the *executed* (possibly reordered) matrix, so
-    # reordered and plain triples never collide
-    plan = None
-    if store is not None:
+    # one plan per executed matrix: the unpermuted matrix's entry serves
+    # every triple without the reorder, each reorder gets its own.  The
+    # disk tier is keyed by the executed matrix's fingerprint, so
+    # reordered and plain matrices never collide
+    store_key = None
+    if cache.plan_store is not None:
         from repro.store.plan_store import plan_store_key
 
-        key = plan_store_key(
-            exec_matrix, exec_schedule, scheduler=scheduler.name
-        )
-        plan = store.get(key, matrix=exec_matrix, schedule=exec_schedule)
-        if plan is None:
-            plan = compile_plan(
-                exec_matrix, exec_schedule, check_diagonal=False
-            )
-            store.put(plan, key)
-    else:
-        plan = compile_plan(exec_matrix, exec_schedule, check_diagonal=False)
+        store_key = plan_store_key(exec_matrix)
+    plan = cache.get_or_build(
+        (inst.name, "__plan__", scheduler.name, cores) if reordered
+        else (inst.name, "__plan__"),
+        lambda: compile_plan(exec_matrix, check_diagonal=False),
+        store_key=store_key,
+        source_matrix=exec_matrix,
+    )
     return _CompiledTriple(
         schedule=schedule,
         exec_matrix=exec_matrix,
@@ -208,55 +208,28 @@ def compiled_entry(
 ) -> _CompiledTriple:
     """The cached compiled triple of ``(inst, scheduler, cores, reorder)``.
 
-    This is the single cache-key convention for scheduled-and-lowered
-    triples: the experiment runner, the autotuner's prior and its racing
-    loop all go through it, so a triple is scheduled, reordered and
-    lowered at most once per shared cache no matter which consumer asks
-    first.
+    This is the single cache-key convention for scheduled triples: the
+    experiment runner, the autotuner's prior and its racing loop all go
+    through it, so a triple is scheduled and reordered at most once per
+    shared cache no matter which consumer asks first, and its executed
+    matrix lowered at most once.
     """
     return cache.get_or_build(
         (inst.name, scheduler.name, cores, bool(reorder)),
-        lambda: _compile_triple(
-            inst, scheduler, cores, bool(reorder),
-            store=cache.plan_store,
-        ),
-    )
-
-
-def _serial_plan(inst: DatasetInstance, cache: PlanCache) -> ExecutionPlan:
-    """The instance's serial plan (the speed-up denominator), cached once
-    per instance and shared by every scheduler in a suite; with a
-    configured disk tier it is loaded from the
-    :class:`~repro.store.plan_store.PlanStore` instead of compiled."""
-    store_key = None
-    if cache.plan_store is not None:
-        from repro.store.plan_store import plan_store_key
-
-        store_key = plan_store_key(inst.lower, None)
-    return cache.get_or_build(
-        (inst.name, "__serial__", 1, False),
-        lambda: compile_plan(inst.lower, check_diagonal=False),
-        store_key=store_key,
-        source_matrix=inst.lower,
+        lambda: _compile_triple(inst, scheduler, cores, bool(reorder), cache),
     )
 
 
 def _serial_cycles(
     inst: DatasetInstance, machine: MachineModel, cache: PlanCache
 ) -> float:
-    """Serial execution cycles, cached per (instance, machine): pricing
-    the full-matrix cache model dominates the lowering, so the simulated
-    number itself is memoized (``MachineModel`` is frozen, hence a valid
-    key component) and shared by every scheduler in a suite.
-
-    The serial plan is fetched on *every* call, not only when the cycles
-    miss: the touch keeps the suite's most-reused entry at the
-    most-recently-used end of a bounded cache, so LRU eviction spares it.
-    """
-    plan = _serial_plan(inst, cache)
+    """Serial execution cycles, cached per (instance, machine): the
+    simulated number is memoized (``MachineModel`` is frozen, hence a
+    valid key component) and shared by every scheduler in a suite.  It
+    is priced without a plan: one core running rows ``0..n-1``."""
     return cache.get_or_build(
         (inst.name, "__serial_cycles__", machine),
-        lambda: simulate_serial(inst.lower, machine, plan=plan),
+        lambda: simulate_serial(inst.lower, machine),
     )
 
 
@@ -282,9 +255,10 @@ def run_instance(
         them), off for the baselines.
     plan_cache:
         Shared :class:`~repro.exec.PlanCache`; when given, the
-        (instance, scheduler, cores) triple is scheduled and lowered at
-        most once across every call using the same cache (instances are
-        identified by name).  A private cache is used when omitted.
+        (instance, scheduler, cores) triple is scheduled at most once,
+        and its executed matrix lowered at most once, across every call
+        using the same cache (instances are identified by name).  A
+        private cache is used when omitted.
     """
     cores = machine.n_cores if n_cores is None else min(n_cores,
                                                         machine.n_cores)
@@ -305,16 +279,11 @@ def run_instance(
     if entry.mode == "async":
         sync_dag = entry.sync_dag or inst.dag
         sim = simulate_async(
-            entry.exec_matrix, entry.exec_schedule, sync_dag, machine,
-            plan=entry.plan,
+            entry.exec_matrix, entry.exec_schedule, sync_dag, machine
         )
-        parallel_cycles = sim.total_cycles
     else:
-        sim = simulate_bsp(
-            entry.exec_matrix, entry.exec_schedule, machine,
-            plan=entry.plan,
-        )
-        parallel_cycles = sim.total_cycles
+        sim = simulate_bsp(entry.exec_matrix, entry.exec_schedule, machine)
+    parallel_cycles = sim.total_cycles
 
     serial_cycles = _serial_cycles(inst, machine, cache)
     schedule = entry.schedule
@@ -373,8 +342,9 @@ def run_suite(
     One :class:`~repro.exec.PlanCache` spans the whole suite (pass your
     own to span several suites — e.g. the same instances on different
     machine models): each (instance, scheduler, cores) triple is
-    scheduled, reordered and lowered exactly once, and each instance's
-    serial plan is compiled once and shared by every scheduler."""
+    scheduled and reordered exactly once, and each executed matrix is
+    compiled once — an instance's unpermuted plan is shared by every
+    scheduler without the Section 5 reorder."""
     cache = plan_cache if plan_cache is not None else PlanCache()
     out: dict[str, list[ExperimentResult]] = {name: [] for name in schedulers}
     for inst in instances:

@@ -16,13 +16,15 @@ schedule and machine parameters:
   ``sum_s max_p T(s, p) + barriers * L_arch``;
 * :mod:`~repro.machine.async_sim` — event-driven asynchronous execution
   with point-to-point waits (SpMP's execution model);
-* :mod:`~repro.machine.serial_sim` — the serial baseline.
+* :mod:`~repro.machine.serial_sim` — the serial baseline;
+* :mod:`~repro.machine.trace` — per-superstep, per-core busy times of a
+  synchronous execution and a text Gantt chart.
 
-All three simulators cost their workloads through the single plan-based
-kernel of :mod:`repro.exec.cost`: schedules are lowered once by
-:func:`repro.exec.compile_plan` and the resulting
-:class:`~repro.exec.plan.ExecutionPlan` can be passed to any simulator
-(and to the solvers) to amortize the lowering.
+All four cost their workloads through the single kernel of
+:mod:`~repro.machine.cost`, which prices a
+:class:`~repro.scheduler.schedule.Schedule` directly — its per-core
+sequences and superstep map are the program the simulated machine runs
+— so simulating compiles no execution plan.
 """
 
 from repro.machine.async_sim import AsyncSimResult, simulate_async

@@ -14,17 +14,17 @@ program order and the dependency order, computing
                     max over cross-core deps u of finish(u) + p2p_latency)
     finish(v) = start(v) + row_cost(v) + p2p_check * #cross-core deps
 
-with the same per-row costs (compute + cache) as the BSP simulator.  The
-makespan is the maximum core clock.
+with the same per-row costs (compute + cache) as the BSP simulator, from
+the shared kernel of :mod:`repro.machine.cost`.  The makespan is the
+maximum core clock.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.exec.cost import row_cost_and_position
-from repro.exec.plan import ExecutionPlan, compile_plan
 from repro.graph.dag import DAG
+from repro.machine.cost import row_cost_and_position
 from repro.machine.model import MachineModel
 from repro.matrix.csr import CSRMatrix
 from repro.scheduler.schedule import Schedule
@@ -83,8 +83,6 @@ def simulate_async(
     schedule: Schedule,
     sync_dag: DAG,
     machine: MachineModel,
-    *,
-    plan: ExecutionPlan | None = None,
 ) -> AsyncSimResult:
     """Simulate asynchronous execution of ``schedule`` on ``machine``.
 
@@ -94,18 +92,12 @@ def simulate_async(
         The DAG whose edges require synchronization — for SpMP, the
         transitively reduced DAG (fewer edges, fewer waits).  Must be a
         subgraph of the full dependence DAG covering its reachability.
-    plan:
-        Precompiled plan for ``(lower, schedule)``; compiled on the fly
-        when omitted.  Costing shares the plan-based kernel of
-        :mod:`repro.exec.cost` with the other simulators.
     """
     n = schedule.n
     core_of = schedule.cores
 
     # per-core program order and per-row costs from the shared kernel
-    if plan is None:
-        plan = compile_plan(lower, schedule, check_diagonal=False)
-    cost, seq_pos = row_cost_and_position(plan, machine)
+    cost, seq_pos = row_cost_and_position(lower, schedule, machine)
 
     # global processing order consistent with program order and deps:
     # (superstep, position within core) — deps sit in earlier supersteps

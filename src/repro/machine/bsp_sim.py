@@ -9,10 +9,10 @@ where ``T(s, p)`` sums the per-row costs (compute + cache) of the rows core
 across supersteps, and ``L_arch`` is the machine's barrier cost at the
 number of cores that ever receive work.
 
-Costing runs on the shared plan-based kernel of :mod:`repro.exec.cost`
-(one implementation for the BSP, asynchronous and serial simulators); pass
-a precompiled :class:`~repro.exec.plan.ExecutionPlan` to amortize the
-lowering across repeated simulations of the same ``(matrix, schedule)``.
+Costing runs on the shared kernel of :mod:`repro.machine.cost` (one
+implementation for the BSP, asynchronous, serial and trace simulators),
+which prices the schedule's own per-core sequences and superstep map:
+simulating compiles nothing.
 
 This is the measurement model behind Tables 7.1/7.3/7.4/7.5 and
 Figures 1.2/7.1/7.2.
@@ -22,8 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.exec.cost import bsp_cost_matrix
-from repro.exec.plan import ExecutionPlan, compile_plan
+from repro.machine.cost import bsp_cost_matrix
 from repro.machine.model import MachineModel
 from repro.machine.serial_sim import simulate_serial
 from repro.matrix.csr import CSRMatrix
@@ -91,21 +90,12 @@ def simulate_bsp(
     lower: CSRMatrix,
     schedule: Schedule,
     machine: MachineModel,
-    *,
-    plan: ExecutionPlan | None = None,
 ) -> BSPSimResult:
-    """Simulate the synchronous execution of ``schedule`` on ``machine``.
-
-    Parameters
-    ----------
-    plan:
-        Precompiled plan for ``(lower, schedule)``; compiled on the fly
-        when omitted (cost models need no diagonal validation).
-    """
-    if plan is None:
-        plan = compile_plan(lower, schedule, check_diagonal=False)
+    """Simulate the synchronous execution of ``schedule`` on ``machine``."""
     n_steps = schedule.n_supersteps
-    step_core, core_busy, active_cores = bsp_cost_matrix(plan, machine)
+    step_core, core_busy, active_cores = bsp_cost_matrix(
+        lower, schedule, machine
+    )
 
     superstep_cycles = step_core.max(axis=1)
     compute = float(superstep_cycles.sum())

@@ -2,16 +2,14 @@
 
 The serial kernel sweeps rows ``0..n-1`` in storage order — perfect matrix
 streaming and whatever x-vector locality the ordering provides — with no
-synchronization of any kind.  Costing shares the plan-based kernel of
-:mod:`repro.exec.cost`; pass a precompiled serial plan to amortize the
-lowering when the same matrix is simulated repeatedly (the experiment
-runner caches one serial plan per instance).
+synchronization of any kind.  Costing shares the kernel of
+:mod:`repro.machine.cost` with the other simulators: one core running
+rows ``0..n-1``, priced without compiling anything.
 """
 
 from __future__ import annotations
 
-from repro.exec.cost import per_core_costs
-from repro.exec.plan import ExecutionPlan, compile_plan
+from repro.machine.cost import serial_costs
 from repro.machine.model import MachineModel
 from repro.matrix.csr import CSRMatrix
 
@@ -21,10 +19,6 @@ __all__ = ["simulate_serial"]
 def simulate_serial(
     lower: CSRMatrix,
     machine: MachineModel,
-    *,
-    plan: ExecutionPlan | None = None,
 ) -> float:
     """Simulated cycles of one serial forward substitution."""
-    if plan is None:
-        plan = compile_plan(lower, check_diagonal=False)
-    return float(sum(c.sum() for c in per_core_costs(plan, machine)))
+    return float(serial_costs(lower, machine).sum())

@@ -11,8 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.exec.cost import bsp_cost_matrix
-from repro.exec.plan import ExecutionPlan, compile_plan
+from repro.machine.cost import bsp_cost_matrix
 from repro.machine.model import MachineModel
 from repro.matrix.csr import CSRMatrix
 from repro.scheduler.schedule import Schedule
@@ -88,17 +87,13 @@ def trace_bsp(
     lower: CSRMatrix,
     schedule: Schedule,
     machine: MachineModel,
-    *,
-    plan: ExecutionPlan | None = None,
 ) -> ExecutionTrace:
     """Build an :class:`ExecutionTrace` for a synchronous execution.
 
-    Shares the plan-based cost kernel (:mod:`repro.exec.cost`) with the
+    Shares the cost kernel (:mod:`repro.machine.cost`) with the
     simulators, so trace totals agree with :func:`simulate_bsp` exactly.
     """
-    if plan is None:
-        plan = compile_plan(lower, schedule, check_diagonal=False)
-    busy, _, active = bsp_cost_matrix(plan, machine)
+    busy, _, active = bsp_cost_matrix(lower, schedule, machine)
     return ExecutionTrace(busy, machine.barrier_cost(max(active, 1)))
 
 

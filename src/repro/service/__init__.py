@@ -3,7 +3,7 @@
 The paper's amortization argument (Table 7.6, Eq. 7.1) is that schedule
 compilation pays for itself over *many* solves.  This package supplies
 the missing serving layer over :mod:`repro.exec`: a
-:class:`SolveService` holds registered ``(matrix, schedule)`` systems —
+:class:`SolveService` holds registered matrices —
 each lowered once into an :class:`~repro.exec.plan.ExecutionPlan`
 through a shared thread-safe :class:`~repro.exec.PlanCache` — and
 serves keyed solve requests against them.  Concurrent single-RHS

@@ -44,7 +44,6 @@ import numpy as np
 from repro.errors import ConfigurationError, ServiceClosedError
 from repro.exec import ExecutionPlan, PlanCache
 from repro.matrix.csr import CSRMatrix
-from repro.scheduler.schedule import Schedule
 from repro.service.service import SolveService
 from repro.service.stats import SystemStats
 
@@ -212,14 +211,13 @@ class ServingGateway:
         self,
         key: object,
         matrix: CSRMatrix,
-        schedule: Schedule | None = None,
         **kwargs,
     ) -> ExecutionPlan:
         """Register a system on its hash-designated shard.
 
         Accepts everything :meth:`SolveService.register` does.
         """
-        return self._shard(key).register(key, matrix, schedule, **kwargs)
+        return self._shard(key).register(key, matrix, **kwargs)
 
     def unregister(self, key: object) -> SystemStats:
         """Remove a system from its shard, returning final stats."""

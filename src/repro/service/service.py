@@ -49,7 +49,6 @@ from repro.exec import (
 )
 from repro.matrix.csr import CSRMatrix
 from repro.obs_gate import get_obs
-from repro.scheduler.schedule import Schedule
 from repro.service.stats import SystemStats
 
 __all__ = ["SolveService"]
@@ -241,34 +240,24 @@ class SolveService:
         self,
         key: object,
         matrix: CSRMatrix,
-        schedule: Schedule | None = None,
         *,
         direction: str = "forward",
         plan: ExecutionPlan | None = None,
     ) -> ExecutionPlan:
-        """Register ``(matrix, schedule)`` as a solve target under ``key``.
+        """Register ``matrix`` as a solve target under ``key``.
 
-        The pair is lowered through the shared plan cache (cache key
+        The matrix is lowered to its level-set plan — one batch per
+        dependency level — through the shared plan cache (cache key
         ``("__service__", key, direction)``), so re-creating a service —
         or running several — over the same cache compiles each system
         once.  A cached plan is only reused when it was compiled for
-        *these* ``matrix``/``schedule`` objects; re-registering a key
-        with different inputs compiles fresh instead of silently serving
-        the stale plan.  ``schedule=None`` compiles the level-set plan:
-        one batch per dependency level, the fewest batches any schedule
-        of ``matrix`` lowers to.  Pass a precompiled ``plan`` to bypass
-        the cache (it is validated against ``matrix``).  Singular
-        systems are rejected here, at registration, never in the worker
-        thread.  Returns the compiled plan.
+        *this* ``matrix`` object; re-registering a key with a different
+        matrix compiles fresh instead of silently serving the stale
+        plan.  Pass a precompiled ``plan`` to bypass the cache (it is
+        validated against ``matrix``).  Singular systems are rejected
+        here, at registration, never in the worker thread.  Returns the
+        compiled plan.
         """
-        if isinstance(schedule, str):
-            raise ConfigurationError(
-                f"unknown schedule spec {schedule!r}; pass a Schedule, or "
-                "schedule=None for the level-set plan (the fewest batches "
-                "of any schedule of this matrix). To choose a scheduler "
-                "for a simulated machine, use `repro tune` or "
-                "make_scheduler('auto')"
-            )
         if plan is not None:
             plan.require_compatible(matrix.n, direction)
             if plan.matrix is not matrix:
@@ -284,23 +273,19 @@ class SolveService:
                 # a disk tier is configured (REPRO_PLAN_STORE_DIR)
                 from repro.store.plan_store import plan_store_key
 
-                store_key = plan_store_key(
-                    matrix, schedule, direction=direction
-                )
+                store_key = plan_store_key(matrix, direction=direction)
             plan = self._cache.get_or_build(
                 cache_key,
-                lambda: compile_plan(matrix, schedule, direction=direction),
+                lambda: compile_plan(matrix, direction=direction),
                 store_key=store_key,
                 source_matrix=matrix,
-                source_schedule=schedule,
             )
-            if plan.matrix is not matrix or plan.schedule is not schedule:
+            if plan.matrix is not matrix:
                 # cache hit for a different system under the same key:
                 # compile fresh and replace the stale entry, so repeat
                 # registrations of the new system hit again
                 plan = self._cache.put(
-                    cache_key,
-                    compile_plan(matrix, schedule, direction=direction),
+                    cache_key, compile_plan(matrix, direction=direction)
                 )
         plan.require_solvable()
         with self._cond:

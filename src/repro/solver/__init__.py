@@ -1,6 +1,6 @@
 """SpTRSV execution: plan-based kernels, schedule-driven execution, threads.
 
-All solve paths lower their ``(matrix, schedule)`` pair through the
+All solve paths lower their matrix through the
 :mod:`repro.exec` subsystem — :func:`repro.exec.compile_plan` builds an
 :class:`~repro.exec.plan.ExecutionPlan` once, and a pluggable backend
 kernel (:func:`repro.exec.get_backend`) executes it: on the ``numpy``

@@ -1,9 +1,10 @@
 """Schedule-driven SpTRSV execution (deterministic emulation).
 
 Executes a schedule through the :mod:`repro.exec` subsystem: the
-``(matrix, schedule)`` pair is lowered once into an
-:class:`~repro.exec.plan.ExecutionPlan`, whose executed batches are the
-matrix's global dependency levels whatever the schedule, and a backend
+matrix is lowered once into an :class:`~repro.exec.plan.ExecutionPlan`,
+whose executed batches are the matrix's global dependency levels
+whatever the schedule (the schedule is only checked to cover the
+matrix), and a backend
 kernel runs one vectorized gather/scatter per batch.  Every row reads
 only finished rows, so the result equals, up to rounding, running each
 core's rows in vertex-id order between barriers — the semantics of the

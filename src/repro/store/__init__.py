@@ -16,7 +16,6 @@ from repro.store.plan_store import (
     PlanStore,
     plan_store_from_env,
     plan_store_key,
-    schedule_identity,
     toolchain_digest,
 )
 
@@ -28,6 +27,5 @@ __all__ = [
     "PlanStore",
     "plan_store_from_env",
     "plan_store_key",
-    "schedule_identity",
     "toolchain_digest",
 ]

@@ -3,37 +3,37 @@
 A :class:`PlanStore` persists the lowered arrays of
 :class:`~repro.exec.plan.ExecutionPlan`s on disk, so a later process —
 suite workers, services, CLI runs — can load a verified plan instead of
-lowering its ``(matrix, schedule)`` pair again.  Only the lowering is
-replaced: scheduling is still paid, because the schedule is not
-persisted and the store key is built from it.  Lowering is O(nnz), and
-so is the integrity gate below, so a load costs about as much as the
-compile it replaces.
+lowering its matrix again.  A plan is its matrix's level set, so the
+store key names the matrix and the sweep direction, never a schedule;
+only the lowering is replaced, and scheduling is still paid wherever a
+schedule is wanted.  Lowering is O(nnz), and so is the integrity gate
+below, so a load costs about as much as the compile it replaces.
 
 Format (version :data:`PLAN_STORE_VERSION`)
 -------------------------------------------
 One artifact is two sibling files under the store directory:
 
-* ``<stem>.npz`` — the plan's ten flat arrays (batch layout, gather
-  structure, diagonal, permutations, core program order), written
+* ``<stem>.npz`` — the plan's seven flat arrays (batch layout, gather
+  structure, diagonal, row permutation and its inverse), written
   uncompressed so members are plain ``.npy`` payloads (nothing is
   pickled and loads pass ``allow_pickle=False``);
-* ``<stem>.json`` — the sidecar: format version, the exact lookup key,
-  sweep direction, the matrix fingerprint, the schedule identity
-  (content hash of the superstep/core assignment), the toolchain
-  digest (plan-compiler source + NumPy + Python versions, mirroring
-  the persistent-JIT cache key) and a content hash over the arrays
-  *and* the sidecar scalars.
+* ``<stem>.json`` — the sidecar: format version, the exact lookup key
+  (matrix fingerprint, sweep direction, dtype), the row count and
+  singularity, the toolchain digest (plan-compiler source + NumPy +
+  Python versions, mirroring the persistent-JIT cache key) and a
+  content hash over the arrays *and* the sidecar scalars.
 
-The store is keyed **exactly** — ``(matrix_fingerprint, scheduler,
-cores, dtype)``, see :class:`PlanKey` — and the stem embeds a hash of
-the full key, so lookup is a single ``stat``.  Backend dispatch spans
-are derived from the loaded batches, never stored.
+The store is keyed **exactly** — ``(matrix_fingerprint, direction,
+dtype)``, see :class:`PlanKey` — and the stem embeds a hash of the full
+key, so lookup is a single ``stat``.  Backend dispatch spans are
+derived from the loaded batches, never stored.
 
 Integrity gate
 --------------
 A deserialized plan may **never** serve unverified.  :meth:`PlanStore
 .load` rejects with a named :class:`~repro.errors.PlanArtifactError`
-subclass on a version, key, toolchain or content-hash mismatch, and
+subclass on a version, key, toolchain or content-hash mismatch (an
+older format's store or sidecar is refused by its version), and
 every surviving plan must still pass the mandatory
 :func:`repro.analysis.verify.check_plan` (unconditional — not behind
 ``REPRO_VALIDATE_PLANS``) before it is returned.  Cache-tier callers
@@ -45,9 +45,10 @@ Writes are crash- and race-safe: payloads land in a same-directory
 temp file and are renamed into place (:mod:`repro.utils.atomic`
 semantics), the sidecar is written *after* the npz (a sidecar is the
 commit record), and writers claim a key via an exclusive-create lock
-file so racing processes produce exactly one artifact per key.  Disk usage is LRU-bounded: loads touch the sidecar
-mtime and :meth:`PlanStore.gc` evicts least-recently-used artifacts
-beyond the byte budget (``REPRO_PLAN_STORE_MAX_BYTES``).
+file so racing processes produce exactly one artifact per key.  Disk
+usage is LRU-bounded: loads touch the sidecar mtime and
+:meth:`PlanStore.gc` evicts least-recently-used artifacts beyond the
+byte budget (``REPRO_PLAN_STORE_MAX_BYTES``, at least 0).
 """
 
 from __future__ import annotations
@@ -68,6 +69,7 @@ import numpy as np
 
 from repro.errors import (
     ConfigurationError,
+    MatrixFormatError,
     PlanArtifactCorruptError,
     PlanArtifactError,
     PlanArtifactMissingError,
@@ -87,20 +89,19 @@ __all__ = [
     "PlanStore",
     "plan_store_from_env",
     "plan_store_key",
-    "schedule_identity",
     "toolchain_digest",
 ]
 
 #: Format version of plan-store artifacts; bump on incompatible layout
 #: changes.  A mismatch is a named rejection, never a reinterpretation.
-PLAN_STORE_VERSION = 3
+PLAN_STORE_VERSION = 4
 
 #: Environment variable pointing the disk tier of every
 #: :class:`~repro.exec.PlanCache` at a store directory.
 PLAN_STORE_ENV_VAR = "REPRO_PLAN_STORE_DIR"
 
 #: Environment variable bounding a store's disk usage in bytes (LRU
-#: eviction beyond it; unset means unbounded).
+#: eviction beyond it; unset means unbounded, negative is refused).
 PLAN_STORE_MAX_BYTES_ENV_VAR = "REPRO_PLAN_STORE_MAX_BYTES"
 
 #: Meta file inside a plan-store directory.
@@ -117,9 +118,6 @@ ARRAY_FIELDS = (
     "off_vals",
     "diag",
     "pos",
-    "core_rows",
-    "core_ptr",
-    "row_step",
 )
 
 _STEM_UNSAFE = re.compile(r"[^A-Za-z0-9._-]")
@@ -156,47 +154,23 @@ def toolchain_digest() -> str:
     return h.hexdigest()[:16]
 
 
-def schedule_identity(schedule) -> str:
-    """Content identity of a schedule (``"__serial__"`` for ``None``).
-
-    Hashes the per-vertex core and superstep assignments, so two
-    schedules with identical content share an identity regardless of
-    which scheduler object produced them — and a plan artifact can be
-    cross-checked against the schedule a later process recomputed.
-    """
-    if schedule is None:
-        return "__serial__"
-    h = hashlib.sha256()
-    h.update(np.ascontiguousarray(schedule.cores).tobytes())
-    h.update(np.ascontiguousarray(schedule.supersteps).tobytes())
-    h.update(str(int(schedule.n_cores)).encode())
-    return (
-        f"sched-{int(schedule.n_cores)}x{int(schedule.n_supersteps)}-"
-        f"{h.hexdigest()[:12]}"
-    )
-
-
 @dataclass(frozen=True)
 class PlanKey:
     """The exact lookup key of one persisted plan.
 
-    ``scheduler`` is a caller-chosen label (a scheduler registry name,
-    a schedule content identity for ad-hoc schedules, ``"__serial__"``
-    for serial plans); the sidecar additionally records the schedule's
-    *content* identity, so a label collision is caught at load time as
-    a stale artifact rather than served.
+    A plan is its matrix's level set, so the matrix's content
+    fingerprint, the sweep direction and the value dtype name it
+    exactly: every schedule of one matrix shares one artifact.
     """
 
     matrix_fingerprint: str
-    scheduler: str
-    cores: int
+    direction: str = "forward"
     dtype: str = "float64"
 
     def as_dict(self) -> dict:
         return {
             "matrix_fingerprint": self.matrix_fingerprint,
-            "scheduler": self.scheduler,
-            "cores": int(self.cores),
+            "direction": self.direction,
             "dtype": self.dtype,
         }
 
@@ -209,7 +183,7 @@ class PlanKey:
         ).hexdigest()[:10]
         return (
             f"plan-{_sanitize(self.matrix_fingerprint)}"
-            f"-{_sanitize(self.scheduler)}-c{int(self.cores)}"
+            f"-{_sanitize(self.direction)}"
             f"-{_sanitize(self.dtype)}"
             f"-{digest}"
         )
@@ -219,31 +193,41 @@ def plan_store_key(
     matrix,
     schedule=None,
     *,
-    scheduler: str | None = None,
     dtype: str = "float64",
     direction: str = "forward",
 ) -> PlanKey:
-    """The :class:`PlanKey` a ``compile_plan(matrix, schedule, ...)``
+    """The :class:`PlanKey` a ``compile_plan(matrix, direction=...)``
     call's plan is stored under.
 
-    ``scheduler`` defaults to the schedule's content identity
-    (``"__serial__"`` for serial plans).  A non-forward sweep is folded
-    into the scheduler label — direction changes the lowering, so it
-    must change the key.
+    ``schedule`` is only checked to cover the matrix's rows (a
+    :class:`~repro.errors.MatrixFormatError` otherwise) and is not read
+    otherwise: every schedule of one matrix shares the key.
     """
     # deferred import: the tuner layer (fingerprints) sits above this
     # store module in some import chains
     from repro.tuner.auto import matrix_fingerprint
 
-    label = scheduler if scheduler is not None else schedule_identity(schedule)
-    if direction != "forward":
-        label = f"{label}@{direction}"
+    if schedule is not None and schedule.n != matrix.n:
+        raise MatrixFormatError(
+            f"schedule covers {schedule.n} rows, matrix has {matrix.n}"
+        )
     return PlanKey(
         matrix_fingerprint=matrix_fingerprint(matrix),
-        scheduler=str(label),
-        cores=int(schedule.n_cores) if schedule is not None else 1,
+        direction=str(direction),
         dtype=str(dtype),
     )
+
+
+def _budget(value: int | None, source: str) -> int | None:
+    """A byte budget, refused (:class:`~repro.errors
+    .ConfigurationError`) when negative: a negative budget would evict
+    every artifact, the one just written included."""
+    if value is not None and value < 0:
+        raise ConfigurationError(
+            f"{source}={value} is negative; a plan-store byte budget "
+            f"must be at least 0"
+        )
+    return value
 
 
 def plan_store_from_env() -> "PlanStore | None":
@@ -259,8 +243,8 @@ def _artifact_hash(arrays: dict, scalars: dict) -> str:
     """Content hash over the arrays *and* the sidecar scalars.
 
     Any byte flip in any array, and any tamper of a hashed sidecar
-    field (direction, singularity, key, schedule identity), changes
-    the digest — the corruption gate the load path enforces.
+    field (direction, singularity, key), changes the digest — the
+    corruption gate the load path enforces.
     """
     h = hashlib.sha256()
     h.update(json.dumps(scalars, sort_keys=True).encode())
@@ -285,9 +269,9 @@ class PlanStore:
         Store directory, created (with a versioned meta file) when
         missing and ``create`` is true.
     max_bytes:
-        LRU disk budget; ``None`` reads ``REPRO_PLAN_STORE_MAX_BYTES``
-        (unset: unbounded).  Enforced after every save and by
-        :meth:`gc`.
+        LRU disk budget, at least 0; ``None`` reads
+        ``REPRO_PLAN_STORE_MAX_BYTES`` (unset: unbounded).  Enforced
+        after every save and by :meth:`gc`.
     create:
         Refuse (:class:`~repro.errors.ConfigurationError`) instead of
         creating when the directory is missing — the read-side guard
@@ -300,7 +284,7 @@ class PlanStore:
     >>> from repro.matrix.generators import narrow_band_lower
     >>> from repro.store import PlanStore, plan_store_key
     >>> L = narrow_band_lower(60, 0.2, 5.0, seed=0)
-    >>> key = plan_store_key(L, None)
+    >>> key = plan_store_key(L)
     >>> with tempfile.TemporaryDirectory() as tmp:
     ...     store = PlanStore(tmp)
     ...     _ = store.save(compile_plan(L), key)
@@ -317,6 +301,7 @@ class PlanStore:
         create: bool = True,
     ) -> None:
         self.path = os.fspath(path)
+        source = "max_bytes"
         if max_bytes is None:
             env = os.environ.get(PLAN_STORE_MAX_BYTES_ENV_VAR, "").strip()
             if env:
@@ -327,7 +312,8 @@ class PlanStore:
                         f"{PLAN_STORE_MAX_BYTES_ENV_VAR}={env!r} is not "
                         f"an integer"
                     ) from None
-        self.max_bytes = max_bytes
+                source = PLAN_STORE_MAX_BYTES_ENV_VAR
+        self.max_bytes = _budget(max_bytes, source)
         self._lock = threading.Lock()
         self.hits = 0
         self.misses = 0
@@ -403,7 +389,6 @@ class PlanStore:
             "n": plan.n,
             "singular_row": int(plan.singular_row),
             "singular_reason": plan._singular_reason,
-            "schedule_identity": schedule_identity(plan.schedule),
             "toolchain": toolchain_digest(),
         }
 
@@ -420,12 +405,13 @@ class PlanStore:
         commit record, so readers never observe a half-written
         artifact as present.
         """
-        if key.cores != plan.n_cores or key.dtype != str(
+        if key.direction != plan.direction or key.dtype != str(
             plan.off_vals.dtype
         ):
             raise ConfigurationError(
                 f"plan key {key} does not describe this plan "
-                f"(cores={plan.n_cores}, dtype={plan.off_vals.dtype})"
+                f"(direction={plan.direction}, "
+                f"dtype={plan.off_vals.dtype})"
             )
         npz_path, sidecar_path, lock_path = self._paths(key)
         if os.path.exists(sidecar_path):
@@ -512,29 +498,22 @@ class PlanStore:
                 f"{PLAN_STORE_VERSION}"
             )
 
-    def load(
-        self,
-        key: PlanKey,
-        *,
-        matrix=None,
-        schedule=None,
-    ) -> ExecutionPlan:
+    def load(self, key: PlanKey, *, matrix=None) -> ExecutionPlan:
         """Load, integrity-check and verify the plan stored under
         ``key``.
 
         Every gate is mandatory and ordered: format version, exact key
-        match (fingerprint/scheduler/cores/dtype), schedule
-        identity against a caller-supplied ``schedule``, toolchain
-        digest, content hash over arrays *and* sidecar scalars — and
-        finally the static verifier
+        match (fingerprint/direction/dtype), the fingerprint of a
+        caller-supplied ``matrix``, toolchain digest, content hash over
+        arrays *and* sidecar scalars — and finally the static verifier
         (:func:`repro.analysis.verify.check_plan`, cross-checked
-        against ``matrix``/``schedule`` when supplied).  Any failure
-        raises the named error; a plan that cannot prove its integrity
-        is never returned.
+        against ``matrix`` when supplied).  Any failure raises the
+        named error; a plan that cannot prove its integrity is never
+        returned.
 
         The returned plan carries ``provenance="store"`` and the
-        caller-supplied ``matrix``/``schedule`` attached (artifacts
-        persist only the lowered arrays, never their sources).
+        caller-supplied ``matrix`` attached (artifacts persist only the
+        lowered arrays, never their source).
         """
         npz_path, sidecar_path, _ = self._paths(key)
         if not os.path.exists(sidecar_path):
@@ -561,17 +540,6 @@ class PlanStore:
                         f"supplied matrix fingerprints as "
                         f"{fingerprint!r}"
                     )
-            if schedule is not None or sidecar.get(
-                "schedule_identity"
-            ) == "__serial__":
-                expected = schedule_identity(schedule)
-                if sidecar.get("schedule_identity") != expected:
-                    raise PlanArtifactStaleError(
-                        f"plan artifact {sidecar_path!s} was lowered "
-                        f"from schedule "
-                        f"{sidecar.get('schedule_identity')!r}, not the "
-                        f"supplied {expected!r}"
-                    )
             toolchain = toolchain_digest()
             if sidecar.get("toolchain") != toolchain:
                 raise PlanArtifactStaleError(
@@ -595,8 +563,7 @@ class PlanStore:
                 name: sidecar.get(name)
                 for name in (
                     "format_version", "key", "direction", "n",
-                    "singular_row", "singular_reason",
-                    "schedule_identity", "toolchain",
+                    "singular_row", "singular_reason", "toolchain",
                 )
             }
             content_hash = _artifact_hash(arrays, scalars)
@@ -609,7 +576,6 @@ class PlanStore:
                 )
             plan = ExecutionPlan(
                 matrix=matrix,
-                schedule=schedule,
                 direction=str(sidecar["direction"]),
                 singular_row=int(sidecar["singular_row"]),
                 _singular_reason=str(sidecar["singular_reason"]),
@@ -622,10 +588,7 @@ class PlanStore:
             # consumers; cost-model plans legally carry singularities)
             from repro.analysis.verify import check_plan
 
-            check_plan(
-                plan, matrix=matrix, schedule=schedule,
-                require_solvable=False,
-            )
+            check_plan(plan, matrix=matrix, require_solvable=False)
         try:
             os.utime(sidecar_path)  # LRU touch
         except OSError:
@@ -633,13 +596,7 @@ class PlanStore:
         self._count("hits")
         return plan
 
-    def get(
-        self,
-        key: PlanKey,
-        *,
-        matrix=None,
-        schedule=None,
-    ) -> ExecutionPlan | None:
+    def get(self, key: PlanKey, *, matrix=None) -> ExecutionPlan | None:
         """Cache-tier lookup: the loaded plan, or ``None``.
 
         A missing artifact is a counted miss; a rejected artifact
@@ -649,7 +606,7 @@ class PlanStore:
         artifact never crashes the lookup.
         """
         try:
-            return self.load(key, matrix=matrix, schedule=schedule)
+            return self.load(key, matrix=matrix)
         except PlanArtifactMissingError:
             self._count("misses")
             return None
@@ -701,7 +658,6 @@ class PlanStore:
                 "key": sidecar.get("key"),
                 "n": sidecar.get("n"),
                 "direction": sidecar.get("direction"),
-                "schedule_identity": sidecar.get("schedule_identity"),
                 "toolchain": sidecar.get("toolchain"),
             })
         return rows
@@ -766,8 +722,16 @@ class PlanStore:
         leftover ``.lock`` files (a crashed writer's claim otherwise
         blocks that key's persistence forever) — do not run ``gc``
         concurrently with active writers.  Returns eviction stats.
+
+        A negative ``max_bytes`` is refused
+        (:class:`~repro.errors.ConfigurationError`); 0 evicts every
+        artifact.
         """
-        budget = max_bytes if max_bytes is not None else self.max_bytes
+        budget = (
+            _budget(max_bytes, "max_bytes")
+            if max_bytes is not None
+            else self.max_bytes
+        )
         removed = []
         for name in os.listdir(self.path):
             if name.endswith(".lock"):

@@ -1,8 +1,8 @@
 """The cost-model prior: rank candidate schedulers without racing.
 
-:func:`rank_candidates` schedules each candidate, lowers it once
-(memoized in the shared :class:`~repro.exec.PlanCache`), and runs the
-plan-based cost kernel of :mod:`repro.exec.cost` under a calibrated
+:func:`rank_candidates` schedules each candidate once (memoized in
+the shared :class:`~repro.exec.PlanCache`) and prices the schedule with
+the cost kernel of :mod:`repro.machine.cost` under a calibrated
 machine model — exactly what
 :func:`~repro.experiments.runner.run_instance` does.  One simulation per
 candidate per instance.

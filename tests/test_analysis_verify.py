@@ -273,13 +273,6 @@ class TestCorruptedPlanCorpus:
         self.assert_exactly(clone_plan(plan, off_ptr=off_ptr),
                             "gather-pointer")
 
-    def test_out_of_bounds_core_rows(self, compiled):
-        _, _, plan = compiled
-        core_rows = plan.core_rows.copy()
-        core_rows[0] = plan.n + 2
-        self.assert_exactly(clone_plan(plan, core_rows=core_rows),
-                            "core-coverage")
-
     def test_nonfinite_gather_value(self, compiled):
         _, _, plan = compiled
         vals = plan.off_vals.copy()
@@ -315,12 +308,18 @@ class TestCorruptedPlanCorpus:
         assert report.violations[0].row == int(plan.rows[k])
 
     def test_schedule_mismatch_is_source_consistency(self, compiled):
+        # a plan is its matrix's level set whatever the schedule, so a
+        # schedule is only checked to cover the plan's rows
         _, schedule, plan = compiled
-        step = plan.row_step.copy()
-        step[0] += 1
-        bad = clone_plan(plan, row_step=step)
-        report = verify_plan(bad, schedule=schedule)
-        assert "source-consistency" in report.invariants
+        assert verify_plan(plan, schedule=schedule).ok
+        other = make_scheduler("growlocal").schedule(
+            DAG.from_lower_triangular(
+                narrow_band_lower(plan.n - 1, 0.35, 5.0, seed=0)
+            ), 4,
+        )
+        report = self.assert_exactly(plan, "source-consistency",
+                                     schedule=other)
+        assert f"schedule has {plan.n - 1}" in report.violations[0].message
 
 
 class TestCheckPlanRaises:
@@ -430,10 +429,10 @@ class TestReportShapes:
 
     def test_invariant_catalogue_complete(self):
         # every id the verifier can emit is documented
-        assert len(INVARIANTS) == 9
+        assert len(INVARIANTS) == 8
         assert set(INVARIANTS) == {
             "dtype-contract", "batch-pointer", "row-coverage",
             "gather-pointer", "gather-bounds",
-            "dependency-safety", "diagonal-coverage", "core-coverage",
+            "dependency-safety", "diagonal-coverage",
             "source-consistency",
         }

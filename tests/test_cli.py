@@ -317,9 +317,12 @@ def test_check_plan_builtin_corpus(capsys):
     assert main(["check", "plan", "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["ok"] is True
-    assert payload["n_plans"] == 7
-    assert len(payload["invariants"]) == 9
+    # one plan per (matrix, direction): a schedule no longer changes
+    # the plan, so scheduled copies would be byte-identical
+    assert payload["n_plans"] == 3
+    assert len(payload["invariants"]) == 8
     names = {p["plan"] for p in payload["plans"]}
+    assert len(names) == 3
     assert any("backward" in n for n in names)
     assert set(payload["invariants"]) >= {
         "dependency-safety", "gather-bounds", "batch-pointer",
@@ -352,19 +355,18 @@ class TestPlansVerbs:
 
         store = str(tmp_path / "plans")
         assert main(["plans", "save", "--store", store,
-                     "--matrix", matrix_file, "--scheduler", "growlocal",
-                     "--cores", "4", "--json"]) == 0
+                     "--matrix", matrix_file, "--json"]) == 0
         saved = json.loads(capsys.readouterr().out)
         assert saved["saved"] is True
-        assert saved["key"]["cores"] == 4
+        assert saved["key"]["direction"] == "forward"
+        assert set(saved["key"]) == {"matrix_fingerprint", "direction",
+                                     "dtype"}
         # second save of the same key is a no-op, not an error
         assert main(["plans", "save", "--store", store,
-                     "--matrix", matrix_file, "--scheduler", "growlocal",
-                     "--cores", "4", "--json"]) == 0
+                     "--matrix", matrix_file, "--json"]) == 0
         assert json.loads(capsys.readouterr().out)["saved"] is False
         assert main(["plans", "load", "--store", store,
-                     "--matrix", matrix_file, "--scheduler", "growlocal",
-                     "--cores", "4", "--json"]) == 0
+                     "--matrix", matrix_file, "--json"]) == 0
         loaded = json.loads(capsys.readouterr().out)
         assert loaded["hit"] is True
         assert loaded["provenance"] == "store"
@@ -378,10 +380,12 @@ class TestPlansVerbs:
         assert main(["plans", "save", "--store", store,
                      "--matrix", matrix_file]) == 0
         capsys.readouterr()
-        # different key (serial vs scheduled) -> miss
+        # another matrix is another key -> miss
+        other = tmp_path / "other.mtx"
+        write_matrix_market(narrow_band_lower(300, 0.14, 8.0, seed=1),
+                            other)
         assert main(["plans", "load", "--store", store,
-                     "--matrix", matrix_file, "--scheduler", "growlocal",
-                     "--cores", "4"]) == 1
+                     "--matrix", str(other)]) == 1
         assert "no plan artifact" in capsys.readouterr().out
 
     def test_verify_flags_corruption_and_exits_nonzero(
@@ -422,10 +426,15 @@ class TestPlansVerbs:
                      str(tmp_path / "absent")]) == 2
         assert "error" in capsys.readouterr().err
 
-    def test_schedule_and_scheduler_are_exclusive(self, matrix_file,
-                                                  tmp_path, capsys):
-        assert main(["plans", "save", "--store", str(tmp_path / "p"),
-                     "--matrix", matrix_file,
-                     "--schedule", "s.json",
-                     "--scheduler", "growlocal"]) == 2
-        assert "mutually exclusive" in capsys.readouterr().err
+    def test_gc_refuses_a_negative_budget(self, matrix_file, tmp_path,
+                                          capsys):
+        store = str(tmp_path / "plans")
+        assert main(["plans", "save", "--store", store,
+                     "--matrix", matrix_file]) == 0
+        capsys.readouterr()
+        assert main(["plans", "gc", "--store", store,
+                     "--max-bytes", "-5"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "max_bytes=-5" in err
+        assert main(["plans", "ls", "--store", store, "--json"]) == 0
+        assert '"stem"' in capsys.readouterr().out  # nothing evicted

@@ -30,6 +30,7 @@ from repro.exec import (
 from repro.exec.backends import NumpyBackend
 from repro.graph.dag import DAG
 from repro.matrix.csr import CSRMatrix
+from repro.scheduler.schedule import Schedule
 from repro.solver.sptrsv import (
     backward_substitution,
     forward_substitution,
@@ -78,21 +79,22 @@ class TestPlanStructure:
             np.testing.assert_array_equal(plan.off_vals[s0:s1], vals[off])
             assert plan.diag[k] == vals[~off][0]
 
-    def test_serial_plan_core_layout(self, small_er_lower):
+    def test_plan_holds_only_the_executed_arrays(self, small_er_lower):
+        """A plan carries no schedule: the per-core program is the
+        Schedule object itself, priced by the machine simulators."""
         plan = compile_plan(small_er_lower)
-        assert plan.n_cores == 1
-        np.testing.assert_array_equal(
-            plan.core_sequence(0), np.arange(plan.n)
-        )
-        assert plan.n_supersteps == 1
+        for name in ("schedule", "core_rows", "core_ptr", "row_step",
+                     "n_cores", "n_supersteps", "core_sequence"):
+            assert not hasattr(plan, name), name
 
-    def test_scheduled_plan_respects_supersteps(self, small_grid_lower):
+    def test_schedule_must_cover_the_matrix(self, small_grid_lower):
         dag = DAG.from_lower_triangular(small_grid_lower)
         for sched in all_schedulers():
             s = sched.schedule(dag, 4)
-            plan = compile_plan(small_grid_lower, s)
-            assert plan.n_supersteps == s.n_supersteps
-            assert plan.n_cores == s.n_cores
+            compile_plan(small_grid_lower, s)  # covers: accepted
+            short = Schedule(s.cores[:-1], s.supersteps[:-1], s.n_cores)
+            with pytest.raises(MatrixFormatError, match="schedule size"):
+                compile_plan(small_grid_lower, short)
 
     def test_repr(self, small_er_lower):
         assert "ExecutionPlan" in repr(compile_plan(small_er_lower))
@@ -283,22 +285,6 @@ class TestDatasetEquivalence:
         out = scheduled_sptrsv(instance.lower, b, schedule)
         np.testing.assert_allclose(out, ref, rtol=1e-10, atol=1e-12)
 
-    def test_simulate_bsp_plan_identical(self, instance):
-        from repro.machine.bsp_sim import simulate_bsp
-        from repro.machine.model import get_machine
-        from repro.scheduler import GrowLocalScheduler
-
-        machine = get_machine("intel_xeon_6238t")
-        schedule = GrowLocalScheduler().schedule(instance.dag, 8)
-        fresh = simulate_bsp(instance.lower, schedule, machine)
-        plan = compile_plan(instance.lower, schedule, check_diagonal=False)
-        cached = simulate_bsp(instance.lower, schedule, machine, plan=plan)
-        assert fresh.total_cycles == cached.total_cycles
-        assert fresh.compute_cycles == cached.compute_cycles
-        assert fresh.barrier_cycles == cached.barrier_cycles
-        np.testing.assert_array_equal(
-            fresh.superstep_cycles, cached.superstep_cycles
-        )
 
 
 #: The paper's five schedulers, as the benchmark runs them.
@@ -323,10 +309,9 @@ def _reordered(matrix, schedule, direction):
 
 
 class TestLevelSetPlan:
-    """``compile_plan(L)`` (``schedule=None``) is the level-set plan: one
-    batch per dependency level.  Every schedule's plan executes exactly
-    its arrays, and keeps only the schedule's per-core program
-    (``core_rows`` / ``core_ptr`` / ``row_step``) for the simulators."""
+    """``compile_plan(L)`` is the level-set plan: one batch per
+    dependency level.  A schedule passed to :func:`compile_plan` only
+    has to cover the matrix: the plan is the same arrays."""
 
     @pytest.fixture(scope="class")
     def corpus(self):
@@ -394,18 +379,6 @@ class TestLevelSetPlan:
                         getattr(serial, field), getattr(other, field),
                         err_msg=f"{case}: {field}",
                     )
-                np.testing.assert_array_equal(
-                    other.row_step, schedule.supersteps, err_msg=case
-                )
-                sequences = schedule.core_sequences()
-                np.testing.assert_array_equal(
-                    other.core_rows, np.concatenate(sequences),
-                    err_msg=case,
-                )
-                np.testing.assert_array_equal(
-                    np.diff(other.core_ptr), [s.size for s in sequences],
-                    err_msg=case,
-                )
                 np.testing.assert_array_equal(
                     backend.solve(other, b), backend.solve(serial, b),
                     err_msg=case,

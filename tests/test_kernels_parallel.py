@@ -628,7 +628,7 @@ class TestNumpySpanSolves:
         sys.setswitchinterval(1e-6)
         try:
             for _ in range(5):
-                plan = compile_plan(matrix, reference_plan.schedule)
+                plan = compile_plan(matrix)
                 results = [None] * 8
 
                 def solve(j, plan=plan, results=results):
@@ -655,10 +655,9 @@ class TestNumpySpanSolves:
         for name, matrix, plan in _span_plans():
             b = np.random.default_rng(17).standard_normal(matrix.n)
             expected = backend.solve(plan, b)  # the split is now cached
-            key = plan_store_key(matrix, plan.schedule,
-                                 direction=plan.direction)
+            key = plan_store_key(matrix, direction=plan.direction)
             assert store.save(plan, key) is not None
-            loaded = store.load(key, matrix=matrix, schedule=plan.schedule)
+            loaded = store.load(key, matrix=matrix)
             np.testing.assert_array_equal(
                 backend.solve(loaded, b), expected, err_msg=name
             )

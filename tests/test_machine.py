@@ -235,3 +235,66 @@ def test_property_bsp_total_at_least_ideal(n, seed):
         lower, np.arange(n), SIMPLE
     ).sum()
     assert sim.total_cycles >= total_work / 4 - 1e-9
+
+
+#: Totals of three seeded (matrix, scheduler) pairs at 4 cores on
+#: ``intel_xeon_6238t``: ``simulate_bsp``, ``simulate_async``,
+#: ``simulate_serial`` and ``trace_bsp``, recorded when the simulators
+#: still priced a compiled plan's copy of the schedule.  Pricing the
+#: Schedule itself must reproduce them exactly.
+PINNED_TOTALS = [
+    ("narrow-band", "growlocal", (5116.0, 3672.0, 6790.0, 5116.0)),
+    ("erdos-renyi", "spmp", (29908.0, 25544.0, 10682.0, 29908.0)),
+    ("grid", "hdagg", (30333.0, 30721.0, 4480.0, 30333.0)),
+]
+
+
+def _pinned_case(name, scheduler_name):
+    from repro.matrix.generators import (
+        erdos_renyi_lower,
+        grid_laplacian_2d,
+        narrow_band_lower,
+    )
+    from repro.scheduler.registry import make_scheduler
+
+    lower = {
+        "narrow-band": lambda: narrow_band_lower(300, 0.1, 6.0, seed=0),
+        "erdos-renyi": lambda: erdos_renyi_lower(200, 0.05, seed=1),
+        "grid": lambda: grid_laplacian_2d(12, 12).lower_triangle(),
+    }[name]()
+    dag = DAG.from_lower_triangular(lower)
+    scheduler = make_scheduler(scheduler_name)
+    schedule = scheduler.schedule(dag, 4)
+    sync_dag = getattr(scheduler, "sync_dag", None) or dag
+    return lower, schedule, sync_dag
+
+
+class TestPinnedTotals:
+    @pytest.mark.parametrize(
+        "name, scheduler_name, totals", PINNED_TOTALS,
+        ids=[f"{n}-{s}" for n, s, _ in PINNED_TOTALS],
+    )
+    def test_totals_are_exact(self, name, scheduler_name, totals):
+        from repro.machine.trace import trace_bsp
+
+        machine = get_machine("intel_xeon_6238t")
+        lower, schedule, sync_dag = _pinned_case(name, scheduler_name)
+        assert (
+            simulate_bsp(lower, schedule, machine).total_cycles,
+            simulate_async(lower, schedule, sync_dag, machine).total_cycles,
+            simulate_serial(lower, machine),
+            trace_bsp(lower, schedule, machine).total_cycles,
+        ) == totals
+
+    def test_simulators_compile_nothing(self):
+        from repro.exec import compile_count
+        from repro.machine.trace import trace_bsp
+
+        machine = get_machine("intel_xeon_6238t")
+        lower, schedule, sync_dag = _pinned_case("narrow-band", "growlocal")
+        before = compile_count()
+        simulate_bsp(lower, schedule, machine)
+        simulate_async(lower, schedule, sync_dag, machine)
+        simulate_serial(lower, machine)
+        trace_bsp(lower, schedule, machine)
+        assert compile_count() == before

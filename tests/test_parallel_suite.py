@@ -90,8 +90,10 @@ class TestRunSuiteParallel:
 
     def test_cache_counters_aggregated(self, instances):
         """Aggregated counters are stamped on every result and match the
-        work actually done: one triple per (instance, scheduler), plus a
-        serial plan and serial cycles per instance."""
+        work actually done: one triple per (instance, scheduler), one
+        plan per executed matrix (GrowLocal's reorder and the unpermuted
+        matrix wavefront and SpMP share) and serial cycles per
+        instance."""
         schedulers = make_schedulers()
         par = run_suite_parallel(instances, schedulers, MACHINE,
                                  workers=2)
@@ -103,8 +105,8 @@ class TestRunSuiteParallel:
         }
         assert len(counters) == 1  # same totals everywhere
         hits, misses = counters.pop()
-        assert misses == n_inst * n_sched + 2 * n_inst
-        assert hits == 2 * n_inst * (n_sched - 1)
+        assert misses == n_inst * (n_sched + 2 + 1)
+        assert hits == n_inst * ((n_sched - 1) + 1)
 
     def test_bounded_worker_cache(self, instances):
         seq = run_suite(instances, make_schedulers(), MACHINE)

@@ -3,9 +3,14 @@ runner, plus the scheduling-time measurement scope fix."""
 
 import pytest
 
-from repro.exec import PlanCache
+from repro.exec import PlanCache, compile_count
 from repro.experiments.datasets import DatasetInstance
-from repro.experiments.runner import run_instance, run_suite
+from repro.experiments.runner import (
+    compiled_entry,
+    resolve_reorder,
+    run_instance,
+    run_suite,
+)
 from repro.machine.model import MachineModel
 from repro.matrix.generators import erdos_renyi_lower
 from repro.scheduler import (
@@ -13,6 +18,7 @@ from repro.scheduler import (
     SpMPScheduler,
     WavefrontScheduler,
 )
+from repro.scheduler.registry import make_scheduler
 
 MACHINE = MachineModel(
     name="tiny", n_cores=4, barrier_latency=50.0, cache_lines=64,
@@ -82,25 +88,30 @@ class TestPlanCache:
 
 class TestRunnerIntegration:
     def test_suite_compiles_each_triple_once(self, instances):
-        """The acceptance criterion: one compile per (instance, scheduler,
-        cores) triple plus one serial plan per instance; everything else
-        is a hit."""
+        """The acceptance criterion: one schedule per (instance,
+        scheduler, cores) triple and one plan per executed matrix;
+        everything else is a hit."""
         cache = PlanCache()
         schedulers = {
             "gl": GrowLocalScheduler(),
             "wf": WavefrontScheduler(),
             "spmp": SpMPScheduler(),
         }
+        before = compile_count()
         results = run_suite(instances, schedulers, MACHINE,
                             plan_cache=cache)
         n_inst, n_sched = len(instances), len(schedulers)
-        # one miss per triple + one serial plan and one serial-cycles
-        # entry per instance
-        assert cache.misses == n_inst * n_sched + 2 * n_inst
-        # the serial plan AND the serial simulation are reused by every
-        # scheduler after the first one on each instance (the plan is
-        # touched on every run so LRU eviction keeps it resident)
-        assert cache.hits == 2 * n_inst * (n_sched - 1)
+        # per instance, two executed matrices: GrowLocal's reorder and
+        # the unpermuted matrix wavefront and SpMP share
+        assert compile_count() - before == 2 * n_inst
+        # one miss per triple, per executed matrix's plan and per
+        # instance's serial cycles; no serial plan entry
+        assert cache.misses == n_inst * (n_sched + 2 + 1)
+        assert all((inst.name, "__serial__", 1, False) not in cache
+                   for inst in instances)
+        # the serial cycles are reused by every scheduler after the
+        # first on each instance, the unpermuted plan by SpMP
+        assert cache.hits == n_inst * ((n_sched - 1) + 1)
         # counters surface on the results; the last result carries totals
         last = results["spmp"][-1]
         assert last.plan_cache_misses == cache.misses
@@ -123,9 +134,10 @@ class TestRunnerIntegration:
                 assert a.scheduling_seconds == b.scheduling_seconds
 
     def test_shared_cache_across_machines(self, instances):
-        """Plans depend only on (instance, scheduler, cores) — sharing a
-        cache across machine models reuses every compile; only the
-        machine-specific serial pricing is re-simulated."""
+        """Schedules depend only on (instance, scheduler, cores) and
+        plans only on the executed matrix — sharing a cache across
+        machine models reuses every compile; only the machine-specific
+        serial pricing is re-simulated."""
         cache = PlanCache()
         run_instance(instances[0], GrowLocalScheduler(), MACHINE,
                      plan_cache=cache)
@@ -140,7 +152,7 @@ class TestRunnerIntegration:
 
     def test_private_cache_by_default(self, instances):
         r1 = run_instance(instances[0], WavefrontScheduler(), MACHINE)
-        # triple + serial cycles + serial plan
+        # triple + its executed matrix's plan + serial cycles
         assert r1.plan_cache_misses == 3
         assert r1.plan_cache_hits == 0
 
@@ -169,13 +181,48 @@ class TestRunnerIntegration:
         row = r.as_row()
         assert "plan_cache_hits" in row and "plan_cache_misses" in row
 
+    def test_schedulers_without_reorder_share_one_plan(self, instances):
+        """HDagg, SpMP and wavefront execute the unpermuted matrix, so
+        their entries hold one plan object; each reorder has its own."""
+        cache = PlanCache()
+        inst = instances[0]
+        entries = {}
+        for name in ("hdagg", "spmp", "wavefront", "growlocal",
+                     "funnel+gl"):
+            scheduler = make_scheduler(name)
+            entries[name] = compiled_entry(
+                inst, scheduler, 4, resolve_reorder(scheduler), cache
+            )
+        shared = entries["hdagg"].plan
+        assert entries["spmp"].plan is shared
+        assert entries["wavefront"].plan is shared
+        assert shared.matrix is inst.lower
+        assert entries["growlocal"].plan is not shared
+        assert entries["funnel+gl"].plan is not shared
+        assert entries["growlocal"].plan is not entries["funnel+gl"].plan
+
+    def test_paper_suite_compiles_at_most_three_plans_per_instance(
+        self, instances
+    ):
+        """The five paper schedulers execute three matrices per
+        instance: the unpermuted one and the two Section 5 reorders."""
+        schedulers = {
+            name: make_scheduler(name)
+            for name in ("growlocal", "funnel+gl", "hdagg", "spmp",
+                         "wavefront")
+        }
+        before = compile_count()
+        run_suite(instances, schedulers, MACHINE, plan_cache=PlanCache())
+        assert compile_count() - before <= 3 * len(instances)
+
 
 class TestBoundedSuite:
     def test_serial_plan_survives_bounded_suite(self, instances):
         """Regression for the FIFO eviction bug: each instance's
-        ``__serial__`` plan is inserted before every scheduler triple and
-        hit by all of them, so a bounded cache must keep it (pure FIFO
-        evicted exactly this hottest entry first)."""
+        unpermuted plan — the plan a serial run executes — is shared by
+        every scheduler without the Section 5 reorder, and its serial
+        cycles by every scheduler, so a bounded cache must keep both
+        (pure FIFO evicted exactly these hottest entries first)."""
         inst = instances[0]
         cache = PlanCache(max_entries=3)
         from repro.scheduler import HDaggScheduler
@@ -187,16 +234,17 @@ class TestBoundedSuite:
             "hd": HDaggScheduler(),
         }
         results = run_suite([inst], schedulers, MACHINE, plan_cache=cache)
-        serial_key = (inst.name, "__serial__", 1, False)
+        serial_key = (inst.name, "__plan__")
         cycles_key = (inst.name, "__serial_cycles__", MACHINE)
         assert serial_key in cache
         assert cycles_key in cache
         assert len(cache) <= 3
-        # the discriminating assertion: under LRU the serial plan and
-        # serial cycles are compiled exactly once — one miss per triple
-        # plus one each for the two serial artifacts.  FIFO evicted the
-        # serial entries mid-suite and silently recompiled them.
-        assert cache.misses == len(schedulers) + 2
+        # the discriminating assertion: under LRU the shared plan and
+        # the serial cycles are built exactly once — one miss per
+        # triple, one per executed matrix (GrowLocal's reorder and the
+        # unpermuted matrix) and one for the serial cycles.  FIFO
+        # evicted the shared entries mid-suite and silently rebuilt them.
+        assert cache.misses == len(schedulers) + 3
         # the shared serial denominator means every scheduler reports the
         # same serial cycles even under eviction pressure
         serial = {rows[0].serial_cycles for rows in results.values()}

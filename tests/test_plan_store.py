@@ -2,10 +2,10 @@
 
 Three tiers, mirroring the store's contract:
 
-* **round-trip properties** (hypothesis): for random matrices x
-  schedules, ``save`` then ``load`` is bit-identical across every array
-  field and the loaded plan's solves are bitwise equal to the freshly
-  compiled plan's on every available backend;
+* **round-trip properties** (hypothesis): for random matrices, with
+  and without a schedule, ``save`` then ``load`` is bit-identical
+  across every array field and the loaded plan's solves are bitwise
+  equal to the freshly compiled plan's on every available backend;
 * **corruption corpus**: every mutation class (torn sidecar, truncated
   npz, per-array byte flips, stale fingerprint, wrong format version,
   toolchain drift) is rejected with its named error, and the
@@ -35,6 +35,7 @@ from scipy.sparse.linalg import spsolve_triangular
 
 from repro.errors import (
     ConfigurationError,
+    MatrixFormatError,
     PlanArtifactCorruptError,
     PlanArtifactError,
     PlanArtifactMissingError,
@@ -58,7 +59,6 @@ from repro.store import (
     PlanKey,
     PlanStore,
     plan_store_key,
-    schedule_identity,
     toolchain_digest,
 )
 from repro.store.plan_store import ARRAY_FIELDS
@@ -67,22 +67,14 @@ from tests.conftest import lower_triangular_matrices
 SCALAR_FIELDS = ("direction", "singular_row", "_singular_reason")
 
 
-def _make_system(n=120, cores=4, seed=0):
-    """A (matrix, schedule) pair with genuine parallel structure."""
+def _saved_artifact(store_dir, n=120, seed=0):
+    """Compile, save and return (store, key, matrix, plan)."""
     lower = narrow_band_lower(n, 0.25, 6.0, seed=seed)
-    dag = DAG.from_lower_triangular(lower)
-    schedule = GrowLocalScheduler().schedule(dag, cores)
-    return lower, schedule
-
-
-def _saved_artifact(store_dir, n=120, cores=4, seed=0):
-    """Compile, save and return (store, key, matrix, schedule, plan)."""
-    lower, schedule = _make_system(n=n, cores=cores, seed=seed)
     store = PlanStore(store_dir)
-    key = plan_store_key(lower, schedule, scheduler="growlocal")
-    plan = compile_plan(lower, schedule)
+    key = plan_store_key(lower)
+    plan = compile_plan(lower)
     assert store.save(plan, key) is not None
-    return store, key, lower, schedule, plan
+    return store, key, lower, plan
 
 
 class TestRoundTrip:
@@ -99,10 +91,11 @@ class TestRoundTrip:
             )
         fresh = compile_plan(lower, schedule)
         key = plan_store_key(lower, schedule)
+        assert key == plan_store_key(lower)
         with tempfile.TemporaryDirectory() as tmp:
             store = PlanStore(tmp)
             assert store.save(fresh, key) is not None
-            loaded = store.load(key, matrix=lower, schedule=schedule)
+            loaded = store.load(key, matrix=lower)
         assert loaded.provenance == "store"
         for name in ARRAY_FIELDS:
             a, b = getattr(fresh, name), getattr(loaded, name)
@@ -118,73 +111,76 @@ class TestRoundTrip:
             assert np.array_equal(x_fresh, x_loaded), backend
 
     def test_loaded_plan_carries_sources(self, tmp_path):
-        store, key, lower, schedule, _ = _saved_artifact(tmp_path)
-        loaded = store.load(key, matrix=lower, schedule=schedule)
+        store, key, lower, _ = _saved_artifact(tmp_path)
+        loaded = store.load(key, matrix=lower)
         assert loaded.matrix is lower
-        assert loaded.schedule is schedule
-        # sources are optional: a structural load is fine without them
+        # the source is optional: a structural load is fine without it
         bare = store.load(key)
-        assert bare.matrix is None and bare.schedule is None
+        assert bare.matrix is None
 
     def test_sidecar_still_carrying_created_by_loads(self, tmp_path):
         """Sidecars no longer carry the host tag ``created_by``; one
         written with it (outside the content hash) still loads through
         the full gate."""
-        store, key, lower, schedule, plan = _saved_artifact(tmp_path)
+        store, key, lower, plan = _saved_artifact(tmp_path)
         _, sidecar_path, _ = store._paths(key)
         assert "created_by" not in json.loads(
             Path(sidecar_path).read_text()
         )
         _edit_sidecar(store, key, created_by="node7-0123456789ab")
-        loaded = store.load(key, matrix=lower, schedule=schedule)
+        loaded = store.load(key, matrix=lower)
         assert loaded.provenance == "store"
         for name in ARRAY_FIELDS:
             assert np.array_equal(getattr(loaded, name),
                                   getattr(plan, name)), name
 
     def test_save_is_first_writer_wins(self, tmp_path):
-        store, key, _, _, plan = _saved_artifact(tmp_path)
+        store, key, _, plan = _saved_artifact(tmp_path)
         assert store.save(plan, key) is None
         assert store.counters()["save_races"] == 1
 
     def test_key_plan_mismatch_is_config_error(self, tmp_path):
-        store, key, lower, _, plan = _saved_artifact(tmp_path)
-        wrong = PlanKey(key.matrix_fingerprint, key.scheduler,
-                        cores=key.cores + 3)
-        with pytest.raises(ConfigurationError):
-            store.save(plan, wrong)
+        store, key, _, plan = _saved_artifact(tmp_path)
+        for wrong in (
+            PlanKey(key.matrix_fingerprint, direction="backward"),
+            PlanKey(key.matrix_fingerprint, dtype="float32"),
+        ):
+            with pytest.raises(ConfigurationError):
+                store.save(plan, wrong)
 
 
 class TestExactKey:
     def test_key_components_separate_artifacts(self, tmp_path):
-        lower, schedule = _make_system()
+        lower = narrow_band_lower(120, 0.25, 6.0, seed=0)
         keys = {
-            plan_store_key(lower, schedule, scheduler="growlocal"),
-            plan_store_key(lower, schedule, scheduler="hdagg"),
-            plan_store_key(lower, schedule, scheduler="growlocal",
-                           dtype="float32"),
-            plan_store_key(lower, None),
-            plan_store_key(lower, schedule, scheduler="growlocal",
-                           direction="backward"),
+            plan_store_key(lower),
+            plan_store_key(lower, dtype="float32"),
+            plan_store_key(lower, direction="backward"),
+            plan_store_key(narrow_band_lower(120, 0.25, 6.0, seed=1)),
         }
         assert len({k.stem() for k in keys}) == len(keys)
 
+    def test_every_schedule_of_a_matrix_shares_its_key(self):
+        """A plan is its matrix's level set, so a schedule never changes
+        the key; it is only checked to cover the matrix's rows."""
+        lower = narrow_band_lower(120, 0.25, 6.0, seed=0)
+        dag = DAG.from_lower_triangular(lower)
+        for schedule in (GrowLocalScheduler().schedule(dag, 4),
+                         WavefrontScheduler().schedule(dag, 2)):
+            assert plan_store_key(lower, schedule) == plan_store_key(lower)
+        other = narrow_band_lower(60, 0.25, 6.0, seed=0)
+        with pytest.raises(MatrixFormatError, match="covers 60 rows"):
+            plan_store_key(lower, WavefrontScheduler().schedule(
+                DAG.from_lower_triangular(other), 2))
+
     def test_missing_key_is_named_miss(self, tmp_path):
-        store, _, lower, _, _ = _saved_artifact(tmp_path)
-        other = plan_store_key(lower, None)
+        store, _, lower, _ = _saved_artifact(tmp_path)
+        other = plan_store_key(lower, direction="backward")
         with pytest.raises(PlanArtifactMissingError):
             store.load(other)
         assert store.get(other) is None
         assert store.counters()["misses"] == 1
         assert store.counters()["rejects"] == 0
-
-    def test_schedule_identity_is_content_based(self):
-        lower, schedule = _make_system()
-        again = GrowLocalScheduler().schedule(
-            DAG.from_lower_triangular(lower), 4
-        )
-        assert schedule_identity(schedule) == schedule_identity(again)
-        assert schedule_identity(None) == "__serial__"
 
     def test_store_version_gate(self, tmp_path):
         PlanStore(tmp_path)
@@ -199,31 +195,33 @@ class TestExactKey:
 
 
 class TestFormatVersion:
-    """Version 2 dropped the persisted fusion grouping and version 3 the
-    per-batch superstep array; a store or an artifact of an earlier
+    """Version 2 dropped the persisted fusion grouping, version 3 the
+    per-batch superstep array and version 4 the schedule's program
+    (``core_rows``, ``core_ptr``, ``row_step``) and every schedule field
+    of the key and the sidecar; a store or an artifact of an earlier
     version is refused by name, never reinterpreted."""
 
     def _old_version(self, store_dir, version=1):
         """A store laid out with an earlier meta and sidecar version."""
-        store, key, lower, schedule, _ = _saved_artifact(store_dir)
+        store, key, lower, _ = _saved_artifact(store_dir)
         _edit_sidecar(store, key, format_version=version)
         (store_dir / "plan-store.json").write_text(
             json.dumps({"version": version})
         )
-        return store, key, lower, schedule
+        return store, key, lower
 
     def _assert_store_refused(self, store_dir, version):
-        assert PLAN_STORE_VERSION == 3 and len(ARRAY_FIELDS) == 10
+        assert PLAN_STORE_VERSION == 4 and len(ARRAY_FIELDS) == 7
         self._old_version(store_dir, version)
         with pytest.raises(ConfigurationError,
-                           match=rf"version {version}\b.*version 3\b"):
+                           match=rf"version {version}\b.*version 4\b"):
             PlanStore(store_dir)
 
     def _assert_sidecar_refused(self, store_dir, version):
-        store, key, lower, schedule = self._old_version(store_dir, version)
+        store, key, lower = self._old_version(store_dir, version)
         with pytest.raises(PlanArtifactVersionError,
                            match=rf"format version {version}\b"):
-            store.load(key, matrix=lower, schedule=schedule)
+            store.load(key, matrix=lower)
         verdicts = store.verify()["artifacts"]
         assert [v["error_type"] for v in verdicts] == [
             "PlanArtifactVersionError"
@@ -241,15 +239,38 @@ class TestFormatVersion:
     def test_version_2_sidecar_is_a_version_error(self, tmp_path):
         self._assert_sidecar_refused(tmp_path, 2)
 
+    def test_version_3_store_is_refused_by_name(self, tmp_path):
+        self._assert_store_refused(tmp_path, 3)
+
+    def test_version_3_sidecar_is_a_version_error(self, tmp_path):
+        """A version-3 sidecar keyed by scheduler and cores, as that
+        format wrote it, is refused by its version before its key is
+        read."""
+        store, key, lower = self._old_version(tmp_path, 3)
+        _edit_sidecar(
+            store, key,
+            key={"matrix_fingerprint": key.matrix_fingerprint,
+                 "scheduler": "growlocal", "cores": 4,
+                 "dtype": "float64"},
+            schedule_identity="sched-4x9-0123456789ab",
+        )
+        with pytest.raises(PlanArtifactVersionError,
+                           match=r"format version 3\b.*version 4\b"):
+            store.load(key, matrix=lower)
+        verdicts = store.verify()["artifacts"]
+        assert [v["error_type"] for v in verdicts] == [
+            "PlanArtifactVersionError"
+        ]
+
     def test_plan_cache_on_version_1_store_compiles(self, tmp_path,
                                                    monkeypatch):
-        _, key, lower, schedule = self._old_version(tmp_path)
+        _, key, lower = self._old_version(tmp_path)
         monkeypatch.setenv(PLAN_STORE_ENV_VAR, str(tmp_path))
         cache = PlanCache()
         n0 = compile_count()
         plan = cache.get_or_build(
-            "k", lambda: compile_plan(lower, schedule),
-            store_key=key, source_matrix=lower, source_schedule=schedule,
+            "k", lambda: compile_plan(lower),
+            store_key=key, source_matrix=lower,
         )
         assert cache.plan_store is None  # the refused store is not used
         assert compile_count() == n0 + 1
@@ -353,20 +374,20 @@ class TestCorruptionCorpus:
     @pytest.mark.parametrize("mutate, expected", CORRUPTION_CORPUS)
     def test_load_rejects_with_named_error(self, tmp_path, mutate,
                                            expected):
-        store, key, lower, schedule, _ = _saved_artifact(tmp_path)
+        store, key, lower, _ = _saved_artifact(tmp_path)
         mutate(store, key)
         with pytest.raises(expected):
-            store.load(key, matrix=lower, schedule=schedule)
+            store.load(key, matrix=lower)
 
     @pytest.mark.parametrize("mutate, expected", CORRUPTION_CORPUS)
     def test_cache_falls_back_to_compile(self, tmp_path, mutate,
                                          expected):
-        store, key, lower, schedule, fresh = _saved_artifact(tmp_path)
+        store, key, lower, fresh = _saved_artifact(tmp_path)
         mutate(store, key)
         cache = PlanCache(plan_store=store)
         plan = cache.get_or_build(
-            "k", lambda: compile_plan(lower, schedule),
-            store_key=key, source_matrix=lower, source_schedule=schedule,
+            "k", lambda: compile_plan(lower),
+            store_key=key, source_matrix=lower,
         )
         assert plan.provenance == "compiled"
         assert store.counters()["rejects"] == 1
@@ -383,36 +404,29 @@ class TestCorruptionCorpus:
         """A structurally broken plan whose artifact hashes cleanly must
         still die on the mandatory ``check_plan`` gate — the hash guards
         the bytes, the verifier guards the invariants."""
-        lower, schedule = _make_system()
-        plan = compile_plan(lower, schedule)
+        lower = narrow_band_lower(120, 0.25, 6.0, seed=0)
+        plan = compile_plan(lower)
         plan.batch_ptr = plan.batch_ptr.copy()
         plan.batch_ptr[-1] = plan.n + 5  # batches no longer cover rows
         store = PlanStore(tmp_path)
-        key = plan_store_key(lower, schedule, scheduler="growlocal")
+        key = plan_store_key(lower)
         assert store.save(plan, key) is not None
         with pytest.raises(PlanVerificationError):
-            store.load(key, matrix=lower, schedule=schedule)
-        assert store.get(key, matrix=lower, schedule=schedule) is None
+            store.load(key, matrix=lower)
+        assert store.get(key, matrix=lower) is None
         assert store.counters()["rejects"] == 1
 
     def test_wrong_matrix_is_stale(self, tmp_path):
-        store, key, lower, schedule, _ = _saved_artifact(tmp_path)
+        store, key, lower, _ = _saved_artifact(tmp_path)
         other = narrow_band_lower(lower.n, 0.25, 6.0, seed=99)
         with pytest.raises(PlanArtifactStaleError):
-            store.load(key, matrix=other, schedule=schedule)
-
-    def test_wrong_schedule_is_stale(self, tmp_path):
-        store, key, lower, schedule, _ = _saved_artifact(tmp_path)
-        other = WavefrontScheduler().schedule(
-            DAG.from_lower_triangular(lower), 4
-        )
-        with pytest.raises(PlanArtifactStaleError):
-            store.load(key, matrix=lower, schedule=other)
+            store.load(key, matrix=other)
 
     def test_verify_flags_exactly_the_corrupt_artifact(self, tmp_path):
-        store, key, lower, schedule, _ = _saved_artifact(tmp_path)
-        key2 = plan_store_key(lower, None)
-        store.save(compile_plan(lower), key2)
+        store, key, lower, _ = _saved_artifact(tmp_path)
+        upper = lower.transpose()
+        key2 = plan_store_key(upper, direction="backward")
+        store.save(compile_plan(upper, direction="backward"), key2)
         _flip_array_byte("diag")(store, key)
         report = store.verify()
         assert report["n_artifacts"] == 2
@@ -448,7 +462,7 @@ class TestLRUGc:
         assert store.get(keys[1], matrix=lowers[1]) is None
 
     def test_gc_clears_stale_locks(self, tmp_path):
-        store, key, _, _, _ = _saved_artifact(tmp_path)
+        store, key, _, _ = _saved_artifact(tmp_path)
         lock = Path(tmp_path) / "crashed-writer.lock"
         lock.touch()
         store.gc()
@@ -458,6 +472,29 @@ class TestLRUGc:
         monkeypatch.setenv("REPRO_PLAN_STORE_MAX_BYTES", "lots")
         with pytest.raises(ConfigurationError):
             PlanStore(tmp_path)
+
+    def test_negative_budget_is_refused(self, tmp_path, monkeypatch):
+        """A negative budget would evict every artifact, the one just
+        saved included, so ``save`` returned a sidecar path that no
+        longer existed; every way of setting it is refused by value."""
+        with pytest.raises(ConfigurationError, match=r"max_bytes=-5\b"):
+            PlanStore(tmp_path, max_bytes=-5)
+        monkeypatch.setenv("REPRO_PLAN_STORE_MAX_BYTES", "-5")
+        with pytest.raises(ConfigurationError,
+                           match=r"REPRO_PLAN_STORE_MAX_BYTES=-5\b"):
+            PlanStore(tmp_path)
+        monkeypatch.delenv("REPRO_PLAN_STORE_MAX_BYTES")
+        store, key, _, _ = _saved_artifact(tmp_path)
+        with pytest.raises(ConfigurationError, match=r"max_bytes=-1\b"):
+            store.gc(max_bytes=-1)
+        assert len(store) == 1 and store.counters()["evictions"] == 0
+
+    def test_zero_budget_is_legal(self, tmp_path):
+        store = PlanStore(tmp_path, max_bytes=0)
+        lower = narrow_band_lower(80, 0.25, 6.0, seed=0)
+        store.save(compile_plan(lower), plan_store_key(lower))
+        assert len(store) == 0
+        assert store.counters()["evictions"] == 1
 
 
 class TestConcurrency:
@@ -517,12 +554,12 @@ class TestConcurrency:
 
 class TestPlanCacheTier:
     def test_disk_hit_skips_compile(self, tmp_path):
-        store, key, lower, schedule, _ = _saved_artifact(tmp_path)
+        store, key, lower, _ = _saved_artifact(tmp_path)
         cache = PlanCache(plan_store=store)
         n0 = compile_count()
         plan = cache.get_or_build(
-            "k", lambda: compile_plan(lower, schedule),
-            store_key=key, source_matrix=lower, source_schedule=schedule,
+            "k", lambda: compile_plan(lower),
+            store_key=key, source_matrix=lower,
         )
         assert compile_count() == n0
         assert plan.provenance == "store"
@@ -533,13 +570,13 @@ class TestPlanCacheTier:
         assert store.counters()["hits"] == hits0
 
     def test_build_populates_store(self, tmp_path):
-        lower, schedule = _make_system()
+        lower = narrow_band_lower(120, 0.25, 6.0, seed=0)
         store = PlanStore(tmp_path)
-        key = plan_store_key(lower, schedule, scheduler="growlocal")
+        key = plan_store_key(lower)
         cache = PlanCache(plan_store=store)
         plan = cache.get_or_build(
-            "k", lambda: compile_plan(lower, schedule),
-            store_key=key, source_matrix=lower, source_schedule=schedule,
+            "k", lambda: compile_plan(lower),
+            store_key=key, source_matrix=lower,
         )
         assert plan.provenance == "compiled"
         assert store.counters() == {**store.counters(),
@@ -613,23 +650,19 @@ class TestWiring:
             "import json\n"
             "from repro.exec import PlanCache, compile_count, "
             "compile_plan\n"
-            "from repro.graph.dag import DAG\n"
             "from repro.matrix.generators import narrow_band_lower\n"
-            "from repro.scheduler import GrowLocalScheduler\n"
             "from repro.store import plan_store_key\n"
             "cache = PlanCache()\n"
             "plans = []\n"
             "for seed in (0, 1):\n"
             "    L = narrow_band_lower(100, 0.25, 6.0, seed=seed)\n"
-            "    S = GrowLocalScheduler().schedule("
-            "DAG.from_lower_triangular(L), 4)\n"
-            "    for sched in (None, S):\n"
-            "        key = plan_store_key(L, sched)\n"
+            "    for M, d in ((L, 'forward'), "
+            "(L.transpose(), 'backward')):\n"
+            "        key = plan_store_key(M, direction=d)\n"
             "        plans.append(cache.get_or_build(\n"
-            "            (seed, sched is None),\n"
-            "            lambda L=L, s=sched: compile_plan(L, s),\n"
-            "            store_key=key, source_matrix=L,\n"
-            "            source_schedule=sched,\n"
+            "            (seed, d),\n"
+            "            lambda M=M, d=d: compile_plan(M, direction=d),\n"
+            "            store_key=key, source_matrix=M,\n"
             "        ))\n"
             "print(json.dumps({'compiles': compile_count(),\n"
             "                  'sources': sorted({p.provenance "

@@ -20,22 +20,13 @@ from repro.errors import (
     ServiceClosedError,
 )
 from repro.exec import PlanCache, compile_plan, get_backend
-from repro.graph.dag import DAG
 from repro.matrix.generators import erdos_renyi_lower, narrow_band_lower
-from repro.scheduler import GrowLocalScheduler
 from repro.service import SolveService, SystemStats
 
 
 @pytest.fixture(scope="module")
 def lower():
     return narrow_band_lower(400, 0.08, 10.0, seed=0)
-
-
-@pytest.fixture(scope="module")
-def schedule(lower):
-    return GrowLocalScheduler().schedule(
-        DAG.from_lower_triangular(lower), 4
-    )
 
 
 class TestPlanCacheThreadSafety:
@@ -92,15 +83,15 @@ class TestPlanCacheThreadSafety:
 
 
 class TestSolveServiceOracle:
-    def test_batched_results_bit_equal_sequential(self, lower, schedule):
+    def test_batched_results_bit_equal_sequential(self, lower):
         """The acceptance criterion: whatever the coalescing did, each
         client's answer is bit-equal to solving its RHS alone."""
-        plan = compile_plan(lower, schedule)
+        plan = compile_plan(lower)
         backend = get_backend()
         rng = np.random.default_rng(1)
         bs = [rng.standard_normal(lower.n) for _ in range(24)]
         with SolveService(max_batch=8) as service:
-            service.register("sys", lower, schedule)
+            service.register("sys", lower)
             futures = service.submit_many("sys", bs)
             xs = [f.result(timeout=30) for f in futures]
         for x, b in zip(xs, bs, strict=True):
@@ -117,19 +108,19 @@ class TestSolveServiceOracle:
             x1, get_backend().solve(compile_plan(lower), b)
         )
 
-    def test_concurrent_clients_many_systems(self, lower, schedule):
+    def test_concurrent_clients_many_systems(self, lower):
         """Interleaved submissions from several threads against several
         systems: every result still matches its own oracle."""
         other = erdos_renyi_lower(300, 0.02, seed=9)
         plans = {
-            "band": compile_plan(lower, schedule),
+            "band": compile_plan(lower),
             "er": compile_plan(other),
         }
         mats = {"band": lower, "er": other}
         backend = get_backend()
         failures = []
         with SolveService(max_batch=16) as service:
-            service.register("band", lower, schedule)
+            service.register("band", lower)
             service.register("er", other)
             barrier = threading.Barrier(6)
 
@@ -156,17 +147,16 @@ class TestSolveServiceOracle:
                 t.join()
         assert not failures
 
-    def test_solve_block_direct_path(self, lower, schedule):
+    def test_solve_block_direct_path(self, lower):
         rng = np.random.default_rng(2)
         b_block = rng.standard_normal((lower.n, 5))
         with SolveService() as service:
-            service.register("s", lower, schedule)
+            service.register("s", lower)
             x_block = service.solve_block("s", b_block)
             stats = service.stats("s")
         np.testing.assert_array_equal(
             x_block,
-            get_backend().solve_block(compile_plan(lower, schedule),
-                                      b_block),
+            get_backend().solve_block(compile_plan(lower), b_block),
         )
         assert stats.n_requests == 5
         assert stats.n_batches == 1
@@ -312,8 +302,8 @@ class TestSolveServiceBehavior:
             with pytest.raises(MatrixFormatError):
                 service.register("sys", a, plan=compile_plan(other))
 
-    def test_register_with_precompiled_plan(self, lower, schedule):
-        plan = compile_plan(lower, schedule)
+    def test_register_with_precompiled_plan(self, lower):
+        plan = compile_plan(lower)
         with SolveService() as service:
             returned = service.register("s", lower, plan=plan)
             assert returned is plan

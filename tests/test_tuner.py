@@ -24,7 +24,6 @@ from repro.graph.dag import DAG
 from repro.machine.model import get_machine
 from repro.matrix.generators import erdos_renyi_lower, narrow_band_lower
 from repro.scheduler.registry import available_schedulers, make_scheduler
-from repro.service import ServingGateway, SolveService
 from repro.solver.sptrsv import forward_substitution
 from repro.tuner import (
     Autotuner,
@@ -500,32 +499,6 @@ class TestAutoScheduler:
     def test_rejects_tuner_and_options_together(self):
         with pytest.raises(ConfigurationError):
             make_scheduler("auto", tuner=Autotuner(), seed=1)
-
-
-# ---------------------------------------------------------------------------
-# the solve service refuses schedule="auto"
-# ---------------------------------------------------------------------------
-class TestServiceAuto:
-    @pytest.fixture(scope="class")
-    def lower(self):
-        return narrow_band_lower(600, 0.1, 12.0, seed=11)
-
-    def test_register_rejects_unknown_schedule_spec(self, lower):
-        """No string is a schedule spec.  ``"auto"`` is refused too, not
-        aliased to ``None``: the message names ``schedule=None`` (the
-        level-set plan) and where scheduler choice lives instead."""
-        with SolveService() as svc:
-            with pytest.raises(ConfigurationError):
-                svc.register("sys", lower, schedule="autotune")
-        for target in (SolveService(), ServingGateway(n_shards=2)):
-            with target:
-                with pytest.raises(ConfigurationError) as info:
-                    target.register("k", lower, schedule="auto")
-                assert target.systems() == []
-            message = str(info.value)
-            assert "schedule=None" in message
-            assert "repro tune" in message
-            assert "make_scheduler('auto')" in message
 
 
 class TestReviewRegressions:
