@@ -2,9 +2,10 @@
 """Quickstart: schedule and solve one sparse triangular system.
 
 Builds a random lower-triangular system, computes a GrowLocal schedule for
-8 cores, verifies it, solves the system following the schedule, and prints
-the schedule statistics the paper's evaluation revolves around (supersteps,
-barrier reduction, simulated speed-up).
+8 cores, verifies it, solves the system following the schedule (one thread
+per core, one barrier per superstep), and prints the schedule statistics
+the paper's evaluation revolves around (supersteps, barrier reduction,
+simulated speed-up).
 
 Run:  python examples/quickstart.py
 """
@@ -16,7 +17,7 @@ from repro import (
     GrowLocalScheduler,
     forward_substitution,
     get_machine,
-    scheduled_sptrsv,
+    threaded_sptrsv,
 )
 from repro.graph.wavefront import critical_path_length
 from repro.machine.bsp_sim import simulate_bsp
@@ -46,8 +47,9 @@ def main() -> None:
           f"({wavefronts / schedule.n_supersteps:.1f}x fewer barriers "
           f"than wavefront scheduling)")
 
-    # 4. solve, following the schedule, and check against the serial kernel
-    x = scheduled_sptrsv(lower, b, schedule)
+    # 4. solve, following the schedule: one thread per core, one barrier
+    # per superstep; check against the serial kernel
+    x = threaded_sptrsv(lower, b, schedule)
     x_ref = forward_substitution(lower, b)
     assert np.allclose(x, x_ref)
     print(f"solution verified: max|x - x_ref| = "

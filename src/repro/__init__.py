@@ -10,15 +10,15 @@ for the evaluation.
 Quickstart
 ----------
 >>> import numpy as np
->>> from repro import (CSRMatrix, DAG, GrowLocalScheduler,
-...                    forward_substitution, scheduled_sptrsv)
+>>> from repro import (DAG, GrowLocalScheduler, forward_substitution,
+...                    threaded_sptrsv)
 >>> from repro.matrix.generators import erdos_renyi_lower
 >>> L = erdos_renyi_lower(1000, 2e-3, seed=0)
+>>> b = np.ones(L.n)
+>>> x = forward_substitution(L, b)
 >>> dag = DAG.from_lower_triangular(L)
 >>> schedule = GrowLocalScheduler().schedule(dag, n_cores=8)
->>> b = np.ones(L.n)
->>> x = scheduled_sptrsv(L, b, schedule)
->>> np.allclose(x, forward_substitution(L, b))
+>>> np.allclose(threaded_sptrsv(L, b, schedule), x)
 True
 
 Subpackages
@@ -33,8 +33,8 @@ Subpackages
                      (numpy/numba), plan caching
 ``repro.machine``    the simulated multicore (BSP + asynchronous models),
                      one cost kernel pricing schedules directly
-``repro.solver``     SpTRSV kernels, scheduled/threaded execution, PCG,
-                     Gauß–Seidel
+``repro.solver``     SpTRSV kernels, the threaded schedule executor,
+                     SpTRSM, PCG, Gauß–Seidel
 ``repro.service``    concurrent solve service: keyed requests coalesced
                      into SpTRSM micro-batches, per-system stats
 ``repro.experiments`` datasets, runner (sequential + process-sharded),
@@ -91,7 +91,6 @@ from repro.tuner import (
 from repro.solver import (
     backward_substitution,
     forward_substitution,
-    scheduled_sptrsv,
     threaded_sptrsv,
 )
 
@@ -137,6 +136,5 @@ __all__ = [
     "load_profile",
     "make_scheduler",
     "save_profile",
-    "scheduled_sptrsv",
     "threaded_sptrsv",
 ]

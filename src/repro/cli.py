@@ -4,7 +4,7 @@ Exposes the library's main workflows without writing Python::
 
     python -m repro schedule  --matrix L.mtx --scheduler growlocal \
                               --cores 8 --output sched.json
-    python -m repro solve     --matrix L.mtx --schedule sched.json
+    python -m repro solve     --matrix L.mtx --output x.npy
     python -m repro simulate  --matrix L.mtx --schedule sched.json \
                               --machine intel_xeon_6238t
     python -m repro compare   --matrix L.mtx --cores 22
@@ -66,7 +66,6 @@ from repro.scheduler.serialize import (
     load_schedule_json,
     save_schedule_json,
 )
-from repro.solver.scheduled import scheduled_sptrsv
 from repro.solver.sptrsv import forward_substitution
 from repro.utils.timing import Timer
 
@@ -114,9 +113,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cores", type=int, default=8)
     p.add_argument("--output", help="write the schedule as JSON here")
 
-    p = sub.add_parser("solve", help="solve L x = b with a schedule")
+    p = sub.add_parser("solve", help="solve L x = b by forward substitution")
     p.add_argument("--matrix", required=True)
-    p.add_argument("--schedule", help="JSON schedule (default: serial)")
     p.add_argument("--rhs", help="right-hand side as a .npy file "
                    "(default: all ones)")
     p.add_argument("--output", help="write the solution as .npy here")
@@ -413,11 +411,7 @@ def _cmd_schedule(args) -> int:
 def _cmd_solve(args) -> int:
     lower = _load_lower(args.matrix)
     b = (np.load(args.rhs) if args.rhs else np.ones(lower.n))
-    if args.schedule:
-        schedule = load_schedule_json(args.schedule)
-        x = scheduled_sptrsv(lower, b, schedule)
-    else:
-        x = forward_substitution(lower, b)
+    x = forward_substitution(lower, b)
     residual = float(np.linalg.norm(lower.matvec(x) - b))
     print(f"solved: ||L x - b|| = {residual:.3e}")
     if args.output:
@@ -702,8 +696,11 @@ def _cmd_plans(args) -> int:
         }
         if args.json:
             print(json.dumps(_json_sanitize(payload), indent=2))
-        elif path is None:
+        elif store.save_races:
             print(f"plan {key.stem()} already persisted in {store.path}")
+        elif path is None:
+            print(f"plan {key.stem()} not kept: evicted by the byte "
+                  f"budget of {store.path} ({store.max_bytes} bytes)")
         else:
             print(f"saved plan {key.stem()} (n={plan.n}) to {path}")
         return 0

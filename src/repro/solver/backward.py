@@ -1,17 +1,18 @@
-"""Scheduled backward substitution and multi-RHS triangular solve (SpTRSM).
+"""The backward dependence DAG and multi-RHS triangular solve (SpTRSM).
 
 The paper's title problem includes both sweep directions and the SpTRSM
 variant (its keywords list "SpTrSV, SpTrSM").  The backward sweep of an
 upper-triangular ``U`` has the *reversed* dependence DAG of ``U^T``'s
 forward sweep; :func:`backward_dag` builds it so any scheduler in the
-library can schedule backward substitution unchanged.
+library can schedule backward substitution unchanged, and
+:meth:`~repro.scheduler.schedule.Schedule.validate` checks such a
+schedule against it.  Backward substitution itself is
+:func:`repro.solver.sptrsv.backward_substitution`.
 
-Execution goes through :mod:`repro.exec`: plans are compiled with
-``direction="backward"`` (descending-id tie-break inside each dependency
-batch, matching the seed executor), and SpTRSM solves all ``k`` right-hand
-sides through one plan via the backends' block kernel — the cheapest
-possible form of schedule *and plan* reuse (Table 7.6's amortization with
-reuse factor ``k`` per solve call).
+:func:`forward_sptrsm` solves all ``k`` right-hand sides through one
+:mod:`repro.exec` plan via the backends' block kernel — the cheapest
+possible form of plan reuse (Table 7.6's amortization with reuse factor
+``k`` per solve call).
 """
 
 from __future__ import annotations
@@ -22,14 +23,8 @@ from repro.errors import MatrixFormatError
 from repro.exec import ExecutionPlan, compile_plan, get_backend
 from repro.graph.dag import DAG
 from repro.matrix.csr import CSRMatrix
-from repro.scheduler.schedule import Schedule
 
-__all__ = [
-    "backward_dag",
-    "scheduled_backward_sptrsv",
-    "forward_sptrsm",
-    "scheduled_sptrsm",
-]
+__all__ = ["backward_dag", "forward_sptrsm"]
 
 
 def backward_dag(upper: CSRMatrix) -> DAG:
@@ -50,33 +45,6 @@ def backward_dag(upper: CSRMatrix) -> DAG:
     return DAG(upper.n, src, dst, weights, check=False)
 
 
-def scheduled_backward_sptrsv(
-    upper: CSRMatrix,
-    b: np.ndarray,
-    schedule: Schedule,
-    *,
-    plan: ExecutionPlan | None = None,
-    backend: str | None = None,
-) -> np.ndarray:
-    """Solve ``U x = b`` following a schedule of :func:`backward_dag`.
-
-    Within each dependency batch rows carry *descending* ids — the
-    topological tie-break of the backward DAG.
-    """
-    if not upper.is_upper_triangular():
-        raise MatrixFormatError("matrix is not upper triangular")
-    b = np.asarray(b, dtype=np.float64)
-    if b.shape != (upper.n,):
-        raise MatrixFormatError("right-hand side has wrong length")
-    if schedule.n != upper.n:
-        raise MatrixFormatError("schedule size does not match the matrix")
-    if plan is None:
-        plan = compile_plan(upper, schedule, direction="backward")
-    else:
-        plan.require_compatible(upper.n, "backward")
-    return get_backend(backend).solve(plan, b)
-
-
 def _check_block(n: int, b_block: np.ndarray) -> np.ndarray:
     b_block = np.asarray(b_block, dtype=np.float64)
     if b_block.ndim != 2 or b_block.shape[0] != n:
@@ -91,7 +59,7 @@ def forward_sptrsm(
     plan: ExecutionPlan | None = None,
     backend: str | None = None,
 ) -> np.ndarray:
-    """Serial SpTRSM: solve ``L X = B`` for an ``n x k`` block ``B``.
+    """SpTRSM: solve ``L X = B`` for an ``n x k`` block ``B``.
 
     One plan drives all ``k`` right-hand sides; the batch kernels
     vectorize across columns as well as across the rows of each
@@ -105,23 +73,3 @@ def forward_sptrsm(
         plan.require_compatible(lower.n, "forward")
     return get_backend(backend).solve_block(plan, b_block)
 
-
-def scheduled_sptrsm(
-    lower: CSRMatrix,
-    b_block: np.ndarray,
-    schedule: Schedule,
-    *,
-    plan: ExecutionPlan | None = None,
-    backend: str | None = None,
-) -> np.ndarray:
-    """Schedule-driven SpTRSM: one schedule (and plan) drives all ``k``
-    columns."""
-    lower.require_lower_triangular()
-    b_block = _check_block(lower.n, b_block)
-    if schedule.n != lower.n:
-        raise MatrixFormatError("schedule size does not match the matrix")
-    if plan is None:
-        plan = compile_plan(lower, schedule)
-    else:
-        plan.require_compatible(lower.n, "forward")
-    return get_backend(backend).solve_block(plan, b_block)

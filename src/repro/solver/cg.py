@@ -4,7 +4,8 @@ The paper motivates SpTRSV through iterative solvers that apply the same
 triangular factors repeatedly (Section 1, Section 6.2.2: "a zero-fill-in
 incomplete Cholesky preconditioned conjugate gradient method").  This module
 closes that loop: :func:`ichol_preconditioner` wraps an IC(0) factor into a
-preconditioner whose application is two scheduled SpTRSVs, and
+preconditioner whose application is two SpTRSVs (a forward and a backward
+sweep through plans compiled once), and
 :func:`conjugate_gradient` is a standard PCG that counts exactly how many
 times the triangular solves are reused — the quantity the amortization
 threshold (Table 7.6) is measured against.
@@ -20,7 +21,6 @@ from repro.errors import ConfigurationError
 from repro.exec import compile_plan, get_backend
 from repro.matrix.csr import CSRMatrix
 from repro.matrix.ichol import ichol0
-from repro.scheduler.schedule import Schedule
 
 __all__ = ["CGResult", "conjugate_gradient", "ichol_preconditioner"]
 
@@ -58,7 +58,6 @@ class CGResult:
 def ichol_preconditioner(
     matrix: CSRMatrix,
     *,
-    schedule: Schedule | None = None,
     backend: str | None = None,
 ) -> tuple[Callable[[np.ndarray], np.ndarray], CSRMatrix]:
     """Build ``M^{-1} = (L L^T)^{-1}`` from an IC(0) factor of ``matrix``.
@@ -69,10 +68,6 @@ def ichol_preconditioner(
 
     Parameters
     ----------
-    schedule:
-        Optional parallel schedule for the *forward* solve with ``L``
-        (computed by any scheduler on ``DAG.from_lower_triangular(L)``).
-        When omitted, the forward sweep uses a serial (level-set) plan.
     backend:
         Execution backend name (default auto-selection).
 
@@ -84,7 +79,7 @@ def ichol_preconditioner(
     """
     factor = ichol0(matrix)
     upper = factor.transpose()
-    forward_plan = compile_plan(factor, schedule)
+    forward_plan = compile_plan(factor)
     backward_plan = compile_plan(upper, direction="backward")
     kernel = get_backend(backend)
 

@@ -13,7 +13,6 @@ import numpy as np
 from repro.errors import ConfigurationError
 from repro.exec import compile_plan, get_backend
 from repro.matrix.csr import CSRMatrix
-from repro.scheduler.schedule import Schedule
 
 __all__ = ["gauss_seidel"]
 
@@ -24,16 +23,14 @@ def gauss_seidel(
     *,
     sweeps: int = 10,
     x0: np.ndarray | None = None,
-    schedule: Schedule | None = None,
     backend: str | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Run forward Gauß–Seidel sweeps ``x <- x + L^{-1} (b - A x)``.
 
     ``L`` is the lower triangle of ``A`` including the diagonal; it is
-    lowered into one :class:`~repro.exec.plan.ExecutionPlan` before the
-    first sweep (following ``schedule`` when given, serial level-set
-    otherwise), and every sweep reuses that plan — the fixed-sparsity
-    reuse scenario that amortizes a good schedule.
+    lowered into one level-set :class:`~repro.exec.plan.ExecutionPlan`
+    before the first sweep, and every sweep reuses that plan — the
+    fixed-sparsity reuse scenario that amortizes a good schedule.
 
     Returns
     -------
@@ -47,7 +44,7 @@ def gauss_seidel(
     if b.shape != (matrix.n,):
         raise ConfigurationError("right-hand side has wrong length")
     lower = matrix.lower_triangle()
-    plan = compile_plan(lower, schedule)
+    plan = compile_plan(lower)
     kernel = get_backend(backend)
     x = (
         np.zeros(matrix.n)

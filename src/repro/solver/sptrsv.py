@@ -14,9 +14,9 @@ scalar loop over the plan's flat arrays.  Pass a precompiled ``plan`` to
 amortize the lowering across repeated solves with the same matrix (CG,
 Gauss-Seidel, SpTRSM).
 
-:func:`solve_rows` remains as the seed's reference per-row kernel; the
-schedule-verification path is specified against it, and the thread-based
-executor runs it for each (superstep, core) cell.
+:func:`solve_rows` remains as the seed's reference per-row kernel: the
+thread-based executor runs it for each (superstep, core) cell, and tests
+compare the plan-based kernels against it.
 """
 
 from __future__ import annotations

@@ -23,6 +23,7 @@ import threading
 import numpy as np
 
 from repro.errors import MatrixFormatError
+from repro.graph.dag import DAG
 from repro.matrix.csr import CSRMatrix
 from repro.scheduler.schedule import Schedule
 from repro.solver.sptrsv import solve_rows
@@ -36,6 +37,11 @@ def threaded_sptrsv(
     schedule: Schedule,
 ) -> np.ndarray:
     """Solve ``L x = b`` with one thread per core of the schedule.
+
+    Raises :class:`~repro.errors.InvalidScheduleError` before any thread
+    starts when ``schedule`` is not valid for ``lower``'s dependence DAG:
+    such a schedule would let a row read a dependency another core has
+    not written yet.
 
     Examples
     --------
@@ -55,6 +61,7 @@ def threaded_sptrsv(
         raise MatrixFormatError("right-hand side has wrong length")
     if schedule.n != lower.n:
         raise MatrixFormatError("schedule size does not match the matrix")
+    schedule.validate(DAG.from_lower_triangular(lower))
 
     n_cores = schedule.n_cores
     lists = schedule.execution_lists()  # [superstep][core] -> rows

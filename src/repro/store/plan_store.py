@@ -271,7 +271,7 @@ class PlanStore:
     max_bytes:
         LRU disk budget, at least 0; ``None`` reads
         ``REPRO_PLAN_STORE_MAX_BYTES`` (unset: unbounded).  Enforced
-        after every save and by :meth:`gc`.
+        after every save (eviction only) and by :meth:`gc`.
     create:
         Refuse (:class:`~repro.errors.ConfigurationError`) instead of
         creating when the directory is missing — the read-side guard
@@ -401,6 +401,11 @@ class PlanStore:
         store directory raced by N processes ends up with exactly one
         artifact per key, never a torn mix of two writers' files.
 
+        With a byte budget, the save then evicts least-recently-used
+        artifacts beyond it, and returns ``None`` when that evicted the
+        artifact just written.  Unlike :meth:`gc` it leaves every
+        ``.lock`` alone: another writer's claim may be live.
+
         The npz lands (atomically) before the sidecar: a sidecar is the
         commit record, so readers never observe a half-written
         artifact as present.
@@ -457,7 +462,8 @@ class PlanStore:
                 pass
         self._count("saves")
         if self.max_bytes is not None:
-            self.gc()
+            if key.stem() in self._evict(self.max_bytes)["removed"]:
+                return None
         return sidecar_path
 
     def put(self, plan: ExecutionPlan, key: PlanKey) -> str | None:
@@ -732,16 +738,23 @@ class PlanStore:
             if max_bytes is not None
             else self.max_bytes
         )
-        removed = []
         for name in os.listdir(self.path):
             if name.endswith(".lock"):
                 try:
                     os.unlink(os.path.join(self.path, name))
                 except OSError:
                     pass
+        return {"store": self.path, "max_bytes": budget,
+                **self._evict(budget)}
+
+    def _evict(self, budget: int | None) -> dict:
+        """Delete least-recently-used artifacts until the store fits
+        ``budget`` (``None``: unbounded); returns the bytes before and
+        after and the evicted stems."""
         artifacts = self._artifacts()
         total = sum(entry["bytes"] for entry in artifacts)
         before = total
+        removed = []
         if budget is not None:
             for entry in sorted(artifacts, key=lambda e: e["mtime"]):
                 if total <= budget:
@@ -756,8 +769,6 @@ class PlanStore:
         if removed:
             self._count("evictions", len(removed))
         return {
-            "store": self.path,
-            "max_bytes": budget,
             "bytes_before": before,
             "bytes_after": total,
             "removed": removed,

@@ -1,19 +1,17 @@
-"""Tests for scheduled backward substitution and multi-RHS SpTRSM."""
+"""Tests for the backward dependence DAG, backward schedules and
+multi-RHS SpTRSM."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 
+import scipy.sparse.linalg as spla
+
 from repro.errors import MatrixFormatError
 from repro.graph.dag import DAG
 from repro.matrix.csr import CSRMatrix
 from repro.scheduler import GrowLocalScheduler, WavefrontScheduler
-from repro.solver.backward import (
-    backward_dag,
-    forward_sptrsm,
-    scheduled_backward_sptrsv,
-    scheduled_sptrsm,
-)
+from repro.solver.backward import backward_dag, forward_sptrsm
 from repro.solver.sptrsv import backward_substitution, forward_substitution
 from tests.conftest import lower_triangular_matrices
 
@@ -39,24 +37,19 @@ class TestBackwardDAG:
 
 class TestScheduledBackward:
     def test_matches_serial_backward(self, small_er_lower):
+        """Schedules of the backward DAG are valid for it, and backward
+        substitution on ``U`` matches scipy."""
         upper = small_er_lower.transpose()
         bdag = backward_dag(upper)
-        b = np.linspace(1.0, 2.0, upper.n)
-        x_ref = backward_substitution(upper, b)
         for sched in (GrowLocalScheduler(), WavefrontScheduler()):
-            s = sched.schedule(bdag, 4)
-            s.validate(bdag)
-            x = scheduled_backward_sptrsv(upper, b, s)
-            np.testing.assert_allclose(x, x_ref, rtol=1e-10,
-                                       err_msg=sched.name)
-
-    def test_schedule_size_checked(self, small_er_lower):
-        upper = small_er_lower.transpose()
-        from repro.scheduler.schedule import Schedule
-
-        s = Schedule(np.zeros(3, dtype=int), np.zeros(3, dtype=int), 1)
-        with pytest.raises(MatrixFormatError):
-            scheduled_backward_sptrsv(upper, np.ones(upper.n), s)
+            sched.schedule(bdag, 4).validate(bdag)
+        b = np.linspace(1.0, 2.0, upper.n)
+        np.testing.assert_allclose(
+            backward_substitution(upper, b),
+            spla.spsolve_triangular(upper.to_scipy().tocsr(), b,
+                                    lower=False),
+            rtol=1e-10,
+        )
 
 
 class TestSpTRSM:
@@ -70,16 +63,6 @@ class TestSpTRSM:
                 forward_substitution(small_er_lower, b_block[:, k]),
                 rtol=1e-10,
             )
-
-    def test_scheduled_sptrsm_matches_serial(self, small_grid_lower):
-        dag = DAG.from_lower_triangular(small_grid_lower)
-        s = GrowLocalScheduler().schedule(dag, 4)
-        rng = np.random.default_rng(1)
-        b_block = rng.random((small_grid_lower.n, 3))
-        x = scheduled_sptrsm(small_grid_lower, b_block, s)
-        np.testing.assert_allclose(
-            x, forward_sptrsm(small_grid_lower, b_block), rtol=1e-10
-        )
 
     def test_shape_validation(self, small_er_lower):
         with pytest.raises(MatrixFormatError):
@@ -96,15 +79,16 @@ class TestSpTRSM:
 @settings(max_examples=25, deadline=None)
 @given(lower_triangular_matrices(max_n=25))
 def test_property_backward_schedule_roundtrip(m):
-    """Any GrowLocal schedule of the backward DAG solves U x = b exactly
-    like the serial backward kernel."""
+    """Any GrowLocal schedule of the backward DAG is valid for it, and
+    backward substitution on ``U`` matches scipy."""
     upper = m.transpose()
     bdag = backward_dag(upper)
-    s = GrowLocalScheduler().schedule(bdag, 3)
+    GrowLocalScheduler().schedule(bdag, 3).validate(bdag)
     b = np.ones(m.n)
-    x = scheduled_backward_sptrsv(upper, b, s)
     np.testing.assert_allclose(
-        x, backward_substitution(upper, b), rtol=1e-9, atol=1e-12
+        backward_substitution(upper, b),
+        spla.spsolve_triangular(upper.to_scipy().tocsr(), b, lower=False),
+        rtol=1e-7, atol=1e-9,
     )
 
 

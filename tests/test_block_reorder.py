@@ -15,7 +15,6 @@ from repro.scheduler import (
     split_rows_by_weight,
 )
 from repro.scheduler.reorder import apply_reordering, schedule_reordering
-from repro.solver.scheduled import scheduled_sptrsv
 from repro.solver.sptrsv import forward_substitution
 from tests.conftest import dag_and_cores, lower_triangular_matrices
 
@@ -112,7 +111,7 @@ class TestReordering:
         x_ref = forward_substitution(small_er_lower, b)
         mat2, b2, s2, perm = apply_reordering(small_er_lower, b, s)
         s2.validate(DAG.from_lower_triangular(mat2))
-        x2 = scheduled_sptrsv(mat2, b2, s2)
+        x2 = forward_substitution(mat2, b2)
         np.testing.assert_allclose(x2[perm], x_ref, rtol=1e-10)
 
     def test_reordered_rows_consecutive_per_cell(self, small_er_lower):
@@ -138,5 +137,5 @@ def test_property_reordering_preserves_solutions(m):
     b = np.ones(m.n)
     x_ref = forward_substitution(m, b)
     mat2, b2, s2, perm = apply_reordering(m, b, s)
-    x2 = scheduled_sptrsv(mat2, b2, s2)
+    x2 = forward_substitution(mat2, b2)
     np.testing.assert_allclose(x2[perm], x_ref, rtol=1e-9, atol=1e-12)

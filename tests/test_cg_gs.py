@@ -4,9 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.graph.dag import DAG
 from repro.matrix.generators import grid_laplacian_2d
-from repro.scheduler import GrowLocalScheduler
 from repro.solver.cg import conjugate_gradient, ichol_preconditioner
 from repro.solver.gauss_seidel import gauss_seidel
 
@@ -39,19 +37,6 @@ class TestCG:
         assert pre.sptrsv_count >= 2 * pre.iterations
         assert factor.is_lower_triangular()
 
-    def test_scheduled_preconditioner_matches(self, spd_problem):
-        """Using a parallel schedule inside the preconditioner changes
-        nothing numerically (the reuse scenario of Table 7.6)."""
-        a, b, x_exact = spd_problem
-        _, factor = ichol_preconditioner(a)
-        dag = DAG.from_lower_triangular(factor)
-        schedule = GrowLocalScheduler().schedule(dag, 4)
-        precond, _ = ichol_preconditioner(a, schedule=schedule)
-        res = conjugate_gradient(a, b, preconditioner=precond,
-                                 tol=1e-10, max_iterations=500)
-        assert res.converged
-        np.testing.assert_allclose(res.x, x_exact, rtol=1e-6, atol=1e-8)
-
     def test_zero_rhs(self, spd_problem):
         a, _, _ = spd_problem
         res = conjugate_gradient(a, np.zeros(a.n))
@@ -77,14 +62,6 @@ class TestGaussSeidel:
         a, b, x_exact = spd_problem
         x, _ = gauss_seidel(a, b, sweeps=400)
         np.testing.assert_allclose(x, x_exact, rtol=1e-4, atol=1e-6)
-
-    def test_scheduled_sweeps_match_serial(self, spd_problem):
-        a, b, _ = spd_problem
-        dag = DAG.from_lower_triangular(a.lower_triangle())
-        schedule = GrowLocalScheduler().schedule(dag, 4)
-        x_serial, _ = gauss_seidel(a, b, sweeps=5)
-        x_sched, _ = gauss_seidel(a, b, sweeps=5, schedule=schedule)
-        np.testing.assert_allclose(x_sched, x_serial, rtol=1e-12)
 
     def test_initial_guess(self, spd_problem):
         a, b, x_exact = spd_problem

@@ -33,27 +33,41 @@ def test_generate_and_schedule(tmp_path, capsys):
 
 
 def test_solve_with_and_without_schedule(matrix_file, tmp_path, capsys):
+    """A schedule decides nothing in a plan-based solve, so ``solve``
+    has no ``--schedule`` flag (argparse exits 2); without one it writes
+    the solution scipy computes."""
+    import scipy.sparse.linalg as spla
+
+    from repro.matrix.io_mm import read_matrix_market
+
     sched = str(tmp_path / "s.json")
     main(["schedule", "--matrix", matrix_file, "--cores", "4",
           "--output", sched])
     xout = str(tmp_path / "x.npy")
-    assert main(["solve", "--matrix", matrix_file, "--schedule", sched,
-                 "--output", xout]) == 0
-    x_sched = np.load(xout)
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--matrix", matrix_file, "--schedule", sched,
+              "--output", xout])
+    assert exc.value.code == 2
+    assert "--schedule" in capsys.readouterr().err
     assert main(["solve", "--matrix", matrix_file,
                  "--output", xout]) == 0
-    x_serial = np.load(xout)
-    np.testing.assert_allclose(x_sched, x_serial, rtol=1e-10)
+    lower = read_matrix_market(matrix_file).lower_triangle()
+    np.testing.assert_allclose(
+        np.load(xout),
+        spla.spsolve_triangular(lower.to_scipy().tocsr(),
+                                np.ones(lower.n), lower=True),
+        rtol=1e-10,
+    )
 
 
-def test_solve_with_torn_schedule_is_a_clean_error(matrix_file, tmp_path,
-                                                    capsys):
+def test_simulate_with_torn_schedule_is_a_clean_error(matrix_file,
+                                                       tmp_path, capsys):
     sched = tmp_path / "s.json"
     main(["schedule", "--matrix", matrix_file, "--cores", "4",
           "--output", str(sched)])
     sched.write_text(sched.read_text()[:-10])  # a write cut short
     capsys.readouterr()
-    assert main(["solve", "--matrix", matrix_file,
+    assert main(["simulate", "--matrix", matrix_file,
                  "--schedule", str(sched)]) == 2
     assert "error:" in capsys.readouterr().err
 
@@ -425,6 +439,22 @@ class TestPlansVerbs:
         assert main(["plans", "ls", "--store",
                      str(tmp_path / "absent")]) == 2
         assert "error" in capsys.readouterr().err
+
+    def test_save_evicted_by_its_budget_is_not_saved(
+        self, matrix_file, tmp_path, capsys, monkeypatch
+    ):
+        import json
+
+        monkeypatch.setenv("REPRO_PLAN_STORE_MAX_BYTES", "0")
+        store = str(tmp_path / "plans")
+        assert main(["plans", "save", "--store", store,
+                     "--matrix", matrix_file, "--json"]) == 0
+        saved = json.loads(capsys.readouterr().out)
+        assert saved["saved"] is False and saved["artifact"] is None
+        assert main(["plans", "save", "--store", store,
+                     "--matrix", matrix_file]) == 0
+        out = capsys.readouterr().out
+        assert "already persisted" not in out and "evicted" in out
 
     def test_gc_refuses_a_negative_budget(self, matrix_file, tmp_path,
                                           capsys):

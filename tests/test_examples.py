@@ -52,7 +52,7 @@ def test_custom_scheduler():
 
 def test_forward_backward_ilu():
     out = _run("forward_backward_ilu.py")
-    assert "scheduled == serial" in out
+    assert "threaded forward schedule == serial forward sweep" in out
 
 
 def test_autotune_profile():

@@ -197,30 +197,19 @@ class TestEdgeCases:
     def test_foreign_plan_rejected_everywhere(self):
         """Every plan-accepting entry point guards against a plan that
         was compiled for a different system."""
-        from repro.scheduler import SerialScheduler
-        from repro.solver.backward import (
-            forward_sptrsm,
-            scheduled_backward_sptrsv,
-            scheduled_sptrsm,
-        )
-        from repro.solver.scheduled import scheduled_sptrsv
+        from repro.solver.backward import forward_sptrsm
 
         m = CSRMatrix.identity(4)
         wrong = compile_plan(CSRMatrix.identity(5))
-        schedule = SerialScheduler().schedule(
-            DAG.from_lower_triangular(m), 1
-        )
+        wrong_backward = compile_plan(CSRMatrix.identity(5),
+                                      direction="backward")
         b = np.ones(4)
         with pytest.raises(MatrixFormatError):
             forward_substitution(m, b, plan=wrong)
         with pytest.raises(MatrixFormatError):
-            scheduled_sptrsv(m, b, schedule, plan=wrong)
-        with pytest.raises(MatrixFormatError):
             forward_sptrsm(m, np.ones((4, 2)), plan=wrong)
         with pytest.raises(MatrixFormatError):
-            scheduled_sptrsm(m, np.ones((4, 2)), schedule, plan=wrong)
-        with pytest.raises(MatrixFormatError):
-            scheduled_backward_sptrsv(m, b, schedule, plan=wrong)
+            backward_substitution(m, b, plan=wrong_backward)
 
 
 @settings(max_examples=40, deadline=None)
@@ -274,15 +263,15 @@ class TestDatasetEquivalence:
         )
 
     def test_scheduled_matches_verified_reference(self, instance):
+        """The plan-based solve equals the schedule's barrier program,
+        run per row by the threaded executor after validating it."""
         from repro.scheduler import GrowLocalScheduler
-        from repro.solver.scheduled import scheduled_sptrsv
+        from repro.solver.threaded import threaded_sptrsv
 
         schedule = GrowLocalScheduler().schedule(instance.dag, 4)
         b = np.ones(instance.n)
-        ref = scheduled_sptrsv(
-            instance.lower, b, schedule, verify_dependencies=True
-        )
-        out = scheduled_sptrsv(instance.lower, b, schedule)
+        ref = threaded_sptrsv(instance.lower, b, schedule)
+        out = forward_substitution(instance.lower, b)
         np.testing.assert_allclose(out, ref, rtol=1e-10, atol=1e-12)
 
 

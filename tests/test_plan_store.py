@@ -492,9 +492,25 @@ class TestLRUGc:
     def test_zero_budget_is_legal(self, tmp_path):
         store = PlanStore(tmp_path, max_bytes=0)
         lower = narrow_band_lower(80, 0.25, 6.0, seed=0)
-        store.save(compile_plan(lower), plan_store_key(lower))
+        # the save's own budget pass evicted what it wrote: no path
+        assert store.save(compile_plan(lower), plan_store_key(lower)) is None
         assert len(store) == 0
         assert store.counters()["evictions"] == 1
+
+    def test_budgeted_save_keeps_other_writers_locks(self, tmp_path):
+        """A save's budget pass only evicts: another writer's live claim
+        on key B survives a budgeted save of key A, so B's first writer
+        still wins."""
+        lowers = [narrow_band_lower(80, 0.25, 6.0, seed=s)
+                  for s in range(2)]
+        key_a, key_b = (plan_store_key(m) for m in lowers)
+        store = PlanStore(tmp_path, max_bytes=10**9)
+        lock_b = Path(store._paths(key_b)[2])
+        lock_b.touch()  # B's writer is materializing it right now
+        assert store.save(compile_plan(lowers[0]), key_a) is not None
+        assert lock_b.exists()
+        assert PlanStore(tmp_path).save(compile_plan(lowers[1]),
+                                        key_b) is None
 
 
 class TestConcurrency:

@@ -24,16 +24,16 @@ def test_quickstart_docstring_example():
         DAG,
         GrowLocalScheduler,
         forward_substitution,
-        scheduled_sptrsv,
+        threaded_sptrsv,
     )
     from repro.matrix.generators import erdos_renyi_lower
 
     L = erdos_renyi_lower(1000, 2e-3, seed=0)
+    b = np.ones(L.n)
+    x = forward_substitution(L, b)
     dag = DAG.from_lower_triangular(L)
     schedule = GrowLocalScheduler().schedule(dag, n_cores=8)
-    b = np.ones(L.n)
-    x = scheduled_sptrsv(L, b, schedule)
-    assert np.allclose(x, forward_substitution(L, b))
+    assert np.allclose(threaded_sptrsv(L, b, schedule), x)
 
 
 def test_subpackages_importable():
@@ -57,7 +57,6 @@ def test_end_to_end_pipeline():
         DAG,
         GrowLocalScheduler,
         get_machine,
-        scheduled_sptrsv,
     )
     from repro.machine.bsp_sim import simulate_bsp
     from repro.machine.serial_sim import simulate_serial
@@ -74,7 +73,7 @@ def test_end_to_end_pipeline():
     x_ref = forward_substitution(lower, b)
 
     mat2, b2, sched2, perm = apply_reordering(lower, b, schedule)
-    x2 = scheduled_sptrsv(mat2, b2, sched2)
+    x2 = forward_substitution(mat2, b2)
     assert np.allclose(x2[perm], x_ref)
 
     sim = simulate_bsp(mat2, sched2, machine)

@@ -1,4 +1,4 @@
-"""Tests for the serial SpTRSV kernels and schedule-driven execution."""
+"""Tests for the serial SpTRSV kernels and the threaded schedule executor."""
 
 import numpy as np
 import pytest
@@ -15,8 +15,8 @@ from repro.errors import (
 from repro.graph.dag import DAG
 from repro.matrix.csr import CSRMatrix
 from repro.scheduler.schedule import Schedule
-from repro.solver.scheduled import scheduled_sptrsv
 from repro.solver.sptrsv import backward_substitution, forward_substitution
+from repro.solver.threaded import threaded_sptrsv
 from tests.conftest import all_schedulers, lower_triangular_matrices
 
 
@@ -78,19 +78,20 @@ class TestBackward:
 
 class TestScheduled:
     def test_all_schedulers_equivalent(self, small_grid_lower):
+        """Every scheduler's schedule, run as its barrier program, solves
+        the system exactly like the serial kernel."""
         dag = DAG.from_lower_triangular(small_grid_lower)
         b = np.sin(np.arange(small_grid_lower.n))
         x_ref = forward_substitution(small_grid_lower, b)
         for sched in all_schedulers():
             s = sched.schedule(dag, 4)
-            x = scheduled_sptrsv(small_grid_lower, b, s,
-                                 verify_dependencies=True)
+            x = threaded_sptrsv(small_grid_lower, b, s)
             np.testing.assert_allclose(x, x_ref, rtol=1e-10,
                                        err_msg=sched.name)
 
     def test_invalid_schedule_detected(self, small_grid_lower):
-        """Failure injection: a schedule that races a dependency is caught
-        by verify_dependencies at the offending row."""
+        """Failure injection: a schedule that races a dependency is
+        refused before any thread runs it."""
         n = small_grid_lower.n
         # everything in one superstep split across two cores: guaranteed
         # to race on a connected grid
@@ -99,14 +100,13 @@ class TestScheduled:
         )
         b = np.ones(n)
         with pytest.raises(InvalidScheduleError):
-            scheduled_sptrsv(small_grid_lower, b, s,
-                             verify_dependencies=True)
+            threaded_sptrsv(small_grid_lower, b, s)
 
     def test_schedule_size_mismatch(self, small_grid_lower):
         s = Schedule(np.zeros(3, dtype=int), np.zeros(3, dtype=int), 1)
         with pytest.raises(MatrixFormatError):
-            scheduled_sptrsv(small_grid_lower, np.ones(small_grid_lower.n),
-                             s)
+            threaded_sptrsv(small_grid_lower, np.ones(small_grid_lower.n),
+                            s)
 
 
 @settings(max_examples=40, deadline=None)
