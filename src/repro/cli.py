@@ -31,13 +31,12 @@ Exposes the library's main workflows without writing Python::
 ``compare``, ``suite``, ``tune`` and every ``plans`` verb
 accept ``--json`` for machine-readable output (consumed by CI smoke
 checks and scripting instead of scraping the tables).  The ``plans``
-verbs manage the persisted-plan disk tier
-(:mod:`repro.store.plan_store`, ``REPRO_PLAN_STORE_DIR``): ``save``
-compiles and persists an artifact, ``load`` runs the full integrity
-gate, ``verify`` audits a whole store, ``gc`` enforces the LRU byte
-budget (``docs/plan_store.md``).  ``tune`` writes its decisions to a
-tuning profile and warm-starts from one (``docs/cli.md`` documents
-every verb).
+verbs manage a persisted-plan store (:mod:`repro.store.plan_store`):
+``save`` compiles and persists an artifact, ``load`` runs the full
+integrity gate, ``verify`` audits a whole store, ``gc`` enforces the
+LRU byte budget (``docs/plan_store.md``).  ``tune`` writes its
+decisions to a tuning profile and warm-starts from one
+(``docs/cli.md`` documents every verb).
 
 Matrices are read/written in Matrix Market format; schedules in the JSON
 format of :mod:`repro.scheduler.serialize`.
@@ -204,7 +203,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "plans",
         help="persisted execution plans: save, load, ls, gc, verify "
-             "(the PlanStore disk tier)",
+             "(a PlanStore directory)",
     )
     plans_sub = p.add_subparsers(dest="plans_command", required=True)
 
@@ -423,6 +422,9 @@ def _cmd_solve(args) -> int:
 def _cmd_simulate(args) -> int:
     lower = _load_lower(args.matrix)
     schedule = load_schedule_json(args.schedule)
+    # the simulator prices what it is given: a racing schedule would
+    # read as a speed-up no valid schedule reaches
+    schedule.validate(DAG.from_lower_triangular(lower))
     machine = get_machine(args.machine)
     sim = simulate_bsp(lower, schedule, machine)
     serial = simulate_serial(lower, machine)

@@ -56,10 +56,10 @@ __all__ = ["ExecutionPlan", "compile_count", "compile_plan"]
 
 #: Process-wide count of plan lowerings (:func:`compile_plan` bodies
 #: actually executed).  The plan-store warm-start contract is asserted
-#: against this: a process whose every plan loads from a warm
-#: :class:`~repro.store.plan_store.PlanStore` performs **zero**
-#: compiles (mirroring the persistent-JIT ``jit_compile_stats``
-#: counter).
+#: against this: a process that takes every plan from
+#: :meth:`~repro.store.plan_store.PlanStore.load` on a warm store
+#: performs **zero** compiles (mirroring the persistent-JIT
+#: ``jit_compile_stats`` counter).
 _N_COMPILES = 0
 
 

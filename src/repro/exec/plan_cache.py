@@ -27,19 +27,6 @@ Under the ``REPRO_VALIDATE_PLANS`` environment gate every
 :mod:`repro.analysis.verify`) *before* it becomes observable to other
 cache consumers, so a corrupted plan can never be amplified by the
 cache; the check also happens outside the lock.
-
-Behind the in-memory tier sits an optional **disk tier**: a
-:class:`~repro.store.plan_store.PlanStore` (explicit, or resolved
-lazily from ``REPRO_PLAN_STORE_DIR``).  When a lookup carries a
-``store_key``, a memory miss consults the store before running the
-builder — a warm store turns a process's first compile of every
-matrix into a load — and a freshly built
-:class:`~repro.exec.plan.ExecutionPlan` is persisted best-effort for
-the next process.  The store's own integrity gate (mandatory
-``check_plan`` plus fingerprint/toolchain/content-hash checks) runs on
-every disk hit, and any rejection silently falls through to the
-builder, so the disk tier can change *where* a plan comes from but
-never *whether* it is sound.
 """
 
 from __future__ import annotations
@@ -84,11 +71,9 @@ class PlanCache:
     """
 
     __slots__ = ("_entries", "_lock", "hits", "misses", "max_entries",
-                 "_obs", "_plan_store", "_plan_store_resolved")
+                 "_obs")
 
-    def __init__(
-        self, *, max_entries: int | None = None, plan_store=None
-    ) -> None:
+    def __init__(self, *, max_entries: int | None = None) -> None:
         self._entries: OrderedDict[Hashable, object] = OrderedDict()
         self._lock = threading.Lock()
         self.hits = 0
@@ -102,53 +87,13 @@ class PlanCache:
         #: caps memory — but it must not evict the entries a suite hits
         #: on every run, hence LRU rather than FIFO).
         self.max_entries = max_entries
-        #: The disk tier: an explicit PlanStore, or resolved from
-        #: REPRO_PLAN_STORE_DIR on first use (lazy so constructing a
-        #: cache never touches the filesystem or the store layer).
-        self._plan_store = plan_store
-        self._plan_store_resolved = plan_store is not None
 
-    @property
-    def plan_store(self):
-        """The disk tier (:class:`~repro.store.plan_store.PlanStore`),
-        or ``None`` when neither a store nor ``REPRO_PLAN_STORE_DIR``
-        is configured.  Resolved once; an unusable store directory
-        disables the tier rather than failing lookups."""
-        if not self._plan_store_resolved:
-            store = None
-            try:
-                from repro.store.plan_store import plan_store_from_env
-
-                store = plan_store_from_env()
-            except Exception:  # noqa: BLE001 - disk tier is optional
-                store = None
-            with self._lock:
-                if not self._plan_store_resolved:
-                    self._plan_store = store
-                    self._plan_store_resolved = True
-        return self._plan_store
-
-    def get_or_build(
-        self,
-        key: Hashable,
-        builder: Callable[[], T],
-        *,
-        store_key=None,
-        source_matrix=None,
-    ) -> T:
+    def get_or_build(self, key: Hashable, builder: Callable[[], T]) -> T:
         """Return the cached value for ``key``, building it on first use.
 
         The builder runs without holding the cache lock; concurrent
         callers racing on the same key may build twice, and the first
         insertion wins (builders must be pure).
-
-        With a ``store_key`` (a :class:`~repro.store.plan_store
-        .PlanKey`) and a configured disk tier, a memory miss first
-        consults the :class:`~repro.store.plan_store.PlanStore` —
-        ``source_matrix`` is reattached to and cross-checked against
-        the loaded plan — and a freshly built
-        plan is persisted best-effort.  Store rejections (corrupt,
-        stale, failed ``check_plan``) fall through to the builder.
         """
         obs = self._obs
         with self._lock:
@@ -162,24 +107,6 @@ class PlanCache:
             self.misses += 1
         if obs is not None:
             obs.get_registry().counter("plan_cache.misses").inc()
-        store = self.plan_store if store_key is not None else None
-        if store is not None:
-            loaded = store.get(store_key, matrix=source_matrix)
-            if loaded is not None:
-                # the store already ran the full integrity gate; insert
-                # first-insertion-wins like a built value
-                with self._lock:
-                    if key in self._entries:
-                        self._entries.move_to_end(key)
-                        return self._entries[key]  # type: ignore[return-value]
-                    self._entries[key] = loaded
-                    if (
-                        self.max_entries is not None
-                        and len(self._entries) > self.max_entries
-                    ):
-                        self._entries.popitem(last=False)
-                return loaded  # type: ignore[return-value]
-        if obs is not None:
             t0 = obs.clock()
         value = builder()
         if obs is not None:
@@ -187,11 +114,6 @@ class PlanCache:
                 "plan_cache.build_seconds"
             ).observe(obs.clock() - t0)
         _maybe_validate(value)
-        if store is not None:
-            from repro.exec.plan import ExecutionPlan
-
-            if isinstance(value, ExecutionPlan):
-                store.put(value, store_key)
         evicted = False
         with self._lock:
             if key in self._entries:

@@ -54,27 +54,17 @@ def _run_shard(
     machine: MachineModel,
     n_cores: int | None,
     reorder: bool | None,
-) -> tuple[dict[str, ExperimentResult], int, int, tuple[int, int, int],
-           dict | None]:
+) -> tuple[dict[str, ExperimentResult], int, int, dict | None]:
     """One instance x all schedulers inside a worker process.
 
     Returns the per-scheduler results, this shard's cache hit/miss
     *deltas* (the worker cache is long-lived, so absolute counters would
-    double-count earlier shards), the matching plan-store
-    (hits, misses, rejects) deltas — workers inherit the parent's
-    environment, so ``REPRO_PLAN_STORE_DIR`` gives every worker the
-    same disk tier and a warm store turns worker startup compiles into
-    loads — and, with the ``REPRO_OBS`` gate on, this shard's
-    metrics snapshot, recorded through a scoped registry so shards
-    never double-count each other.
+    double-count earlier shards) and, with the ``REPRO_OBS`` gate on,
+    this shard's metrics snapshot, recorded through a scoped registry so
+    shards never double-count each other.
     """
     cache = _WORKER_CACHE if _WORKER_CACHE is not None else PlanCache()
     hits0, misses0 = cache.hits, cache.misses
-    pstore = cache.plan_store
-    store0 = (
-        (pstore.hits, pstore.misses, pstore.rejects)
-        if pstore is not None else (0, 0, 0)
-    )
     obs = get_obs()
     scope = obs.scoped_registry() if obs is not None else nullcontext()
     with scope as scoped:
@@ -86,13 +76,8 @@ def _run_shard(
             for name, scheduler in schedulers.items()
         }
     metrics_snapshot = scoped.snapshot() if scoped is not None else None
-    store_delta = (
-        (pstore.hits - store0[0], pstore.misses - store0[1],
-         pstore.rejects - store0[2])
-        if pstore is not None else (0, 0, 0)
-    )
     return (results, cache.hits - hits0, cache.misses - misses0,
-            store_delta, metrics_snapshot)
+            metrics_snapshot)
 
 
 def run_suite_parallel(
@@ -171,26 +156,19 @@ def run_suite_parallel(
     merged_metrics = None
     if obs is not None:
         registry = obs.get_registry()
-        for _, _, _, _, snapshot in shards:
+        for _, _, _, snapshot in shards:
             if snapshot is not None:
                 registry.ingest(snapshot)
         merged_metrics = registry.snapshot()
 
     out: dict[str, list[ExperimentResult]] = {name: [] for name in schedulers}
-    total_hits = sum(h for _, h, _, _, _ in shards)
-    total_misses = sum(m for _, _, m, _, _ in shards)
-    total_store = [0, 0, 0]
-    for _, _, _, store_delta, _ in shards:
-        for i in range(3):
-            total_store[i] += store_delta[i]
-    for results, _, _, _, _ in shards:
+    total_hits = sum(h for _, h, _, _ in shards)
+    total_misses = sum(m for _, _, m, _ in shards)
+    for results, _, _, _ in shards:
         for name in schedulers:
             result = results[name]
             result.plan_cache_hits = total_hits
             result.plan_cache_misses = total_misses
-            result.plan_store_hits = total_store[0]
-            result.plan_store_misses = total_store[1]
-            result.plan_store_rejects = total_store[2]
             result.metrics = merged_metrics
             out[name].append(result)
     return out

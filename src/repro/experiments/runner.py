@@ -80,15 +80,6 @@ class ExperimentResult:
     #: produced (suite-wide when :func:`run_suite` shares a cache).
     plan_cache_hits: int = 0
     plan_cache_misses: int = 0
-    #: Cumulative disk-tier (:class:`~repro.store.plan_store.PlanStore`)
-    #: counters, when ``REPRO_PLAN_STORE_DIR`` routes this run through a
-    #: persisted-plan store: artifacts loaded instead of compiled
-    #: (hits), artifacts absent (misses), and artifacts rejected by the
-    #: integrity gate with compile fallback (rejects).  All zero when no
-    #: store is configured.
-    plan_store_hits: int = 0
-    plan_store_misses: int = 0
-    plan_store_rejects: int = 0
     #: Resolved execution-backend name solves of this run would execute
     #: on (``"numpy"``, ``"numba"``, ``"numba-parallel"``, ...), so suite
     #: rows — including those produced by parallel-suite workers — are
@@ -151,20 +142,11 @@ def _compile_triple(
     # capture per-call scheduler state before the next schedule() call
     sync_dag = getattr(scheduler, "sync_dag", None)
     # one plan per executed matrix: the unpermuted matrix's entry serves
-    # every triple without the reorder, each reorder gets its own.  The
-    # disk tier is keyed by the executed matrix's fingerprint, so
-    # reordered and plain matrices never collide
-    store_key = None
-    if cache.plan_store is not None:
-        from repro.store.plan_store import plan_store_key
-
-        store_key = plan_store_key(exec_matrix)
+    # every triple without the reorder, each reorder gets its own
     plan = cache.get_or_build(
         (inst.name, "__plan__", scheduler.name, cores) if reordered
         else (inst.name, "__plan__"),
         lambda: compile_plan(exec_matrix, check_diagonal=False),
-        store_key=store_key,
-        source_matrix=exec_matrix,
     )
     return _CompiledTriple(
         schedule=schedule,
@@ -312,15 +294,6 @@ def run_instance(
         reordered=entry.reordered,
         plan_cache_hits=cache.hits,
         plan_cache_misses=cache.misses,
-        plan_store_hits=(
-            cache.plan_store.hits if cache.plan_store is not None else 0
-        ),
-        plan_store_misses=(
-            cache.plan_store.misses if cache.plan_store is not None else 0
-        ),
-        plan_store_rejects=(
-            cache.plan_store.rejects if cache.plan_store is not None else 0
-        ),
         # cheap: backend availability is resolved once per process and
         # cached by the registry
         backend=get_backend().name,

@@ -86,6 +86,10 @@ def simulate_async(
 ) -> AsyncSimResult:
     """Simulate asynchronous execution of ``schedule`` on ``machine``.
 
+    ``schedule`` must be valid for ``lower``'s DAG
+    (:meth:`~repro.scheduler.schedule.Schedule.validate`); it is not
+    checked here, and a racing schedule is priced as if it were valid.
+
     Parameters
     ----------
     sync_dag:

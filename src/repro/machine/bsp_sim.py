@@ -91,7 +91,14 @@ def simulate_bsp(
     schedule: Schedule,
     machine: MachineModel,
 ) -> BSPSimResult:
-    """Simulate the synchronous execution of ``schedule`` on ``machine``."""
+    """Simulate the synchronous execution of ``schedule`` on ``machine``.
+
+    ``schedule`` must be valid for ``lower``'s DAG
+    (:meth:`~repro.scheduler.schedule.Schedule.validate`); it is not
+    checked here, and a racing schedule is priced as if it were valid.
+    Callers pricing a schedule from outside the library validate first,
+    as ``repro simulate`` does.
+    """
     n_steps = schedule.n_supersteps
     step_core, core_busy, active_cores = bsp_cost_matrix(
         lower, schedule, machine

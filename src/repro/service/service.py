@@ -267,18 +267,8 @@ class SolveService:
                 )
         else:
             cache_key = ("__service__", key, direction)
-            store_key = None
-            if self._cache.plan_store is not None:
-                # deferred import: the store layer is only touched when
-                # a disk tier is configured (REPRO_PLAN_STORE_DIR)
-                from repro.store.plan_store import plan_store_key
-
-                store_key = plan_store_key(matrix, direction=direction)
             plan = self._cache.get_or_build(
-                cache_key,
-                lambda: compile_plan(matrix, direction=direction),
-                store_key=store_key,
-                source_matrix=matrix,
+                cache_key, lambda: compile_plan(matrix, direction=direction)
             )
             if plan.matrix is not matrix:
                 # cache hit for a different system under the same key:

@@ -1,13 +1,16 @@
-"""Persisted execution plans: the fleet's compiled-artifact data-plane.
+"""Persisted execution plans: versioned, verified plan artifacts.
 
-A :class:`PlanStore` persists the lowered arrays of
-:class:`~repro.exec.plan.ExecutionPlan`s on disk, so a later process —
-suite workers, services, CLI runs — can load a verified plan instead of
-lowering its matrix again.  A plan is its matrix's level set, so the
-store key names the matrix and the sweep direction, never a schedule;
-only the lowering is replaced, and scheduling is still paid wherever a
-schedule is wanted.  Lowering is O(nnz), and so is the integrity gate
-below, so a load costs about as much as the compile it replaces.
+A :class:`PlanStore` persists the lowered arrays of the
+:class:`~repro.exec.plan.ExecutionPlan`s a caller explicitly saves, and
+loads them back, verified, when a caller explicitly asks: ``repro
+plans``, or code that hands a loaded plan to
+:meth:`~repro.service.SolveService.register`.  Nothing consults it
+implicitly: a :class:`~repro.exec.PlanCache` keeps plans in memory and
+builds a missing one with :func:`~repro.exec.compile_plan`.  A plan is
+its matrix's level set, so the store key names the matrix and the sweep
+direction, never a schedule.  Lowering is O(nnz), and so is the
+integrity gate below, so a load costs about as much as the compile it
+replaces.
 
 Format (version :data:`PLAN_STORE_VERSION`)
 -------------------------------------------
@@ -33,13 +36,13 @@ Integrity gate
 A deserialized plan may **never** serve unverified.  :meth:`PlanStore
 .load` rejects with a named :class:`~repro.errors.PlanArtifactError`
 subclass on a version, key, toolchain or content-hash mismatch (an
-older format's store or sidecar is refused by its version), and
-every surviving plan must still pass the mandatory
-:func:`repro.analysis.verify.check_plan` (unconditional — not behind
-``REPRO_VALIDATE_PLANS``) before it is returned.  Cache-tier callers
-(:meth:`repro.exec.PlanCache.get_or_build`) use :meth:`PlanStore.get`,
-which converts every rejection into a counted miss so the caller falls
-back to compiling.
+older format's store or sidecar is refused by its version) and on a
+hash-valid sidecar whose scalars do not parse, or do not describe its
+arrays and its key, and every surviving plan must still pass the
+mandatory :func:`repro.analysis.verify.check_plan` (unconditional — not
+behind ``REPRO_VALIDATE_PLANS``) before it is returned.
+:meth:`PlanStore.get` converts every rejection into a counted ``None``
+instead of raising (``repro plans load``).
 
 Writes are crash- and race-safe: payloads land in a same-directory
 temp file and are renamed into place (:mod:`repro.utils.atomic`
@@ -82,12 +85,10 @@ from repro.obs_gate import get_obs
 from repro.utils.atomic import atomic_write_json
 
 __all__ = [
-    "PLAN_STORE_ENV_VAR",
     "PLAN_STORE_MAX_BYTES_ENV_VAR",
     "PLAN_STORE_VERSION",
     "PlanKey",
     "PlanStore",
-    "plan_store_from_env",
     "plan_store_key",
     "toolchain_digest",
 ]
@@ -95,10 +96,6 @@ __all__ = [
 #: Format version of plan-store artifacts; bump on incompatible layout
 #: changes.  A mismatch is a named rejection, never a reinterpretation.
 PLAN_STORE_VERSION = 4
-
-#: Environment variable pointing the disk tier of every
-#: :class:`~repro.exec.PlanCache` at a store directory.
-PLAN_STORE_ENV_VAR = "REPRO_PLAN_STORE_DIR"
 
 #: Environment variable bounding a store's disk usage in bytes (LRU
 #: eviction beyond it; unset means unbounded, negative is refused).
@@ -230,15 +227,6 @@ def _budget(value: int | None, source: str) -> int | None:
     return value
 
 
-def plan_store_from_env() -> "PlanStore | None":
-    """The env-gated default store (``REPRO_PLAN_STORE_DIR``), or
-    ``None`` when the gate is off."""
-    path = os.environ.get(PLAN_STORE_ENV_VAR, "").strip()
-    if not path:
-        return None
-    return PlanStore(path)
-
-
 def _artifact_hash(arrays: dict, scalars: dict) -> str:
     """Content hash over the arrays *and* the sidecar scalars.
 
@@ -320,7 +308,6 @@ class PlanStore:
         self.rejects = 0
         self.saves = 0
         self.save_races = 0
-        self.save_errors = 0
         self.evictions = 0
         #: Reason string of the most recent load rejection (surfaced by
         #: the CLI and tests; informational only).
@@ -466,16 +453,6 @@ class PlanStore:
                 return None
         return sidecar_path
 
-    def put(self, plan: ExecutionPlan, key: PlanKey) -> str | None:
-        """Best-effort :meth:`save` for cache-tier callers: an I/O
-        failure is counted, never raised — failing to persist must not
-        fail the solve that compiled the plan."""
-        try:
-            return self.save(plan, key)
-        except OSError:
-            self._count("save_errors")
-            return None
-
     # ------------------------------------------------------------------
     # load
     # ------------------------------------------------------------------
@@ -511,7 +488,8 @@ class PlanStore:
         Every gate is mandatory and ordered: format version, exact key
         match (fingerprint/direction/dtype), the fingerprint of a
         caller-supplied ``matrix``, toolchain digest, content hash over
-        arrays *and* sidecar scalars — and finally the static verifier
+        arrays *and* sidecar scalars, sidecar scalars that parse and
+        describe the arrays and the key — and finally the static verifier
         (:func:`repro.analysis.verify.check_plan`, cross-checked
         against ``matrix`` when supplied).  Any failure raises the
         named error; a plan that cannot prove its integrity is never
@@ -580,11 +558,31 @@ class PlanStore:
                     f"recomputed {content_hash!r}) — bytes were "
                     f"flipped, truncated or torn"
                 )
+            # hash-valid is not well-formed: a sidecar re-hashed after
+            # an edit must still describe a plan of the key it is under
+            if scalars["direction"] != key.direction:
+                raise PlanArtifactStaleError(
+                    f"plan sidecar {sidecar_path!s} holds a "
+                    f"{scalars['direction']!r} plan under a "
+                    f"{key.direction!r} key"
+                )
+            n = scalars["n"]
+            singular_row = scalars["singular_row"]
+            singular_reason = scalars["singular_reason"]
+            if (type(n) is not int or n != arrays["rows"].size
+                    or type(singular_row) is not int
+                    or not isinstance(singular_reason, str)):
+                raise PlanArtifactCorruptError(
+                    f"plan sidecar {sidecar_path!s} does not parse: "
+                    f"n={n!r} for {arrays['rows'].size} rows, "
+                    f"singular_row={singular_row!r}, "
+                    f"singular_reason={singular_reason!r}"
+                )
             plan = ExecutionPlan(
                 matrix=matrix,
-                direction=str(sidecar["direction"]),
-                singular_row=int(sidecar["singular_row"]),
-                _singular_reason=str(sidecar["singular_reason"]),
+                direction=key.direction,
+                singular_row=singular_row,
+                _singular_reason=singular_reason,
                 provenance="store",
                 **arrays,
             )
@@ -603,13 +601,13 @@ class PlanStore:
         return plan
 
     def get(self, key: PlanKey, *, matrix=None) -> ExecutionPlan | None:
-        """Cache-tier lookup: the loaded plan, or ``None``.
+        """Non-raising :meth:`load`: the loaded plan, or ``None``.
 
         A missing artifact is a counted miss; a rejected artifact
         (named :class:`~repro.errors.PlanArtifactError`, a failed
-        :func:`check_plan`, or an I/O error) is a counted reject — the
-        caller falls back to compiling either way, and a corrupt
-        artifact never crashes the lookup.
+        :func:`check_plan`, or an I/O error) is a counted reject whose
+        reason is kept in :attr:`last_reject` — a corrupt artifact never
+        crashes the lookup.
         """
         try:
             return self.load(key, matrix=matrix)
@@ -801,7 +799,6 @@ class PlanStore:
                 "rejects": self.rejects,
                 "saves": self.saves,
                 "save_races": self.save_races,
-                "save_errors": self.save_errors,
                 "evictions": self.evictions,
             }
 

@@ -72,6 +72,29 @@ def test_simulate_with_torn_schedule_is_a_clean_error(matrix_file,
     assert "error:" in capsys.readouterr().err
 
 
+def test_simulate_refuses_a_racing_schedule(tmp_path, capsys):
+    """A schedule file that is not valid for its matrix is refused, not
+    priced: every row in superstep 0 over 2 cores read as a speed-up."""
+    from repro.graph.dag import DAG
+    from repro.scheduler.schedule import Schedule
+    from repro.scheduler.serialize import save_schedule_json
+
+    lower = narrow_band_lower(400, 0.2, 6.0, seed=0)
+    mtx = tmp_path / "L.mtx"
+    write_matrix_market(lower, mtx)
+    racing = Schedule(np.arange(lower.n) * 2 // lower.n,
+                      np.zeros(lower.n, dtype=np.int64), 2)
+    assert not racing.is_valid(DAG.from_lower_triangular(lower))
+    sched = tmp_path / "racing.json"
+    save_schedule_json(racing, sched)
+    capsys.readouterr()
+    assert main(["simulate", "--matrix", str(mtx),
+                 "--schedule", str(sched)]) == 2
+    captured = capsys.readouterr()
+    assert "error:" in captured.err
+    assert "speed-up" not in captured.out
+
+
 def test_solve_custom_rhs(matrix_file, tmp_path):
     rhs = tmp_path / "b.npy"
     np.save(rhs, np.linspace(1, 2, 300))

@@ -8,13 +8,16 @@ Three tiers, mirroring the store's contract:
   equal to the freshly compiled plan's on every available backend;
 * **corruption corpus**: every mutation class (torn sidecar, truncated
   npz, per-array byte flips, stale fingerprint, wrong format version,
-  toolchain drift) is rejected with its named error, and the
-  :class:`~repro.exec.PlanCache` disk tier falls back to compiling —
-  never crashes, never serves the corrupt plan; a store of the previous
-  format version is refused by name;
+  toolchain drift, hash-valid sidecars whose scalars do not parse or
+  do not describe the arrays and the key) is rejected by ``load`` with
+  its named error, counted by ``get`` as a reject its caller falls
+  back from by compiling, and flagged by ``verify`` — never crashes,
+  never serves the corrupt plan; a store of an earlier format version
+  is refused by name;
 * **fleet behavior**: exactly-one-artifact-per-key under racing
-  threads, LRU disk budgeting, and a second process performing zero
-  ``compile_plan`` calls against a warm store.
+  threads, LRU disk budgeting, a service serving a loaded plan, and a
+  second process that loads every plan from a warm store performing
+  zero ``compile_plan`` calls.
 """
 
 from __future__ import annotations
@@ -31,7 +34,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.sparse.linalg import spsolve_triangular
 
 from repro.errors import (
     ConfigurationError,
@@ -43,25 +45,18 @@ from repro.errors import (
     PlanArtifactVersionError,
     PlanVerificationError,
 )
-from repro.exec import (
-    PlanCache,
-    available_backends,
-    compile_count,
-    compile_plan,
-    get_backend,
-)
+from repro.exec import available_backends, compile_plan, get_backend
 from repro.graph.dag import DAG
 from repro.matrix.generators import narrow_band_lower
 from repro.scheduler import GrowLocalScheduler, WavefrontScheduler
 from repro.store import (
-    PLAN_STORE_ENV_VAR,
     PLAN_STORE_VERSION,
     PlanKey,
     PlanStore,
     plan_store_key,
     toolchain_digest,
 )
-from repro.store.plan_store import ARRAY_FIELDS
+from repro.store.plan_store import ARRAY_FIELDS, _artifact_hash
 from tests.conftest import lower_triangular_matrices
 
 SCALAR_FIELDS = ("direction", "singular_row", "_singular_reason")
@@ -262,25 +257,6 @@ class TestFormatVersion:
             "PlanArtifactVersionError"
         ]
 
-    def test_plan_cache_on_version_1_store_compiles(self, tmp_path,
-                                                   monkeypatch):
-        _, key, lower = self._old_version(tmp_path)
-        monkeypatch.setenv(PLAN_STORE_ENV_VAR, str(tmp_path))
-        cache = PlanCache()
-        n0 = compile_count()
-        plan = cache.get_or_build(
-            "k", lambda: compile_plan(lower),
-            store_key=key, source_matrix=lower,
-        )
-        assert cache.plan_store is None  # the refused store is not used
-        assert compile_count() == n0 + 1
-        assert plan.provenance == "compiled"
-        b = np.random.default_rng(3).standard_normal(lower.n)
-        expected = spsolve_triangular(lower.to_scipy().tocsr(), b)
-        np.testing.assert_allclose(
-            get_backend().solve(plan, b), expected, rtol=1e-10, atol=1e-12
-        )
-
 
 # ---------------------------------------------------------------------------
 # corruption corpus: every mutation class -> its named rejection
@@ -348,6 +324,30 @@ def _tampered_direction(store, key):
     _edit_sidecar(store, key, direction="backward")
 
 
+def _rehashed_sidecar(**updates):
+    """Edit the sidecar, then recompute its content hash, as a writer
+    that produced a malformed artifact would: the hash alone cannot
+    tell, so the load must read the scalars themselves."""
+
+    def mutate(store, key):
+        npz_path, sidecar_path, _ = store._paths(key)
+        with np.load(npz_path, allow_pickle=False) as payload:
+            arrays = {name: payload[name] for name in ARRAY_FIELDS}
+
+        def rehash():
+            sidecar = json.loads(Path(sidecar_path).read_text())
+            scalars = {name: value for name, value in sidecar.items()
+                       if name != "content_hash"}
+            return sidecar["content_hash"], _artifact_hash(arrays, scalars)
+
+        stored, recomputed = rehash()
+        assert stored == recomputed  # hashes exactly what the store does
+        _edit_sidecar(store, key, **updates)
+        _edit_sidecar(store, key, content_hash=rehash()[1])
+
+    return mutate
+
+
 CORRUPTION_CORPUS = [
     pytest.param(_tear_sidecar, PlanArtifactCorruptError,
                  id="torn-sidecar"),
@@ -363,6 +363,15 @@ CORRUPTION_CORPUS = [
                  id="toolchain-drift"),
     pytest.param(_tampered_direction, PlanArtifactCorruptError,
                  id="tampered-sidecar-scalar"),
+    pytest.param(_rehashed_sidecar(singular_row="abc"),
+                 PlanArtifactCorruptError,
+                 id="rehashed-unparseable-scalar"),
+    pytest.param(_rehashed_sidecar(n=lambda n: n + 1),
+                 PlanArtifactCorruptError,
+                 id="rehashed-row-count-not-the-plans"),
+    pytest.param(_rehashed_sidecar(direction="backward"),
+                 PlanArtifactStaleError,
+                 id="rehashed-direction-not-the-keys"),
 ] + [
     pytest.param(_flip_array_byte(field), PlanArtifactCorruptError,
                  id=f"byte-flip-{field}")
@@ -382,16 +391,15 @@ class TestCorruptionCorpus:
     @pytest.mark.parametrize("mutate, expected", CORRUPTION_CORPUS)
     def test_cache_falls_back_to_compile(self, tmp_path, mutate,
                                          expected):
+        """``get`` turns every rejection into ``None``, counted and
+        named, and its caller falls back to compiling."""
         store, key, lower, fresh = _saved_artifact(tmp_path)
         mutate(store, key)
-        cache = PlanCache(plan_store=store)
-        plan = cache.get_or_build(
-            "k", lambda: compile_plan(lower),
-            store_key=key, source_matrix=lower,
-        )
-        assert plan.provenance == "compiled"
+        assert store.get(key, matrix=lower) is None
         assert store.counters()["rejects"] == 1
+        assert store.counters()["misses"] == 0
         assert store.last_reject.startswith(expected.__name__)
+        plan = compile_plan(lower)
         b = np.ones(lower.n)
         assert np.array_equal(
             get_backend("numpy").solve(plan, b),
@@ -421,6 +429,18 @@ class TestCorruptionCorpus:
         other = narrow_band_lower(lower.n, 0.25, 6.0, seed=99)
         with pytest.raises(PlanArtifactStaleError):
             store.load(key, matrix=other)
+
+    @pytest.mark.parametrize("mutate, expected", CORRUPTION_CORPUS)
+    def test_verify_flags_instead_of_raising(self, tmp_path, mutate,
+                                             expected):
+        store, key, _, _ = _saved_artifact(tmp_path)
+        mutate(store, key)
+        report = store.verify()
+        assert not report["ok"]
+        assert [(v["stem"], v["error_type"])
+                for v in report["artifacts"]] == [
+            (key.stem(), expected.__name__)
+        ]
 
     def test_verify_flags_exactly_the_corrupt_artifact(self, tmp_path):
         store, key, lower, _ = _saved_artifact(tmp_path)
@@ -519,22 +539,23 @@ class TestConcurrency:
                   for s in range(3)]
         keys = [plan_store_key(m, None) for m in lowers]
         n_threads = 8
-        barrier = threading.Barrier(n_threads)
+        barrier = threading.Barrier(n_threads, timeout=120)
         stores = [PlanStore(tmp_path) for _ in range(n_threads)]
         results: list[list] = [[] for _ in range(n_threads)]
+        lost = [0] * n_threads
         errors = []
 
         def worker(tid):
             try:
-                cache = PlanCache(plan_store=stores[tid])
+                store = stores[tid]
                 barrier.wait()
                 for m, k in zip(lowers, keys, strict=True):
-                    plan = cache.get_or_build(
-                        ("serial", m.n, k.stem()),
-                        lambda m=m: compile_plan(m),
-                        store_key=k, source_matrix=m,
-                    )
-                    results[tid].append(plan)
+                    if store.save(compile_plan(m), k) is None:
+                        lost[tid] += 1
+                # every writer has committed or lost before any load
+                barrier.wait()
+                for m, k in zip(lowers, keys, strict=True):
+                    results[tid].append(store.load(k, matrix=m))
             except Exception as exc:  # pragma: no cover
                 errors.append(exc)
 
@@ -543,7 +564,8 @@ class TestConcurrency:
         for t in threads:
             t.start()
         for t in threads:
-            t.join()
+            t.join(timeout=120)
+            assert not t.is_alive()
         assert not errors
         names = os.listdir(tmp_path)
         assert not [n for n in names if n.endswith(".lock")]
@@ -555,6 +577,10 @@ class TestConcurrency:
         # exactly one npz+sidecar per key, nothing else
         artifacts = [n for n in names if n != "plan-store.json"]
         assert len(artifacts) == 2 * len(keys)
+        # every save that lost the key's claim is counted as a race
+        assert sum(s.counters()["save_races"] for s in stores) == sum(lost)
+        assert (sum(s.counters()["saves"] for s in stores) + sum(lost)
+                == n_threads * len(keys))
         # no torn reads: every thread's plans solve identically
         b = np.ones(90)
         x0 = get_backend("numpy").solve(results[0][0], b)
@@ -562,124 +588,61 @@ class TestConcurrency:
             assert len(results[tid]) == len(keys)
             for plan in results[tid]:
                 assert plan.n == 90
+                assert plan.provenance == "store"
         for tid in range(1, n_threads):
             assert np.array_equal(
                 get_backend("numpy").solve(results[tid][0], b), x0
             )
 
 
-class TestPlanCacheTier:
-    def test_disk_hit_skips_compile(self, tmp_path):
-        store, key, lower, _ = _saved_artifact(tmp_path)
-        cache = PlanCache(plan_store=store)
-        n0 = compile_count()
-        plan = cache.get_or_build(
-            "k", lambda: compile_plan(lower),
-            store_key=key, source_matrix=lower,
-        )
-        assert compile_count() == n0
-        assert plan.provenance == "store"
-        # second lookup is a pure memory hit (no second store read)
-        hits0 = store.counters()["hits"]
-        again = cache.get_or_build("k", lambda: 1 / 0, store_key=key)
-        assert again is plan
-        assert store.counters()["hits"] == hits0
-
-    def test_build_populates_store(self, tmp_path):
-        lower = narrow_band_lower(120, 0.25, 6.0, seed=0)
-        store = PlanStore(tmp_path)
-        key = plan_store_key(lower)
-        cache = PlanCache(plan_store=store)
-        plan = cache.get_or_build(
-            "k", lambda: compile_plan(lower),
-            store_key=key, source_matrix=lower,
-        )
-        assert plan.provenance == "compiled"
-        assert store.counters() == {**store.counters(),
-                                    "misses": 1, "saves": 1}
-        assert len(store) == 1
-
-    def test_env_gate_resolution(self, tmp_path, monkeypatch):
-        monkeypatch.delenv(PLAN_STORE_ENV_VAR, raising=False)
-        assert PlanCache().plan_store is None
-        monkeypatch.setenv(PLAN_STORE_ENV_VAR, str(tmp_path / "ps"))
-        cache = PlanCache()
-        assert cache.plan_store is not None
-        assert cache.plan_store.path == str(tmp_path / "ps")
-        # resolution is sticky per cache instance
-        monkeypatch.delenv(PLAN_STORE_ENV_VAR)
-        assert cache.plan_store is not None
-
-    def test_no_store_key_never_touches_disk(self, tmp_path):
-        store = PlanStore(tmp_path)
-        cache = PlanCache(plan_store=store)
-        cache.get_or_build("k", lambda: 42)
-        assert store.counters()["misses"] == 0
-
-
 class TestWiring:
-    def test_run_instance_counts_store_traffic(self, tmp_path,
-                                               monkeypatch):
-        from repro.experiments.datasets import DatasetInstance
-        from repro.experiments.runner import run_instance
-        from repro.machine.model import get_machine
-
-        monkeypatch.setenv(PLAN_STORE_ENV_VAR, str(tmp_path))
-        lower = narrow_band_lower(100, 0.25, 6.0, seed=1)
-        inst = DatasetInstance("plan_store_wiring", lower)
-        machine = get_machine("intel_xeon_6238t")
-        scheduler = GrowLocalScheduler()
-        cold = run_instance(inst, scheduler, machine, n_cores=4)
-        assert cold.plan_store_misses > 0
-        assert cold.plan_store_hits == 0
-        # a fresh cache in the same process loads every plan back
-        warm = run_instance(inst, scheduler, machine, n_cores=4)
-        assert warm.plan_store_hits > 0
-        assert warm.plan_store_rejects == 0
-        assert np.isclose(warm.speedup, cold.speedup)
-
-    def test_service_register_stamps_plan_source(self, tmp_path,
-                                                 monkeypatch):
+    def test_service_register_stamps_plan_source(self, tmp_path):
+        """A plan loaded from the store and registered with ``plan=``
+        reports ``plan_source == "store"`` and solves bit-equal to the
+        compiled plan; a registration without one compiles."""
         from repro.service import SolveService
 
-        monkeypatch.setenv(PLAN_STORE_ENV_VAR, str(tmp_path))
         lower = narrow_band_lower(80, 0.2, 5.0, seed=0)
+        compiled = compile_plan(lower)
+        store = PlanStore(tmp_path)
+        key = plan_store_key(lower)
+        assert store.save(compiled, key) is not None
+        loaded = store.load(key, matrix=lower)
+        b = np.random.default_rng(5).standard_normal(80)
         with SolveService() as svc:
-            svc.register("sys", lower)
-            assert svc.stats("sys").plan_source == "compiled"
-        with SolveService() as svc:
-            svc.register("sys", lower)
+            svc.register("compiled", lower)
+            svc.register("sys", lower, plan=loaded)
+            assert svc.stats("compiled").plan_source == "compiled"
             stats = svc.stats("sys")
             assert stats.plan_source == "store"
             assert stats.as_row()["plan_source"] == "store"
-            x = svc.solve("sys", np.ones(80))
-            assert np.allclose(
-                x, get_backend("numpy").solve(compile_plan(lower),
-                                              np.ones(80))
-            )
+            assert np.array_equal(svc.solve("sys", b),
+                                  svc.solve("compiled", b))
 
     def test_two_process_warm_start_zero_compiles(self, tmp_path):
-        """The fleet contract: a second process against a warm store
-        performs ZERO ``compile_plan`` calls (counter-asserted, like
-        the persistent-JIT warm-start check)."""
+        """The warm-start contract: a second process that takes every
+        plan from a warm store through ``PlanStore.load`` performs ZERO
+        ``compile_plan`` calls (counter-asserted, like the persistent-JIT
+        warm-start check)."""
         probe = (
-            "import json\n"
-            "from repro.exec import PlanCache, compile_count, "
-            "compile_plan\n"
+            "import json, sys\n"
+            "from repro.exec import compile_count, compile_plan\n"
             "from repro.matrix.generators import narrow_band_lower\n"
-            "from repro.store import plan_store_key\n"
-            "cache = PlanCache()\n"
+            "from repro.store import PlanStore, plan_store_key\n"
+            "mode, path = sys.argv[1:]\n"
+            "store = PlanStore(path)\n"
             "plans = []\n"
             "for seed in (0, 1):\n"
             "    L = narrow_band_lower(100, 0.25, 6.0, seed=seed)\n"
             "    for M, d in ((L, 'forward'), "
             "(L.transpose(), 'backward')):\n"
             "        key = plan_store_key(M, direction=d)\n"
-            "        plans.append(cache.get_or_build(\n"
-            "            (seed, d),\n"
-            "            lambda M=M, d=d: compile_plan(M, direction=d),\n"
-            "            store_key=key, source_matrix=M,\n"
-            "        ))\n"
+            "        if mode == 'write':\n"
+            "            plan = compile_plan(M, direction=d)\n"
+            "            assert store.save(plan, key) is not None\n"
+            "        else:\n"
+            "            plan = store.load(key, matrix=M)\n"
+            "        plans.append(plan)\n"
             "print(json.dumps({'compiles': compile_count(),\n"
             "                  'sources': sorted({p.provenance "
             "for p in plans})}))\n"
@@ -691,20 +654,19 @@ class TestWiring:
         env["PYTHONPATH"] = os.pathsep.join(
             [str(src_root)] + env.get("PYTHONPATH", "").split(os.pathsep)
         ).rstrip(os.pathsep)
-        env[PLAN_STORE_ENV_VAR] = str(tmp_path)
 
-        def run():
+        def run(mode):
             proc = subprocess.run(
-                [sys.executable, "-c", probe], env=env,
-                capture_output=True, text=True, timeout=300,
+                [sys.executable, "-c", probe, mode, str(tmp_path)],
+                env=env, capture_output=True, text=True, timeout=300,
             )
             assert proc.returncode == 0, proc.stderr
             return json.loads(proc.stdout.strip().splitlines()[-1])
 
-        cold = run()
+        cold = run("write")
         assert cold["compiles"] == 4
         assert cold["sources"] == ["compiled"]
-        warm = run()
+        warm = run("read")
         assert warm["compiles"] == 0
         assert warm["sources"] == ["store"]
 
