@@ -144,6 +144,44 @@ def test_numpy_deep_narrow_beats_per_row_loop():
     )
 
 
+def test_numpy_block_beats_column_solves_on_the_serving_shape():
+    """Micro-batching must pay at the backend, without threads.
+
+    The serving shape (64 levels of 100 rows, 3 dependencies each, the
+    shape of the service floors' systems): one 16-column
+    ``solve_block`` must cost at most half of 16 single-RHS ``solve``
+    calls on the numpy tier.  The two are timed in alternating rounds
+    and the best of each compared, so a slow stretch of a shared host
+    hits both sides.
+    """
+    lower = make_wide_shallow(levels=64, width=100, deps=3, seed=0)
+    plan = compile_plan(lower)
+    backend = get_backend("numpy")
+    b_block = np.random.default_rng(0).standard_normal((lower.n, 16))
+    columns = [b_block[:, c].copy() for c in range(16)]
+    x_block = backend.solve_block(plan, b_block)  # warm-up: builds
+    for c, b in enumerate(columns):               # the program
+        np.testing.assert_array_equal(x_block[:, c], backend.solve(plan, b))
+
+    t_columns, t_block = [], []
+    for _ in range(9 if SMOKE else 21):
+        with Timer() as t:
+            for b in columns:
+                backend.solve(plan, b)
+        t_columns.append(t.elapsed)
+        with Timer() as t:
+            backend.solve_block(plan, b_block)
+        t_block.append(t.elapsed)
+    ratio = min(t_columns) / min(t_block)
+    print(f"\nserving shape (n={lower.n}, {plan.n_batches} batches): "
+          f"16 solves {min(t_columns) * 1e3:.2f} ms, one 16-column "
+          f"block {min(t_block) * 1e3:.2f} ms -> {ratio:.2f}x")
+    assert ratio >= 2.0, (
+        f"a 16-column block costs {1 / ratio:.2f}x of 16 solves on the "
+        f"serving shape (floor: at most 0.5x)"
+    )
+
+
 class TestSetupFloors:
     """Set-up is O(nnz) whatever the plan's depth.
 

@@ -5,10 +5,11 @@ right-hand side into a solution.  Backends are registered by name in a
 small registry so later scaling work (process pools, native kernels,
 accelerators) plugs in behind the same boundary:
 
-* ``numpy`` — always available; one vectorized gather / segment-sum /
-  scatter per dependency batch, except that runs of low-work batches
-  (see :data:`SCALAR_BATCH_WORK`) run as one interpreted scalar sweep,
-  which costs less than a vectorized call per batch;
+* ``numpy`` — always available; one vectorized step per dependency
+  batch (gather, multiply, sum, subtract, divide, scatter), prebuilt
+  once per plan by :func:`_numpy_program`, except that runs of low-work
+  batches (see :data:`SCALAR_BATCH_WORK`) run as one interpreted scalar
+  sweep, which costs less than a vectorized step per batch;
 * ``numba`` — auto-detected; a JIT-compiled *sequential* sweep over the
   plan's flat arrays (no interpreter in the inner loop, but one thread);
 * ``numba-parallel`` — auto-detected; the same backend with another
@@ -18,8 +19,10 @@ accelerators) plugs in behind the same boundary:
   narrow layer structure does not pay per-layer dispatch.
 
 The plan carries only its matrix's dependency batches; the position
-spans a backend walks are derived from ``batch_ptr`` once per plan
-(:func:`numpy_dispatch`, :func:`fused_dispatch`), never stored in it.
+spans a backend walks, and the numpy backend's program of batch steps,
+are derived from the plan's arrays once per plan (:func:`numpy_dispatch`,
+:func:`fused_dispatch`, :func:`_numpy_program`) and kept on the plan
+object, never persisted.
 
 Tiering: ``numba-parallel`` > ``numba`` > ``numpy``.  Only the first
 step is floored (on numba installs, by
@@ -41,7 +44,7 @@ tier: ``numba-parallel``, then ``numba``, then ``numpy``.
 from __future__ import annotations
 
 import os
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -70,10 +73,20 @@ BACKEND_ENV_VAR = "REPRO_EXEC_BACKEND"
 
 #: A dependency batch whose rows plus off-diagonal entries number at most
 #: this is *low-work*: :class:`NumpyBackend` solves runs of such batches
-#: as one scalar sweep, because one vectorized gather / segment-sum /
-#: scatter costs several microseconds of interpreter and numpy dispatch
-#: however small the batch (see :func:`numpy_dispatch`).
+#: as one scalar sweep, because one vectorized batch step costs several
+#: microseconds of interpreter and numpy dispatch however small the
+#: batch (see :func:`numpy_dispatch`).
 SCALAR_BATCH_WORK = 16
+
+#: A vectorized batch whose rows have between 1 and this many
+#: off-diagonal entries each sums its rows rank by rank
+#: (:func:`_numpy_program`): one in-place add per entry rank, which for
+#: a block covers all ``k`` columns at once and adds in the scalar
+#: recurrence's order.  Denser batches sum their rows with one
+#: ``np.add.reduceat``.  Timed on the benchmark's paper-cold plans and a
+#: narrow-band plan (``docs/backends.md``): 8 keeps narrow-band's rows
+#: of up to 6 entries on the rank sum; 2 does not.
+RANK_SUM_MAX = 8
 
 #: A dependency batch with at least this many rows is a ``prange`` span
 #: of the ``numba-parallel`` backend; runs of smaller batches are fused
@@ -173,28 +186,6 @@ class ExecutionBackend:
         return f"<{type(self).__name__} {self.name!r}>"
 
 
-def _segment_sums(
-    contrib: np.ndarray,
-    starts: np.ndarray,
-    counts: np.ndarray,
-    out: np.ndarray,
-) -> np.ndarray:
-    """Sum contiguous row segments of ``contrib`` (1-D or 2-D) into ``out``.
-
-    ``out[i]`` receives ``contrib[starts[i]:starts[i]+counts[i]].sum(0)``.
-    Built on ``np.add.reduceat`` restricted to the non-empty segments:
-    reduceat mis-handles empty segments (a repeated index returns the
-    element at that position, a start index equal to ``len(contrib)``
-    raises), so those rows keep their zero initialization instead.  The
-    accumulation order is identical for 1-D and 2-D inputs, which is what
-    makes single-RHS and block solves bit-equal column for column.
-    """
-    nz = np.flatnonzero(counts)
-    if nz.size:
-        out[nz] = np.add.reduceat(contrib, starts[nz], axis=0)
-    return out
-
-
 def _group_runs(
     batch_ptr: np.ndarray, small: np.ndarray
 ) -> tuple[tuple[int, int, bool], ...]:
@@ -222,7 +213,7 @@ def numpy_dispatch(plan: ExecutionPlan) -> tuple[tuple[int, int, bool], ...]:
     consecutive batches whose rows plus off-diagonal entries number at
     most :data:`SCALAR_BATCH_WORK` each, solved as one scalar sweep;
     every other span is exactly one batch, solved by one vectorized
-    gather / segment-sum / scatter.  Unlike :func:`fused_dispatch`, the
+    step of :func:`_numpy_program`.  Unlike :func:`fused_dispatch`, the
     split counts off-diagonal entries, so a run of few-row batches with
     many entries each stays vectorized.  Pure plan arithmetic, computed
     on the plan's first numpy solve and kept on the plan (never
@@ -278,6 +269,152 @@ def fused_dispatch(plan: ExecutionPlan) -> tuple[tuple[int, int, bool], ...]:
     return spans
 
 
+def _exclusive_cumsum(a: np.ndarray) -> np.ndarray:
+    """Where each of the consecutive segments of lengths ``a`` starts."""
+    out = np.zeros(a.size, dtype=np.int64)
+    np.cumsum(a[:-1], out=out[1:])
+    return out
+
+
+def _rank_layout(plan: ExecutionPlan, ranked: np.ndarray) -> tuple:
+    """Rows, diagonal and entries of the batches flagged in ``ranked``
+    (per batch), laid out for the entry-rank sum, in whole-plan array
+    operations.
+
+    Within each batch the rows are ordered by descending entry count
+    (ties in position order), and the batch's entries rank-major: entry
+    ``j`` of the batch's ``i``-th row sits at ``start[j] + i``, so rank
+    ``j`` covers the first ``width[j]`` rows, those with more than ``j``
+    entries.  Returns ``(rows, diag, cols, vals, width, start)``: the
+    first four compact arrays of the ranked batches in plan order,
+    ``width`` and ``start`` ``(n_ranked, RANK_SUM_MAX)`` tables, with
+    ``start`` counted from the batch's first entry.
+    """
+    sizes = np.diff(plan.batch_ptr)
+    counts = np.diff(plan.off_ptr)
+    label = np.repeat(np.arange(sizes.size), sizes)
+    pos = np.flatnonzero(ranked[label])
+    pos = pos[np.lexsort((-counts[pos], label[pos]))]
+    count = counts[pos]
+    rk_sizes = sizes[ranked]
+    batch = np.repeat(np.arange(rk_sizes.size), rk_sizes)
+    local = np.arange(pos.size) - _exclusive_cumsum(rk_sizes)[batch]
+    hist = np.bincount(
+        batch * (RANK_SUM_MAX + 1) + count,
+        minlength=rk_sizes.size * (RANK_SUM_MAX + 1),
+    ).reshape(rk_sizes.size, RANK_SUM_MAX + 1)
+    # width[t, j]: rows of ranked batch t with more than j entries
+    width = np.cumsum(hist[:, ::-1], axis=1)[:, -2::-1]
+    start = np.zeros_like(width)
+    np.cumsum(width[:, :-1], axis=1, out=start[:, 1:])
+    # where each (batch, rank) begins among all ranked entries
+    base = (_exclusive_cumsum(width.sum(axis=1))[:, None] + start).ravel()
+    owner = np.repeat(np.arange(pos.size), count)
+    rank = np.arange(owner.size) - _exclusive_cumsum(count)[owner]
+    src = plan.off_ptr[pos][owner] + rank
+    dest = base[batch[owner] * RANK_SUM_MAX + rank] + local[owner]
+    cols = np.empty(owner.size, dtype=plan.off_cols.dtype)
+    vals = np.empty(owner.size)
+    cols[dest] = plan.off_cols[src]
+    vals[dest] = plan.off_vals[src]
+    return plan.rows[pos], plan.diag[pos], cols, vals, width, start
+
+
+class _Batch(NamedTuple):
+    """A vectorized step of the numpy program: one dependency batch.
+
+    ``rows`` and ``cols`` are the batch's row ids and its entries'
+    columns in the order the sum recipe reads them; ``vals`` and
+    ``diag`` are ``(vector, column)`` pairs of views, the column form
+    broadcasting over a block.  A batch whose rows have between 1 and
+    :data:`RANK_SUM_MAX` entries each is *rank-summed*: ``ranks`` holds
+    the slice of rank 0's products, then a ``(rows, products)`` pair of
+    slices per further rank.  Any other batch has ``ranks=None`` and
+    sums its rows with ``np.add.reduceat`` from ``starts``; if some of
+    its rows have no entries, ``nz`` lists the others and ``starts``
+    holds theirs.
+    """
+
+    rows: np.ndarray
+    cols: np.ndarray
+    vals: tuple[np.ndarray, np.ndarray]
+    diag: tuple[np.ndarray, np.ndarray]
+    ranks: tuple | None
+    starts: np.ndarray | None
+    nz: np.ndarray | None
+
+
+def _numpy_program(plan: ExecutionPlan) -> tuple:
+    """The numpy backend's program for ``plan``, built on the plan's
+    first numpy solve and kept on the plan (never persisted, and never
+    built by :func:`~repro.exec.plan.compile_plan`).  Concurrent first
+    solves may each build one; they are equal and either is kept."""
+    program = plan._numpy_program
+    if program is None:
+        program = plan._numpy_program = _build_numpy_program(plan)
+    return program
+
+
+def _build_numpy_program(plan: ExecutionPlan) -> tuple:
+    """One ``(lo, hi, batch)`` step per span of :func:`numpy_dispatch`:
+    ``batch`` is ``None`` for a scalar span, else a :class:`_Batch`."""
+    spans = numpy_dispatch(plan)
+    batch_ptr, off_ptr = plan.batch_ptr, plan.off_ptr
+    counts = np.diff(off_ptr)
+    vectorized = np.searchsorted(
+        batch_ptr, [lo for lo, _, scalar in spans if not scalar],
+        side="right",
+    ) - 1
+    filled = np.flatnonzero(np.diff(batch_ptr))
+    top = np.zeros(batch_ptr.size - 1, dtype=np.int64)
+    low = np.zeros_like(top)
+    if filled.size:
+        top[filled] = np.maximum.reduceat(counts, batch_ptr[filled])
+        low[filled] = np.minimum.reduceat(counts, batch_ptr[filled])
+    ranked = np.zeros(top.size, dtype=bool)
+    ranked[vectorized] = (
+        (low[vectorized] >= 1) & (top[vectorized] <= RANK_SUM_MAX)
+    )
+    rk_rows, rk_diag, rk_cols, rk_vals, width, start = _rank_layout(
+        plan, ranked
+    )
+    width, start = width.tolist(), start.tolist()
+    batches = iter(vectorized.tolist())
+    steps = []
+    row0 = ent0 = t = 0
+    for lo, hi, scalar in spans:
+        if scalar:
+            steps.append((lo, hi, None))
+            continue
+        batch = next(batches)
+        if ranked[batch]:
+            row1, ent1 = row0 + hi - lo, ent0 + sum(width[t])
+            vals = rk_vals[ent0:ent1]
+            diag = rk_diag[row0:row1]
+            ranks = (slice(0, hi - lo),) + tuple(
+                (slice(0, w), slice(e, e + w))
+                for w, e in zip(width[t][1:], start[t][1:], strict=True)
+                if w
+            )
+            step = _Batch(rk_rows[row0:row1], rk_cols[ent0:ent1],
+                          (vals, vals[:, None]), (diag, diag[:, None]),
+                          ranks, None, None)
+            row0, ent0, t = row1, ent1, t + 1
+        else:
+            s0, s1 = off_ptr[lo], off_ptr[hi]
+            vals = plan.off_vals[s0:s1]
+            diag = plan.diag[lo:hi]
+            starts, nz = off_ptr[lo:hi] - s0, None
+            if low[batch] == 0:
+                nz = np.flatnonzero(counts[lo:hi])
+                starts = starts[nz]
+            step = _Batch(plan.rows[lo:hi], plan.off_cols[s0:s1],
+                          (vals, vals[:, None]), (diag, diag[:, None]),
+                          None, starts, nz)
+        steps.append((lo, hi, step))
+    return tuple(steps)
+
+
 def _sweep_block_rows(rows, off_ptr, off_cols, off_vals, diag, b, x, lo, hi):
     """Scalar span of a block solve: positions ``[lo, hi)`` one row at a
     time, all ``k`` columns of the row at once.
@@ -300,20 +437,21 @@ class NumpyBackend(ExecutionBackend):
     """Vectorized batch kernel with scalar sweeps over low-work batches.
 
     Rows inside a batch are mutually independent by construction, so a
-    batch can be computed with flat-array NumPy operations, one gather /
-    segment-sum / scatter for the whole batch.  That call costs several
-    microseconds of dispatch however few rows it covers, so the backend
-    walks the spans of :func:`numpy_dispatch`: each batch with more than
-    :data:`SCALAR_BATCH_WORK` rows plus off-diagonal entries is one
-    vectorized call, and each run of lower-work batches is one
-    interpreted scalar sweep over the plan's position order (for a
-    single RHS, the plain-Python ``_sweep`` of
-    :mod:`~repro.exec.kernels_numba` over memoryviews).  The single-RHS
-    and block kernels make the same split, share one segment-sum
-    (:func:`_segment_sums`) and run the same scalar recurrence per
-    column, so ``solve_block`` columns are bit-equal to the
-    corresponding ``solve`` results — the invariant the coalescing
-    :class:`~repro.service.SolveService` relies on.
+    batch can be computed with flat-array NumPy operations.  Each such
+    batch costs several microseconds of dispatch however few rows it
+    covers, so the backend walks the spans of :func:`numpy_dispatch`:
+    each run of batches with at most :data:`SCALAR_BATCH_WORK` rows
+    plus off-diagonal entries each is one interpreted scalar sweep over
+    the plan's position order (for a single RHS, the plain-Python
+    ``_sweep`` of :mod:`~repro.exec.kernels_numba` over memoryviews),
+    and every other batch is one vectorized step of the plan's program
+    (:func:`_numpy_program`, built on the plan's first numpy solve):
+    gather, multiply, sum, subtract, divide, scatter, with the batch's
+    views and sum recipe prebuilt.  ``solve`` and ``solve_block`` run
+    one walker over the same program, and the block scalar span runs
+    ``_sweep``'s recurrence per column, so ``solve_block`` columns are
+    bit-equal to the corresponding ``solve`` results — the invariant
+    the coalescing :class:`~repro.service.SolveService` relies on.
 
     Examples
     --------
@@ -349,35 +487,7 @@ class NumpyBackend(ExecutionBackend):
             x = np.zeros(plan.n)
         else:
             x = self._check_out(x, (plan.n,))
-        rows, off_ptr, off_cols = plan.rows, plan.off_ptr, plan.off_cols
-        off_vals, diag = plan.off_vals, plan.diag
-        views = None
-        for lo, hi, scalar in numpy_dispatch(plan):
-            if scalar:
-                if views is None:
-                    # indexing a memoryview yields Python scalars, about
-                    # twice as fast as indexing the arrays themselves
-                    views = [
-                        memoryview(a)
-                        for a in (rows, off_ptr, off_cols, off_vals, diag,
-                                  b, x)
-                    ]
-                self._sweep(*views, lo, hi)
-                continue
-            r = rows[lo:hi]
-            s0, s1 = off_ptr[lo], off_ptr[hi]
-            if s1 > s0:
-                contrib = off_vals[s0:s1] * x[off_cols[s0:s1]]
-                sums = _segment_sums(
-                    contrib,
-                    off_ptr[lo:hi] - s0,
-                    off_ptr[lo + 1:hi + 1] - off_ptr[lo:hi],
-                    np.zeros(hi - lo),
-                )
-                x[r] = (b[r] - sums) / diag[lo:hi]
-            else:
-                x[r] = b[r] / diag[lo:hi]
-        return x
+        return self._run(plan, b, x)
 
     def solve_block(
         self,
@@ -393,38 +503,58 @@ class NumpyBackend(ExecutionBackend):
             x_block = np.zeros(b_block.shape)
         else:
             x_block = self._check_out(x_block, b_block.shape)
-        rows, off_ptr, off_cols = plan.rows, plan.off_ptr, plan.off_cols
-        off_vals, diag = plan.off_vals, plan.diag
-        views = None
-        for lo, hi, scalar in numpy_dispatch(plan):
-            if scalar:
-                if views is None:
+        return self._run(plan, b_block, x_block)
+
+    def _run(self, plan: ExecutionPlan, b: np.ndarray,
+             x: np.ndarray) -> np.ndarray:
+        """Walk ``plan``'s program for a vector or an ``(n, k)`` block.
+
+        Every step makes the same operations in the same order for
+        either shape (a block gathers ``(nnz, k)`` products, each
+        gathered index feeding all ``k`` columns), so block columns are
+        bit-equal to single-RHS solves."""
+        form = x.ndim - 1  # picks the vector or the column views
+        sweep = None
+        for lo, hi, batch in _numpy_program(plan):
+            if batch is None:
+                if sweep is None:
+                    # indexing a memoryview yields Python scalars, about
+                    # twice as fast as indexing the arrays themselves
                     views = [
                         memoryview(a)
-                        for a in (rows, off_ptr, off_cols, off_vals, diag)
+                        for a in (plan.rows, plan.off_ptr, plan.off_cols,
+                                  plan.off_vals, plan.diag)
                     ]
-                _sweep_block_rows(*views, b_block, x_block, lo, hi)
+                    if form:
+                        sweep, args = _sweep_block_rows, (*views, b, x)
+                    else:
+                        sweep = self._sweep
+                        args = (*views, memoryview(b), memoryview(x))
+                sweep(*args, lo, hi)
                 continue
-            r = rows[lo:hi]
-            s0, s1 = off_ptr[lo], off_ptr[hi]
-            if s1 > s0:
-                # (nnz, k) contributions: each gathered index feeds all k
-                # columns at once, amortizing the random access the
-                # single-RHS kernel pays per column; the shared
-                # segment-sum keeps every column bit-equal to solve()
-                contrib = (
-                    off_vals[s0:s1, None] * x_block[off_cols[s0:s1]]
-                )
-                sums = _segment_sums(
-                    contrib,
-                    off_ptr[lo:hi] - s0,
-                    off_ptr[lo + 1:hi + 1] - off_ptr[lo:hi],
-                    np.zeros((hi - lo, contrib.shape[1])),
-                )
-                x_block[r] = (b_block[r] - sums) / diag[lo:hi, None]
-            else:
-                x_block[r] = b_block[r] / diag[lo:hi, None]
-        return x_block
+            rows, cols, vals, diag, ranks, starts, nz = batch
+            # take() gathers whole block rows 2-3x faster than fancy
+            # indexing, which is faster for a vector
+            g = x.take(cols, 0) if form else x[cols]
+            g *= vals[form]
+            t = b.take(rows, 0) if form else b[rows]
+            if ranks is not None:
+                # products added rank by rank to a zero: the scalar
+                # recurrence's order, so the sums are _sweep's bits
+                s = g[ranks[0]] + 0.0
+                for dst, src in ranks[1:]:
+                    part = s[dst]
+                    part += g[src]
+                t -= s
+            elif nz is None:
+                t -= np.add.reduceat(g, starts, axis=0)
+            elif nz.size:
+                # reduceat mis-handles empty segments, so rows without
+                # entries keep b
+                t[nz] -= np.add.reduceat(g, starts, axis=0)
+            t /= diag[form]
+            x[rows] = t
+        return x
 
 
 class NumbaBackend(ExecutionBackend):

@@ -20,10 +20,12 @@ All four share one scalar accumulation order (sum the off-diagonal
 products, then subtract once), so every kernel in the tier — sequential,
 parallel, fused, single-RHS and block — produces bitwise identical
 results (no ``fastmath``, no reassociation).  Relative to
-:class:`~repro.exec.backends.NumpyBackend` the results agree to rounding
-(in its vectorized batches, NumPy 2.x pairwise/SIMD summation follows an
-architecture-dependent reduction order that scalar code cannot portably
-replicate); the cross-backend property tests pin that contract.
+:class:`~repro.exec.backends.NumpyBackend` the results agree bit for bit
+on its scalar spans and rank-summed batches, which add in this order,
+and to rounding on its ``np.add.reduceat`` batches (NumPy 2.x
+pairwise/SIMD summation follows an architecture-dependent reduction
+order that scalar code cannot portably replicate); the cross-backend
+property tests pin that contract.
 
 The kernels are plain Python functions, JIT-wrapped lazily by
 :func:`jit_kernels` — so this module imports (and the kernels run,

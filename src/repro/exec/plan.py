@@ -14,12 +14,12 @@ Lowered representation
 *Batches.*  Rows are grouped into *batches* by global dependency level
 (``level(v) = 0`` if ``v`` has no dependency, else ``1 + max`` over its
 dependencies): every plan of a matrix is its level set.  All rows of a
-batch are mutually independent, so a batch can be solved by a single
-vectorized gather / segment-sum / scatter, and the numpy backend does so
-for every batch with more than a few rows plus off-diagonal entries;
-runs of lower-work batches it solves as one scalar sweep instead, since
-a vectorized call costs more than their work (see
-:func:`~repro.exec.backends.numpy_dispatch`).  No backend runs a
+batch are mutually independent, so a batch can be solved by one
+vectorized gather, multiply, segment sum, subtract, divide and scatter,
+and the numpy backend does so for every batch with more than a few rows
+plus off-diagonal entries; runs of lower-work batches it solves as one
+scalar sweep instead, since a vectorized step costs more than their work
+(see :func:`~repro.exec.backends.numpy_dispatch`).  No backend runs a
 schedule's per-core program, so a superstep-major layout would only add
 a batch at every superstep boundary.
 
@@ -30,9 +30,11 @@ missing/zero diagonals are detected once at compile time instead of on
 every solve.
 
 *Dispatch spans.*  The plan carries the dependency batches and nothing
-about how a backend groups them: each backend derives its
-position spans from ``batch_ptr`` once per plan and keeps them on the
-plan object, never persisted (see
+about how a backend groups or executes them: each backend derives its
+position spans from ``batch_ptr`` once per plan, and the numpy backend
+its program of prebuilt batch steps (each batch's views and segment-sum
+recipe) on the plan's first numpy solve.  Both are kept on the plan
+object, never built by :func:`compile_plan` and never persisted (see
 :func:`~repro.exec.backends.numpy_dispatch` and
 :func:`~repro.exec.backends.fused_dispatch`).
 
@@ -135,10 +137,12 @@ class ExecutionPlan:
         "_singular_reason",
         "provenance",
         # derived, per process: the backends' span splits
-        # (repro.exec.backends.numpy_dispatch / fused_dispatch),
-        # computed on first use
+        # (repro.exec.backends.numpy_dispatch / fused_dispatch) and the
+        # numpy backend's program of prebuilt batch steps, computed on
+        # first use
         "_numpy_spans",
         "_fused_spans",
+        "_numpy_program",
     )
 
     def __init__(self, **fields: object) -> None:
@@ -147,8 +151,10 @@ class ExecutionPlan:
         fields.setdefault("provenance", "compiled")
         # never persisted and never taken from ``fields``: a plan rebuilt
         # from another plan's fields (a copy with replaced arrays, a
-        # store load) must not inherit a split of different arrays
+        # store load) must not inherit a split or program of different
+        # arrays
         fields["_numpy_spans"] = fields["_fused_spans"] = None
+        fields["_numpy_program"] = None
         for name in self.__slots__:
             setattr(self, name, fields[name])
 

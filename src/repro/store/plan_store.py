@@ -772,18 +772,6 @@ class PlanStore:
             "removed": removed,
         }
 
-    def delete(self, key: PlanKey) -> bool:
-        """Remove one artifact; returns whether anything existed."""
-        npz_path, sidecar_path, _ = self._paths(key)
-        existed = False
-        for path in (sidecar_path, npz_path):
-            try:
-                os.unlink(path)
-                existed = True
-            except OSError:
-                pass
-        return existed
-
     # ------------------------------------------------------------------
     # introspection
     # ------------------------------------------------------------------

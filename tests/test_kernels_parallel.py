@@ -19,8 +19,12 @@ The tier's contracts, in the order the module tests them:
   and against an independent loop over the batches;
 * the numpy backend's split into scalar and vectorized spans is pure
   plan arithmetic too; its solves match the scipy oracle, its block
-  columns are bitwise equal to single-RHS solves, and the split is
-  never carried over into a plan rebuilt from another plan's fields;
+  columns are bitwise equal to single-RHS solves, and neither the split
+  nor the per-plan program of batch steps is carried over into a plan
+  rebuilt from another plan's fields; the program is built once per
+  plan, chooses each batch's sum recipe at ``RANK_SUM_MAX``, and where
+  every vectorized batch is rank-summed ``solve`` equals the scalar
+  sweep bit for bit;
 * the backend registry probes availability once per process, and env
   misconfiguration fails loudly naming ``REPRO_EXEC_BACKEND``;
 * the resolved backend name is reported by the service and experiment
@@ -55,9 +59,11 @@ from repro.exec import backends as backends_mod
 from repro.exec.backends import (
     BACKEND_ENV_VAR,
     PARALLEL_BATCH_ROWS,
+    RANK_SUM_MAX,
     SCALAR_BATCH_WORK,
     NumpyBackend,
     _group_runs,
+    _numpy_program,
     fused_dispatch,
     numpy_dispatch,
 )
@@ -76,9 +82,14 @@ from repro.exec.plan import ExecutionPlan
 from repro.experiments.bench import make_deep_narrow, make_wide_shallow
 from repro.graph.dag import DAG
 from repro.matrix.csr import CSRMatrix
-from repro.matrix.generators import narrow_band_lower
+from repro.matrix.generators import (
+    erdos_renyi_lower,
+    grid_laplacian_2d,
+    narrow_band_lower,
+)
 from repro.scheduler import GrowLocalScheduler
 from repro.store.plan_store import ARRAY_FIELDS, PlanStore, plan_store_key
+from repro.utils.arrays import segmented_gather
 from tests.conftest import lower_triangular_matrices
 
 HAS_NUMBA = importlib.util.find_spec("numba") is not None
@@ -446,6 +457,89 @@ def _assert_matches_scipy(matrix, plan, b, name=""):
     assert error <= 1e-10 * scale, (name, error, scale)
 
 
+def _recipes(plan):
+    """The sum recipe of every vectorized step of the numpy program:
+    ``"rank"``, ``"reduceat"``, or ``"nz"`` for a reduceat batch with a
+    row without entries."""
+    return [
+        "rank" if batch.ranks is not None
+        else "reduceat" if batch.nz is None else "nz"
+        for _, _, batch in _numpy_program(plan)
+        if batch is not None
+    ]
+
+
+def _rank_boundary():
+    """Batch 1 mixes rows of ``RANK_SUM_MAX`` and ``RANK_SUM_MAX + 1``
+    entries; batch 2 has rows of 1 to ``RANK_SUM_MAX`` entries, at least
+    one of them in batch 1."""
+    rng = np.random.default_rng(19)
+    rows, cols = [], []
+    for i in range(20, 40):
+        deps = RANK_SUM_MAX + (i >= 30)
+        rows += [i] * deps
+        cols += rng.choice(20, deps, replace=False).tolist()
+    for i in range(40, 60):
+        deps = (i % RANK_SUM_MAX) + 1
+        rows += [i] * deps
+        cols += [int(rng.integers(20, 40))] + rng.choice(
+            20, deps - 1, replace=False
+        ).tolist()
+    return _lower(60, rows, cols, seed=20)
+
+
+def _relayout(plan, order, batch_ptr):
+    """A hand-built plan of ``plan``'s matrix: its positions taken in
+    ``order`` (new position -> old) and cut into ``batch_ptr``."""
+    counts = np.diff(plan.off_ptr)[order]
+    flat = segmented_gather(plan.off_ptr[order], counts)
+    rows = plan.rows[order]
+    pos = np.empty_like(rows)
+    pos[rows] = np.arange(rows.size)
+    fields = {name: getattr(plan, name) for name in plan.__slots__}
+    fields.update(
+        rows=rows,
+        batch_ptr=np.asarray(batch_ptr, dtype=np.int64),
+        off_ptr=np.concatenate(([0], np.cumsum(counts))),
+        off_cols=plan.off_cols[flat],
+        off_vals=plan.off_vals[flat],
+        diag=plan.diag[order],
+        pos=pos,
+    )
+    return ExecutionPlan(**fields)
+
+
+def _late_empty_row():
+    """(matrix, hand-built plan): rows 30-59 have 10 entries each on rows
+    0-29 other than row 5, and row 5, which has no entries, is moved
+    from batch 0 into the middle of batch 1."""
+    rng = np.random.default_rng(21)
+    rows = np.repeat(np.arange(30, 60), 10)
+    sources = np.delete(np.arange(30), 5)
+    cols = np.concatenate([rng.choice(sources, 10, replace=False)
+                           for _ in range(30)])
+    matrix = _lower(60, rows, cols, seed=22)
+    plan = compile_plan(matrix)
+    assert plan.batch_ptr.tolist() == [0, 30, 60]
+    order = [k for k in range(30) if k != 5]
+    order = order + list(range(30, 45)) + [5] + list(range(45, 60))
+    return matrix, _relayout(plan, np.array(order), [0, 29, 60])
+
+
+def _recipe_plans():
+    """(name, matrix, plan) triples covering every sum recipe: the
+    span plans, an Erdős–Rényi plan (reduceat), the rank boundary and
+    a hand-built plan with a row without entries in a later batch."""
+    er = erdos_renyi_lower(200, 0.08, seed=3)
+    boundary = _rank_boundary()
+    late_matrix, late_plan = _late_empty_row()
+    return _span_plans() + [
+        ("erdos-renyi", er, compile_plan(er)),
+        ("rank-boundary", boundary, compile_plan(boundary)),
+        ("late-empty-row", late_matrix, late_plan),
+    ]
+
+
 class TestNumpySpans:
     @pytest.mark.parametrize(
         "name,matrix", irregular_matrices(), ids=lambda v: v
@@ -528,9 +622,9 @@ class TestNumpySpanSolves:
     @pytest.mark.parametrize("k", range(1, 18))
     def test_block_columns_bitwise_equal_solve(self, k):
         """Every width from 1 to 17 columns, on plans with both kinds
-        of span."""
+        of span and every sum recipe."""
         backend = get_backend("numpy")
-        for name, matrix, plan in _span_plans():
+        for name, matrix, plan in _recipe_plans():
             rng = np.random.default_rng(14)
             b_c = rng.standard_normal((matrix.n, k))
             singles = [backend.solve(plan, b_c[:, c]) for c in range(k)]
@@ -577,7 +671,7 @@ class TestNumpySpanSolves:
 
     def test_zero_width_blocks_and_empty_plans(self):
         backend = get_backend("numpy")
-        for name, matrix, plan in _span_plans():
+        for name, matrix, plan in _recipe_plans():
             assert backend.solve_block(
                 plan, np.zeros((matrix.n, 0))
             ).shape == (matrix.n, 0), name
@@ -586,27 +680,41 @@ class TestNumpySpanSolves:
         assert backend.solve(plan, np.zeros(0)).shape == (0,)
         assert backend.solve_block(plan, np.zeros((0, 3))).shape == (0, 3)
 
-    def test_rebuilt_plan_does_not_inherit_the_split(self):
+    def test_rebuilt_plan_does_not_inherit_the_split(self, tmp_path):
         """A plan rebuilt from a solved plan's fields — every slot, the
-        split included — with another plan's arrays must solve like that
-        other plan: the constructor discards the split."""
+        split and the program included — with another plan's arrays
+        must solve like that other plan: the constructor discards the
+        split and the program, so a rebuilt plan and a store load start
+        without them."""
         backend = get_backend("numpy")
-        solved = compile_plan(_lower(50, *mixed(50), seed=4))
+        matrix = _lower(50, *mixed(50), seed=4)
+        solved = compile_plan(matrix)
         chain = _lower(50, *chain_n(50), seed=5)
         fresh = compile_plan(chain)
         b = np.random.default_rng(16).standard_normal(50)
         backend.solve(solved, b)
         fields = {name: getattr(solved, name) for name in solved.__slots__}
         assert fields["_numpy_spans"] is not None
+        assert fields["_numpy_program"] is not None
         same = ExecutionPlan(**fields)
+        assert same._numpy_spans is None and same._numpy_program is None
         np.testing.assert_array_equal(
             backend.solve(same, b), backend.solve(solved, b)
+        )
+        store = PlanStore(tmp_path)
+        key = plan_store_key(matrix, None)
+        assert store.save(solved, key) is not None
+        loaded = store.load(key, matrix=matrix)
+        assert loaded._numpy_program is None
+        np.testing.assert_array_equal(
+            backend.solve(loaded, b), backend.solve(solved, b)
         )
         fields.update(
             (name, getattr(fresh, name))
             for name in (*ARRAY_FIELDS, "matrix")
         )
         rebuilt = ExecutionPlan(**fields)
+        assert rebuilt._numpy_program is None
         np.testing.assert_array_equal(
             backend.solve(rebuilt, b), backend.solve(fresh, b)
         )
@@ -616,9 +724,10 @@ class TestNumpySpanSolves:
         )
 
     def test_concurrent_first_solves_agree(self):
-        """Threads racing to compute a fresh plan's split and parallel
-        spans (the service's shard workers share plans) all solve
-        bit-equal and see the same spans."""
+        """Threads racing to compute a fresh plan's split, program and
+        parallel spans (the service's shard workers share plans), half
+        of them through ``solve_block``, all solve bit-equal and see the
+        same spans."""
         backend = get_backend("numpy")
         _, matrix, reference_plan = _span_plans()[1]
         b = np.random.default_rng(18).standard_normal(matrix.n)
@@ -633,7 +742,12 @@ class TestNumpySpanSolves:
 
                 def solve(j, plan=plan, results=results):
                     assert fused_dispatch(plan) == expected_spans
-                    results[j] = backend.solve(plan, b)
+                    if j % 2:
+                        results[j] = backend.solve_block(
+                            plan, b[:, None]
+                        )[:, 0]
+                    else:
+                        results[j] = backend.solve(plan, b)
 
                 workers = [
                     threading.Thread(target=solve, args=(j,))
@@ -666,6 +780,90 @@ class TestNumpySpanSolves:
                 np.tile(expected[:, None], 3), err_msg=name,
             )
 
+
+def _scalar_sweep(plan, b):
+    """The interpreted scalar recurrence over the whole plan."""
+    y = np.zeros(plan.n)
+    _sweep(plan.rows, plan.off_ptr, plan.off_cols, plan.off_vals,
+           plan.diag, b, y, 0, plan.n)
+    return y
+
+
+class TestNumpyProgram:
+    """The numpy backend's per-plan program of prebuilt batch steps."""
+
+    def test_built_once_on_the_first_solve(self):
+        backend = get_backend("numpy")
+        _, matrix, plan = _recipe_plans()[3]
+        assert plan._numpy_program is None, "compile_plan built it"
+        b = np.random.default_rng(23).standard_normal(matrix.n)
+        backend.solve(plan, b)
+        program = plan._numpy_program
+        assert program is not None
+        backend.solve(plan, b)
+        backend.solve_block(plan, np.tile(b[:, None], 2))
+        assert _numpy_program(plan) is program
+
+    def test_rank_sum_boundary(self):
+        """A batch with a row of ``RANK_SUM_MAX + 1`` entries sums by
+        reduceat; one whose rows have up to ``RANK_SUM_MAX`` is
+        rank-summed, one rank per entry, and gives the scalar sweep's
+        bits from the same inputs."""
+        matrix = _rank_boundary()
+        plan = compile_plan(matrix)
+        counts = np.diff(plan.off_ptr)
+        lo, mid, hi = plan.batch_ptr[1:].tolist()
+        assert set(counts[lo:mid].tolist()) == {
+            RANK_SUM_MAX, RANK_SUM_MAX + 1
+        }
+        assert counts[mid:hi].max() == RANK_SUM_MAX
+        assert _recipes(plan) == ["nz", "reduceat", "rank"]
+        assert len(_numpy_program(plan)[2][2].ranks) == RANK_SUM_MAX
+        b = np.random.default_rng(24).standard_normal(matrix.n)
+        _assert_matches_scipy(matrix, plan, b)
+        x = get_backend("numpy").solve(plan, b)
+        y = x.copy()
+        _sweep(plan.rows, plan.off_ptr, plan.off_cols, plan.off_vals,
+               plan.diag, b, y, mid, hi)
+        np.testing.assert_array_equal(y, x)
+
+    def test_row_without_entries_in_a_later_batch(self):
+        """A hand-built plan's vectorized batch with a row without
+        entries takes the reduceat recipe over its other rows."""
+        matrix, plan = _late_empty_row()
+        assert _recipes(plan) == ["nz", "nz"]
+        assert _numpy_program(plan)[1][2].nz.size == 30
+        b = np.random.default_rng(25).standard_normal(matrix.n)
+        _assert_matches_scipy(matrix, plan, b)
+
+    @pytest.mark.parametrize("name", ["serving", "narrow-band", "grid"])
+    def test_rank_summed_plans_equal_the_scalar_sweep(self, name):
+        """Where every vectorized batch with entries is rank-summed,
+        ``solve`` gives the bits of the scalar recurrence over the whole
+        plan, the sign of every zero included."""
+        matrix = {
+            "serving": lambda: make_wide_shallow(
+                levels=64, width=100, deps=3, seed=0
+            ),
+            "narrow-band": lambda: narrow_band_lower(
+                2_000, 0.05, 20.0, seed=0
+            ),
+            "grid": lambda: grid_laplacian_2d(40, 40).lower_triangle(),
+        }[name]()
+        plan = compile_plan(matrix)
+        for _, _, batch in _numpy_program(plan):
+            if batch is not None and batch.ranks is None:
+                assert batch.nz is not None and batch.nz.size == 0, name
+        assert "rank" in _recipes(plan)
+        rng = np.random.default_rng(26)
+        for b in (rng.standard_normal(matrix.n),
+                  np.copysign(0.0, rng.standard_normal(matrix.n))):
+            x = NumpyBackend().solve(plan, b)
+            y = _scalar_sweep(plan, b)
+            np.testing.assert_array_equal(x, y, err_msg=name)
+            np.testing.assert_array_equal(
+                np.signbit(x), np.signbit(y), err_msg=name
+            )
 
 # ---------------------------------------------------------------------------
 # registry satellites
