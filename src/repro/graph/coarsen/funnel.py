@@ -13,6 +13,13 @@ acyclicity (Proposition 4.3).
 Section 4.2 adds a size/weight constraint so that, e.g., a DAG with a single
 sink is not collapsed into one vertex; ``max_weight`` implements it.
 Out-funnels are obtained by running the same algorithm on the reversed DAG.
+
+A partition is returned as one label array, ``part_of``, with funnels
+numbered in the order the sweep creates them; :func:`coarsen
+<repro.graph.coarsen.quotient.coarsen>` takes it as it is.  The sweep's
+per-funnel state (how many of a parent's children the funnel holds) lives
+in lists stamped with the funnel id, so starting a funnel allocates
+nothing.
 """
 
 from __future__ import annotations
@@ -35,7 +42,7 @@ __all__ = [
 
 def in_funnel_partition(
     dag: DAG, *, max_weight: int | None = None
-) -> list[np.ndarray]:
+) -> np.ndarray:
     """Partition the vertices into in-funnels (Algorithm 4.1).
 
     Parameters
@@ -48,58 +55,66 @@ def in_funnel_partition(
 
     Returns
     -------
-    list of numpy.ndarray
-        Vertex sets; every set is an in-funnel, and together they partition
-        ``V``.
+    numpy.ndarray
+        ``part_of``: the funnel of every vertex, numbered in the order the
+        sweep creates them.  Every part is an in-funnel, and together they
+        partition ``V``.
     """
     if max_weight is not None and max_weight <= 0:
         raise ConfigurationError("max_weight must be positive")
+    n = dag.n
     order = topological_order(dag)
-    position = np.empty(dag.n, dtype=np.int64)
-    position[order] = np.arange(dag.n, dtype=np.int64)
+    position = np.empty(n, dtype=np.int64)
+    position[order] = np.arange(n, dtype=np.int64)
     # the sweep reads one vertex at a time: Python lists index faster
     # than numpy scalars
+    order = order.tolist()
     position = position.tolist()
     out_degree = dag.out_degrees().tolist()
     weights = dag.weights.tolist()
     parent_ptr, parent_idx = dag.parent_ptr.tolist(), dag.parent_idx.tolist()
-    visited = [False] * dag.n
-    partition: list[np.ndarray] = []
+    part_of = [-1] * n
+    # per-funnel stamps: counted[u] == funnel when count[u] holds how many
+    # of u's children the current funnel has absorbed
+    counted = [-1] * n
+    count = [0] * n
 
-    for v in reversed(order.tolist()):  # reverse topological order
-        if visited[v]:
+    funnel = 0
+    for v in reversed(order):  # reverse topological order
+        if part_of[v] >= 0:
             continue
-        members: list[int] = []
-        weight = 0
-        children_count: dict[int, int] = {}
-        # pop vertices closest to the seed first (max heap on topo position)
-        heap: list[tuple[int, int]] = [(-position[v], v)]
-        in_queue = {v}
+        size = weight = 0
+        # pop vertices closest to the seed first: a max heap on topological
+        # position, kept as a min heap of negated positions
+        heap = [-position[v]]
         while heap:
-            _, w = heapq.heappop(heap)
-            if max_weight is not None and members and (
+            w = order[-heapq.heappop(heap)]
+            if max_weight is not None and size and (
                 weight + weights[w] > max_weight
             ):
                 break  # size constraint: stop growing this funnel
-            members.append(w)
+            part_of[w] = funnel
+            size += 1
             weight += weights[w]
+            # a parent is pushed when its last child joins, and no later
+            # member is its child, so it needs no "queued" mark
             for u in parent_idx[parent_ptr[w]:parent_ptr[w + 1]]:
-                if visited[u] or u in in_queue:
+                if part_of[u] >= 0:
                     continue
-                children_count[u] = children_count.get(u, 0) + 1
-                if children_count[u] == out_degree[u]:
-                    heapq.heappush(heap, (-position[u], u))
-                    in_queue.add(u)
-        members.sort()
-        for w in members:
-            visited[w] = True
-        partition.append(np.array(members, dtype=np.int64))
-    return partition
+                if counted[u] == funnel:
+                    count[u] += 1
+                else:
+                    counted[u] = funnel
+                    count[u] = 1
+                if count[u] == out_degree[u]:
+                    heapq.heappush(heap, -position[u])
+        funnel += 1
+    return np.array(part_of, dtype=np.int64)
 
 
 def out_funnel_partition(
     dag: DAG, *, max_weight: int | None = None
-) -> list[np.ndarray]:
+) -> np.ndarray:
     """Partition into out-funnels: Algorithm 4.1 on the reversed DAG."""
     return in_funnel_partition(dag.reversed(), max_weight=max_weight)
 
@@ -109,7 +124,7 @@ def funnel_partition(
     *,
     direction: str = "in",
     max_weight: int | None = None,
-) -> list[np.ndarray]:
+) -> np.ndarray:
     """Dispatch helper: ``direction`` is ``"in"`` or ``"out"``."""
     if direction == "in":
         return in_funnel_partition(dag, max_weight=max_weight)

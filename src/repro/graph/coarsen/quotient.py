@@ -6,6 +6,10 @@ Vertices of the coarse graph are the parts of the partition; an edge
 the partition consists of cascades, ``G // P`` is guaranteed acyclic
 (Proposition 4.3); construction verifies acyclicity and raises otherwise,
 providing a runtime check of the proposition.
+
+:func:`coarsen` takes the partition as a label array ``part_of`` (the
+funnel partitions return one) and checks it in a few vectorized passes;
+:func:`partition_from_parts` turns a list of vertex sets into such labels.
 """
 
 from __future__ import annotations
@@ -32,18 +36,13 @@ class CoarseningResult:
         by schedulers that use smallest-ID tie-breaking).
     part_of:
         Array mapping each fine vertex to its (relabelled) part id.
-    parts:
-        For each part id, the sorted array of fine member vertices.
     """
 
-    __slots__ = ("coarse", "part_of", "parts")
+    __slots__ = ("coarse", "part_of")
 
-    def __init__(
-        self, coarse: DAG, part_of: np.ndarray, parts: list[np.ndarray]
-    ) -> None:
+    def __init__(self, coarse: DAG, part_of: np.ndarray) -> None:
         self.coarse = coarse
         self.part_of = part_of
-        self.parts = parts
 
 
 def partition_from_parts(n: int, parts: Sequence[np.ndarray]) -> np.ndarray:
@@ -76,36 +75,50 @@ def partition_from_parts(n: int, parts: Sequence[np.ndarray]) -> np.ndarray:
     return part_of
 
 
-def coarsen(dag: DAG, parts: Sequence[np.ndarray]) -> CoarseningResult:
-    """Contract ``dag`` along the partition ``parts``.
+def _check_labels(n: int, part_of) -> tuple[np.ndarray, int]:
+    """Validate a part-id map of ``n`` vertices; return it as int64 with
+    its part count.  Labels must lie in ``0..n-1`` and every part id up
+    to the largest must own a vertex."""
+    labels = np.asarray(part_of)
+    if labels.shape != (n,):
+        raise InvalidPartitionError("part_of must hold one label per vertex")
+    if n == 0:
+        return labels.astype(np.int64), 0
+    if labels.dtype.kind not in "iu":
+        raise InvalidPartitionError("part labels must be integers")
+    labels = labels.astype(np.int64, copy=False)
+    if labels.min() < 0 or labels.max() >= n:
+        raise InvalidPartitionError("part label out of range")
+    sizes = np.bincount(labels)
+    if not sizes.all():
+        raise InvalidPartitionError("partition has an empty part")
+    return labels, sizes.size
+
+
+def coarsen(dag: DAG, part_of: np.ndarray) -> CoarseningResult:
+    """Contract ``dag`` along the partition ``part_of`` (the part id of
+    every vertex; ids ``0..k-1``, each owning at least one vertex).
 
     Raises
     ------
     InvalidPartitionError
-        If ``parts`` is not a partition, or the quotient contains a cycle
-        (i.e. the partition was not made of cascades).
+        If ``part_of`` is not such a labelling, or the quotient contains a
+        cycle (i.e. the partition was not made of cascades).
     """
-    part_of = partition_from_parts(dag.n, parts)
-    k = len(parts)
+    part_of, k = _check_labels(dag.n, part_of)
     src, dst = dag.edges()
     csrc, cdst = part_of[src], part_of[dst]
     keep = csrc != cdst
-    weights = np.zeros(k, dtype=np.int64)
-    np.add.at(weights, part_of, dag.weights)
-    coarse = DAG(k, csrc[keep], cdst[keep], np.maximum(weights, 1),
-                 check=False)
+    csrc, cdst = csrc[keep], cdst[keep]
+    # integer weights sum exactly in float64 below 2**53
+    weights = np.bincount(part_of, weights=dag.weights, minlength=k)
+    weights = np.maximum(weights.astype(np.int64), 1)
+    coarse = DAG(k, csrc, cdst, weights, check=False)
 
     # relabel parts into a topological order of the coarse DAG so that
     # smallest-ID selection remains meaningful after coarsening
     topo = topological_order(coarse)  # raises on cycles
     rank = np.empty(k, dtype=np.int64)
     rank[topo] = np.arange(k, dtype=np.int64)
-    csrc2, cdst2 = rank[csrc[keep]], rank[cdst[keep]]
-    coarse2 = DAG(k, csrc2, cdst2, np.maximum(weights[topo], 1), check=False)
-    part_of2 = rank[part_of]
-    parts2: list[np.ndarray] = [np.empty(0, dtype=np.int64)] * k
-    for old_pid, part in enumerate(parts):
-        parts2[int(rank[old_pid])] = np.sort(
-            np.asarray(part, dtype=np.int64)
-        )
-    return CoarseningResult(coarse2, part_of2, parts2)
+    coarse2 = DAG(k, rank[csrc], rank[cdst], weights[topo], check=False)
+    return CoarseningResult(coarse2, rank[part_of])

@@ -32,7 +32,10 @@ def _kahn_rounds(dag: DAG) -> tuple[np.ndarray, np.ndarray]:
     indeg = dag.in_degrees().copy()
     order = np.empty(dag.n, dtype=np.int64)
     level = np.zeros(dag.n, dtype=np.int64)
-    batch = np.nonzero(indeg == 0)[0]
+    # where each vertex last occurs in the child lists of the round that
+    # readies it (a vertex is readied once, so one array serves all)
+    last = np.full(dag.n, -1, dtype=np.int64)
+    batch = np.flatnonzero(indeg == 0)
     count = 0
     depth = 0
     while batch.size:
@@ -42,13 +45,11 @@ def _kahn_rounds(dag: DAG) -> tuple[np.ndarray, np.ndarray]:
         depth += 1
         starts = ptr[batch]
         kids = idx[segmented_gather(starts, ptr[batch + 1] - starts)]
-        # first occurrence in the reversed list = last occurrence
-        uniq, first_rev, hits = np.unique(
-            kids[::-1], return_index=True, return_counts=True
-        )
-        indeg[uniq] -= hits
-        ready = indeg[uniq] == 0
-        batch = uniq[ready][np.argsort(-first_rev[ready])]
+        np.subtract.at(indeg, kids, 1)
+        at = np.flatnonzero(indeg[kids] == 0)
+        ready = kids[at]
+        np.maximum.at(last, ready, at)
+        batch = ready[last[ready] == at]  # last occurrences, in order
     if count != dag.n:
         raise InvalidPartitionError("graph contains a cycle")
     return order, level

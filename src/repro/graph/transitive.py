@@ -79,10 +79,18 @@ def transitive_edge_mask(dag: DAG, *, max_work: int | None = None) -> np.ndarray
             segmented_gather(parent_ptr[probe_w[start:stop]], counts)
         ]
         cand = np.repeat(probe_v[start:stop], counts) * n + grand
-        pos = np.minimum(
-            np.searchsorted(parent_keys, cand), parent_keys.size - 1
-        )
-        covered[pos[parent_keys[pos] == cand]] = True
+        if cand.size:
+            # look the batch's vertices' parent keys up among the sorted
+            # probes: one sort of the probes and a search per edge, not a
+            # search per probe
+            cand.sort()
+            lo, hi = np.searchsorted(
+                parent_keys,
+                [probe_v[start] * n, (probe_v[stop - 1] + 1) * n],
+            )
+            keys = parent_keys[lo:hi]
+            pos = np.minimum(np.searchsorted(cand, keys), cand.size - 1)
+            covered[lo:hi] |= cand[pos] == keys
         start = stop
     # edges() groups by source with sorted targets: its keys are sorted
     mask[np.searchsorted(

@@ -33,9 +33,9 @@ def wavefronts(dag: DAG) -> list[np.ndarray]:
     """The wavefronts as a list of sorted vertex arrays, level by level."""
     level = wavefront_levels(dag)
     n_levels = int(level.max()) + 1 if dag.n else 0
-    order = np.argsort(level, kind="stable")
+    order = np.argsort(level, kind="stable")  # each level in ascending id
     bounds = np.searchsorted(level[order], np.arange(n_levels + 1))
-    return [np.sort(order[bounds[k]:bounds[k + 1]]) for k in range(n_levels)]
+    return [order[bounds[k]:bounds[k + 1]] for k in range(n_levels)]
 
 
 def critical_path_length(dag: DAG) -> int:

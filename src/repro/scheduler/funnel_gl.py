@@ -70,8 +70,8 @@ class FunnelGrowLocalScheduler(Scheduler):
         max_w = max(
             int(self.max_weight_factor * max(dag.weights.mean(), 1.0)), 1
         )
-        parts = in_funnel_partition(work_dag, max_weight=max_w)
-        result = coarsen(work_dag, parts)
+        part_of = in_funnel_partition(work_dag, max_weight=max_w)
+        result = coarsen(work_dag, part_of)
         coarse_schedule = self.inner.schedule(result.coarse, n_cores)
         fine = pull_back_schedule(result, coarse_schedule)
         fine.validate(dag)  # defensive: must hold for the *original* DAG

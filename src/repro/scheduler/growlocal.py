@@ -31,18 +31,47 @@ Implementation notes
 * The set of *free* vertices (all parents finalized) is static during a
   superstep — tentative assignments can only produce *exclusive* or
   *blocked* vertices, never free ones — so it is materialized once per
-  superstep as a sorted list walked by a cursor.
+  superstep as a sorted list walked by a cursor.  Every entry before the
+  cursor was assigned, none after it.
 * The per-vertex state is read and written one vertex at a time, so it
   lives in Python lists rather than numpy arrays (scalar list access is
-  several times cheaper than numpy scalar indexing).
-* Exclusive vertices are kept in per-core min-heaps keyed by vertex id;
-  entries are invalidated lazily when a vertex becomes blocked (a second
-  parent lands on a different core).
+  several times cheaper than numpy scalar indexing), and the child lists
+  are sliced once per :meth:`GrowLocalScheduler.schedule` call.  They are
+  tuples, built with automatic garbage collection paused: each of the
+  ``n`` allocations would otherwise count towards the collector's
+  thresholds and set off about ``n / 700`` collections, some of them full
+  collections whose cost grows with the whole process heap; paused, the
+  collector runs once afterwards, and that pass drops the tuples of ints
+  from its view.
+  :meth:`GrowLocalScheduler._iterate` does the tentative assignments
+  (130,048 for the 31,350 vertices of the benchmark's paper-cold seed 0)
+  in one inlined loop, with two invariants:
+
+  - a child of a tentatively assigned vertex is never finalized (it has
+    a parent that is not), so no finalized test is needed;
+  - a vertex is ready within the superstep when its tentatively assigned
+    parents number its remaining unfinalized parents,
+    ``tent_done[c] == remaining[c]``.
+* A vertex is pushed on the min-heap (by id) of core ``p`` once, when it
+  becomes ready with every tentatively assigned parent on ``p``.  It then
+  has no unassigned parent left, so it cannot become blocked and every
+  heap entry is still valid when popped.
+* Each iteration tags its cores with numbers above every earlier
+  iteration's, and a vertex's scratch entry records the tag of its
+  tentative parents' core, so an entry left by an earlier iteration reads
+  as untouched and nothing is reset between iterations.
+* Core weights are sums of integer vertex weights kept in Python floats,
+  exact below ``2**53``, so ``beta`` is the value Eq. 3.1 gives in any
+  summation order.
 """
 
 from __future__ import annotations
 
+import gc
 import heapq
+import itertools
+import math
+from typing import Iterator
 
 import numpy as np
 
@@ -52,9 +81,6 @@ from repro.scheduler.base import Scheduler
 from repro.scheduler.schedule import Schedule
 
 __all__ = ["GrowLocalScheduler"]
-
-_BLOCKED = -2
-_NONE = -1
 
 
 class GrowLocalScheduler(Scheduler):
@@ -136,62 +162,62 @@ class GrowLocalScheduler(Scheduler):
             empty = np.empty(0, dtype=np.int64)
             return Schedule(empty, empty.copy(), n_cores)
 
-        weights = dag.weights.tolist()
-        in_deg = dag.in_degrees().tolist()
+        # core weights are sums of integer weights, exact in floats
+        weights = dag.weights.astype(np.float64).tolist()
         child_ptr, child_idx = dag.child_ptr.tolist(), dag.child_idx.tolist()
+        # see the implementation notes
+        collecting = gc.isenabled()
+        gc.disable()
+        try:
+            children = [
+                tuple(child_idx[lo:hi])
+                for lo, hi in zip(child_ptr, child_ptr[1:], strict=False)
+            ]
+        finally:
+            if collecting:
+                gc.enable()
 
-        pi = [-1] * n
+        pi = [-1] * n  # also marks finalized vertices
         sigma = [-1] * n
 
         # parents not yet finalized; a vertex is "free" when this hits 0
-        remaining = list(in_deg)
-        finalized = [False] * n
-        free_sorted = [v for v in range(n) if in_deg[v] == 0]
+        remaining = dag.in_degrees().tolist()
+        free_sorted = [v for v in range(n) if remaining[v] == 0]
 
-        # iteration-scratch state (reset via touched lists, O(iteration))
-        tent_core = [_NONE] * n
-        tent_done = [0] * n  # tentatively-satisfied deps
-        excl_core = [_NONE] * n
+        # iteration scratch, see _iterate
+        tent_done = [0] * n
+        owner = [-1] * n
+        tags = itertools.count(0, n_cores + 1)
 
         n_assigned = 0
         superstep = 0
         while n_assigned < n:
-            best_assignment, free_used = self._form_superstep(
-                n_cores,
-                weights,
-                in_deg,
-                child_ptr,
-                child_idx,
-                remaining,
-                finalized,
-                free_sorted,
-                tent_core,
-                tent_done,
-                excl_core,
+            verts, ends, free_used = self._form_superstep(
+                n_cores, weights, children, remaining, free_sorted,
+                tent_done, owner, tags,
             )
-            if not best_assignment:  # no ready vertex: cannot happen on a DAG
+            if not verts:  # no ready vertex: cannot happen on a DAG
                 raise ConfigurationError("deadlock: graph has a cycle?")
 
             # finalize: commit assignments, update readiness
+            for p in range(n_cores):
+                for v in verts[ends[p]:ends[p + 1]]:
+                    pi[v] = p
+                    sigma[v] = superstep
             newly_ready: list[int] = []
-            for v, p in best_assignment:
-                pi[v] = p
-                sigma[v] = superstep
-                finalized[v] = True
-            for v, _ in best_assignment:
-                for c in child_idx[child_ptr[v]:child_ptr[v + 1]]:
-                    remaining[c] -= 1
+            for v in verts:
+                for c in children[v]:
+                    left = remaining[c] - 1
+                    remaining[c] = left
                     # children assigned in this very superstep (via the
                     # exclusivity rule) are already finalized - skip them
-                    if remaining[c] == 0 and not finalized[c]:
+                    if left == 0 and pi[c] < 0:
                         newly_ready.append(c)
-            n_assigned += len(best_assignment)
+            n_assigned += len(verts)
             superstep += 1
 
-            # rebuild the free list: unconsumed old frees + newly ready
-            leftovers = [
-                v for v in free_sorted[free_used:] if not finalized[v]
-            ]
+            # the free list: the unconsumed old frees + the newly ready
+            leftovers = free_sorted[free_used:]
             free_sorted = (sorted(leftovers + newly_ready) if newly_ready
                            else leftovers)
 
@@ -204,173 +230,132 @@ class GrowLocalScheduler(Scheduler):
     def _form_superstep(
         self,
         n_cores: int,
-        weights: list[int],
-        in_deg: list[int],
-        child_ptr: list[int],
-        child_idx: list[int],
+        weights: list[float],
+        children: list[tuple[int, ...]],
         remaining: list[int],
-        finalized: list[bool],
         free_sorted: list[int],
-        tent_core: list[int],
         tent_done: list[int],
-        excl_core: list[int],
-    ) -> tuple[list[tuple[int, int]], int]:
+        owner: list[int],
+        tags: Iterator[int],
+    ) -> tuple[list[int], list[int], int]:
         """Run the inner iteration loop; return the finalized assignment
-        (list of ``(vertex, core)``) and how many free-list entries it
-        consumed."""
+        (as :meth:`_iterate` lays it out) and how many free-list entries
+        it consumed."""
         alpha = float(self.alpha0)
         if self.adaptive_alpha0:
             alpha = float(
                 min(self.alpha0, max(1, len(free_sorted) // n_cores))
             )
-        best_beta = -np.inf
-        last_beta = -np.inf  # beta of the last *accepted* iteration
-        best_assignment: list[tuple[int, int]] = []
-        best_free_used = 0
+        best_beta = -math.inf
+        last_beta = -math.inf  # beta of the last *accepted* iteration
+        best: tuple[list[int], list[int], int] = ([], [], 0)
         prev_size = -1
 
         prev_alpha_int = 0
         while True:
             alpha_int = max(int(alpha), prev_alpha_int + 1)
-            assignment, free_used, exhausted = self._iterate(
-                alpha_int,
-                n_cores,
-                weights,
-                in_deg,
-                child_ptr,
-                child_idx,
-                remaining,
-                finalized,
-                free_sorted,
-                tent_core,
-                tent_done,
-                excl_core,
+            verts, ends, free_used, exhausted, total, heaviest = self._iterate(
+                alpha_int, n_cores, weights, children, remaining,
+                free_sorted, tent_done, owner, next(tags),
             )
-            omega = np.zeros(n_cores, dtype=np.float64)
-            for v, p in assignment:
-                omega[p] += weights[v]
-            beta = omega.sum() / (omega.max() + self.sync_penalty)
+            beta = total / (heaviest + self.sync_penalty)
 
-            first = not best_assignment
+            first = not best[0]
             worthy = first or (
                 beta >= self.acceptance * best_beta
                 and beta >= (1.0 + self.min_improvement) * last_beta
             )
             if worthy:
-                best_assignment = assignment
-                best_free_used = free_used
+                best = (verts, ends, free_used)
                 best_beta = max(best_beta, beta)
                 last_beta = beta
                 # stop when nothing is left to grow into, or growing alpha
                 # no longer adds vertices (a deterministic fixed point)
-                if exhausted or len(assignment) == prev_size:
+                if exhausted or len(verts) == prev_size:
                     break
-                prev_size = len(assignment)
+                prev_size = len(verts)
                 prev_alpha_int = alpha_int
                 alpha = max(alpha * self.growth, alpha_int + 1.0)
             else:
                 break  # last worthy assignment becomes the superstep
-        return best_assignment, best_free_used
+        return best
 
     # ------------------------------------------------------------------
+    @staticmethod
     def _iterate(
-        self,
         alpha: int,
         n_cores: int,
-        weights: list[int],
-        in_deg: list[int],
-        child_ptr: list[int],
-        child_idx: list[int],
+        weights: list[float],
+        children: list[tuple[int, ...]],
         remaining: list[int],
-        finalized: list[bool],
         free_sorted: list[int],
-        tent_core: list[int],
         tent_done: list[int],
-        excl_core: list[int],
-    ) -> tuple[list[tuple[int, int]], int, bool]:
+        owner: list[int],
+        first_tag: int,
+    ) -> tuple[list[int], list[int], int, bool, float, float]:
         """One iteration with parameter ``alpha``.
 
-        Returns ``(assignment, free_entries_consumed, exhausted)`` where
-        ``exhausted`` means every core ran out of assignable vertices.
+        Core ``p`` is tagged ``first_tag + p``; ``owner[c]`` holds the tag
+        of the core of ``c``'s first tentatively assigned parent, or
+        ``first_tag + n_cores`` once a parent lands on another core
+        (blocked), and ``tent_done[c]`` counts those parents.  An
+        ``owner`` below ``first_tag`` is left from an earlier iteration
+        and means no parent yet.
+
+        Returns ``(verts, ends, free_used, exhausted, total, heaviest)``:
+        the assigned vertices core by core (core ``p``'s are
+        ``verts[ends[p]:ends[p + 1]]``), the free-list entries consumed,
+        whether every core ran out of assignable vertices, and the total
+        and the largest core weight.
         """
-        assignment: list[tuple[int, int]] = []
-        touched: list[int] = []  # children whose tent state was modified
-        excl_heaps: list[list[int]] = [[] for _ in range(n_cores)]
+        heappop, heappush = heapq.heappop, heapq.heappush
+        verts: list[int] = []
+        ends = [0]
+        assign = verts.append
         free_cursor = 0
         n_free = len(free_sorted)
         exhausted = True
-
-        def assign(v: int, p: int) -> None:
-            nonlocal free_cursor
-            tent_core[v] = p
-            assignment.append((v, p))
-            for c in child_idx[child_ptr[v]:child_ptr[v + 1]]:
-                if finalized[c]:
-                    continue
-                if tent_done[c] == 0:
-                    touched.append(c)
-                tent_done[c] += 1
-                if excl_core[c] == _NONE:
-                    excl_core[c] = p
-                elif excl_core[c] != p:
-                    excl_core[c] = _BLOCKED
-                # ready within this superstep, exclusive to p?
-                if (
-                    excl_core[c] == p
-                    and tent_done[c] + (in_deg[c] - remaining[c]) == in_deg[c]
-                ):
-                    heapq.heappush(excl_heaps[p], c)
-
-        def next_vertex(p: int) -> int:
-            """Rule I: exclusive-to-p first, then smallest-ID free vertex."""
-            nonlocal free_cursor
-            heap = excl_heaps[p]
-            while heap:
-                c = heap[0]
-                if tent_core[c] != _NONE or excl_core[c] != p:
-                    heapq.heappop(heap)  # stale (assigned or blocked)
-                    continue
-                return heapq.heappop(heap)
-            while free_cursor < n_free:
-                v = free_sorted[free_cursor]
-                if tent_core[v] != _NONE:
+        omega1 = total = heaviest = 0.0
+        blocked = first_tag + n_cores
+        for p in range(n_cores):
+            heap: list[int] = []  # ready vertices exclusive to p, by id
+            tag = first_tag + p
+            omega = 0.0
+            count = 0
+            # core 0 takes up to alpha vertices, each further core
+            # vertices until its weight reaches core 0's
+            while (count < alpha) if p == 0 else (omega < omega1):
+                # Rule I: exclusive-to-p first, then smallest-ID free
+                if heap:
+                    v = heappop(heap)
+                elif free_cursor < n_free:
+                    v = free_sorted[free_cursor]
                     free_cursor += 1
-                    continue
-                free_cursor += 1
-                return v
-            return -1
-
-        # core 0: up to alpha vertices
-        omega1 = 0.0
-        count = 0
-        while count < alpha:
-            v = next_vertex(0)
-            if v < 0:
-                break
-            assign(v, 0)
-            omega1 += float(weights[v])
-            count += 1
-        if count == alpha:
-            exhausted = False
-
-        # cores 1..k-1: fill up to weight omega1
-        for p in range(1, n_cores):
-            omega_p = 0.0
-            while omega_p < omega1:
-                v = next_vertex(p)
-                if v < 0:
+                else:
                     break
-                assign(v, p)
-                omega_p += float(weights[v])
+                assign(v)
+                count += 1
+                omega += weights[v]
+                for c in children[v]:
+                    tagged = owner[c]
+                    if tagged < first_tag:  # first tentative parent
+                        owner[c] = tag
+                        done = 1
+                    elif tagged == tag:
+                        done = tent_done[c] + 1
+                    else:  # never ready for one core: stop counting
+                        owner[c] = blocked
+                        continue
+                    tent_done[c] = done
+                    if done == remaining[c]:  # ready, exclusive to p
+                        heappush(heap, c)
             else:
-                if omega1 > 0:
+                if p == 0 or omega1 > 0:
                     exhausted = False
-
-        free_used = free_cursor
-        # reset scratch state (O(iteration size))
-        for v, _ in assignment:
-            tent_core[v] = _NONE
-        for c in touched:
-            tent_done[c] = 0
-            excl_core[c] = _NONE
-        return assignment, free_used, exhausted
+            ends.append(len(verts))
+            if p == 0:
+                omega1 = omega
+            total += omega
+            if omega > heaviest:
+                heaviest = omega
+        return verts, ends, free_cursor, exhausted, total, heaviest

@@ -117,8 +117,8 @@ class HDaggScheduler(Scheduler):
             if max_w is None:
                 avg_w = max(int(dag.weights.mean()), 1)
                 max_w = 8 * avg_w
-            parts = in_funnel_partition(dag, max_weight=max_w)
-            result = coarsen(dag, parts)
+            part_of = in_funnel_partition(dag, max_weight=max_w)
+            result = coarsen(dag, part_of)
             coarse_schedule = self._schedule_flat(result.coarse, n_cores)
             fine = pull_back_schedule(result, coarse_schedule)
             return fine
@@ -129,11 +129,10 @@ class HDaggScheduler(Scheduler):
         """Wavefront gluing with component-wise core assignment."""
         level = wavefront_levels(dag)
         n_levels = int(level.max()) + 1 if dag.n else 0
+        # a stable sort lists each level in ascending id
         order = np.argsort(level, kind="stable")
-        lv_sorted = level[order]
-        bounds = np.searchsorted(lv_sorted, np.arange(n_levels + 1))
-        levels = [np.sort(order[bounds[k]:bounds[k + 1]])
-                  for k in range(n_levels)]
+        bounds = np.searchsorted(level[order], np.arange(n_levels + 1))
+        levels = [order[bounds[k]:bounds[k + 1]] for k in range(n_levels)]
 
         cores = np.zeros(dag.n, dtype=np.int64)
         sigma = np.zeros(dag.n, dtype=np.int64)
@@ -212,18 +211,16 @@ class HDaggScheduler(Scheduler):
         aligned with ``members``.
         """
         members = np.sort(members)
-        roots = np.array([dsu.find(v) for v in members.tolist()],
-                         dtype=np.int64)
-        uniq_roots, comp_of = np.unique(roots, return_inverse=True)
-        comp_weight = np.zeros(uniq_roots.size, dtype=np.int64)
-        np.add.at(comp_weight, comp_of, weights[members])
-        comp_min_id = np.full(uniq_roots.size, np.iinfo(np.int64).max)
-        np.minimum.at(comp_min_id, comp_of, members)
-        comp_order = np.argsort(comp_min_id, kind="stable")
-        split_of_comp = np.empty(uniq_roots.size, dtype=np.int64)
-        split_of_comp[comp_order] = balanced_contiguous_split(
-            comp_weight[comp_order], n_cores
+        # number components by first appearance, i.e. by smallest id
+        comp_id: dict[int, int] = {}
+        find = dsu.find
+        comp_of = np.array(
+            [comp_id.setdefault(find(v), len(comp_id))
+             for v in members.tolist()],
+            dtype=np.int64,
         )
+        comp_weight = np.bincount(comp_of, weights=weights[members])
+        split_of_comp = balanced_contiguous_split(comp_weight, n_cores)
         return members, split_of_comp[comp_of]
 
     def _try_pack(
@@ -235,8 +232,8 @@ class HDaggScheduler(Scheduler):
     ) -> tuple[np.ndarray, np.ndarray] | None:
         """Pack and test the balance criterion; ``None`` when violated."""
         packed_members, core_of = self._pack(members, weights, dsu, n_cores)
-        loads = np.zeros(n_cores, dtype=np.float64)
-        np.add.at(loads, core_of, weights[packed_members].astype(np.float64))
+        loads = np.bincount(core_of, weights=weights[packed_members],
+                            minlength=n_cores)
         if np.any(loads == 0.0):
             return None
         if float(loads.max() / loads.mean()) > self.imbalance_threshold:

@@ -54,12 +54,12 @@ class WavefrontScheduler(Scheduler):
             )
         level = wavefront_levels(dag)
         cores = np.zeros(dag.n, dtype=np.int64)
+        # a stable sort lists each level in ascending id
         order = np.argsort(level, kind="stable")
-        lv_sorted = level[order]
         n_levels = int(level.max()) + 1
-        bounds = np.searchsorted(lv_sorted, np.arange(n_levels + 1))
+        bounds = np.searchsorted(level[order], np.arange(n_levels + 1))
         for k in range(n_levels):
-            members = np.sort(order[bounds[k]:bounds[k + 1]])
+            members = order[bounds[k]:bounds[k + 1]]
             cores[members] = balanced_contiguous_split(
                 dag.weights[members], n_cores
             )

@@ -18,9 +18,15 @@ from repro.graph.coarsen import (
     pull_back_schedule,
 )
 from repro.graph.dag import DAG
-from repro.graph.toposort import is_acyclic
+from repro.graph.toposort import is_acyclic, topological_order
 from repro.scheduler.growlocal import GrowLocalScheduler
 from tests.conftest import dags
+
+
+def _parts(part_of: np.ndarray) -> list[np.ndarray]:
+    """The vertex set of every part of a label array, by part id."""
+    return [np.flatnonzero(part_of == k)
+            for k in range(int(part_of.max()) + 1 if part_of.size else 0)]
 
 
 class TestCascade:
@@ -60,27 +66,23 @@ class TestFunnelPartition:
     def test_in_tree_collapses(self):
         """An in-tree is an in-funnel (footnote 2 of the paper)."""
         dag = DAG.from_edges(5, [(0, 4), (1, 4), (2, 4), (3, 4)])
-        parts = in_funnel_partition(dag)
-        sizes = sorted(p.size for p in parts)
-        assert sizes == [5]
+        np.testing.assert_array_equal(in_funnel_partition(dag), [0] * 5)
 
     def test_chain_collapses(self):
         dag = DAG.from_edges(6, [(i, i + 1) for i in range(5)])
-        parts = in_funnel_partition(dag)
-        assert len(parts) == 1
+        np.testing.assert_array_equal(in_funnel_partition(dag), [0] * 6)
 
     def test_max_weight_respected(self):
         dag = DAG.from_edges(6, [(i, i + 1) for i in range(5)])
-        parts = in_funnel_partition(dag, max_weight=2)
-        assert all(dag.weights[p].sum() <= 2 for p in parts)
+        part_of = in_funnel_partition(dag, max_weight=2)
+        # the sweep starts at the sink: parts are numbered from the end
+        np.testing.assert_array_equal(part_of, [2, 2, 1, 1, 0, 0])
 
     def test_out_funnel_on_out_tree(self):
         dag = DAG.from_edges(5, [(0, 1), (0, 2), (0, 3), (0, 4)])
-        parts = out_funnel_partition(dag)
-        assert sorted(p.size for p in parts) == [5]
+        np.testing.assert_array_equal(out_funnel_partition(dag), [0] * 5)
         # in-funnel partition cannot merge an out-tree into one part
-        in_parts = in_funnel_partition(dag)
-        assert len(in_parts) > 1
+        assert in_funnel_partition(dag).max() > 0
 
     def test_invalid_max_weight(self):
         dag = DAG.from_edges(2, [(0, 1)])
@@ -90,9 +92,8 @@ class TestFunnelPartition:
 
 class TestQuotient:
     def test_weights_summed(self, paper_figure_dag):
-        parts = [np.array([0, 1, 2]), np.array([3, 4, 5])]
         # {0,1,2} is an in-funnel (0,1 feed 2); {3,4,5}: 3->5, 4 isolated
-        result = coarsen(paper_figure_dag, parts)
+        result = coarsen(paper_figure_dag, np.array([0, 0, 0, 1, 1, 1]))
         assert result.coarse.n == 2
         assert sorted(result.coarse.weights.tolist()) == [5, 6]
 
@@ -100,7 +101,7 @@ class TestQuotient:
         # contracting {0, 2} with 0 -> 1 -> 2 creates a 2-cycle
         dag = DAG.from_edges(3, [(0, 1), (1, 2)])
         with pytest.raises(InvalidPartitionError):
-            coarsen(dag, [np.array([0, 2]), np.array([1])])
+            coarsen(dag, np.array([0, 1, 0]))
 
     def test_partition_from_parts_validation(self):
         with pytest.raises(InvalidPartitionError):
@@ -109,6 +110,35 @@ class TestQuotient:
             partition_from_parts(3, [np.array([0, 1]), np.array([1, 2])])
         with pytest.raises(InvalidPartitionError):
             partition_from_parts(2, [np.array([0, 5])])
+
+    @pytest.mark.parametrize("part_of, message", [
+        ([0, 0], "one label per vertex"),
+        ([0, 0, 0, 0], "one label per vertex"),
+        ([[0, 0, 0]], "one label per vertex"),
+        ([0, -1, 0], "out of range"),
+        ([0, 1, 3], "out of range"),
+        ([0, 2, 2], "empty part"),
+        ([1, 1, 1], "empty part"),
+        ([0.0, 1.0, 1.0], "integers"),
+    ])
+    def test_invalid_labels(self, part_of, message):
+        dag = DAG.from_edges(3, [(0, 1), (1, 2)])
+        with pytest.raises(InvalidPartitionError, match=message):
+            coarsen(dag, np.array(part_of))
+
+    def test_labels_need_not_follow_vertex_order(self):
+        # 2 -> 1 -> 0: part 0 = {2}, part 1 = {0, 1}
+        dag = DAG.from_edges(3, [(2, 1), (1, 0)])
+        result = coarsen(dag, np.array([1, 1, 0]))
+        # relabelled topologically: the source part {2} becomes part 0
+        np.testing.assert_array_equal(result.part_of, [1, 1, 0])
+        np.testing.assert_array_equal(result.coarse.weights, [1, 2])
+        assert result.coarse.has_edge(0, 1)
+
+    def test_empty_dag(self):
+        result = coarsen(DAG.from_edges(0, []), np.empty(0, dtype=np.int64))
+        assert result.coarse.n == 0
+        assert result.part_of.size == 0
 
     def test_coarse_ids_topologically_ordered(self, paper_figure_dag):
         parts = in_funnel_partition(paper_figure_dag)
@@ -130,16 +160,23 @@ class TestPullback:
 @settings(max_examples=30, deadline=None)
 @given(dags(max_n=25))
 def test_property_funnel_partition_is_cascade_partition(dag):
-    parts = in_funnel_partition(dag)
+    part_of = in_funnel_partition(dag)
+    parts = _parts(part_of)
     assert is_cascade_partition(dag, parts)
     assert all(is_in_funnel(dag, p) for p in parts)
+    # parts are numbered in creation order: each part's seed, its member
+    # latest in topological order, comes earlier than the last part's
+    position = np.empty(dag.n, dtype=np.int64)
+    position[topological_order(dag)] = np.arange(dag.n)
+    seeds = [int(position[p].max()) for p in parts]
+    assert seeds == sorted(seeds, reverse=True)
 
 
 @settings(max_examples=30, deadline=None)
 @given(dags(max_n=25))
 def test_property_funnel_partition_with_cap(dag):
     cap = max(int(dag.weights.max()), 3)
-    parts = in_funnel_partition(dag, max_weight=cap)
+    parts = _parts(in_funnel_partition(dag, max_weight=cap))
     assert is_cascade_partition(dag, parts)
     assert all(dag.weights[p].sum() <= cap or p.size == 1 for p in parts)
 
@@ -148,17 +185,20 @@ def test_property_funnel_partition_with_cap(dag):
 @given(dags(max_n=25))
 def test_property_coarsen_preserves_acyclicity(dag):
     """Proposition 4.3: contracting cascades keeps the DAG acyclic."""
-    parts = in_funnel_partition(dag)
-    result = coarsen(dag, parts)
+    part_of = in_funnel_partition(dag)
+    result = coarsen(dag, part_of)
     assert is_acyclic(result.coarse)
     assert result.coarse.total_weight() == dag.total_weight()
+    # relabelling renames parts and keeps them whole
+    k = result.coarse.n
+    assert k == part_of.max() + 1
+    assert np.unique(np.stack([part_of, result.part_of]), axis=1).shape[1] == k
 
 
 @settings(max_examples=30, deadline=None)
 @given(dags(max_n=25))
 def test_property_out_funnels_are_cascades(dag):
-    parts = out_funnel_partition(dag)
-    assert is_cascade_partition(dag, parts)
+    assert is_cascade_partition(dag, _parts(out_funnel_partition(dag)))
 
 
 def _part_of_reference(n: int, parts: list[list[int]]):

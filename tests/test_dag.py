@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import MatrixFormatError, ReproError
 from repro.graph.dag import DAG
@@ -129,3 +130,24 @@ def test_property_reversed_twice_is_identity(m):
     rr = dag.reversed().reversed()
     assert np.array_equal(rr.child_ptr, dag.child_ptr)
     assert np.array_equal(rr.child_idx, dag.child_idx)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 12).flatmap(lambda n: st.tuples(
+    st.just(n),
+    st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+             .filter(lambda e: e[0] != e[1]), max_size=40),
+)))
+def test_property_csr_lists_sorted_unique_neighbours(case):
+    """Unsorted input with repeated edges: each child and parent list is
+    the sorted set of that vertex's neighbours."""
+    n, pairs = case
+    dag = DAG.from_edges(n, pairs)
+    for v in range(n):
+        kids = sorted({d for s, d in pairs if s == v})
+        parents = sorted({s for s, d in pairs if d == v})
+        assert dag.children(v).tolist() == kids
+        assert dag.parents(v).tolist() == parents
+    assert dag.m == len(set(pairs))
+    for arr in (dag.child_ptr, dag.child_idx, dag.parent_ptr, dag.parent_idx):
+        assert arr.dtype == np.int64
