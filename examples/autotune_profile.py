@@ -4,13 +4,14 @@
 Walks the profile-reuse loop the autotuner is built around:
 
 1. **cold** — tune a small seeded fleet; every instance is ranked by the
-   cost-model prior, its finalists are raced, and the decision is
-   recorded in a :class:`~repro.tuner.TuningProfile`;
+   cost-model prior, whose first pick is recorded in a
+   :class:`~repro.tuner.TuningProfile`;
 2. **warm** — re-tune the fleet against the saved and reloaded profile:
-   every decision comes back from the profile, so **zero races run**
-   (asserted) and the picks are the cold ones;
+   every decision comes back from the profile, so **nothing is ranked**
+   (asserted: the plan cache sees no lookup) and the picks are the cold
+   ones;
 3. **unseen** — tune one matrix the profile has never seen: it is
-   ranked and raced once, and its decision joins the profile.
+   ranked once, and its decision joins the profile.
 
 Run:  python examples/autotune_profile.py
 """
@@ -45,8 +46,7 @@ def build_fleet() -> list[DatasetInstance]:
 
 
 def make_tuner() -> Autotuner:
-    return Autotuner(candidates=CANDIDATES, mode="simulated",
-                     expected_solves=1e6, seed=0)
+    return Autotuner(candidates=CANDIDATES, expected_solves=1e6)
 
 
 def main() -> None:
@@ -54,7 +54,7 @@ def main() -> None:
     fleet = build_fleet()
     cache = PlanCache()
 
-    # 1. cold: rank, race and record every instance
+    # 1. cold: rank and record every instance
     profile = TuningProfile(machine=machine.name)
     cold_tuner = make_tuner()
     cold = [
@@ -62,7 +62,7 @@ def main() -> None:
                         plan_cache=cache, profile=profile)
         for inst in fleet
     ]
-    print(f"cold pass: {cold_tuner.races_run} races")
+    print(f"cold pass: {len(cold)} instances ranked")
     for d in cold:
         print(f"  {d.instance:10s} -> {d.scheduler:10s} ({d.source})")
 
@@ -73,26 +73,26 @@ def main() -> None:
 
     # 2. warm: the reloaded profile answers every instance
     warm_tuner = make_tuner()
+    lookups = (cache.hits, cache.misses)
     warm = [
         warm_tuner.tune(inst, machine, n_cores=N_CORES,
                         plan_cache=cache, profile=profile)
         for inst in fleet
     ]
-    assert warm_tuner.races_run == 0, "warm path must not race"
+    assert (cache.hits, cache.misses) == lookups, "warm path must not rank"
     assert all(d.source == "profile" for d in warm)
     assert [d.scheduler for d in warm] == [d.scheduler for d in cold]
-    print(f"warm pass: {warm_tuner.races_run} races "
+    print("warm pass: 0 instances ranked "
           "(every decision served from the profile)")
 
-    # 3. an unseen instance misses the profile and races once
+    # 3. an unseen instance misses the profile and is ranked once
     fresh = DatasetInstance("fresh_nb",
                             narrow_band_lower(700, 0.08, 9.0, seed=99))
     decision = warm_tuner.tune(fresh, machine, n_cores=N_CORES,
                                plan_cache=cache, profile=profile)
-    assert warm_tuner.races_run == 1 and decision.source == "raced"
-    print(f"unseen instance: picked {decision.scheduler} "
-          f"after {warm_tuner.races_run} race; the profile now holds "
-          f"{len(profile)} decisions")
+    assert decision.source == "ranked"
+    print(f"unseen instance: ranked, picked {decision.scheduler}; the "
+          f"profile now holds {len(profile)} decisions")
 
 
 if __name__ == "__main__":

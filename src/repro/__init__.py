@@ -39,10 +39,11 @@ Subpackages
                      into SpTRSM micro-batches, per-system stats
 ``repro.experiments`` datasets, runner (sequential + process-sharded),
                      metrics, tables and figures
-``repro.store``      persisted execution plans: the plan cache's disk
-                     tier, loaded through the plan integrity gate
-``repro.tuner``      autotuner: per-matrix scheduler/backend selection
-                     (features -> cost-model prior -> measured racing),
+``repro.store``      persisted execution plans, saved and loaded
+                     explicitly; every load passes the plan integrity
+                     gate
+``repro.tuner``      autotuner: per-matrix scheduler selection
+                     (features -> cost-model prior -> profile),
                      persisted tuning profiles, the "auto" scheduler
 """
 

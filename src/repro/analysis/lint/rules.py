@@ -4,11 +4,11 @@ Each rule encodes one hard-won repo convention (see ``docs/analysis.md``
 for the catalogue with rationale and suppression syntax):
 
 * ``unseeded-rng`` — deterministic libraries don't roll global dice:
-  every dataset, race seed and tie-break in this repo is reproducible
-  because RNGs are constructed from explicit seeds.
+  every dataset and tie-break in this repo is reproducible because
+  RNGs are constructed from explicit seeds.
 * ``wallclock-timing`` — wall-clock reads are quarantined in the
   modules whose *job* is measurement (``utils/timing.py``, the service
-  layer, the tuner's race, the obs subsystem); everywhere else a stray
+  layer, the obs subsystem); everywhere else a stray
   ``perf_counter()`` is an unseeded measurement that poisons
   simulated/deterministic paths.
 * ``atomic-write`` — a bare truncating ``open(path, "w")``,
@@ -140,8 +140,8 @@ class WallclockTimingRule(Rule):
     autofixable = False
     description = (
         "wall-clock reads (time.time/perf_counter/monotonic/"
-        "process_time) are confined to utils/timing.py, service/, "
-        "obs/ and tuner/race.py — everywhere else timing flows "
+        "process_time) are confined to utils/timing.py, service/ "
+        "and obs/ — everywhere else timing flows "
         "through utils.timing.Timer (or the obs facade) so "
         "deterministic paths stay deterministic"
     )
@@ -156,7 +156,6 @@ class WallclockTimingRule(Rule):
     ))
     _WHITELIST_SUFFIXES = (
         "utils/timing.py",
-        "tuner/race.py",
     )
 
     def _whitelisted(self, module: ModuleSource) -> bool:

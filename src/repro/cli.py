@@ -180,17 +180,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="solves expected to reuse each decision "
                         "(weights scheduling cost, Eq. 7.1; > 0, "
                         "inf for per-solve speed only)")
-    p.add_argument("--budget-s", type=float, default=0.25,
-                   help="measured racing budget per instance, seconds "
-                        "(>= 0)")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--mode", choices=["measured", "simulated"],
-                   default="measured",
-                   help="race on wall-clock micro-runs (measured) or "
-                        "cost-model seconds per solve (simulated)")
     p.add_argument("--profile",
                    help="warm-start from this profile JSON (entries "
-                        "with matching features skip racing); cold "
+                        "with matching features skip ranking); cold "
                         "runs record their decisions and the updated "
                         "profile is written back here unless --output "
                         "says otherwise")
@@ -617,13 +609,8 @@ def _cmd_tune(args) -> int:
                 f"available: {sorted(allowed)}"
             )
 
-    tuner = Autotuner(
-        candidates=candidates,
-        expected_solves=args.expected_solves,
-        budget_seconds=args.budget_s,
-        seed=args.seed,
-        mode=args.mode,
-    )
+    tuner = Autotuner(candidates=candidates,
+                      expected_solves=args.expected_solves)
     profile = (load_profile(args.profile) if args.profile
                else TuningProfile(machine=machine.name))
     cache = PlanCache()
@@ -644,11 +631,8 @@ def _cmd_tune(args) -> int:
         payload = {
             "dataset": args.dataset,
             "machine": machine.name,
-            "mode": args.mode,
-            "seed": args.seed,
             "wall_seconds": t.elapsed,
             "warm_starts": warm,
-            "races_run": tuner.races_run,
             "decisions": [d.as_dict() for d in decisions],
         }
         print(json.dumps(_json_sanitize(payload), indent=2))
@@ -667,10 +651,9 @@ def _cmd_tune(args) -> int:
          "pred speed-up", "amortization", "source"],
         rows,
         title=f"tune: {args.dataset} ({len(instances)} instances, "
-              f"{machine.name}, {args.mode})",
+              f"{machine.name})",
     ))
-    print(f"wall time {t.elapsed:.2f}s; {tuner.races_run} race(s), "
-          f"{warm} warm start(s) from profile")
+    print(f"wall time {t.elapsed:.2f}s; {warm} warm start(s) from profile")
     if profile_out:
         print(f"wrote {profile_out}")
     return 0

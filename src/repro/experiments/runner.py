@@ -191,10 +191,10 @@ def compiled_entry(
     """The cached compiled triple of ``(inst, scheduler, cores, reorder)``.
 
     This is the single cache-key convention for scheduled triples: the
-    experiment runner, the autotuner's prior and its racing loop all go
-    through it, so a triple is scheduled and reordered at most once per
-    shared cache no matter which consumer asks first, and its executed
-    matrix lowered at most once.
+    experiment runner and, through it, the autotuner's prior go through
+    it, so a triple is scheduled and reordered at most once per shared
+    cache no matter which consumer asks first, and its executed matrix
+    lowered at most once.
     """
     return cache.get_or_build(
         (inst.name, scheduler.name, cores, bool(reorder)),

@@ -11,7 +11,7 @@ eyes.  Three pieces:
 * :mod:`repro.obs.trace` — lightweight ``span(name, **tags)`` context
   managers emitting append-only JSONL events with parent/child ids
   (request enqueue → coalesce → backend solve, plan compile/verify,
-  tuner race arms, store merges).
+  plan-store save/load).
 * :mod:`repro.obs.export` — JSON report + Prometheus text rendering of
   a snapshot, behind the ``repro obs`` CLI.
 

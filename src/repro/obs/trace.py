@@ -5,7 +5,7 @@ records a monotonic duration, a process-unique id, and the id of the
 span it was opened inside (per-thread parent stack), so a flushed trace
 reconstructs the causal tree: request enqueue → batch coalesce →
 backend solve in the service, compile → lower → verify in exec, one
-span per tuner race arm, one per store merge/prune/retrain.
+span per plan-store save or load.
 
 Completed spans buffer in memory; :meth:`Tracer.flush_jsonl` rewrites
 the whole file through :func:`repro.utils.atomic.atomic_write_text`, so

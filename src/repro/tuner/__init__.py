@@ -9,9 +9,8 @@ per-subject modeling — instead of one hard-coded global default:
 * :mod:`~repro.tuner.predict` — the prior: candidates ranked by the
   calibrated machine cost model through the shared
   :class:`~repro.exec.PlanCache` (:func:`rank_candidates`), with
-  Eq. 7.1 amortization in the objective;
-* :mod:`~repro.tuner.race` — budgeted successive-halving racing over
-  the surviving finalists;
+  Eq. 7.1 amortization in the objective; its first pick is the
+  decision;
 * :mod:`~repro.tuner.profile` — versioned JSON tuning profiles: a
   decision cache for warm starts;
 * :mod:`~repro.tuner.auto` — the :class:`Autotuner` pipeline and the
@@ -37,7 +36,6 @@ from repro.tuner.profile import (
     load_profile,
     save_profile,
 )
-from repro.tuner.race import RaceResult, successive_halving
 
 __all__ = [
     "AutoScheduler",
@@ -46,7 +44,6 @@ __all__ = [
     "DEFAULT_CANDIDATES",
     "MatrixFeatures",
     "PROFILE_VERSION",
-    "RaceResult",
     "TuningDecision",
     "TuningProfile",
     "entry_key",
@@ -55,5 +52,4 @@ __all__ = [
     "matrix_fingerprint",
     "rank_candidates",
     "save_profile",
-    "successive_halving",
 ]

@@ -7,29 +7,18 @@ to hard-code a scheduler name:
 
 1. **features** — structural features are extracted once per matrix
    (:mod:`repro.tuner.features`);
-2. **prior** — candidate schedulers are ranked cheaply by the calibrated
-   machine cost model through the shared plan cache
-   (:mod:`repro.tuner.predict`); only the top ``keep`` survive;
-3. **race** — the survivors are settled by budgeted successive-halving
-   micro-runs (:mod:`repro.tuner.race`), with the amortized scheduling
-   cost as a per-arm handicap so Eq. 7.1 stays part of the objective;
-4. **profile** — decisions are persisted as versioned JSON
+2. **prior** — candidate schedulers are ranked by the calibrated machine
+   cost model through the shared plan cache
+   (:mod:`repro.tuner.predict`); the first of the ranking is the pick;
+3. **profile** — decisions are persisted as versioned JSON
    (:mod:`repro.tuner.profile`) and reloaded for warm starts.
 
-Two racing modes are supported.  ``"measured"`` (the default) times real
-backend solves on a seeded right-hand side, at the cost of wall-clock
-noise.  Every plan executes its matrix's level set whatever the schedule
-(:func:`~repro.exec.compile_plan`), so the finalists that run without
-the Section 5 reorder execute the same arrays: a measured race gives
-them one arm, the one cheapest to schedule, and separates only plans
-that execute differently.  ``"simulated"`` scores arms by cost-model
-seconds per solve, which repeat from run to run and tell every schedule
-apart.  In both modes the objective adds the wall-clock seconds of
-scheduling each candidate, divided by ``expected_solves`` (Eq. 7.1), so
-a decision's ``objective_seconds`` and ``amortization`` vary between
-processes, and at a small ``expected_solves`` so can the pick.  With
-``expected_solves=inf`` the scheduling term is zero, and a simulated
-tuning repeats its picks and simulated seconds.
+The ranking objective adds the wall-clock seconds of scheduling each
+candidate, divided by ``expected_solves`` (Eq. 7.1), so a decision's
+``objective_seconds`` and ``amortization`` vary between processes, and
+at a small ``expected_solves`` so can the pick.  With
+``expected_solves=inf`` the scheduling term is zero, and a tuning
+repeats its picks and simulated seconds.
 
 :class:`AutoScheduler` packages a tuner as a registry-compatible
 scheduler (name ``"auto"``): the experiment runner resolves it per
@@ -43,9 +32,6 @@ from __future__ import annotations
 
 import hashlib
 import math
-import statistics
-import time
-from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,24 +39,21 @@ import numpy as np
 from repro.errors import ConfigurationError
 from repro.exec import PlanCache, get_backend
 from repro.experiments.datasets import DatasetInstance
-from repro.experiments.runner import compiled_entry, resolve_reorder
+from repro.experiments.runner import resolve_reorder
 from repro.graph.dag import DAG
 from repro.machine.model import MachineModel, get_machine
 from repro.matrix.csr import CSRMatrix
-from repro.obs_gate import get_obs
 from repro.scheduler.base import Scheduler
 from repro.scheduler.registry import make_scheduler
 from repro.scheduler.schedule import Schedule
 from repro.tuner.features import MatrixFeatures, extract_features
 from repro.tuner.predict import (
     DEFAULT_CANDIDATES,
-    CandidateScore,
     check_expected_solves,
     clip_cores,
     rank_candidates,
 )
 from repro.tuner.profile import TuningProfile, entry_key
-from repro.tuner.race import successive_halving
 
 __all__ = [
     "AutoScheduler",
@@ -97,9 +80,8 @@ class TuningDecision:
     >>> from repro.tuner import Autotuner, TuningDecision
     >>> inst = DatasetInstance("nb", narrow_band_lower(120, 0.1, 5.0,
     ...                                                seed=0))
-    >>> d = Autotuner(candidates=("wavefront",), mode="simulated",
-    ...               seed=0).tune(inst, get_machine("intel_xeon_6238t"),
-    ...                            n_cores=4)
+    >>> d = Autotuner(candidates=("wavefront",)).tune(
+    ...     inst, get_machine("intel_xeon_6238t"), n_cores=4)
     >>> TuningDecision.from_dict(d.as_dict()) == d   # JSON round-trip
     True
     """
@@ -113,14 +95,11 @@ class TuningDecision:
     predicted_speedup: float
     objective_seconds: float
     amortization: float
-    measured_seconds: float | None
-    source: str  # "raced" | "profile"
-    seed: int
-    #: Objective configuration the decision was made under (checked on
-    #: warm starts: a decision tuned for a different amortization target
-    #: or racing mode is re-tuned, not reused).
+    source: str  # "ranked" | "profile"
+    #: Amortization target the decision was made under (checked on warm
+    #: starts: a decision tuned for a different target is re-tuned, not
+    #: reused).
     expected_solves: float
-    mode: str
     features: MatrixFeatures
 
     def as_dict(self) -> dict[str, object]:
@@ -142,11 +121,8 @@ class TuningDecision:
             "predicted_speedup": _finite(self.predicted_speedup),
             "objective_seconds": _finite(self.objective_seconds),
             "amortization": _finite(self.amortization),
-            "measured_seconds": self.measured_seconds,
             "source": self.source,
-            "seed": self.seed,
             "expected_solves": _finite(self.expected_solves),
-            "mode": self.mode,
             "features": self.features.as_dict(),
         }
 
@@ -155,10 +131,7 @@ class TuningDecision:
         cls, data: dict[str, object], *, source: str | None = None
     ) -> "TuningDecision":
         """Inverse of :meth:`as_dict`; ``source`` overrides the stored
-        provenance (profile hits are re-labelled ``"profile"``).
-
-        Keys this build does not store are ignored, so version-3
-        entries that still carry a ``max_batch`` load unchanged."""
+        provenance (profile hits are re-labelled ``"profile"``)."""
         def _num(key: str) -> float:
             v = data.get(key)
             return math.inf if v is None else float(v)
@@ -173,23 +146,10 @@ class TuningDecision:
             predicted_speedup=_num("predicted_speedup"),
             objective_seconds=_num("objective_seconds"),
             amortization=_num("amortization"),
-            measured_seconds=(
-                None
-                if data.get("measured_seconds") is None
-                else float(data["measured_seconds"])
-            ),
             source=str(source if source is not None else data["source"]),
-            seed=int(data.get("seed", 0)),
             expected_solves=_num("expected_solves"),
-            mode=str(data.get("mode", "")),
             features=MatrixFeatures.from_dict(data["features"]),
         )
-
-
-def _stable_seed(seed: int, name: str) -> int:
-    """Mix ``seed`` with a process-independent hash of ``name``."""
-    digest = hashlib.sha256(name.encode("utf-8")).digest()
-    return (int(seed) ^ int.from_bytes(digest[:4], "little")) & 0x7FFFFFFF
 
 
 def matrix_fingerprint(matrix: CSRMatrix) -> str:
@@ -219,7 +179,7 @@ def matrix_fingerprint(matrix: CSRMatrix) -> str:
 
 
 class Autotuner:
-    """Select the best scheduler per matrix.
+    """Select the best scheduler per matrix: the prior's first pick.
 
     Parameters
     ----------
@@ -229,24 +189,8 @@ class Autotuner:
         baseline is always ranked alongside them.
     expected_solves:
         Solves expected to reuse the decision — weights the scheduling
-        cost in both the prior objective and the racing handicap
-        (Eq. 7.1).  Must be ``> 0``; large values (``inf`` included)
-        select for pure per-solve speed.
-    keep:
-        Finalists the prior forwards into the race.
-    budget_seconds / base_repeats:
-        Racing budget, ``budget_seconds >= 0`` (see
-        :func:`~repro.tuner.race.successive_halving`).
-    seed:
-        Seeds the right-hand sides of a measured race (a simulated race
-        solves none).
-    mode:
-        ``"measured"`` (wall-clock micro-runs on the auto-selected
-        backend, :func:`repro.exec.get_backend`, one arm per executed
-        plan) or ``"simulated"`` (cost-model seconds per solve, one arm
-        per finalist).  Either way the scheduling term of the objective
-        is wall-clock time; see the module docstring for what repeats
-        between runs.
+        cost in the prior objective (Eq. 7.1).  Must be ``> 0``; large
+        values (``inf`` included) select for pure per-solve speed.
 
     Examples
     --------
@@ -256,14 +200,12 @@ class Autotuner:
     >>> from repro.tuner import Autotuner
     >>> inst = DatasetInstance("nb", narrow_band_lower(150, 0.1, 6.0,
     ...                                                seed=0))
-    >>> tuner = Autotuner(candidates=("wavefront",), mode="simulated",
-    ...                   seed=0)
-    >>> decision = tuner.tune(inst, get_machine("intel_xeon_6238t"),
-    ...                       n_cores=4)
+    >>> decision = Autotuner(candidates=("wavefront",)).tune(
+    ...     inst, get_machine("intel_xeon_6238t"), n_cores=4)
     >>> decision.scheduler in ("wavefront", "serial")
     True
-    >>> (decision.source, tuner.races_run)
-    ('raced', 1)
+    >>> decision.source
+    'ranked'
     """
 
     def __init__(
@@ -271,34 +213,11 @@ class Autotuner:
         *,
         candidates: tuple[str, ...] | list[str] | None = None,
         expected_solves: float = 1000.0,
-        keep: int = 3,
-        budget_seconds: float = 0.25,
-        base_repeats: int = 3,
-        seed: int = 0,
-        mode: str = "measured",
     ) -> None:
-        if mode not in ("measured", "simulated"):
-            raise ConfigurationError(
-                f"unknown tuner mode {mode!r}; use 'measured' or 'simulated'"
-            )
-        if keep < 1:
-            raise ConfigurationError("keep must be >= 1")
-        if not float(budget_seconds) >= 0:
-            raise ConfigurationError(
-                f"budget_seconds must be >= 0, got {budget_seconds!r}"
-            )
         self.candidates = tuple(
             candidates if candidates is not None else DEFAULT_CANDIDATES
         )
         self.expected_solves = check_expected_solves(expected_solves)
-        self.keep = int(keep)
-        self.budget_seconds = float(budget_seconds)
-        self.base_repeats = int(base_repeats)
-        self.seed = int(seed)
-        self.mode = mode
-        #: Races actually run (warm starts from a profile skip racing —
-        #: observable here and asserted by tests).
-        self.races_run = 0
 
     # ------------------------------------------------------------------
     # the tuning pipeline
@@ -323,16 +242,15 @@ class Autotuner:
             must solve the original (unpermuted) system.
         plan_cache:
             Shared :class:`~repro.exec.PlanCache` — candidate plans are
-            compiled at most once across the prior, the race and
-            exhaustive suites hanging off the same cache.
+            compiled at most once across the prior and exhaustive
+            suites hanging off the same cache.
         profile:
             Warm-start store: a stored decision whose features still
-            match, and whose scheduler, reorder flag, amortization
-            target and racing mode this tuner admits, is returned
-            without ranking or racing; fresh decisions are recorded
-            into it.  A malformed entry (hand-edited, truncated) is
-            treated like a feature mismatch: it is re-tuned and
-            overwritten.
+            match, and whose scheduler, reorder flag and amortization
+            target this tuner admits, is returned without ranking;
+            fresh decisions are recorded into it.  A malformed entry
+            (hand-edited, truncated) is treated like a feature
+            mismatch: it is re-tuned and overwritten.
         """
         if machine is None:
             machine = get_machine(DEFAULT_MACHINE)
@@ -343,74 +261,23 @@ class Autotuner:
         if warm is not None:
             return warm
 
-        cache = plan_cache if plan_cache is not None else PlanCache()
-        scores = rank_candidates(
+        pick = rank_candidates(
             inst, self.candidates, machine,
             n_cores=cores, reorder=reorder,
-            expected_solves=self.expected_solves, plan_cache=cache,
-        )
-        finalists = scores[: self.keep]
-        if self.mode == "measured":
-            finalists = _one_arm_per_executed_plan(finalists, reorder)
-        by_name = {s.name: s for s in scores}
-        handicap = {
-            s.name: s.scheduling_seconds / self.expected_solves
-            for s in finalists
-        }
-        measure = self._make_measure(
-            inst, machine, cores, reorder, cache, finalists
-        )
-        obs = get_obs()
-        if obs is not None:
-            # one span per arm measurement plus one around the whole
-            # race, so a flushed trace reconstructs which arms ran, in
-            # what order, and how long each micro-run took
-            inner_measure = measure
-
-            def measure(name, repeats, round_index):
-                with obs.span(
-                    "tuner.race_arm", arm=name, instance=inst.name,
-                    repeats=repeats, round=round_index,
-                ):
-                    return inner_measure(name, repeats, round_index)
-
-            obs.get_registry().counter("tuner.races").inc()
-            race_span = obs.span(
-                "tuner.race", instance=inst.name,
-                n_arms=len(finalists), mode=self.mode,
-            )
-        else:
-            race_span = nullcontext()
-        with race_span:
-            race = successive_halving(
-                [s.name for s in finalists], measure,
-                budget_seconds=self.budget_seconds,
-                base_repeats=self.base_repeats,
-                handicap=handicap,
-            )
-        self.races_run += 1
-
-        winner = by_name[race.winner]
-        winner_sched = make_scheduler(winner.name)
+            expected_solves=self.expected_solves, plan_cache=plan_cache,
+        )[0]
         decision = TuningDecision(
             instance=inst.name,
             machine=machine.name,
             n_cores=cores,
-            scheduler=winner.name,
+            scheduler=pick.name,
             backend=get_backend().name,
-            reorder=resolve_reorder(winner_sched, reorder),
-            predicted_speedup=winner.speedup,
-            objective_seconds=winner.objective_seconds,
-            amortization=winner.amortization,
-            measured_seconds=(
-                race.measurements[race.winner][-1]
-                if race.winner in race.measurements
-                else None
-            ),
-            source="raced",
-            seed=self.seed,
+            reorder=resolve_reorder(make_scheduler(pick.name), reorder),
+            predicted_speedup=pick.speedup,
+            objective_seconds=pick.objective_seconds,
+            amortization=pick.amortization,
+            source="ranked",
             expected_solves=self.expected_solves,
-            mode=self.mode,
             features=features,
         )
         if profile is not None:
@@ -451,79 +318,16 @@ class Autotuner:
         what the current caller allows: a stored pick outside the
         candidate pool (e.g. the pool was narrowed between runs), made
         under a different explicit reorder flag, or optimized for a
-        different objective (amortization target, racing mode) must be
-        re-tuned rather than silently returned.
+        different amortization target must be re-tuned rather than
+        silently returned.
         """
         allowed = set(self.candidates) | {"serial"}
         if decision.scheduler not in allowed:
             return False
         if reorder is not None and decision.reorder != bool(reorder):
             return False
-        if not math.isclose(decision.expected_solves,
-                            self.expected_solves, rel_tol=1e-9):
-            return False
-        if decision.mode != self.mode:
-            return False
-        return True
-
-    # ------------------------------------------------------------------
-    # measurement backends for the race
-    # ------------------------------------------------------------------
-    def _make_measure(self, inst, machine, cores, reorder, cache,
-                      finalists):
-        if self.mode == "simulated":
-            per_solve = {s.name: s.parallel_seconds for s in finalists}
-
-            def measure(name: str, repeats: int, round_index: int) -> float:
-                return per_solve[name]
-
-            return measure
-
-        backend = get_backend()
-        rng = np.random.default_rng(_stable_seed(self.seed, inst.name))
-        b = rng.standard_normal(inst.n)
-
-        def measure(name: str, repeats: int, round_index: int) -> float:
-            scheduler = make_scheduler(name)
-            entry = compiled_entry(
-                inst, scheduler, cores,
-                resolve_reorder(scheduler, reorder), cache,
-            )
-            times = []
-            for _ in range(repeats):
-                t0 = time.perf_counter()  # repro: allow[wallclock-timing]
-                backend.solve(entry.plan, b)
-                times.append(time.perf_counter() - t0)  # repro: allow[wallclock-timing]
-            return statistics.median(times)
-
-        return measure
-
-
-def _one_arm_per_executed_plan(
-    finalists: list[CandidateScore], reorder: bool | None
-) -> list[CandidateScore]:
-    """The finalists a measured race times: one per executed plan.
-
-    The finalists that run without the Section 5 reorder all execute
-    the level set of the unpermuted matrix, so their measurements differ
-    by timer noise only.  They collapse into the one cheapest to
-    schedule (the one equal measurements pick by its handicap), raced in
-    the place of the first of them.  Each reordered plan solves its own
-    permutation of the system and keeps its arm.
-    """
-    plain = [
-        s for s in finalists
-        if not resolve_reorder(make_scheduler(s.name), reorder)
-    ]
-    if len(plain) < 2:
-        return finalists
-    cheapest = min(plain, key=lambda s: s.scheduling_seconds)
-    plain_names = {s.name for s in plain}
-    return [
-        cheapest if s is plain[0] else s
-        for s in finalists
-        if s.name not in plain_names or s is plain[0]
-    ]
+        return math.isclose(decision.expected_solves,
+                            self.expected_solves, rel_tol=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -535,7 +339,7 @@ def _matrix_from_dag(dag: DAG) -> CSRMatrix:
     Unit diagonal; each strict-lower entry ``(v, u)`` mirrors the DAG
     edge ``u -> v`` with value ``-0.5 / indegree(v)``, keeping solves on
     the reconstructed matrix numerically bounded however deep the DAG
-    (cost models and racing only care about the structure).
+    (the cost model only cares about the structure).
     """
     n = dag.n
     counts = np.diff(dag.parent_ptr)
@@ -575,8 +379,7 @@ class AutoScheduler(Scheduler):
     >>> from repro import DAG, make_scheduler
     >>> from repro.matrix.generators import narrow_band_lower
     >>> L = narrow_band_lower(120, 0.15, 6.0, seed=0)
-    >>> auto = make_scheduler("auto", candidates=("wavefront",),
-    ...                       mode="simulated", seed=0)
+    >>> auto = make_scheduler("auto", candidates=("wavefront",))
     >>> schedule = auto.schedule(DAG.from_lower_triangular(L), 4)
     >>> schedule.n_cores
     4
@@ -623,7 +426,7 @@ class AutoScheduler(Scheduler):
         """The (memoized) tuning decision for ``inst`` on ``machine``.
 
         ``reorder`` must be the same flag the caller will execute with:
-        candidates are ranked and raced under it, so the decision is
+        candidates are ranked under it, so the decision is
         evaluated on exactly the plans the run uses.
         """
         if machine is None:

@@ -1,4 +1,4 @@
-"""The cost-model prior: rank candidate schedulers without racing.
+"""The cost-model prior: rank candidate schedulers.
 
 :func:`rank_candidates` schedules each candidate once (memoized in
 the shared :class:`~repro.exec.PlanCache`) and prices the schedule with
@@ -14,8 +14,8 @@ a slightly slower one that schedules instantly when few solves will reuse
 the schedule; as ``expected_solves -> inf`` the objective converges to
 pure per-solve time.  The ``serial`` baseline is always ranked alongside
 the candidates, so when nothing amortizes the prior (and therefore the
-tuner) falls back to serial execution rather than a never-paying-off
-schedule.
+tuner, whose decision is the prior's first pick) falls back to serial
+execution rather than a never-paying-off schedule.
 """
 
 from __future__ import annotations

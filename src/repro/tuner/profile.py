@@ -2,16 +2,17 @@
 
 A profile maps ``(instance, machine, cores)`` to the tuning decision the
 autotuner reached, together with the matrix features the decision was
-computed from.  Re-running the tuner with a profile skips the racing
-stage for every entry whose features still match (warm start); a matrix
+computed from.  Re-running the tuner with a profile skips the ranking
+for every entry whose features still match (warm start); a matrix
 that changed structure under the same name misses the feature check and
 is re-tuned rather than served a stale decision.
 
 A profile holds decisions only.  The file format is versioned and this
-build reads version :data:`PROFILE_VERSION` only.  Files of versions 1
-and 2, and any file that carries an ``observations`` array, raise
-:class:`~repro.errors.ConfigurationError` naming the cause, so old
-training data is refused rather than silently dropped.
+build reads version :data:`PROFILE_VERSION` only.  Older files, and any
+file that carries an ``observations`` array, raise
+:class:`~repro.errors.ConfigurationError` naming the cause: versions 1
+and 2 kept training data inline, and a version 3 pick may come from a
+measured race rather than the prior, so neither is silently reused.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ __all__ = [
 ]
 
 #: Format version of persisted profiles; bump on incompatible changes.
-PROFILE_VERSION = 3
+PROFILE_VERSION = 4
 
 
 def entry_key(instance: str, machine: str, n_cores: int) -> str:

@@ -213,29 +213,28 @@ def test_tune_writes_profile_and_warm_starts(tmp_path, capsys):
 
     profile = str(tmp_path / "profile.json")
     args = ["tune", "--dataset", "narrow_band", "--limit", "1",
-            "--schedulers", "growlocal,hdagg", "--mode", "simulated",
-            "--seed", "0", "--cores", "8"]
+            "--schedulers", "growlocal,hdagg", "--cores", "8"]
     assert main([*args, "--output", profile, "--json"]) == 0
     cold = json.loads(capsys.readouterr().out)
-    assert cold["races_run"] == 1 and cold["warm_starts"] == 0
+    assert cold["warm_starts"] == 0
+    assert all(d["source"] == "ranked" for d in cold["decisions"])
     picked = [d["scheduler"] for d in cold["decisions"]]
     assert all(p in ("growlocal", "hdagg", "serial") for p in picked)
 
-    # re-running against the written profile skips racing entirely
+    # re-running against the written profile skips ranking entirely
     assert main([*args, "--profile", profile, "--json"]) == 0
     warm = json.loads(capsys.readouterr().out)
-    assert warm["races_run"] == 0 and warm["warm_starts"] == 1
+    assert warm["warm_starts"] == 1
     assert all(d["source"] == "profile" for d in warm["decisions"])
     assert [d["scheduler"] for d in warm["decisions"]] == picked
 
 
 def test_tune_table_output(tmp_path, capsys):
     assert main(["tune", "--dataset", "narrow_band", "--limit", "1",
-                 "--schedulers", "growlocal,hdagg", "--mode", "simulated",
-                 "--cores", "8"]) == 0
+                 "--schedulers", "growlocal,hdagg", "--cores", "8"]) == 0
     out = capsys.readouterr().out
     assert "tune: narrow_band" in out
-    assert "race(s)" in out
+    assert "0 warm start(s) from profile" in out
 
 
 def test_tune_rejects_unknown_candidates(capsys):
@@ -252,20 +251,18 @@ def test_tune_rejects_auto_as_candidate(capsys):
 
 def test_tune_output_writes_only_the_profile(tmp_path, capsys):
     """``--output`` writes the decisions-only profile and nothing beside
-    it; the JSON payload carries decisions and race counts only."""
+    it; the JSON payload carries decisions and warm-start counts only."""
     import json
 
     profile = tmp_path / "profile.json"
     assert main(["tune", "--dataset", "narrow_band", "--limit", "1",
-                 "--schedulers", "growlocal,hdagg", "--mode", "simulated",
-                 "--seed", "0", "--cores", "8", "--output", str(profile),
-                 "--json"]) == 0
+                 "--schedulers", "growlocal,hdagg", "--cores", "8",
+                 "--output", str(profile), "--json"]) == 0
     out = json.loads(capsys.readouterr().out)
     assert sorted(p.name for p in tmp_path.iterdir()) == ["profile.json"]
-    assert set(out) == {"dataset", "machine", "mode", "seed",
-                        "wall_seconds", "warm_starts", "races_run",
-                        "decisions"}
-    assert json.loads(profile.read_text())["version"] == 3
+    assert set(out) == {"dataset", "machine", "wall_seconds",
+                        "warm_starts", "decisions"}
+    assert json.loads(profile.read_text())["version"] == 4
 
 
 def test_tune_refuses_v2_profile(tmp_path, capsys):
@@ -275,8 +272,7 @@ def test_tune_refuses_v2_profile(tmp_path, capsys):
 
     profile = str(tmp_path / "profile.json")
     args = ["tune", "--dataset", "narrow_band", "--limit", "1",
-            "--schedulers", "growlocal,hdagg", "--mode", "simulated",
-            "--seed", "0", "--cores", "8"]
+            "--schedulers", "growlocal,hdagg", "--cores", "8"]
     assert main([*args, "--output", profile]) == 0
     capsys.readouterr()
     data = json.loads(open(profile).read())
@@ -295,16 +291,24 @@ def test_tune_refuses_v2_profile(tmp_path, capsys):
     pytest.param("--expected-solves=0", id="solves-zero"),
     pytest.param("--expected-solves=-5", id="solves-negative"),
     pytest.param("--expected-solves=nan", id="solves-nan"),
-    pytest.param("--budget-s=nan", id="budget-nan"),
 ])
 def test_tune_refuses_out_of_range_objectives(flag, capsys):
     """Zero expected solves used to crash with a ZeroDivisionError,
     negative ones rewarded scheduling cost, and NaN silently disabled
-    the objective or the racing budget: each is now a one-line error."""
+    the objective: each is now a one-line error."""
     assert main(["tune", "--dataset", "narrow_band", "--limit", "1",
-                 "--schedulers", "wavefront", "--mode", "simulated",
-                 flag]) == 2
+                 "--schedulers", "wavefront", flag]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--mode=simulated", "--budget-s=0.05",
+                                  "--seed=0"])
+def test_tune_has_no_racing_flags(flag, capsys):
+    """``repro tune`` takes no racing option: argparse refuses each."""
+    with pytest.raises(SystemExit) as exc:
+        main(["tune", "--dataset", "narrow_band", "--limit", "1", flag])
+    assert exc.value.code == 2
+    assert flag.split("=")[0] in capsys.readouterr().err
 
 
 # ----------------------------------------------------------------------

@@ -57,7 +57,7 @@ def test_forward_backward_ilu():
 
 def test_autotune_profile():
     out = _run("autotune_profile.py")
-    assert "warm pass: 0 races" in out
+    assert "warm pass: 0 instances ranked" in out
     assert "unseen instance" in out
 
 

@@ -72,18 +72,26 @@ class TestSuperstepGrowth:
 class TestEmpiricalComplexity:
     def test_near_linear_in_edges(self):
         """Theorem 3.1 / Figure B.1: doubling the DAG should not much more
-        than double the scheduling time (empirical, generous bound)."""
-        times = []
-        for n in (4000, 16000):
-            lower = narrow_band_lower(n, 0.14, 10.0, seed=1)
-            dag = DAG.from_lower_triangular(lower)
-            sched = GrowLocalScheduler()
-            with Timer() as t:
-                sched.schedule(dag, 8)
-            times.append(t.elapsed)
+        than double the scheduling time (empirical, generous bound).
+
+        The two sizes are timed in 3 alternating rounds and the best of
+        each compared, so a stall of a shared host hits both sides or
+        only one reading."""
+        dags = [
+            DAG.from_lower_triangular(
+                narrow_band_lower(n, 0.14, 10.0, seed=1))
+            for n in (4000, 16000)
+        ]
+        times = [[], []]
+        for _ in range(3):
+            for dag, samples in zip(dags, times, strict=True):
+                with Timer() as t:
+                    GrowLocalScheduler().schedule(dag, 8)
+                samples.append(t.elapsed)
+        small, large = min(times[0]), min(times[1])
         # 4x the size should cost less than ~12x the time (linear would
         # be 4x; the bound absorbs interpreter noise)
-        assert times[1] < 12 * max(times[0], 1e-4)
+        assert large < 12 * max(small, 1e-4), (times[0], times[1])
 
 
 @settings(max_examples=25, deadline=None)

@@ -524,10 +524,9 @@ class TestAdmissionAndDeadlines:
 
 
 class TestSharedCacheWithTuner:
-    """The satellite contract: one PlanCache shared by a live
-    SolveService and the tuner's racing loop — no recompiles for keys
-    either side already built, and a bounded LRU stays consistent under
-    concurrent hammering from both."""
+    """One PlanCache shared by a live SolveService and the tuner's
+    prior — no recompiles for keys either side already built, and a
+    bounded LRU stays consistent under concurrent hammering from both."""
 
     def test_no_duplicate_compiles_and_consistent_lru(self):
         from repro.exec import PlanCache
@@ -544,8 +543,7 @@ class TestSharedCacheWithTuner:
             service.register("sys", lower)
             # warm pass: every (instance, scheduler, cores) triple and
             # the simulated-cycles entries are compiled exactly once
-            warm = Autotuner(candidates=candidates, mode="simulated",
-                             seed=0)
+            warm = Autotuner(candidates=candidates)
             warm.tune(
                 DatasetInstance("shared", lower), machine,
                 n_cores=4, plan_cache=cache,
@@ -555,11 +553,10 @@ class TestSharedCacheWithTuner:
             errors = []
             barrier = threading.Barrier(5)
 
-            def race_loop(seed):
+            def tune_loop():
                 try:
                     barrier.wait()
-                    tuner = Autotuner(candidates=candidates,
-                                      mode="simulated", seed=seed)
+                    tuner = Autotuner(candidates=candidates)
                     for _ in range(3):
                         tuner.tune(
                             DatasetInstance("shared", lower), machine,
@@ -577,8 +574,7 @@ class TestSharedCacheWithTuner:
                     errors.append(exc)
 
             threads = [
-                threading.Thread(target=race_loop, args=(s,))
-                for s in range(4)
+                threading.Thread(target=tune_loop) for _ in range(4)
             ] + [threading.Thread(target=serve_loop)]
             for t in threads:
                 t.start()

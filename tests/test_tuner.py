@@ -1,13 +1,14 @@
-"""The autotuner subsystem: features, prior, racing, profiles, "auto".
+"""The autotuner subsystem: features, prior, profiles, "auto".
 
 The load-bearing acceptance checks live here:
 
+* a cold decision is the prior's first pick, whatever the reorder flag
+  and amortization target;
 * on a real dataset the tuner's per-instance pick matches the best
   exhaustive per-instance scheduler for >= 80% of instances;
-* tuner selection is deterministic for a fixed seed (simulated racing);
-* re-tuning through a persisted profile skips racing (warm start);
-* the solve service refuses ``schedule="auto"`` and names the plan
-  ``schedule=None`` compiles instead.
+* tuner selection is deterministic on a shared plan cache;
+* re-tuning through a persisted profile ranks nothing (warm start): the
+  plan cache sees no lookup.
 """
 
 import math
@@ -33,13 +34,16 @@ from repro.tuner import (
     extract_features,
     load_profile,
     save_profile,
-    successive_halving,
 )
-from repro.tuner.auto import _one_arm_per_executed_plan
-from repro.tuner.predict import CandidateScore, rank_candidates
+from repro.tuner.predict import rank_candidates
 
 CANDIDATES = ("growlocal", "hdagg", "wavefront")
 N_CORES = 8
+
+
+def lookups(cache):
+    """The plan cache's lookup counters: a warm start leaves them be."""
+    return cache.hits, cache.misses
 
 
 @pytest.fixture(scope="module")
@@ -108,65 +112,6 @@ class TestFeatures:
 
 
 # ---------------------------------------------------------------------------
-# successive halving
-# ---------------------------------------------------------------------------
-class TestRace:
-    @staticmethod
-    def _fixed(times):
-        def measure(name, repeats, round_index):
-            return times[name]
-
-        return measure
-
-    def test_picks_fastest(self):
-        times = {"a": 3.0, "b": 1.0, "c": 2.0}
-        res = successive_halving(list(times), self._fixed(times),
-                                 budget_seconds=1e9)
-        assert res.winner == "b"
-        assert not res.exhausted
-        # the slowest arm is eliminated first
-        assert "a" not in res.rounds[-1]
-
-    def test_handicap_is_part_of_the_objective(self):
-        times = {"fast_expensive": 1.0, "slow_cheap": 1.5}
-        no_handicap = successive_halving(
-            list(times), self._fixed(times), budget_seconds=1e9
-        )
-        assert no_handicap.winner == "fast_expensive"
-        handicapped = successive_halving(
-            list(times), self._fixed(times), budget_seconds=1e9,
-            handicap={"fast_expensive": 10.0},
-        )
-        assert handicapped.winner == "slow_cheap"
-
-    def test_budget_exhaustion_keeps_best_so_far(self):
-        times = {"a": 5.0, "b": 1.0, "c": 2.0, "d": 3.0}
-        res = successive_halving(
-            list(times), self._fixed(times),
-            budget_seconds=1e-9, base_repeats=1,
-        )
-        # one full round always runs; afterwards the budget stops the
-        # race and the best measured arm wins
-        assert res.winner == "b"
-        assert res.exhausted
-
-    def test_deterministic_tie_break_by_arm_order(self):
-        times = {"x": 1.0, "y": 1.0}
-        assert successive_halving(
-            ["x", "y"], self._fixed(times), budget_seconds=1e9
-        ).winner == "x"
-        assert successive_halving(
-            ["y", "x"], self._fixed(times), budget_seconds=1e9
-        ).winner == "y"
-
-    def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            successive_halving([], self._fixed({}))
-        with pytest.raises(ConfigurationError):
-            successive_halving(["a"], self._fixed({"a": 1.0}), eta=1)
-
-
-# ---------------------------------------------------------------------------
 # the cost-model prior
 # ---------------------------------------------------------------------------
 class TestPredict:
@@ -190,6 +135,30 @@ class TestPredict:
                         n_cores=N_CORES, plan_cache=cache)
         assert cache.misses == misses  # second ranking is all hits
 
+    @pytest.fixture(scope="class")
+    def prior_cache(self):
+        return PlanCache()
+
+    @pytest.mark.parametrize("expected_solves", [10.0, 1000.0, math.inf])
+    @pytest.mark.parametrize("reorder", [None, False, True])
+    def test_decision_is_the_priors_first_pick(
+        self, small_inst, machine, prior_cache, reorder, expected_solves
+    ):
+        """A cold decision is ``rank_candidates``' first pick, priced
+        from the same cached schedules."""
+        decision = Autotuner(
+            candidates=CANDIDATES, expected_solves=expected_solves,
+        ).tune(small_inst, machine, n_cores=N_CORES, reorder=reorder,
+               plan_cache=prior_cache)
+        first = rank_candidates(
+            small_inst, CANDIDATES, machine, n_cores=N_CORES,
+            reorder=reorder, expected_solves=expected_solves,
+            plan_cache=prior_cache,
+        )[0]
+        assert decision.source == "ranked"
+        assert decision.scheduler == first.name
+        assert decision.objective_seconds == first.objective_seconds
+
 
 # ---------------------------------------------------------------------------
 # the objective's range: refused up front, never clamped or divided by
@@ -199,13 +168,11 @@ class TestObjectiveValidation:
         pytest.param({"expected_solves": 0}, id="solves-zero"),
         pytest.param({"expected_solves": -5}, id="solves-negative"),
         pytest.param({"expected_solves": math.nan}, id="solves-nan"),
-        pytest.param({"budget_seconds": -1.0}, id="budget-negative"),
-        pytest.param({"budget_seconds": math.nan}, id="budget-nan"),
     ])
     def test_tuner_refuses(self, kwargs):
         name = next(iter(kwargs))
         with pytest.raises(ConfigurationError, match=name):
-            Autotuner(candidates=CANDIDATES, mode="simulated", **kwargs)
+            Autotuner(candidates=CANDIDATES, **kwargs)
 
     @pytest.mark.parametrize("solves", [0, -5, math.nan])
     def test_rank_candidates_refuses(self, small_inst, machine, solves):
@@ -222,8 +189,7 @@ class TestObjectiveValidation:
                                  n_cores=N_CORES, expected_solves=math.inf)
         assert all(s.objective_seconds == s.parallel_seconds
                    for s in scores)
-        tuner = Autotuner(candidates=CANDIDATES, mode="simulated",
-                          expected_solves=math.inf, seed=0)
+        tuner = Autotuner(candidates=CANDIDATES, expected_solves=math.inf)
         decision = tuner.tune(small_inst, machine, n_cores=N_CORES)
         assert TuningDecision.from_dict(decision.as_dict()) == decision
 
@@ -232,9 +198,8 @@ class TestObjectiveValidation:
 # the full pipeline on a real dataset (acceptance criteria)
 # ---------------------------------------------------------------------------
 class TestTunerOnDataset:
-    def _tune_all(self, instances, machine, cache, **kwargs):
-        tuner = Autotuner(candidates=CANDIDATES, mode="simulated",
-                          expected_solves=1e15, seed=0, **kwargs)
+    def _tune_all(self, instances, machine, cache):
+        tuner = Autotuner(candidates=CANDIDATES, expected_solves=1e15)
         return tuner, [
             tuner.tune(inst, machine, n_cores=N_CORES, plan_cache=cache)
             for inst in instances
@@ -281,13 +246,11 @@ class TestTunerOnDataset:
         compile's wall-clock scheduling seconds, so it is not compared."""
         def simulated(decision):
             return (decision.instance, decision.scheduler, decision.reorder,
-                    decision.predicted_speedup, decision.objective_seconds,
-                    decision.measured_seconds)
+                    decision.predicted_speedup, decision.objective_seconds)
 
         runs = []
         for _ in range(2):
-            tuner = Autotuner(candidates=CANDIDATES, mode="simulated",
-                              expected_solves=math.inf, seed=0)
+            tuner = Autotuner(candidates=CANDIDATES, expected_solves=math.inf)
             runs.append([
                 simulated(tuner.tune(inst, machine, n_cores=N_CORES,
                                      plan_cache=PlanCache()))
@@ -295,31 +258,29 @@ class TestTunerOnDataset:
             ])
         assert runs[0] == runs[1]
 
-    def test_profile_warm_start_skips_racing(
+    def test_profile_warm_start_ranks_nothing(
         self, dataset_instances, machine, shared_cache, tmp_path
     ):
         profile = TuningProfile(machine=machine.name)
-        tuner = Autotuner(candidates=CANDIDATES, mode="simulated",
-                          expected_solves=1e15, seed=0)
+        tuner = Autotuner(candidates=CANDIDATES, expected_solves=1e15)
         cold = [
             tuner.tune(inst, machine, n_cores=N_CORES,
                        plan_cache=shared_cache, profile=profile)
             for inst in dataset_instances
         ]
-        assert tuner.races_run == len(dataset_instances)
-        assert all(d.source == "raced" for d in cold)
+        assert all(d.source == "ranked" for d in cold)
 
         path = tmp_path / "profile.json"
         save_profile(profile, path)
         reloaded = load_profile(path)
-        warm_tuner = Autotuner(candidates=CANDIDATES, mode="simulated",
-                               expected_solves=1e15, seed=0)
+        warm_tuner = Autotuner(candidates=CANDIDATES, expected_solves=1e15)
+        before = lookups(shared_cache)
         warm = [
             warm_tuner.tune(inst, machine, n_cores=N_CORES,
                             plan_cache=shared_cache, profile=reloaded)
             for inst in dataset_instances
         ]
-        assert warm_tuner.races_run == 0  # every decision came warm
+        assert lookups(shared_cache) == before  # every decision came warm
         assert all(d.source == "profile" for d in warm)
         assert [d.scheduler for d in warm] == [d.scheduler for d in cold]
 
@@ -327,7 +288,7 @@ class TestTunerOnDataset:
         """A stored decision is not trusted for a matrix whose features
         changed under the same instance name."""
         profile = TuningProfile(machine=machine.name)
-        tuner = Autotuner(candidates=CANDIDATES, mode="simulated", seed=0)
+        tuner = Autotuner(candidates=CANDIDATES)
         inst_a = DatasetInstance("same_name",
                                  narrow_band_lower(400, 0.1, 8.0, seed=1))
         tuner.tune(inst_a, machine, n_cores=N_CORES, profile=profile)
@@ -335,8 +296,7 @@ class TestTunerOnDataset:
                                  erdos_renyi_lower(400, 0.02, seed=2))
         decision = tuner.tune(inst_b, machine, n_cores=N_CORES,
                               profile=profile)
-        assert decision.source == "raced"
-        assert tuner.races_run == 2
+        assert decision.source == "ranked"
 
     def test_profile_version_mismatch_raises(self, tmp_path):
         path = tmp_path / "old.json"
@@ -351,59 +311,10 @@ class TestTunerOnDataset:
             load_profile(path)
 
     def test_decision_dict_roundtrip(self, small_inst, machine):
-        tuner = Autotuner(candidates=CANDIDATES, mode="simulated", seed=3)
+        tuner = Autotuner(candidates=CANDIDATES)
         decision = tuner.tune(small_inst, machine, n_cores=N_CORES)
         back = TuningDecision.from_dict(decision.as_dict())
         assert back == decision
-
-    def test_measured_mode_smoke(self, small_inst, machine):
-        """Measured racing runs real solves: no determinism asserted,
-        but the decision must be a ranked candidate and carry a
-        measurement."""
-        tuner = Autotuner(candidates=CANDIDATES, mode="measured",
-                          budget_seconds=0.05, seed=0)
-        decision = tuner.tune(small_inst, machine, n_cores=N_CORES)
-        assert decision.scheduler in (*CANDIDATES, "serial")
-        assert decision.measured_seconds is not None
-        assert decision.measured_seconds > 0
-
-    def test_measured_race_gives_unreordered_plans_one_arm(self):
-        """Plans run without the reorder execute the same level-set
-        arrays, so a measured race gives them one arm, the cheapest to
-        schedule, in the place of the first of them; each reordered
-        plan keeps its arm."""
-        def score(name, scheduling_seconds):
-            return CandidateScore(name, 0.0, 0.0, scheduling_seconds, None)
-
-        hdagg, growlocal = score("hdagg", 3.0), score("growlocal", 5.0)
-        wavefront, serial = score("wavefront", 1.0), score("serial", 2.0)
-        finalists = [hdagg, growlocal, wavefront, serial]
-        assert _one_arm_per_executed_plan(finalists, None) == [
-            wavefront, growlocal,
-        ]
-        assert _one_arm_per_executed_plan(finalists, False) == [wavefront]
-        assert _one_arm_per_executed_plan(finalists, True) == finalists
-
-    def test_measured_tuning_without_reorder_races_one_arm(
-        self, small_inst, machine
-    ):
-        """With ``reorder=False`` every finalist executes the same plan:
-        the pick is the finalist cheapest to schedule and nothing is
-        timed."""
-        cache = PlanCache()
-        tuner = Autotuner(candidates=CANDIDATES, mode="measured",
-                          budget_seconds=0.05, seed=0)
-        decision = tuner.tune(small_inst, machine, n_cores=N_CORES,
-                              reorder=False, plan_cache=cache)
-        finalists = rank_candidates(
-            small_inst, CANDIDATES, machine, n_cores=N_CORES,
-            reorder=False, expected_solves=tuner.expected_solves,
-            plan_cache=cache,
-        )[: tuner.keep]
-        cheapest = min(finalists, key=lambda s: s.scheduling_seconds)
-        assert decision.scheduler == cheapest.name
-        assert decision.measured_seconds is None
-        assert tuner.races_run == 1
 
 
 # ---------------------------------------------------------------------------
@@ -416,8 +327,7 @@ class TestAutoScheduler:
     def test_run_instance_resolves_to_the_tuned_pick(
         self, dataset_instances, machine, shared_cache
     ):
-        tuner = Autotuner(candidates=CANDIDATES, mode="simulated",
-                          expected_solves=1e15, seed=0)
+        tuner = Autotuner(candidates=CANDIDATES, expected_solves=1e15)
         auto = make_scheduler("auto", tuner=tuner)
         inst = dataset_instances[0]
         result = run_instance(inst, auto, machine, n_cores=N_CORES,
@@ -433,22 +343,22 @@ class TestAutoScheduler:
         assert result.parallel_cycles == direct.parallel_cycles
 
     def test_decisions_are_memoized(self, small_inst, machine):
-        tuner = Autotuner(candidates=CANDIDATES, mode="simulated", seed=0)
+        tuner = Autotuner(candidates=CANDIDATES)
         auto = make_scheduler("auto", tuner=tuner)
         cache = PlanCache()
         auto.resolve_for_instance(small_inst, machine, n_cores=N_CORES,
                                   plan_cache=cache)
+        before = lookups(cache)
         auto.resolve_for_instance(small_inst, machine, n_cores=N_CORES,
                                   plan_cache=cache)
-        assert tuner.races_run == 1
+        assert lookups(cache) == before
 
     def test_run_suite_accepts_auto(self, dataset_instances, machine,
                                     shared_cache):
         schedulers = {
             "auto": make_scheduler(
                 "auto",
-                tuner=Autotuner(candidates=CANDIDATES, mode="simulated",
-                                expected_solves=1e15, seed=0),
+                tuner=Autotuner(candidates=CANDIDATES, expected_solves=1e15),
             ),
             "growlocal": make_scheduler("growlocal"),
         }
@@ -471,8 +381,7 @@ class TestAutoScheduler:
         schedulers = {
             "auto": make_scheduler(
                 "auto",
-                tuner=Autotuner(candidates=CANDIDATES, mode="simulated",
-                                expected_solves=1e15, seed=0),
+                tuner=Autotuner(candidates=CANDIDATES, expected_solves=1e15),
             ),
         }
         results = run_suite_parallel(instances, schedulers, machine,
@@ -486,19 +395,18 @@ class TestAutoScheduler:
     def test_standalone_schedule_is_valid_and_deterministic(self):
         lower = narrow_band_lower(300, 0.1, 8.0, seed=5)
         dag = DAG.from_lower_triangular(lower)
-        auto = make_scheduler("auto", mode="simulated",
-                              candidates=CANDIDATES, seed=0)
+        auto = make_scheduler("auto", candidates=CANDIDATES)
         schedule = auto.schedule(dag, 4)
         schedule.validate(dag)
-        again = make_scheduler("auto", mode="simulated",
-                               candidates=CANDIDATES, seed=0)
+        again = make_scheduler("auto", candidates=CANDIDATES)
         other = again.schedule(dag, 4)
         assert np.array_equal(schedule.cores, other.cores)
         assert np.array_equal(schedule.supersteps, other.supersteps)
 
     def test_rejects_tuner_and_options_together(self):
         with pytest.raises(ConfigurationError):
-            make_scheduler("auto", tuner=Autotuner(), seed=1)
+            make_scheduler("auto", tuner=Autotuner(),
+                           expected_solves=10.0)
 
 
 class TestReviewRegressions:
@@ -507,11 +415,10 @@ class TestReviewRegressions:
     def test_run_instance_forwards_reorder_to_the_tuner(
         self, small_inst, machine
     ):
-        """The tuner must rank/race under the same reorder flag the run
+        """The tuner must rank under the same reorder flag the run
         executes with — a reorder=False run must not be decided on
         Section 5-reordered plans."""
-        tuner = Autotuner(candidates=CANDIDATES, mode="simulated",
-                          expected_solves=1e15, seed=0)
+        tuner = Autotuner(candidates=CANDIDATES, expected_solves=1e15)
         auto = make_scheduler("auto", tuner=tuner)
         cache = PlanCache()
         result = run_instance(small_inst, auto, machine,
@@ -536,18 +443,16 @@ class TestReviewRegressions:
         from repro.tuner import entry_key
 
         profile = TuningProfile(machine=machine.name)
-        wide = Autotuner(candidates=CANDIDATES, mode="simulated",
-                         expected_solves=1e15, seed=0)
+        wide = Autotuner(candidates=CANDIDATES, expected_solves=1e15)
         wide.tune(small_inst, machine, n_cores=N_CORES, profile=profile)
         # force the stored pick to a scheduler the narrow pool excludes
         key = entry_key(small_inst.name, machine.name, N_CORES)
         profile.entries[key]["scheduler"] = "growlocal"
-        narrow = Autotuner(candidates=("hdagg",), mode="simulated",
-                           expected_solves=1e15, seed=0)
+        narrow = Autotuner(candidates=("hdagg",), expected_solves=1e15)
         decision = narrow.tune(small_inst, machine, n_cores=N_CORES,
                                profile=profile)
         assert decision.scheduler in ("hdagg", "serial")
-        assert narrow.races_run == 1  # profile hit was not admissible
+        assert decision.source == "ranked"  # profile hit not admissible
         # the re-tuned decision replaced the inadmissible entry
         assert profile.entries[key]["scheduler"] == decision.scheduler
 
@@ -558,15 +463,14 @@ class TestReviewRegressions:
         decision's must re-tune (the service depends on reorder=False
         plans solving the original system)."""
         profile = TuningProfile(machine=machine.name)
-        tuner = Autotuner(candidates=("growlocal",), mode="simulated",
-                          expected_solves=1e15, seed=0)
+        tuner = Autotuner(candidates=("growlocal",), expected_solves=1e15)
         first = tuner.tune(small_inst, machine, n_cores=N_CORES,
                            reorder=True, profile=profile)
         assert first.reorder is True
         second = tuner.tune(small_inst, machine, n_cores=N_CORES,
                             reorder=False, profile=profile)
         assert second.reorder is False
-        assert tuner.races_run == 2
+        assert second.source == "ranked"
 
     def test_standalone_schedule_widens_past_the_machine_width(self):
         """Regression: schedule(dag, n) with n above the machine preset
@@ -574,8 +478,7 @@ class TestReviewRegressions:
         width."""
         lower = narrow_band_lower(300, 0.1, 8.0, seed=9)
         dag = DAG.from_lower_triangular(lower)
-        auto = make_scheduler("auto", mode="simulated",
-                              candidates=CANDIDATES, seed=0)
+        auto = make_scheduler("auto", candidates=CANDIDATES)
         wide = get_machine("intel_xeon_6238t").n_cores + 8
         schedule = auto.schedule(dag, wide)
         schedule.validate(dag)
@@ -586,24 +489,23 @@ class TestReviewRegressions:
     def test_warm_start_rejects_different_objective(
         self, small_inst, machine
     ):
-        """A decision tuned for one Eq. 7.1 amortization target (or
-        racing mode) is stale under another and must be re-tuned."""
+        """A decision tuned for one Eq. 7.1 amortization target is
+        stale under another and must be re-tuned."""
         profile = TuningProfile(machine=machine.name)
-        many = Autotuner(candidates=CANDIDATES, mode="simulated",
-                         expected_solves=1e15, seed=0)
+        many = Autotuner(candidates=CANDIDATES, expected_solves=1e15)
         many.tune(small_inst, machine, n_cores=N_CORES, profile=profile)
-        few = Autotuner(candidates=CANDIDATES, mode="simulated",
-                        expected_solves=1.0, seed=0)
+        few = Autotuner(candidates=CANDIDATES, expected_solves=1.0)
         decision = few.tune(small_inst, machine, n_cores=N_CORES,
                             profile=profile)
-        assert few.races_run == 1  # stale objective -> re-raced
+        assert decision.source == "ranked"  # stale objective -> re-ranked
         assert decision.expected_solves == 1.0
         # same objective again now warm-starts
-        repeat = Autotuner(candidates=CANDIDATES, mode="simulated",
-                           expected_solves=1.0, seed=0)
+        repeat = Autotuner(candidates=CANDIDATES, expected_solves=1.0)
+        cache = PlanCache()
         assert repeat.tune(small_inst, machine, n_cores=N_CORES,
+                           plan_cache=cache,
                            profile=profile).source == "profile"
-        assert repeat.races_run == 0
+        assert lookups(cache) == (0, 0)
 
     def test_malformed_profile_entry_falls_back_to_retuning(
         self, small_inst, machine
@@ -612,8 +514,7 @@ class TestReviewRegressions:
         missing must re-tune (like a feature mismatch), not crash."""
         from repro.tuner import entry_key
 
-        tuner = Autotuner(candidates=CANDIDATES, mode="simulated",
-                          expected_solves=1e15, seed=0)
+        tuner = Autotuner(candidates=CANDIDATES, expected_solves=1e15)
         profile = TuningProfile(machine=machine.name)
         good = tuner.tune(small_inst, machine, n_cores=N_CORES,
                           profile=profile)
@@ -623,22 +524,21 @@ class TestReviewRegressions:
         }
         decision = tuner.tune(small_inst, machine, n_cores=N_CORES,
                               profile=profile)
-        assert decision.source == "raced"
+        assert decision.source == "ranked"
         assert decision.scheduler == good.scheduler
         # the repaired entry is written back complete
         assert profile.entries[key]["scheduler"] == good.scheduler
 
 
 # ---------------------------------------------------------------------------
-# the profile format: version 3, decisions only; older files are refused
+# the profile format: version 4, decisions only; older files are refused
 # ---------------------------------------------------------------------------
 class TestProfileFormat:
     @pytest.fixture(scope="class")
     def cold(self, small_inst, machine):
-        """A decision from one cold simulated run and its profile."""
+        """A decision from one cold run and its profile."""
         profile = TuningProfile(machine=machine.name)
-        tuner = Autotuner(candidates=CANDIDATES, mode="simulated",
-                          expected_solves=1e15, seed=0)
+        tuner = Autotuner(candidates=CANDIDATES, expected_solves=1e15)
         decision = tuner.tune(small_inst, machine, n_cores=N_CORES,
                               profile=profile)
         return profile, decision
@@ -646,14 +546,17 @@ class TestProfileFormat:
     @pytest.mark.parametrize("version, inline", [
         pytest.param(1, False, id="v1"),
         pytest.param(2, True, id="v2"),
+        pytest.param(3, False, id="v3"),
         pytest.param(3, True, id="v3-with-observations"),
+        pytest.param(4, True, id="v4-with-observations"),
         pytest.param(99, False, id="unknown-version"),
     ])
     def test_load_refuses(self, cold, machine, tmp_path, version,
                           inline):
-        """Version 1 and 2 files, and any file still carrying an
-        inline observation array, are refused with a named error —
-        old training data is never silently dropped."""
+        """Files of versions 1 to 3, and any file still carrying an
+        inline observation array, are refused with a named error — old
+        training data and version 3's race-picked decisions are never
+        silently reused."""
         import json
 
         profile, _ = cold
@@ -666,7 +569,7 @@ class TestProfileFormat:
             ]
         path = tmp_path / "profile.json"
         path.write_text(json.dumps(data))
-        cause = "observations" if version == 3 else f"version {version}"
+        cause = "observations" if version == 4 else f"version {version}"
         with pytest.raises(ConfigurationError, match=cause):
             load_profile(path)
 
@@ -679,14 +582,14 @@ class TestProfileFormat:
         path = tmp_path / "profile.json"
         save_profile(profile, path)
         data = json.loads(path.read_text())
-        assert data == {"version": 3, "machine": machine.name,
+        assert data == {"version": 4, "machine": machine.name,
                         "entries": profile.entries}
 
-        warm_tuner = Autotuner(candidates=CANDIDATES, mode="simulated",
-                               expected_solves=1e15, seed=0)
+        warm_tuner = Autotuner(candidates=CANDIDATES, expected_solves=1e15)
+        cache = PlanCache()
         warm = warm_tuner.tune(small_inst, machine, n_cores=N_CORES,
-                               profile=load_profile(path))
-        assert warm_tuner.races_run == 0
+                               plan_cache=cache, profile=load_profile(path))
+        assert lookups(cache) == (0, 0)
         assert warm.source == "profile"
         assert warm.scheduler == decision.scheduler
 
@@ -703,41 +606,15 @@ class TestProfileFormat:
         assert not [f for f in os.listdir(tmp_path)
                     if f.endswith(".tmp")]
 
-    def test_entry_carrying_max_batch_still_warm_starts(
-        self, cold, small_inst, machine, tmp_path
-    ):
-        """Version-3 entries written with a ``max_batch`` field load and
-        warm-start with zero races; the field is ignored."""
-        import json
-
-        profile, decision = cold
-        entries = {
-            key: {**entry, "max_batch": 32}
-            for key, entry in profile.entries.items()
-        }
-        path = tmp_path / "profile.json"
-        path.write_text(json.dumps({"version": 3, "machine": machine.name,
-                                    "entries": entries}))
-        warm_tuner = Autotuner(candidates=CANDIDATES, mode="simulated",
-                               expected_solves=1e15, seed=0)
-        warm = warm_tuner.tune(small_inst, machine, n_cores=N_CORES,
-                               profile=load_profile(path))
-        assert warm_tuner.races_run == 0
-        assert warm.source == "profile"
-        assert warm.scheduler == decision.scheduler
-        assert "max_batch" not in warm.as_dict()
-
 
 # ---------------------------------------------------------------------------
-# the measured-mode profile round trip, with a solve check
+# the unreordered profile round trip, with a solve check
 # ---------------------------------------------------------------------------
-class TestMeasuredProfileLoop:
-    """The measured loop on ``reorder=False`` plans, the unpermuted
+class TestUnreorderedProfileLoop:
+    """The profile loop on ``reorder=False`` plans, the unpermuted
     systems a solve service serves."""
 
-    def test_warm_picks_skip_racing_and_solve_the_original_system(
-        self, tmp_path, machine
-    ):
+    def test_warm_picks_solve_the_original_system(self, tmp_path, machine):
         insts = [
             DatasetInstance(
                 f"loop{i}",
@@ -748,29 +625,27 @@ class TestMeasuredProfileLoop:
         ]
         profile = TuningProfile(machine=machine.name)
         cache = PlanCache()
-        tuner = Autotuner(candidates=CANDIDATES, mode="measured",
-                          budget_seconds=0.02, seed=0)
+        tuner = Autotuner(candidates=CANDIDATES)
         cold = [
             tuner.tune(inst, machine, n_cores=N_CORES, reorder=False,
                        plan_cache=cache, profile=profile)
             for inst in insts
         ]
-        assert tuner.races_run == len(insts)
-        assert all(d.source == "raced" and d.reorder is False
+        assert all(d.source == "ranked" and d.reorder is False
                    for d in cold)
         path = tmp_path / "profile.json"
         save_profile(profile, path)
 
         reloaded = load_profile(path)
-        warm_tuner = Autotuner(candidates=CANDIDATES, mode="measured",
-                               budget_seconds=0.02, seed=0)
+        warm_tuner = Autotuner(candidates=CANDIDATES)
+        before = lookups(cache)
         warm = [
             warm_tuner.tune(inst, machine, n_cores=N_CORES,
                             reorder=False, plan_cache=cache,
                             profile=reloaded)
             for inst in insts
         ]
-        assert warm_tuner.races_run == 0  # every decision came warm
+        assert lookups(cache) == before  # every decision came warm
         assert [d.scheduler for d in warm] == [d.scheduler for d in cold]
         assert all(d.source == "profile" for d in warm)
         rng = np.random.default_rng(3)
