@@ -6,7 +6,9 @@ cost one vectorized sweep over the plan's dependency layers instead of
 This benchmark pins that down: ``k`` requests served through the
 coalescing queue must beat ``k`` sequential ``backend.solve`` calls on
 the same plan, end to end (queueing, thread hand-off and result
-distribution included), while returning bit-equal results.
+distribution included), while returning bit-equal results.  The two
+sides are timed in alternating rounds and the best of each compared,
+so a slow stretch of a shared host hits both sides.
 
 ``REPRO_BENCH_SMOKE=1`` shrinks the instance so the assertion can run
 on every CI push; the perf floor stays on.
@@ -29,18 +31,9 @@ SMOKE = os.environ.get("REPRO_BENCH_SMOKE") == "1"
 N = 3_000 if SMOKE else 10_000
 P, BAND = 0.05, 20.0
 K = 16 if SMOKE else 48
-REPEATS = 3
-#: Conservative floor; measured margin is ~2-4x.
+ROUNDS = 21
+#: Floor; the full-size test read 1.7-2.2x on a 2-core container.
 MIN_SPEEDUP = 1.5
-
-
-def _median(fn, repeats=REPEATS):
-    times = []
-    for _ in range(repeats):
-        with Timer() as t:
-            fn()
-        times.append(t.elapsed)
-    return float(np.median(times))
 
 
 def test_micro_batched_service_beats_sequential_solves():
@@ -50,11 +43,9 @@ def test_micro_batched_service_beats_sequential_solves():
     rng = np.random.default_rng(7)
     bs = [rng.standard_normal(N) for _ in range(K)]
 
-    # --- sequential baseline: K independent single-RHS solves ----------
+    # sequential baseline: K independent single-RHS solves; service
+    # path: the same K requests coalesced into micro-batches
     x_seq = [backend.solve(plan, b) for b in bs]  # warm-up + oracle
-    t_sequential = _median(lambda: [backend.solve(plan, b) for b in bs])
-
-    # --- service path: K requests coalesced into micro-batches ---------
     with SolveService(backend=backend, max_batch=K) as service:
         service.register("bench", lower, plan=plan)
 
@@ -63,8 +54,17 @@ def test_micro_batched_service_beats_sequential_solves():
             return [f.result() for f in futures]
 
         x_served = served()  # warm-up + oracle
-        t_service = _median(served)
+        t_seqs, t_served = [], []
+        for _ in range(ROUNDS):
+            with Timer() as t:
+                for b in bs:
+                    backend.solve(plan, b)
+            t_seqs.append(t.elapsed)
+            with Timer() as t:
+                served()
+            t_served.append(t.elapsed)
         stats = service.stats("bench")
+    t_sequential, t_service = min(t_seqs), min(t_served)
 
     for a, b in zip(x_served, x_seq, strict=True):
         np.testing.assert_array_equal(a, b)

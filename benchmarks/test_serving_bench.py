@@ -1,15 +1,21 @@
-"""Perf floor for the sharded serving gateway under hot-key traffic.
+"""Coalescing floor for one service on interleaved hot keys.
 
-Head-run coalescing in :class:`~repro.service.SolveService` only
-batches *consecutive* same-system queue entries, so two hot keys whose
-requests interleave collapse every batch to size 1 — each solve pays
-the full per-layer Python dispatch alone.  A 2-shard
-:class:`~repro.service.ServingGateway` routes the two keys to disjoint
-queues, each single-key contiguous, and batching comes back.  This
-benchmark floors that restoration: on an interleaved 2-hot-key
-backlog, the 2-shard gateway must sustain at least ``MIN_SPEEDUP``x
-the single service's drain throughput, while every returned vector
-stays bit-equal to a direct backend solve.
+:class:`~repro.service.SolveService` coalesces per system: each batch
+takes up to ``max_batch`` waiting requests of one system, wherever they
+sit among other systems' requests.  So a backlog that alternates two
+hot keys still coalesces into multi-request ``solve_block`` sweeps.
+This benchmark floors that on the serving-bench system: draining an
+interleaved 2-hot-key backlog, one service's average batch per key
+must exceed 1 (taking only the run of same-system requests at the
+queue head gives exactly 1 on this backlog).  Every returned vector,
+from the service and from a 2-shard
+:class:`~repro.service.ServingGateway`, stays bit-equal to a direct
+backend solve.
+
+The printed table also reports the 2-shard gateway's drain throughput
+over the single service's.  That ratio is not floored: what sharding
+still adds is a second worker thread, which a loaded 2-core host does
+not reliably give.
 
 ``REPRO_BENCH_SMOKE=1`` shrinks the instance for CI; the floor stays
 on.
@@ -28,11 +34,9 @@ from repro.service.loadgen import saturation_throughput
 SMOKE = os.environ.get("REPRO_BENCH_SMOKE") == "1"
 #: Interleaved backlog size; round-robin across the two hot keys.
 N_REQUESTS = 200 if SMOKE else 800
-#: Conservative floor; measured margin is ~3-4x (smoke) / ~2x (full).
-MIN_SPEEDUP = 1.5
 
 
-def test_two_shard_gateway_beats_single_service_on_hot_keys():
+def test_single_service_coalesces_interleaved_hot_keys():
     lower = _serving_corpus(smoke=SMOKE)
     backend = get_backend()
     plan = compile_plan(lower)
@@ -51,13 +55,13 @@ def test_two_shard_gateway_beats_single_service_on_hot_keys():
         for key in hot_keys:
             service.register(key, lower)
         single = drain(service)
+        single_batch = min(
+            service.stats(k).avg_batch_size for k in hot_keys
+        )
         for key in hot_keys:
             np.testing.assert_array_equal(
                 service.solve(key, rhs[key]), oracle[key]
             )
-        single_batch = max(
-            service.stats(k).avg_batch_size for k in hot_keys
-        )
 
     with ServingGateway(
         n_shards=2, backend=backend, plan_cache=cache
@@ -65,22 +69,20 @@ def test_two_shard_gateway_beats_single_service_on_hot_keys():
         for key in hot_keys:
             gateway.register(key, lower)
         sharded = drain(gateway)
-        # acceptance criterion: the gateway solves bit-equal to a
-        # direct backend solve of the same plan
+        sharded_batch = min(
+            gateway.stats(k).avg_batch_size for k in hot_keys
+        )
+        # the gateway solves bit-equal to a direct backend solve of
+        # the same plan
         for key in hot_keys:
             np.testing.assert_array_equal(
                 gateway.solve(key, rhs[key]), oracle[key]
             )
-        sharded_batch = max(
-            s.avg_batch_size
-            for per_shard in gateway.shard_stats()
-            for s in per_shard.values()
-        )
 
-    speedup = sharded["throughput_rps"] / single["throughput_rps"]
+    ratio = sharded["throughput_rps"] / single["throughput_rps"]
     print()
     print(format_table(
-        ["topology", "requests", "drain s", "rps", "max avg batch"],
+        ["topology", "requests", "drain s", "rps", "min avg batch"],
         [
             ["single service", N_REQUESTS, single["elapsed_s"],
              single["throughput_rps"], single_batch],
@@ -91,14 +93,10 @@ def test_two_shard_gateway_beats_single_service_on_hot_keys():
               f"{backend.name}, smoke={SMOKE})",
         float_fmt="{:.4f}",
     ))
-    print(f"2-shard saturation speed-up over single service: "
-          f"{speedup:.1f}x")
+    print(f"2-shard drain throughput over single service: {ratio:.2f}x "
+          f"(not floored)")
 
-    assert sharded_batch > single_batch, (
-        "sharding did not restore coalescing: shard avg batch "
-        f"{sharded_batch:.2f} vs single {single_batch:.2f}"
-    )
-    assert speedup >= MIN_SPEEDUP, (
-        f"2-shard gateway only {speedup:.2f}x over the single service "
-        f"on interleaved hot keys (floor {MIN_SPEEDUP}x)"
+    assert single_batch > 1.0, (
+        "one service did not coalesce interleaved hot keys: avg batch "
+        f"per key {single_batch:.2f}"
     )

@@ -107,9 +107,8 @@ def _serving_corpus(*, smoke: bool) -> CSRMatrix:
 
     Micro-batching amortizes the per-layer dispatch of a solve across
     every coalesced RHS, so the shape where batching matters — and
-    where sharding's batch restoration shows up as throughput — is
-    many layers of modest width, not the wide-shallow ``prange``
-    shape."""
+    where coalescing shows up as throughput — is many layers of modest
+    width, not the wide-shallow ``prange`` shape."""
     return make_wide_shallow(
         levels=48 if smoke else 64,
         width=64 if smoke else 100,

@@ -15,12 +15,13 @@ dependency layers instead of ``k``.
 Per-system latency / throughput / batch-size statistics are exposed via
 :meth:`SolveService.stats`.
 
-For traffic spread over *many* systems, a single service's head-run
-coalescing degrades to batch-1 dispatch (cross-key head-of-line
-blocking); the :class:`ServingGateway` removes that by routing each
-key, via a stable hash, to one of N independent service shards — see
-:mod:`repro.service.gateway`.  The open-loop traffic harness that
-measures both lives in :mod:`repro.service.loadgen`.
+A service coalesces per system however clients interleave their keys,
+and serves the systems with waiting requests in turn.  The
+:class:`ServingGateway` routes each key, via a stable hash, to one of
+N independent service shards, each with its own worker thread and
+admission bound — see :mod:`repro.service.gateway`.  The open-loop
+traffic harness that measures both lives in
+:mod:`repro.service.loadgen`.
 """
 
 from repro.service.gateway import (

@@ -2,21 +2,22 @@
 
 Why shard
 ---------
-A single :class:`~repro.service.SolveService` coalesces only the
-*consecutive* run of same-system requests at its queue head
-(:meth:`~repro.service.service.SolveService._take_batch_locked`), so
-interleaved traffic for several systems degenerates to batch-size-1
-dispatch — cross-key head-of-line blocking.  The gateway removes it
-structurally: requests are routed by a **stable hash of the system
-key** to one of ``n_shards`` independent :class:`SolveService` shards,
-each with its own queue and worker thread.  Every system lives on
-exactly one shard, so a shard's queue only ever holds requests that
-*can* batch together, and the head run coalesces up to ``max_batch``
-regardless of how clients interleave across systems.
+A single :class:`~repro.service.SolveService` already coalesces per
+system, however clients interleave their keys; what it cannot do is
+solve on more than its one worker thread, or bound one group of keys'
+backlog apart from another's.  The gateway routes requests by a
+**stable hash of the system key** to one of ``n_shards`` independent
+:class:`SolveService` shards, each with its own worker thread and its
+own ``max_queue`` admission bound.  Every system lives on exactly one
+shard, so:
 
-All shards share one :class:`~repro.exec.PlanCache` (and, through it,
-any configured plan store), so lowering work is pooled exactly as with
-a single service.
+* shards solve concurrently, overlapping wherever the backend's
+  kernels release the interpreter lock;
+* a burst on one shard's keys fills that shard's bound and delays only
+  that shard's other keys.
+
+All shards share one :class:`~repro.exec.PlanCache`, so lowering work
+is pooled exactly as with a single service.
 
 Routing is stateless — ``shard_index(key, n_shards)`` is a pure
 function of the key's string form, stable across processes and Python
@@ -137,7 +138,7 @@ class ServingGateway:
     ----------
     n_shards:
         Number of independent :class:`SolveService` shards (each with
-        its own queue and worker thread).
+        its own queues and worker thread).
     backend, max_batch, max_queue:
         Forwarded to every shard (``max_queue`` bounds each shard's
         queue *independently*).

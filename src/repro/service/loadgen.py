@@ -22,8 +22,8 @@ seeded generator, so two runs against different topologies offer
 
 :func:`saturation_throughput` is the companion closed-world probe: it
 enqueues an interleaved backlog all at once and times the drain,
-measuring the peak rate the topology sustains — the number the
-2-shard-vs-single-service benchmark floors compare.
+measuring the peak rate the topology sustains — the number the serving
+benchmark reports for a 2-shard gateway against a single service.
 """
 
 from __future__ import annotations
@@ -372,10 +372,8 @@ def saturation_throughput(
     """Backlog-drain throughput of ``target`` on interleaved traffic.
 
     Submits ``n_requests`` single-RHS requests round-robin across
-    ``keys`` — the worst case for a single service's head-run
-    coalescing (consecutive queue entries alternate systems, so
-    batches collapse to size 1) and the best case for a sharded
-    gateway (each shard's queue is single-key contiguous) — then
+    ``keys``, so successive submissions alternate systems and every
+    batch gathers one system's requests from between the others', then
     blocks until all complete.  Returns ``{"throughput_rps",
     "elapsed_s", "n_requests"}`` where throughput counts completed
     requests per wall-clock second of drain.

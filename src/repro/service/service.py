@@ -4,14 +4,17 @@ Architecture
 ------------
 Clients call :meth:`SolveService.submit` (or the blocking
 :meth:`~SolveService.solve`) with a system key and a single right-hand
-side; they get a :class:`concurrent.futures.Future` back.  A dedicated
-worker thread drains the request queue: the head request plus every
-*consecutive* queued request for the same system (up to ``max_batch``)
-becomes one micro-batch, column-stacked into an ``(n, k)`` block and
-executed with a single :meth:`~repro.exec.backends.ExecutionBackend
-.solve_block` call — one sweep over the plan's dependency layers for
-all ``k`` clients.  Head-run coalescing keeps completion
-order identical to submission order, so serving is deterministic.
+side; they get a :class:`concurrent.futures.Future` back.  Waiting
+requests queue per system, and a dedicated worker thread serves the
+systems with waiting requests in turn: up to ``max_batch`` of one
+system's requests become one micro-batch, column-stacked into an
+``(n, k)`` block and executed with a single
+:meth:`~repro.exec.backends.ExecutionBackend.solve_block` call — one
+sweep over the plan's dependency layers for all ``k`` clients.  A
+system that still has requests waiting goes to the back of the turn
+order.  So requests coalesce however clients interleave their systems,
+each system's requests run in its submission order, and a system with
+waiting requests is served within one batch per other waiting system.
 
 Numerically the batched path is *bit-equal* to solving each request
 alone: the block kernel accumulates each column's contributions in the
@@ -30,6 +33,7 @@ import threading
 import time
 from collections import deque
 from concurrent.futures import Future
+from contextlib import nullcontext
 
 import numpy as np
 
@@ -152,6 +156,18 @@ class _Request:
         return self.deadline is not None and now >= self.deadline
 
 
+def _fail_unresolved(requests: list[_Request], exc: Exception) -> None:
+    """Fail every future of ``requests`` that is not yet resolved."""
+    for request in requests:
+        future = request.future
+        if future.done():
+            continue
+        # a queued future moves to RUNNING first, unless its client
+        # cancelled it; a RUNNING one can no longer be cancelled
+        if future.running() or future.set_running_or_notify_cancel():
+            future.set_exception(exc)
+
+
 class SolveService:
     """Serve keyed triangular-solve requests with micro-batching.
 
@@ -164,9 +180,9 @@ class SolveService:
         Largest micro-batch the worker coalesces into one
         ``solve_block`` call.
     max_queue:
-        Admission bound: largest number of requests allowed to wait in
-        the queue at once (default None: unbounded).  A submission that
-        would overflow it raises
+        Admission bound: largest number of requests allowed to wait at
+        once, over all systems (default None: unbounded).  A submission
+        that would overflow it raises
         :class:`~repro.errors.AdmissionError` immediately — enqueueing
         nothing — so sustained overload surfaces as backpressure
         instead of unbounded memory growth and tail latency.
@@ -210,7 +226,11 @@ class SolveService:
         self._lock = threading.Lock()
         self._cond = threading.Condition(self._lock)
         self._systems: dict[object, _System] = {}
-        self._queue: deque[_Request] = deque()
+        #: Waiting requests, one deque per system, in submission order.
+        #: The dict's insertion order is the systems' turn order; a take
+        #: drops a system whose deque it empties.
+        self._waiting: dict[_System, deque[_Request]] = {}
+        self._n_waiting = 0
         self._closed = False
         self._worker = threading.Thread(
             target=self._run, name="repro-solve-service", daemon=True
@@ -333,14 +353,11 @@ class SolveService:
     ) -> "list[Future[np.ndarray]]":
         """Enqueue several right-hand sides under one lock acquisition.
 
-        All requests enter the queue back-to-back, so the worker can
-        coalesce them into ``max_batch``-sized micro-batches even while
-        other clients interleave their own submissions.  Admission is
-        all-or-nothing: when a ``max_queue`` bound is configured and
-        the whole batch does not fit, the submission raises
-        :class:`~repro.errors.AdmissionError` and enqueues nothing.
-        ``timeout`` (seconds) applies per request, measured from
-        enqueue (see :meth:`submit`).
+        Admission is all-or-nothing: when a ``max_queue`` bound is
+        configured and the whole batch does not fit, the submission
+        raises :class:`~repro.errors.AdmissionError` and enqueues
+        nothing.  ``timeout`` (seconds) applies per request, measured
+        from enqueue (see :meth:`submit`).
         """
         if timeout is not None and not (
             math.isfinite(timeout) and timeout > 0.0
@@ -375,10 +392,10 @@ class SolveService:
                 )
             if (
                 self._max_queue is not None
-                and len(self._queue) + len(checked) > self._max_queue
+                and self._n_waiting + len(checked) > self._max_queue
             ):
                 system.n_admission_rejections += len(checked)
-                depth = len(self._queue)
+                depth = self._n_waiting
                 if self._obs is not None:
                     self._obs.get_registry().counter(
                         "service.admission_rejections", system=str(key)
@@ -388,12 +405,12 @@ class SolveService:
                     f"bound {self._max_queue}); rejected "
                     f"{len(checked)} request(s)"
                 )
+            queue = self._waiting.setdefault(system, deque())
             for b in checked:
                 fut: Future = Future()
-                self._queue.append(
-                    _Request(system, b, fut, now, deadline)
-                )
+                queue.append(_Request(system, b, fut, now, deadline))
                 futures.append(fut)
+            self._n_waiting += len(checked)
             self._cond.notify()
         if self._obs is not None:
             self._obs.event(
@@ -466,9 +483,10 @@ class SolveService:
 
     @property
     def pending(self) -> int:
-        """Requests currently waiting in the queue (not yet executing)."""
+        """Requests waiting for the worker, over all systems (not yet
+        executing)."""
         with self._cond:
-            return len(self._queue)
+            return self._n_waiting
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -507,46 +525,47 @@ class SolveService:
     def _run(self) -> None:
         while True:
             with self._cond:
-                while not self._queue and not self._closed:
+                while not self._waiting and not self._closed:
                     self._cond.wait()
-                if not self._queue:  # closed and drained
+                if not self._waiting:  # closed and drained
                     return
                 batch, expired = self._take_batch_locked()
-            if expired:
-                self._expire(expired)
-            if batch:
-                self._execute(batch)
+                self._n_waiting -= len(batch) + len(expired)
+            try:
+                if expired:
+                    self._expire(expired)
+                if batch:
+                    self._execute(batch)
+            except Exception as exc:
+                # the worker outlives any fault in handling a batch:
+                # every request it took still resolves, with the error
+                _fail_unresolved(expired + batch, exc)
 
     def _take_batch_locked(
         self,
     ) -> tuple[list[_Request], list[_Request]]:
-        """Pop the head request plus consecutive same-system followers.
+        """Take up to ``max_batch`` live requests of the next system.
 
-        Coalescing only the head *run* (never reaching past a request
-        for a different system) keeps completion order identical to
-        submission order.  Requests whose deadline has already passed
-        are swept into the second returned list instead of occupying
-        batch slots — the head run keeps coalescing past them, so one
-        expired request cannot split an otherwise contiguous batch.
+        The system at the front of the turn order gives its oldest
+        requests; it goes to the back if it still has requests waiting.
+        Requests whose deadline has already passed are swept into the
+        second returned list instead of occupying batch slots, so an
+        expired request cannot split a batch.  Costs O(batch), whatever
+        the number of waiting requests.
         """
+        system = next(iter(self._waiting))
+        queue = self._waiting.pop(system)
         now = time.perf_counter()
+        batch: list[_Request] = []
         expired: list[_Request] = []
-        while self._queue and self._queue[0].expired(now):
-            expired.append(self._queue.popleft())
-        if not self._queue:
-            return [], expired
-        first = self._queue.popleft()
-        batch = [first]
-        while (
-            self._queue
-            and len(batch) < self._max_batch
-            and self._queue[0].system is first.system
-        ):
-            request = self._queue.popleft()
+        while queue and len(batch) < self._max_batch:
+            request = queue.popleft()
             if request.expired(now):
                 expired.append(request)
             else:
                 batch.append(request)
+        if queue:
+            self._waiting[system] = queue
         return batch, expired
 
     def _expire(self, expired: list[_Request]) -> None:
@@ -577,8 +596,8 @@ class SolveService:
     def _execute(self, batch: list[_Request]) -> None:
         # transition every future to RUNNING; drop the ones a client
         # cancelled while queued.  After this point cancel() can no
-        # longer win, so set_result/set_exception below cannot raise
-        # InvalidStateError (which would kill the worker thread).
+        # longer win, so set_result below cannot raise
+        # InvalidStateError.
         batch = [
             r for r in batch if r.future.set_running_or_notify_cancel()
         ]
@@ -592,12 +611,11 @@ class SolveService:
                 batch_size=len(batch),
             )
             if self._obs is not None
-            else None
+            else nullcontext()
         )
-        if span is not None:
-            span.__enter__()
-        t0 = time.perf_counter()
-        try:
+        # a backend error propagates to _run, which fails the batch
+        with span:
+            t0 = time.perf_counter()
             if len(batch) == 1:
                 results = [self._backend.solve(system.plan, batch[0].b)]
             else:
@@ -607,15 +625,7 @@ class SolveService:
                     np.ascontiguousarray(x_block[:, j])
                     for j in range(len(batch))
                 ]
-        except Exception as exc:  # propagate to every waiting client
-            if span is not None:
-                span.__exit__(type(exc), exc, None)
-            for request in batch:
-                request.future.set_exception(exc)
-            return
-        done = time.perf_counter()
-        if span is not None:
-            span.__exit__(None, None, None)
+            done = time.perf_counter()
         # record stats *before* resolving the futures: a client woken by
         # result() must observe counters that include its own request
         # (latency is therefore measured to just before resolution)
@@ -664,6 +674,6 @@ class SolveService:
         with self._cond:
             return (
                 f"SolveService(systems={len(self._systems)}, "
-                f"pending={len(self._queue)}, backend="
+                f"pending={self._n_waiting}, backend="
                 f"{self._backend.name!r}, closed={self._closed})"
             )

@@ -4,7 +4,9 @@ Covers the concurrency layer's contracts: the shared
 :class:`~repro.exec.PlanCache` survives multi-threaded hammering with
 consistent accounting, and the :class:`~repro.service.SolveService`
 returns batched results bit-equal to sequential single-RHS solves
-whatever the interleaving.
+whatever the interleaving, coalesces per system with each system's
+requests in submission order, and keeps serving after a fault in
+handling a batch.
 """
 
 import threading
@@ -19,7 +21,12 @@ from repro.errors import (
     MatrixFormatError,
     ServiceClosedError,
 )
-from repro.exec import PlanCache, compile_plan, get_backend
+from repro.exec import (
+    ExecutionBackend,
+    PlanCache,
+    compile_plan,
+    get_backend,
+)
 from repro.matrix.generators import erdos_renyi_lower, narrow_band_lower
 from repro.service import SolveService, SystemStats
 
@@ -27,6 +34,48 @@ from repro.service import SolveService, SystemStats
 @pytest.fixture(scope="module")
 def lower():
     return narrow_band_lower(400, 0.08, 10.0, seed=0)
+
+
+class _GatedBackend(ExecutionBackend):
+    """The default backend, except that its first ``solve`` waits until
+    ``release`` is set."""
+
+    def __init__(self):
+        self.inner = get_backend()
+        self.name = self.inner.name
+        self.entered = threading.Event()
+        self.release = threading.Event()
+
+    def solve(self, plan, b, x=None):
+        if not self.entered.is_set():
+            self.entered.set()
+            if not self.release.wait(timeout=30):
+                raise TimeoutError("gate never released")
+        return self.inner.solve(plan, b, x)
+
+    def solve_block(self, plan, b_block, x_block=None):
+        return self.inner.solve_block(plan, b_block, x_block)
+
+
+def _held_service(lower, keys, **kwargs):
+    """A service whose worker is held inside the solve of a ``"gate"``
+    system's request, so that everything submitted before
+    ``backend.release.set()`` is queued before the worker takes any of
+    it.  Registers ``keys`` (and ``"gate"``) on ``lower``."""
+    backend = _GatedBackend()
+    service = SolveService(backend=backend, **kwargs)
+    for key in ("gate", *keys):
+        service.register(key, lower)
+    service.submit("gate", np.ones(lower.n))
+    assert backend.entered.wait(timeout=30)
+    return service, backend
+
+
+def _record_completion(future, log, tag):
+    """Append ``tag`` to ``log`` when ``future`` resolves (callbacks run
+    on the resolving thread, in resolution order)."""
+    future.add_done_callback(lambda _: log.append(tag))
+    return future
 
 
 class TestPlanCacheThreadSafety:
@@ -173,8 +222,8 @@ class TestSolveServiceBehavior:
             stats = service.stats("s")
         assert isinstance(stats, SystemStats)
         assert stats.n_requests == 12
-        # head-run coalescing with max_batch=4 gives batches of <= 4;
-        # at least one multi-request batch must have formed
+        # coalescing with max_batch=4 gives batches of <= 4; at least
+        # one multi-request batch must have formed
         assert stats.max_batch_size <= 4
         assert stats.n_batches < 12
         assert stats.avg_batch_size > 1.0
@@ -479,8 +528,10 @@ class TestAdmissionAndDeadlines:
             assert service.stats("s").n_deadline_misses == 0
 
     def test_expired_requests_do_not_split_the_batch(self, lower):
-        """An expired request between two live same-system requests is
-        swept while the head run keeps coalescing around it."""
+        """An expired request between live same-system requests fails
+        with DeadlineExceededError and the live ones around it still
+        complete (the batch they share is pinned in
+        TestPerKeyCoalescing)."""
         with SolveService(max_batch=8) as service:
             service.register("s", lower)
             b = np.ones(lower.n)
@@ -521,6 +572,133 @@ class TestAdmissionAndDeadlines:
             ):
                 f.result(timeout=30)
             assert service.pending == 0
+
+
+class TestPerKeyCoalescing:
+    """The ordering contract: requests coalesce per system however keys
+    interleave, each system's requests complete in its submission
+    order, and a system with waiting requests is served within one
+    batch per other waiting system.  A held worker queues each backlog
+    whole before the first take, so every batch is deterministic."""
+
+    def test_interleaved_keys_coalesce_per_key(self, lower):
+        plan = compile_plan(lower)
+        rng = np.random.default_rng(5)
+        bs = {key: [rng.standard_normal(lower.n) for _ in range(16)]
+              for key in ("a", "b")}
+        done = {"a": [], "b": []}
+        service, backend = _held_service(lower, ["a", "b"], max_batch=4)
+        with service:
+            futures = {"a": [], "b": []}
+            for j in range(16):
+                for key in ("a", "b"):
+                    futures[key].append(_record_completion(
+                        service.submit(key, bs[key][j]), done[key], j
+                    ))
+            backend.release.set()
+            xs = {key: [f.result(timeout=30) for f in futures[key]]
+                  for key in futures}
+            stats = service.stats()
+        for key in ("a", "b"):
+            assert stats[key].n_batches == 4
+            assert stats[key].max_batch_size == 4
+            assert done[key] == list(range(16))
+            for b, x in zip(bs[key], xs[key], strict=True):
+                np.testing.assert_array_equal(
+                    x, backend.inner.solve(plan, b)
+                )
+
+    def test_cold_key_is_not_starved_by_a_hot_backlog(self, lower):
+        done = []
+        b = np.ones(lower.n)
+        service, backend = _held_service(
+            lower, ["hot", "cold"], max_batch=64
+        )
+        with service:
+            hot = [
+                _record_completion(f, done, "hot")
+                for f in service.submit_many("hot", [b] * 200)
+            ]
+            cold = _record_completion(
+                service.submit("cold", b), done, "cold"
+            )
+            backend.release.set()
+            for f in hot + [cold]:
+                f.result(timeout=30)
+            assert service.stats("hot").n_batches == 4
+        # one hot batch of 64, then the cold request; the hot key's
+        # other three batches follow it
+        assert done.index("cold") == 64
+
+    def test_expired_request_does_not_split_its_keys_batch(self, lower):
+        b = np.ones(lower.n)
+        service, backend = _held_service(lower, ["a", "b"], max_batch=8)
+        with service:
+            live = []
+            for j in range(6):
+                if j == 3:
+                    dead = service.submit("a", b, timeout=1e-9)
+                live.append(service.submit("a", b))
+                live.append(service.submit("b", b))
+            backend.release.set()
+            for f in live:
+                assert f.result(timeout=30).shape == (lower.n,)
+            with pytest.raises(DeadlineExceededError):
+                dead.result(timeout=30)
+            stats = service.stats()
+        assert stats["a"].n_batches == 1
+        assert stats["a"].max_batch_size == 6
+        assert stats["a"].n_deadline_misses == 1
+        assert stats["b"].n_batches == 1
+
+    def test_pending_and_admission_count_every_key(self, lower):
+        b = np.ones(lower.n)
+        service, backend = _held_service(
+            lower, ["a", "b", "c"], max_queue=8
+        )
+        with service:
+            futures = service.submit_many("a", [b] * 4)
+            futures += service.submit_many("b", [b] * 3)
+            assert service.pending == 7
+            with pytest.raises(AdmissionError, match="7 waiting"):
+                service.submit_many("c", [b] * 2)
+            futures.append(service.submit("c", b))
+            assert service.pending == 8
+            assert "pending=8" in repr(service)
+            backend.release.set()
+            for f in futures:
+                f.result(timeout=30)
+            assert service.pending == 0
+            assert service.stats("c").n_admission_rejections == 2
+
+
+class TestWorkerSupervision:
+    def test_worker_survives_a_fault_in_handling_a_batch(
+        self, lower, monkeypatch
+    ):
+        """A fault after the worker took a batch (here in the stats
+        update) fails that batch's futures with the error; the worker
+        keeps serving and close() still drains and returns."""
+        service = SolveService()
+        plan = service.register("s", lower)
+        record = service._record
+        faults = [RuntimeError("injected fault")]
+
+        def flaky_record(*args, **kwargs):
+            if faults:
+                raise faults.pop()
+            return record(*args, **kwargs)
+
+        monkeypatch.setattr(service, "_record", flaky_record)
+        b = np.random.default_rng(4).standard_normal(lower.n)
+        with pytest.raises(RuntimeError, match="injected fault"):
+            service.submit("s", b).result(timeout=30)
+        x = service.submit("s", b).result(timeout=30)
+        np.testing.assert_array_equal(x, get_backend().solve(plan, b))
+        closer = threading.Thread(target=service.close)
+        closer.start()
+        closer.join(timeout=30)
+        assert not closer.is_alive()
 
 
 class TestSharedCacheWithTuner:
