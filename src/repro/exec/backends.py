@@ -31,9 +31,11 @@ sequential sweep on wide batches by using every core.  That the
 sequential JIT sweep beats ``numpy`` is expected, since it removes the
 interpreter from the inner loop, but no floor measures it.  When numba
 is missing the registry falls back along that order silently during
-auto-selection (unavailability is probed once per process and cached),
-and raises :class:`~repro.errors.BackendUnavailableError` only when an
-unavailable backend is requested by name.
+auto-selection: unavailability is probed once per process, and only the
+verdict and its message are cached, never an exception object.  A
+:class:`~repro.errors.BackendUnavailableError` is raised only when an
+unavailable backend is requested by name, and each such lookup raises a
+fresh one, so the registry holds no traceback and no caller's frames.
 
 Selection order for :func:`get_backend` with no argument: the
 ``REPRO_EXEC_BACKEND`` environment variable if set (unknown names raise
@@ -673,10 +675,14 @@ class ParallelNumbaBackend(NumbaBackend):
 # ---------------------------------------------------------------------------
 _FACTORIES: dict[str, Callable[[], ExecutionBackend]] = {}
 _INSTANCES: dict[str, ExecutionBackend] = {}
-#: Factories that raised BackendUnavailableError, memoized so the (slow)
-#: availability probe — e.g. the numba import — runs once per process,
-#: not on every available_backends()/get_backend() call.
-_UNAVAILABLE: dict[str, BackendUnavailableError] = {}
+#: The message of each factory that raised BackendUnavailableError,
+#: memoized so the (slow) availability probe — e.g. the numba import —
+#: runs once per process, not on every available_backends()/get_backend()
+#: call.  Only the message is kept: a raised exception's traceback holds
+#: the frames it passed through, each frame its caller, so a cached
+#: exception re-raised by every lookup would keep every caller's stack
+#: (and whatever its locals reference) alive for the whole process.
+_UNAVAILABLE: dict[str, str] = {}
 
 
 def register_backend(
@@ -728,7 +734,8 @@ def available_backends() -> list[str]:
 
     Unavailability verdicts are cached per process (see
     :data:`_UNAVAILABLE`), so repeated calls — the CLI, the service, the
-    tuner all consult this — never re-run a slow import probe.
+    tuner all consult this — never re-run a slow import probe, and
+    skipping an unavailable backend raises nothing.
 
     Examples
     --------
@@ -736,19 +743,13 @@ def available_backends() -> list[str]:
     >>> "numpy" in available_backends()   # always runnable
     True
     """
-    out = []
-    for name in list_backends():
-        try:
-            _instantiate(name)
-        except BackendUnavailableError:
-            continue
-        out.append(name)
-    return out
+    return [name for name in list_backends() if _lookup(name) is not None]
 
 
-def _instantiate(name: str) -> ExecutionBackend:
+def _lookup(name: str) -> ExecutionBackend | None:
+    """The instance of backend ``name``, or ``None`` if it cannot run."""
     if name in _UNAVAILABLE:
-        raise _UNAVAILABLE[name]
+        return None
     if name not in _INSTANCES:
         try:
             factory = _FACTORIES[name]
@@ -759,9 +760,19 @@ def _instantiate(name: str) -> ExecutionBackend:
         try:
             _INSTANCES[name] = factory()
         except BackendUnavailableError as exc:
-            _UNAVAILABLE[name] = exc
-            raise
+            _UNAVAILABLE[name] = str(exc)
+            return None
     return _INSTANCES[name]
+
+
+def _instantiate(name: str) -> ExecutionBackend:
+    """The instance of backend ``name``, asked for by name: a fresh
+    :class:`BackendUnavailableError` with the cached verdict if it
+    cannot run."""
+    backend = _lookup(name)
+    if backend is None:
+        raise BackendUnavailableError(_UNAVAILABLE[name])
+    return backend
 
 
 #: Auto-selection preference, expected fastest first.  Only
@@ -802,10 +813,9 @@ def get_backend(name: str | None = None) -> ExecutionBackend:
             )
         return _instantiate(env)
     for candidate in _AUTO_ORDER:
-        try:
-            return _instantiate(candidate)
-        except BackendUnavailableError:
-            continue
+        backend = _lookup(candidate)
+        if backend is not None:
+            return backend
     raise BackendUnavailableError(  # pragma: no cover - numpy always runs
         "no execution backend is available"
     )

@@ -59,7 +59,12 @@ class Schedule:
 
     def _normalize(self) -> None:
         """Renumber supersteps densely as ``0..S-1`` preserving order."""
-        used = np.unique(self.supersteps)
+        # the distinct values by a sort and a neighbour mask: np.unique
+        # may take a hash path that is several times slower on int64
+        ordered = np.sort(self.supersteps)
+        first = np.ones(ordered.size, dtype=bool)
+        np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+        used = ordered[first]
         if used.size and (used[0] != 0 or used[-1] != used.size - 1):
             remap = np.searchsorted(used, self.supersteps)
             self.supersteps = remap.astype(np.int64)

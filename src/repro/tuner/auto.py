@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -293,7 +293,10 @@ class Autotuner:
     ) -> TuningDecision | None:
         """The stored, still-admissible decision under ``key`` — or
         ``None`` (no profile, no entry, feature drift, malformed entry,
-        or a decision made under an incompatible configuration)."""
+        or a decision made under an incompatible configuration).
+
+        The decision names the backend this process runs, not the one
+        stored: the profile may have been written on another host."""
         if profile is None:
             return None
         stored = profile.lookup(key, features)
@@ -305,7 +308,7 @@ class Autotuner:
             return None
         if not self._admissible(decision, reorder):
             return None
-        return decision
+        return replace(decision, backend=get_backend().name)
 
     def _admissible(
         self, decision: TuningDecision, reorder: bool | None

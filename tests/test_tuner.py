@@ -472,6 +472,25 @@ class TestReviewRegressions:
         assert second.reorder is False
         assert second.source == "ranked"
 
+    def test_warm_start_names_this_processs_backend(
+        self, small_inst, machine
+    ):
+        """A profile written on another host may name a backend this
+        process does not run; a warm start reports the one it does, and
+        leaves the stored entry as it was."""
+        from repro.tuner import entry_key
+
+        profile = TuningProfile(machine=machine.name)
+        tuner = Autotuner(candidates=CANDIDATES, expected_solves=1e15)
+        tuner.tune(small_inst, machine, n_cores=N_CORES, profile=profile)
+        key = entry_key(small_inst.name, machine.name, N_CORES)
+        profile.entries[key]["backend"] = "elsewhere-backend"
+        warm = tuner.tune(small_inst, machine, n_cores=N_CORES,
+                          profile=profile)
+        assert warm.source == "profile"
+        assert warm.backend == get_backend().name
+        assert profile.entries[key]["backend"] == "elsewhere-backend"
+
     def test_standalone_schedule_widens_past_the_machine_width(self):
         """Regression: schedule(dag, n) with n above the machine preset
         must decide *and* schedule at n, not decide at the clipped
